@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness, check_witness
-from .propagation import Clause, ClauseSystem, propagate_masks
+from .propagation import ClauseSystem, propagate_masks, rado_clauses
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
@@ -418,37 +418,10 @@ class _SatisfiableGrid(Exception):
 
 
 def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[ClauseSystem, int]:
-    """Clauses over grid indices: index i stands for the value 1 + i/d."""
-    k, l = spec.k, spec.l
-    d = denominator
-    top = (k * l + k - 1 - 1) * d  # index of the domain end
-
-    def value(i: int) -> Fraction:
-        return 1 + Fraction(i, d)
-
-    clauses: list[Clause] = []
-    for color, m in ((Color.RED, k), (Color.BLUE, l)):
-        # index identity: sum of m grid values = value((m-1)*d + sum of indices)
-        def emit(prefix: list[int], lo: int, index_sum: int) -> None:
-            if len(prefix) == m:
-                x0 = (m - 1) * d + index_sum
-                witness = SolutionWitness.from_values(color, [value(i) for i in prefix], value(x0))
-                entries = tuple(sorted({*prefix, x0}))
-                mask = 0
-                for e in entries:
-                    mask |= 1 << e
-                clauses.append(Clause(color, entries, mask, witness))
-                return
-            remaining = m - len(prefix)
-            i = lo
-            while (m - 1) * d + index_sum + i * remaining <= top:
-                prefix.append(i)
-                emit(prefix, i, index_sum + i)
-                prefix.pop()
-                i += 1
-
-        emit([], 0, 0)
-    return ClauseSystem(top + 1, clauses), top
+    """Clauses on the 1/d grid of [1, kl+k-1], where id p stands for the value
+    p/d; also returns the id of the domain end."""
+    top = (spec.k * spec.l + spec.k - 1) * denominator
+    return ClauseSystem(top + 1, rado_clauses(spec.k, spec.l, denominator, top)), top
 
 
 def auto_prove(
@@ -476,29 +449,26 @@ def auto_prove(
     system, top = _grid_system(spec, grid_denominator)
     d = grid_denominator
 
-    def to_index(point) -> int:
+    def to_id(point) -> int:
         point = exact_fraction(point)
-        scaled = (point - 1) * d
-        if scaled.denominator != 1 or not 0 <= scaled <= top:
+        scaled = point * d
+        if scaled.denominator != 1 or not d <= scaled <= top:
             raise ValueError(f"{format_rational(point)} is not a grid point")
         return int(scaled)
 
-    def value(i: int) -> Fraction:
-        return 1 + Fraction(i, d)
-
     indexed: list[tuple[int, Color]] = []
     for point, color in assumptions:
-        idx = to_index(point)
+        idx = to_id(point)
         if any(idx == seen for seen, _ in indexed):
             raise ValueError(f"duplicate assumption on {format_rational(exact_fraction(point))}")
         indexed.append((idx, color))
 
-    all_mask = (1 << (top + 1)) - 1
+    all_mask = (1 << (top + 1)) - (1 << d)
     clauses = system.clauses
 
     def as_steps(forcings: list[tuple[int, int]]) -> tuple[ForcingStep, ...]:
         return tuple(
-            ForcingStep(value(v), clauses[cid].color.opposite, clauses[cid].witness)
+            ForcingStep(Fraction(v, d), clauses[cid].color.opposite, clauses[cid].witness(d))
             for v, cid in forcings
         )
 
@@ -510,7 +480,7 @@ def auto_prove(
         red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
         steps = as_steps(forcings)
         if conflict is not None:
-            return BranchNode(value(idx), color, steps, clauses[conflict].witness)
+            return BranchNode(Fraction(idx, d), color, steps, clauses[conflict].witness(d))
         free = all_mask & ~(red | blue)
         if free == 0:
             raise _SatisfiableGrid
@@ -523,7 +493,7 @@ def auto_prove(
             if child is None:
                 return None
             children.append(child)
-        return BranchNode(value(idx), color, steps, children=(children[0], children[1]))
+        return BranchNode(Fraction(idx, d), color, steps, children=(children[0], children[1]))
 
     ambient_red = ambient_blue = 0
     for idx, color in indexed[:-1]:

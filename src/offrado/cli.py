@@ -72,6 +72,8 @@ def _read_json(path: str) -> dict:
         raise _CliError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not JSON: {exc}") from None
+    except RecursionError:  # uncaught it would exit 1, which means WitnessFound
+        raise _CliError(f"{path} nests too deeply to read") from None
 
 
 def _thread_mode() -> int:
@@ -176,12 +178,14 @@ def cmd_verify_certificate(args) -> dict:
     obj = _read_json(args.file)
     try:
         certificate = certificate_from_json(obj)
+        check = verify_certificate(certificate)
+        stats = certificate_stats(certificate) if check.ok else None
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    check = verify_certificate(certificate)
+    except RecursionError:
+        raise _CliError(f"{args.file} nests branches too deeply to check") from None
     spec_json = certificate.spec.as_json()
     if check.ok:
-        stats = certificate_stats(certificate)
         payload = {
             "verified": True,
             "domain_end": format_rational(certificate.domain_end),

@@ -1,31 +1,77 @@
-"""Bitmask unit-propagation core shared by the discrete search and the grid prover.
+"""The integer clause generator and the bitmask unit-propagation kernel,
+shared by the discrete search and the grid prover.
 
-Variables are small integer ids (colored integers, or grid-point indices).  A
-clause records the distinct ids occurring in one solution of one equation,
-left-hand values and x0 together, plus the exact witness it came from.  A
-clause of color c states "not every entry is colored c": once all entries but
-one are c and that one is free, the free entry is forced to the opposite
+Variables are numerator ids: id p stands for the value p/d.  The integers
+{1..n} are d = 1 with ids 1..n; the 1/d grid of [1, e] is ids d..e*d.  Over
+one denominator x1 + ... + xm = x0 reads p1 + ... + pm = p0, so a single
+generator on plain ints serves both.  A clause keeps one solution's left-hand
+ids and x0 id, plus its distinct ids and their bitmask.  Its exact
+``SolutionWitness`` is built on demand, only for a conflict or forcing step a
+caller emits or a hit it reports, so the hot loops never touch a Fraction.
+
+A clause of color c states "not every entry is colored c": once all entries
+but one are c and that one is free, the free entry is forced to the opposite
 color; once every entry is c the clause is a monochromatic solution and the
-state is in conflict.
-
-Assignments are a pair of bitmasks (red, blue), so the three clause states
-(satisfied / unit / conflicting) are single mask operations, and backtracking
-is free because masks are passed by value.
+state is in conflict.  Assignments are a pair of bitmasks (red, blue), so the
+three clause states are single mask operations, and backtracking is free
+because masks are passed by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from .equations import Color, SolutionWitness
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     color: Color
+    left: tuple[int, ...]
+    x0: int
     entries: tuple[int, ...]
     mask: int
-    witness: SolutionWitness
+
+    def witness(self, denominator: int = 1) -> SolutionWitness:
+        """The exact solution, reading id p as the value p/denominator."""
+        return SolutionWitness.from_values(
+            self.color,
+            [Fraction(p, denominator) for p in self.left],
+            Fraction(self.x0, denominator),
+        )
+
+
+def solution_clauses(color: Color, m: int, lo: int, top: int) -> Iterator[Clause]:
+    """Every solution p1 <= ... <= pm with p1 >= lo and x0 = p1 + ... + pm <= top,
+    once each, lazily, in lexicographic order of (p1, ..., pm).
+
+    Because the order is lexicographic, the clauses with x0 <= t come out in
+    the same relative order for every top >= t.
+    """
+
+    def prefixes(left: tuple, entries: tuple, mask: int, p: int, total: int):
+        remaining = m - len(left)
+        if remaining == 1:
+            yield left, entries, mask, p, total
+            return
+        while total + p * remaining <= top:
+            ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
+            yield from prefixes(left + (p,), ids, bits, p, total + p)
+            p += 1
+
+    for left, entries, mask, p, total in prefixes((), (), 0, lo, 0):
+        while total + p <= top:
+            ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
+            x0 = total + p
+            if not bits >> x0 & 1:  # x0 equals p only when m = 1
+                ids, bits = ids + (x0,), bits | 1 << x0
+            yield Clause(color, left + (p,), x0, ids, bits)
+            p += 1
+
+
+def rado_clauses(k: int, l: int, lo: int, top: int) -> list[Clause]:
+    """The red k-clauses, then the blue l-clauses, on ids lo..top."""
+    return [*solution_clauses(Color.RED, k, lo, top), *solution_clauses(Color.BLUE, l, lo, top)]
 
 
 class ClauseSystem:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import Clause, ClauseSystem, propagate_masks
+from .propagation import ClauseSystem, propagate_masks, rado_clauses, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 _SWEEP_CHUNK = 1 << 20
@@ -154,38 +153,12 @@ def enumerate_solutions(m: int, n: int, color: Color = Color.RED) -> Iterator[So
     in lexicographic multiset order."""
     if not (isinstance(m, int) and m >= 1 and isinstance(n, int) and n >= 1):
         raise ValueError(f"need m >= 1 and n >= 1, got m={m!r}, n={n!r}")
-
-    def rec(prefix: list[int], lo: int, total: int) -> Iterator[SolutionWitness]:
-        if len(prefix) == m:
-            yield SolutionWitness.from_values(color, prefix, total)
-            return
-        remaining = m - len(prefix)
-        v = lo
-        while total + v * remaining <= n:
-            prefix.append(v)
-            yield from rec(prefix, v, total + v)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 1, 0)
+    for clause in solution_clauses(color, m, 1, n):
+        yield clause.witness()
 
 
-@lru_cache(maxsize=None)
-def _clauses(m: int, n: int, color: Color) -> tuple[Clause, ...]:
-    out = []
-    for witness in enumerate_solutions(m, n, color):
-        entries = tuple(sorted(int(p) for p in witness.points()))
-        mask = 0
-        for v in entries:
-            mask |= 1 << v
-        out.append(Clause(color, entries, mask, witness))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _system(k: int, l: int, n: int) -> ClauseSystem:
-    clauses = list(_clauses(k, n, Color.RED)) + list(_clauses(l, n, Color.BLUE))
-    return ClauseSystem(n + 1, clauses)
+    return ClauseSystem(n + 1, rado_clauses(k, l, 1, n))
 
 
 def _masks(coloring: DiscreteColoring) -> tuple[int, int]:
@@ -215,10 +188,9 @@ def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
     if not coloring.is_total:
         raise ValueError("coloring must be total")
     red, blue = _masks(coloring)
-    for m, color, own in ((spec.k, Color.RED, red), (spec.l, Color.BLUE, blue)):
-        for clause in _clauses(m, coloring.n, color):
-            if clause.mask & ~own == 0:
-                return Verdict.witness_found(clause.witness)
+    for clause in rado_clauses(spec.k, spec.l, 1, coloring.n):
+        if clause.mask & ~(red if clause.color is Color.RED else blue) == 0:
+            return Verdict.witness_found(clause.witness())
     return Verdict.valid()
 
 
@@ -238,7 +210,7 @@ def propagate(
     pending = [i for i in range(1, coloring.n + 1) if coloring.colors[i] is not None]
     red, blue, _, conflict = propagate_masks(system, red, blue, pending)
     if conflict is not None:
-        return Conflict(system.clauses[conflict].witness)
+        return Conflict(system.clauses[conflict].witness())
     return _coloring_from_masks(coloring.n, red, blue)
 
 
@@ -253,11 +225,10 @@ def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColorin
         raise ValueError("need n >= 1")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at n={BRUTE_FORCE_LIMIT}; use propagation")
-    red_masks = np.array(
-        [c.mask >> 1 for c in _clauses(spec.k, n, Color.RED)], dtype=np.uint64
-    )
-    blue_masks = np.array(
-        [c.mask >> 1 for c in _clauses(spec.l, n, Color.BLUE)], dtype=np.uint64
+    clauses = rado_clauses(spec.k, spec.l, 1, n)
+    red_masks, blue_masks = (
+        np.array([c.mask >> 1 for c in clauses if c.color is color], dtype=np.uint64)
+        for color in (Color.RED, Color.BLUE)
     )
     total = 1 << n
     for start in range(0, total, _SWEEP_CHUNK):

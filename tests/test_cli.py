@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from offrado.cli import main
 from offrado.serialize import canonical_json
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +184,36 @@ class TestCertificatePipeline:
         code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
         assert code == 64 and out["status"] == "InvalidInput"
 
+    def test_deep_nesting_is_invalid_input_not_witness_found(self, capsys, tmp_path):
+        # 1000 split levels, each an object inside a list: about 2000 deep
+        assume = '"assume":{"color":"red","point":"1"},"steps":[]'
+        leaf = "{" + assume + ',"contradiction":{"color":"red","left":[["1",2]],"x0":"2"}}'
+        root = ("{" + assume + ',"children":[') * 1000 + leaf + (',' + leaf + "]}") * 1000
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"spec":{"k":2,"l":2,"gamma":"1"},"domain_end":"5","root":[' + root + "," + leaf + "]}"
+        )
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+        assert code == 64 and out["status"] == "InvalidInput"
+        assert "too deeply" in out["payload"]["error"]
+
+    def test_nesting_read_but_too_deep_to_check_is_invalid_input(self, capsys, monkeypatch):
+        # Interpreters whose json.loads recursion limit is separate from the
+        # Python one read files the recursive parser cannot walk.  Hand such a
+        # parsed object (4000 split levels) straight to the command.
+        leaf = {
+            "assume": {"color": "red", "point": "1"}, "steps": [],
+            "contradiction": {"color": "red", "left": [["1", 2]], "x0": "2"},
+        }
+        node = leaf
+        for _ in range(4000):
+            node = {"assume": {"color": "red", "point": "1"}, "steps": [], "children": [node, leaf]}
+        obj = {"spec": {"k": 2, "l": 2, "gamma": "1"}, "domain_end": "5", "root": [node, leaf]}
+        monkeypatch.setattr("offrado.cli._read_json", lambda path: obj)
+        code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
+        assert code == 64 and out["status"] == "InvalidInput"
+        assert "too deeply to check" in out["payload"]["error"]
+
 
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
@@ -191,7 +226,7 @@ class TestProcessLevel:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "offrado", "formula", "2", "2", "--mode", "discrete"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["value"] == "5"
@@ -200,14 +235,16 @@ class TestProcessLevel:
         for value in ("0", "1", "8"):
             proc = subprocess.run(
                 [sys.executable, "-m", "offrado", "formula", "2", "2"],
-                capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "RADO_THREADS": value},
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "RADO_THREADS": value},
             )
             assert proc.returncode == 0
 
     def test_invalid_thread_env_warns_on_stderr(self):
         proc = subprocess.run(
             [sys.executable, "-m", "offrado", "formula", "2", "2"],
-            capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "RADO_THREADS": "many"},
+            capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "RADO_THREADS": "many"},
         )
         assert proc.returncode == 0
         assert "RADO_THREADS" in proc.stderr

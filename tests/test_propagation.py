@@ -1,0 +1,143 @@
+"""Invariants of the integer clause kernel: the generator against reference
+enumerations, and outputs pinned to the values the Fraction-based clause
+builders produced (node counts, extremal colorings, certificate files)."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from offrado.cli import main
+from offrado.equations import Color, ProblemSpec, SolutionWitness
+from offrado.propagation import rado_clauses, solution_clauses
+from offrado.search import compute_rado, enumerate_solutions, is_valid_discrete
+
+
+def reference_solutions(m, n, color):
+    """Multisets of {1..n} with sum <= n in lexicographic order, built the way
+    the discrete search used to build them."""
+
+    def rec(prefix, lo, total):
+        if len(prefix) == m:
+            yield SolutionWitness.from_values(color, prefix, total)
+            return
+        remaining = m - len(prefix)
+        v = lo
+        while total + v * remaining <= n:
+            prefix.append(v)
+            yield from rec(prefix, v, total + v)
+            prefix.pop()
+            v += 1
+
+    yield from rec([], 1, 0)
+
+
+def reference_grid(k, l, d):
+    """Grid solutions as the prover used to index them: index i is 1 + i/d."""
+    top = (k * l + k - 1 - 1) * d
+    out = []
+    for color, m in ((Color.RED, k), (Color.BLUE, l)):
+
+        def emit(prefix, lo, index_sum):
+            if len(prefix) == m:
+                x0 = (m - 1) * d + index_sum
+                values = [1 + Fraction(i, d) for i in prefix]
+                out.append(SolutionWitness.from_values(color, values, 1 + Fraction(x0, d)))
+                return
+            remaining = m - len(prefix)
+            i = lo
+            while (m - 1) * d + index_sum + i * remaining <= top:
+                prefix.append(i)
+                emit(prefix, i, index_sum + i)
+                prefix.pop()
+                i += 1
+
+        emit([], 0, 0)
+    return out
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_integer_witnesses_match_reference(self, m):
+        for n in range(1, 21):
+            color = Color.RED if n % 2 else Color.BLUE
+            expected = list(reference_solutions(m, n, color))
+            assert [c.witness() for c in solution_clauses(color, m, 1, n)] == expected, (m, n)
+            assert list(enumerate_solutions(m, n, color)) == expected, (m, n)
+
+    @pytest.mark.parametrize("k,l,d", [(2, 2, 2), (2, 3, 4), (3, 3, 2), (3, 4, 3)])
+    def test_grid_witnesses_match_reference(self, k, l, d):
+        top = (k * l + k - 1) * d
+        got = [c.witness(d) for c in rado_clauses(k, l, d, top)]
+        assert got == reference_grid(k, l, d)
+
+    @pytest.mark.parametrize("m,lo,top", [(1, 1, 9), (2, 1, 15), (3, 2, 30), (4, 3, 40)])
+    def test_entries_and_mask_are_the_distinct_ids(self, m, lo, top):
+        for c in solution_clauses(Color.RED, m, lo, top):
+            assert sum(c.left) == c.x0 <= top and min(c.left) >= lo
+            assert c.entries == tuple(sorted({*c.left, c.x0}))
+            assert c.mask == sum(1 << v for v in c.entries)
+
+    def test_enumeration_is_lazy(self):
+        # the full list of 10-part multisets with sum <= 200 has billions of entries
+        first = next(enumerate_solutions(10, 200))
+        assert first == SolutionWitness.from_values(Color.RED, [1] * 10, 10)
+
+    def test_smaller_domain_is_an_order_preserving_sublist(self):
+        whole = rado_clauses(3, 5, 1, 30)
+        for n in (1, 7, 18, 29):
+            assert [c for c in whole if c.x0 <= n] == rado_clauses(3, 5, 1, n)
+
+
+# (k, l) -> value, nodes explored, propagations, red half of the extremal coloring
+PINNED_SEARCH = {
+    (2, 10): (29, 127, 322, [1, 3, 5, 7, 9, 20, 22, 24, 26, 28]),
+    (3, 7): (23, 96, 185, [1, 2, 8, 9, 14, 15, 21, 22]),
+    (4, 5): (23, 80, 192, [1, 2, 3, 20, 21, 22]),
+    (4, 6): (27, 107, 265, [1, 2, 3, 13, 14, 24, 25, 26]),
+    (5, 5): (29, 112, 320, [1, 2, 3, 4, 25, 26, 27, 28]),
+    (5, 6): (34, 152, 432, [1, 2, 3, 4, 30, 31, 32, 33]),
+}
+
+
+@pytest.mark.parametrize("k,l", list(PINNED_SEARCH))
+def test_search_counts_and_extremal_coloring_pinned(k, l):
+    value, nodes, propagations, red = PINNED_SEARCH[k, l]
+    report = compute_rado(ProblemSpec(k, l))
+    assert (report.value, report.stats.nodes_explored, report.stats.propagations) == (
+        value, nodes, propagations,
+    )
+    assert report.extremal.as_json() == {
+        "n": value - 1,
+        "red": red,
+        "blue": [i for i in range(1, value) if i not in red],
+    }
+    assert is_valid_discrete(report.extremal, ProblemSpec(k, l)).is_valid
+
+
+def test_search_work_does_not_grow_with_the_scan_cap():
+    # clauses are built per n, so a loose cap costs nothing until it is reached
+    report = compute_rado(ProblemSpec(2, 10), max_n=200)
+    assert (report.value, report.stats.nodes_explored) == (29, 127)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["4", "6"], "0a5c4a2f87d3b4a21c5635ac5af74afa853d2b6f938acea8dae98917f555bb98"),
+        (["5", "5"], "dab3e051bf36746899c985eed3845cd19ffc6b5b7b1d993c61d6595ee6032d44"),
+        (
+            ["2", "5", "--grid-denominator", "4"],
+            "883680f1bb4c22c2ce99a3b600c638333b40b92e2458bb0d882ab7414d823da7",
+        ),
+        (
+            ["3", "4", "--grid-denominator", "3"],
+            "f4ed3b18c1c8b566f2285ecf4e6c152ba4a02311215d6353f9def883aedeafcc",
+        ),
+    ],
+)
+def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "cert.json"
+    assert main(["certify-upper", *argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

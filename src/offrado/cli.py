@@ -61,7 +61,10 @@ def _spec_json(k: int, l: int, gamma: Fraction = Fraction(1)) -> dict:
 
 
 def _write_out(path: str, payload: dict) -> str:
-    Path(path).write_text(canonical_json(payload) + "\n", encoding="ascii")
+    try:
+        Path(path).write_text(canonical_json(payload) + "\n", encoding="ascii")
+    except OSError as exc:  # uncaught it would exit 1, which means WitnessFound
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -70,6 +73,8 @@ def _read_json(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise _CliError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not JSON: {exc}") from None
     except RecursionError:  # uncaught it would exit 1, which means WitnessFound
@@ -265,7 +270,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_verify_certificate)
 
     p = sub.add_parser("reproduce", help="run the whole verification suite")
-    p.add_argument("--full", action="store_true", help="heavyweight ranges (several minutes)")
+    p.add_argument("--full", action="store_true", help="heavyweight ranges (a few seconds more)")
     p.set_defaults(handler=cmd_reproduce)
 
     return parser

@@ -217,9 +217,11 @@ def propagate(
 def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColoring]:
     """Oracle: sweep all 2^n total colorings with vectorized clause masks.
 
-    Bit i-1 of a candidate means integer i is red.  Exact integer bit
-    arithmetic throughout; returns the lexicographically least valid coloring
-    (by red bitmask) or None.
+    Bit i-1 of a candidate means integer i is red.  Each clause drops the
+    candidates it makes monochromatic, so later clauses test only survivors;
+    the filtering keeps ascending order.  Exact integer bit arithmetic
+    throughout; returns the lexicographically least valid coloring (by red
+    bitmask) or None.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -234,14 +236,12 @@ def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColorin
     for start in range(0, total, _SWEEP_CHUNK):
         stop = min(start + _SWEEP_CHUNK, total)
         candidates = np.arange(start, stop, dtype=np.uint64)
-        bad = np.zeros(stop - start, dtype=bool)
         for mask in red_masks:
-            bad |= (candidates & mask) == mask
+            candidates = candidates[(candidates & mask) != mask]
         for mask in blue_masks:
-            bad |= (candidates & mask) == 0
-        good = np.flatnonzero(~bad)
-        if good.size:
-            bits = int(candidates[good[0]])
+            candidates = candidates[(candidates & mask) != 0]
+        if candidates.size:
+            bits = int(candidates[0])
             red = {i for i in range(1, n + 1) if bits >> (i - 1) & 1}
             blue = set(range(1, n + 1)) - red
             return DiscreteColoring.from_sets(n, red, blue)

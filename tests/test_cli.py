@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -215,11 +216,42 @@ class TestCertificatePipeline:
         assert "too deeply to check" in out["payload"]["error"]
 
 
+class TestFileSystemErrors:
+    """An unreadable or unwritable path is InvalidInput (64), never a crash
+    that exits 1, which would read as WitnessFound."""
+
+    @pytest.mark.parametrize(
+        "argv", [("verify-certificate",), ("verify-coloring", "2", "3")]
+    )
+    def test_reading_a_directory(self, capsys, tmp_path, argv):
+        code, doc = run_cli(capsys, *argv, "--file", str(tmp_path))
+        assert code == 64 and doc["status"] == "InvalidInput"
+        assert str(tmp_path) in doc["payload"]["error"]
+
+    @pytest.mark.parametrize("command", ["certify-upper", "lower-bound"])
+    def test_writing_into_a_missing_directory(self, capsys, tmp_path, command):
+        out = tmp_path / "missing" / "x.json"
+        code, doc = run_cli(capsys, command, "2", "3", "--out", str(out))
+        assert code == 64 and doc["status"] == "InvalidInput"
+        assert str(out) in doc["payload"]["error"]
+        assert not out.parent.exists()
+
+
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
         code, doc = run_cli(capsys, "reproduce")
         assert code == 0 and doc["payload"]["all_ok"] is True
         assert len(doc["payload"]["checks"]) > 30
+
+    def test_full_profile_output_is_pinned(self, capsys):
+        # Every check's name and detail, the search node counts and the
+        # oracle verdicts: any drift in what --full computes changes the hash.
+        code = main(["reproduce", "--full"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "6a0ef5ae2d0f9f930b125e9ddca06a588605cdf69b914e4e5c78704e68917f93"
+        )
 
 
 class TestProcessLevel:

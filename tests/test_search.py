@@ -1,7 +1,9 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+from offrado import search
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.intervals import lower_bound_coloring
 from offrado.search import (
@@ -122,6 +124,29 @@ class TestPropagate:
             assert propagate(out, spec) == out
 
 
+def red_bits(coloring):
+    """Bit i-1 set iff integer i is red; None stays None."""
+    if coloring is None:
+        return None
+    return sum(1 << (i - 1) for i in coloring.values_of(Color.RED))
+
+
+def least_valid_red_bits(n, k, l):
+    """Plain loop over all 2^n colorings in increasing red bitmask: the first
+    with no red k-solution and no blue l-solution, or None."""
+
+    def has_solution(values, m):
+        members = set(values)
+        return any(sum(c) in members for c in combinations_with_replacement(values, m))
+
+    for bits in range(1 << n):
+        red = [i for i in range(1, n + 1) if bits >> (i - 1) & 1]
+        blue = [i for i in range(1, n + 1) if not bits >> (i - 1) & 1]
+        if not has_solution(red, k) and not has_solution(blue, l):
+            return bits
+    return None
+
+
 class TestSearchValid:
     def test_schur_boundary(self):
         spec = ProblemSpec(2, 2)
@@ -143,6 +168,22 @@ class TestSearchValid:
                 assert (fast is None) == (slow is None), (k, l, n)
                 if slow is not None:
                     assert is_valid_discrete(slow, spec).is_valid
+
+    @pytest.mark.parametrize("spec", [(2, 2), (2, 3), (3, 3)])
+    def test_brute_force_is_least_valid_red_bitmask(self, spec):
+        for n in range(1, 13):
+            expected = least_valid_red_bits(n, *spec)
+            assert red_bits(brute_force_colorable(n, ProblemSpec(*spec))) == expected, (spec, n)
+
+    def test_brute_force_least_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(search, "_SWEEP_CHUNK", 16)
+        beyond_first_chunk = 0
+        for k, l in ((2, 2), (2, 3), (3, 3)):
+            for n in range(1, 13):
+                expected = least_valid_red_bits(n, k, l)
+                assert red_bits(brute_force_colorable(n, ProblemSpec(k, l))) == expected, (k, l, n)
+                beyond_first_chunk += expected is not None and expected >= 16
+        assert beyond_first_chunk >= 3  # the answer really sits in a later chunk
 
     def test_brute_force_cap(self):
         with pytest.raises(ValueError):

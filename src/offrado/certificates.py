@@ -15,12 +15,13 @@ condition on failure.  Builders never return unverified output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness, check_witness
-from .propagation import ClauseSystem, propagate_masks, rado_clauses
+from .propagation import Clause, ClauseSystem, Refutation, Satisfiable, dpll, rado_clauses
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
@@ -197,23 +198,17 @@ def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
 
 def certificate_stats(certificate: ForcingCertificate) -> dict:
     """Branch count, step count, and every point the certificate colors."""
-    branches = 0
-    steps = 0
+    branches = steps = 0
     points: set[Fraction] = set()
-
-    def walk(node: BranchNode) -> None:
-        nonlocal branches, steps
+    stack = list(certificate.root)
+    while stack:
+        node = stack.pop()
         branches += 1
         steps += len(node.steps)
         points.add(node.point)
-        for step in node.steps:
-            points.add(step.point)
+        points.update(step.point for step in node.steps)
         if node.children is not None:
-            walk(node.children[0])
-            walk(node.children[1])
-
-    for node in certificate.root:
-        walk(node)
+            stack.extend(node.children)
     return {
         "branches": branches,
         "steps": steps,
@@ -413,15 +408,24 @@ def build_blue1_certificate(spec: ProblemSpec) -> BranchNode:
 # Automatic prover
 
 
-class _SatisfiableGrid(Exception):
-    """A total conflict-free grid coloring appeared, so no refutation exists."""
-
-
 def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[ClauseSystem, int]:
     """Clauses on the 1/d grid of [1, kl+k-1], where id p stands for the value
     p/d; also returns the id of the domain end."""
     top = (spec.k * spec.l + spec.k - 1) * denominator
     return ClauseSystem(top + 1, rado_clauses(spec.k, spec.l, denominator, top)), top
+
+
+def _branch_node(tree: Refutation, clauses: Sequence[Clause], d: int) -> BranchNode:
+    """The certificate node of a DPLL tree on the 1/d grid, with exact witnesses."""
+    steps = tuple(
+        ForcingStep(Fraction(v, d), clauses[cid].color.opposite, clauses[cid].witness(d))
+        for v, cid in tree.forcings
+    )
+    point = Fraction(tree.var, d)
+    if tree.conflict is not None:
+        return BranchNode(point, tree.color, steps, clauses[tree.conflict].witness(d))
+    first, second = (_branch_node(child, clauses, d) for child in tree.children)
+    return BranchNode(point, tree.color, steps, children=(first, second))
 
 
 def auto_prove(
@@ -432,10 +436,10 @@ def auto_prove(
 ) -> Optional[BranchNode]:
     """Search for a closing branch tree on the 1/d grid of [1, kl+k-1].
 
-    DPLL over grid points: propagate unit forcings, branch on the smallest
-    undecided grid value (red first) when stuck.  The final assumption becomes
-    the returned node; earlier assumptions are ambient pre-colored context.
-    Returns None on grid or depth exhaustion, and immediately when some branch
+    The search is ``propagation.dpll`` over grid ids, at most
+    ``max_branch_depth`` splits deep.  The final assumption becomes the
+    returned node; earlier assumptions are ambient pre-colored context.
+    Returns None on grid or depth exhaustion, and as soon as some branch
     completes a valid total grid coloring (then no refutation can exist).
     The emitted node is re-verified before being returned.
     """
@@ -448,76 +452,33 @@ def auto_prove(
 
     system, top = _grid_system(spec, grid_denominator)
     d = grid_denominator
-
-    def to_id(point) -> int:
+    red = blue = 0
+    pending: list[int] = []
+    for point, color in assumptions:
         point = exact_fraction(point)
         scaled = point * d
         if scaled.denominator != 1 or not d <= scaled <= top:
             raise ValueError(f"{format_rational(point)} is not a grid point")
-        return int(scaled)
-
-    indexed: list[tuple[int, Color]] = []
-    for point, color in assumptions:
-        idx = to_id(point)
-        if any(idx == seen for seen, _ in indexed):
-            raise ValueError(f"duplicate assumption on {format_rational(exact_fraction(point))}")
-        indexed.append((idx, color))
-
-    all_mask = (1 << (top + 1)) - (1 << d)
-    clauses = system.clauses
-
-    def as_steps(forcings: list[tuple[int, int]]) -> tuple[ForcingStep, ...]:
-        return tuple(
-            ForcingStep(Fraction(v, d), clauses[cid].color.opposite, clauses[cid].witness(d))
-            for v, cid in forcings
-        )
-
-    def prove(
-        idx: int, color: Color, red: int, blue: int, pending: list[int], depth: int
-    ) -> Optional[BranchNode]:
-        bit = 1 << idx
-        red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
-        red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
-        steps = as_steps(forcings)
-        if conflict is not None:
-            return BranchNode(Fraction(idx, d), color, steps, clauses[conflict].witness(d))
-        free = all_mask & ~(red | blue)
-        if free == 0:
-            raise _SatisfiableGrid
-        if depth <= 0:
-            return None
-        split = (free & -free).bit_length() - 1
-        children = []
-        for child_color in (Color.RED, Color.BLUE):
-            child = prove(split, child_color, red, blue, [split], depth - 1)
-            if child is None:
-                return None
-            children.append(child)
-        return BranchNode(Fraction(idx, d), color, steps, children=(children[0], children[1]))
-
-    ambient_red = ambient_blue = 0
-    for idx, color in indexed[:-1]:
+        idx = int(scaled)
+        if (red | blue) >> idx & 1:
+            raise ValueError(f"duplicate assumption on {format_rational(point)}")
         if color is Color.RED:
-            ambient_red |= 1 << idx
+            red |= 1 << idx
         else:
-            ambient_blue |= 1 << idx
-    last_idx, last_color = indexed[-1]
-    if (ambient_red | ambient_blue) >> last_idx & 1:
-        raise ValueError("final assumption repeats an ambient point")
+            blue |= 1 << idx
+        pending.append(idx)
 
-    try:
-        node = prove(
-            last_idx,
-            last_color,
-            ambient_red,
-            ambient_blue,
-            [idx for idx, _ in indexed],
-            max_branch_depth,
+    domain = (1 << (top + 1)) - (1 << d)
+    try:  # the last assumption is the root; the others are ambient
+        tree = dpll(
+            system, pending[-1], assumptions[-1][1], red, blue, pending, domain,
+            max_branch_depth, Counter(),
         )
-    except _SatisfiableGrid:
+    except Satisfiable:
         return None
-    if node is None:
+    if tree is None:
         return None
+    node = _branch_node(tree, system.clauses, d)
     ambient = {exact_fraction(p): c for p, c in assumptions[:-1]}
     end = Fraction(spec.k * spec.l + spec.k - 1)
     result = verify_branch(spec, end, node, ambient)
@@ -545,25 +506,20 @@ def certify_upper(
         raise ValueError("certificates are built on the unit domain")
     end = Fraction(spec.k * spec.l + spec.k - 1)
 
-    def auto(color: Color, denominator: int) -> BranchNode:
-        node = auto_prove(spec, denominator, [(Fraction(1), color)], max_depth)
+    def auto(color: Color) -> BranchNode:
+        node = auto_prove(spec, auto_denominator, [(Fraction(1), color)], max_depth)
         if node is None:
-            raise UnprovedError(spec, color.value, denominator, max_depth)
+            raise UnprovedError(spec, color.value, auto_denominator, max_depth)
         return node
 
-    if force_auto:
-        red = auto(Color.RED, auto_denominator)
-        blue = auto(Color.BLUE, auto_denominator)
-        certificate = ForcingCertificate(spec, end, (red, blue))
-    elif spec.k == 2:
+    if spec.k == 2 and not force_auto:
         certificate = build_k2_certificate(spec.l)
-    elif spec.k < spec.l:
-        blue = build_blue1_certificate(spec)
-        red = auto(Color.RED, auto_denominator)
-        certificate = ForcingCertificate(spec, end, (red, blue))
     else:
-        red = auto(Color.RED, auto_denominator)
-        blue = auto(Color.BLUE, auto_denominator)
+        red = auto(Color.RED)
+        if spec.k < spec.l and not force_auto:
+            blue = build_blue1_certificate(spec)
+        else:
+            blue = auto(Color.BLUE)
         certificate = ForcingCertificate(spec, end, (red, blue))
 
     result = verify_certificate(certificate)

@@ -163,7 +163,7 @@ def cmd_certify_upper(args) -> dict:
     spec = ProblemSpec(args.k, args.l)
     certificate = certify_upper(
         spec,
-        auto_denominator=args.grid_denominator if args.grid_denominator else 1,
+        auto_denominator=args.grid_denominator if args.grid_denominator is not None else 1,
         max_depth=args.max_depth,
         force_auto=args.grid_denominator is not None,
     )

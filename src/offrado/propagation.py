@@ -1,5 +1,5 @@
-"""The integer clause generator and the bitmask unit-propagation kernel,
-shared by the discrete search and the grid prover.
+"""The integer clause generator, the bitmask unit-propagation kernel and the
+one DPLL loop above it, shared by the discrete search and the grid prover.
 
 Variables are numerator ids: id p stands for the value p/d.  The integers
 {1..n} are d = 1 with ids 1..n; the 1/d grid of [1, e] is ids d..e*d.  Over
@@ -19,8 +19,9 @@ because masks are passed by value.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .equations import Color, SolutionWitness
 
@@ -124,3 +125,54 @@ def propagate_masks(
                 forcings.append((free.bit_length() - 1, cid))
                 queue.append(free.bit_length() - 1)
     return red, blue, forcings, None
+
+
+class Refutation(NamedTuple):
+    """A closed DPLL branch, on ids only: ``var`` took ``color`` and
+    ``forcings`` followed, as (id, clause id) pairs; it ends in the
+    monochromatic clause ``conflict`` or in ``children``, the red and the blue
+    split of the lowest free id.  Callers attach witnesses."""
+
+    var: int
+    color: Color
+    forcings: list[tuple[int, int]]
+    conflict: Optional[int]
+    children: Optional[tuple["Refutation", "Refutation"]]
+
+
+class Satisfiable(Exception):
+    """A branch reached a total conflict-free assignment, so no refutation
+    exists; ``args`` are its (red, blue) masks."""
+
+
+def dpll(
+    system: ClauseSystem, var: int, color: Color, red: int, blue: int,
+    pending: list[int], domain: int, depth: int, effort: Counter,
+) -> Optional[Refutation]:
+    """Assume ``var`` is ``color``, propagate the ``pending`` ids, then split on
+    the lowest free id of the ``domain`` mask, red first, at most ``depth``
+    splits deep.  ``effort`` counts "nodes" (one per assumption) and "forcings".
+
+    Returns the refutation tree, or None when ``depth`` splits are not enough.
+    Raises Satisfiable at the first total assignment of ``domain``.
+    """
+    bit = 1 << var
+    red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
+    red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
+    effort["nodes"] += 1
+    effort["forcings"] += len(forcings)
+    if conflict is not None:
+        return Refutation(var, color, forcings, conflict, None)
+    free = domain & ~(red | blue)
+    if free == 0:
+        raise Satisfiable(red, blue)
+    if depth <= 0:
+        return None
+    split = (free & -free).bit_length() - 1
+    first = dpll(system, split, Color.RED, red, blue, [split], domain, depth - 1, effort)
+    if first is None:
+        return None
+    second = dpll(system, split, Color.BLUE, red, blue, [split], domain, depth - 1, effort)
+    if second is None:
+        return None
+    return Refutation(var, color, forcings, None, (first, second))

@@ -1,7 +1,7 @@
 """Exact discrete Rado numbers over {1..n} by propagation-driven search.
 
-The search branches on the lowest uncolored integer, red first, propagating
-after every decision, so extremal colorings and node counts are reproducible.
+The search is ``propagation.dpll``: lowest uncolored integer first, red before
+blue, so extremal colorings and node counts are reproducible.
 A numpy bitmask sweep over all 2^n colorings serves as the independent oracle
 (and as the ``--no-propagation`` mode); it shares no inference machinery with
 the propagating search.
@@ -10,6 +10,7 @@ the propagating search.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -25,7 +26,9 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import ClauseSystem, propagate_masks, rado_clauses, solution_clauses
+from .propagation import (
+    ClauseSystem, Satisfiable, dpll, propagate_masks, rado_clauses, solution_clauses,
+)
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 _SWEEP_CHUNK = 1 << 20
@@ -256,10 +259,10 @@ def search_valid(
 ) -> Optional[DiscreteColoring]:
     """A valid total coloring of {1..n}, or None.
 
-    Depth-first on the lowest uncolored integer, red before blue, propagating
-    after each decision.  With propagation disabled this delegates to the
-    brute-force sweep, which shares no inference code and serves as the
-    independent oracle.
+    Runs ``propagation.dpll`` from 1 = red, then from 1 = blue, and returns
+    the first model; its node and forcing counts go to ``stats``.  With
+    propagation disabled this delegates to the brute-force sweep, which
+    shares no inference code and serves as the independent oracle.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -270,29 +273,17 @@ def search_valid(
         return brute_force_colorable(n, spec)
 
     system = _system(spec.k, spec.l, n)
-    all_mask = ((1 << (n + 1)) - 1) & ~1
-
-    def dfs(red: int, blue: int) -> Optional[tuple[int, int]]:
-        free = all_mask & ~(red | blue)
-        if free == 0:
-            return red, blue
-        v = (free & -free).bit_length() - 1
-        bit = 1 << v
+    domain = ((1 << (n + 1)) - 1) & ~1
+    effort: Counter = Counter()
+    try:
         for color in (Color.RED, Color.BLUE):
-            stats.nodes_explored += 1
-            r, b = (red | bit, blue) if color is Color.RED else (red, blue | bit)
-            r, b, forcings, conflict = propagate_masks(system, r, b, [v])
-            stats.propagations += len(forcings)
-            if conflict is None:
-                found = dfs(r, b)
-                if found is not None:
-                    return found
-        return None
-
-    found = dfs(0, 0)
-    if found is None:
-        return None
-    return _coloring_from_masks(n, *found)
+            dpll(system, 1, color, 0, 0, [1], domain, n, effort)
+    except Satisfiable as model:
+        return _coloring_from_masks(n, *model.args)
+    finally:
+        stats.nodes_explored += effort["nodes"]
+        stats.propagations += effort["forcings"]
+    return None
 
 
 def compute_rado(

@@ -258,6 +258,21 @@ class TestAutoProve:
         with pytest.raises(ValueError):
             auto_prove(ProblemSpec(2, 3), 1, [(Fraction(3, 2), RED)])
 
+    @pytest.mark.parametrize(
+        "denominator,assumptions",
+        [
+            (1, [(Fraction(2), RED), (Fraction(2), BLUE)]),  # duplicate
+            (1, [(Fraction(15), RED)]),  # beyond kl + k - 1 = 14
+            (2, [(Fraction(1, 2), RED)]),  # a grid id, but below 1
+            (1, []),
+            (0, [(Fraction(1), RED)]),
+        ],
+        ids=["duplicate", "beyond-end", "below-one", "empty", "denominator-0"],
+    )
+    def test_bad_input_rejected(self, denominator, assumptions):
+        with pytest.raises(ValueError):
+            auto_prove(ProblemSpec(3, 4), denominator, assumptions)
+
     def test_ambient_assumptions_supported(self):
         spec = ProblemSpec(2, 4)
         # ambient 1=Red alone is not enough at d=1, but adding 3=Blue closes:

@@ -158,6 +158,10 @@ class TestCertificatePipeline:
         assert code == 2 and doc["status"] == "Unproved"
         assert doc["payload"]["branch"] == "red"
 
+    def test_zero_grid_denominator_is_invalid_input(self, capsys):
+        code, doc = run_cli(capsys, "certify-upper", "2", "3", "--grid-denominator", "0")
+        assert code == 64 and doc["status"] == "InvalidInput"
+
     def test_unit_grid_closes_where_values_coincide(self, capsys):
         # at (2,3) the discrete and continuous values are both 7, so the
         # integer grid refutes and no half-steps are needed

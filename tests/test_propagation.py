@@ -2,15 +2,22 @@
 enumerations, and outputs pinned to the values the Fraction-based clause
 builders produced (node counts, extremal colorings, certificate files)."""
 
+import gc
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from offrado.certificates import auto_prove
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
-from offrado.propagation import rado_clauses, solution_clauses
-from offrado.search import compute_rado, enumerate_solutions, is_valid_discrete
+from offrado.propagation import (
+    Clause, ClauseSystem, Satisfiable, dpll, rado_clauses, solution_clauses,
+)
+from offrado.search import (
+    SearchStats, compute_rado, enumerate_solutions, is_valid_discrete, search_valid,
+)
 
 
 def reference_solutions(m, n, color):
@@ -141,3 +148,57 @@ def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
     assert main(["certify-upper", *argv, "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def integer_system(k, l, n):
+    return ClauseSystem(n + 1, rado_clauses(k, l, 1, n)), (1 << (n + 1)) - 2
+
+
+def tree_nodes(tree):
+    return 1 + sum(tree_nodes(child) for child in tree.children or ())
+
+
+class TestDpll:
+    def test_model_masks_match_the_search(self):
+        system, domain = integer_system(2, 2, 4)
+        with pytest.raises(Satisfiable) as model:
+            dpll(system, 1, Color.RED, 0, 0, [1], domain, 4, Counter())
+        found = search_valid(4, ProblemSpec(2, 2))
+        masks = tuple(sum(1 << i for i in found.values_of(c)) for c in (Color.RED, Color.BLUE))
+        assert model.value.args == masks
+
+    def test_root_trees_have_the_search_node_count(self):
+        system, domain = integer_system(2, 2, 5)
+        effort = Counter()
+        trees = [dpll(system, 1, c, 0, 0, [1], domain, 5, effort) for c in (Color.RED, Color.BLUE)]
+        stats = SearchStats()
+        assert search_valid(5, ProblemSpec(2, 2), stats=stats) is None
+        assert sum(map(tree_nodes, trees)) == effort["nodes"] == stats.nodes_explored
+        assert effort["forcings"] == stats.propagations
+
+    def test_depth_exhaustion_is_none(self):
+        # the integer case of auto_prove's depth test: 5 = red leaves
+        # propagation stuck, so closing needs splits
+        system, domain = integer_system(3, 3, 11)
+        assert dpll(system, 5, Color.RED, 0, 0, [5], domain, 0, Counter()) is None
+        tree = dpll(system, 5, Color.RED, 0, 0, [5], domain, 64, Counter())
+        assert tree is not None and tree.children is not None
+
+
+def test_no_clause_data_left_in_reference_cycles():
+    # a recursive nested closure is a cycle that keeps its clause system alive
+    # until the cyclic collector runs; with DEBUG_SAVEALL it lands in gc.garbage
+    gc.collect()
+    gc.disable()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        compute_rado(ProblemSpec(4, 5))
+        auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), Color.RED)])
+        gc.collect()
+        leaked = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, (Clause, ClauseSystem)))
+        assert not leaked
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()

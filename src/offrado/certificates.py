@@ -447,6 +447,8 @@ def auto_prove(
         raise ValueError("the grid prover runs on the unit domain")
     if not isinstance(grid_denominator, int) or grid_denominator < 1:
         raise ValueError(f"need a positive integer denominator, got {grid_denominator!r}")
+    if not isinstance(max_branch_depth, int) or max_branch_depth < 0:
+        raise ValueError(f"need a non-negative integer depth, got {max_branch_depth!r}")
     if not assumptions:
         raise ValueError("at least one assumption is required")
 
@@ -504,6 +506,8 @@ def certify_upper(
     """
     if spec.gamma != 1:
         raise ValueError("certificates are built on the unit domain")
+    if not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"need a non-negative integer depth, got {max_depth!r}")
     end = Fraction(spec.k * spec.l + spec.k - 1)
 
     def auto(color: Color) -> BranchNode:

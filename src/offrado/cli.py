@@ -147,11 +147,7 @@ def cmd_lower_bound(args) -> dict:
 
 
 def cmd_verify_coloring(args) -> dict:
-    obj = _read_json(args.file)
-    try:
-        coloring = coloring_from_json(obj)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    coloring = coloring_from_json(_read_json(args.file))
     spec = ProblemSpec(args.k, args.l, coloring.domain.lo)
     verdict = verify_coloring(coloring, spec)
     payload = verdict.as_json()
@@ -185,8 +181,6 @@ def cmd_verify_certificate(args) -> dict:
         certificate = certificate_from_json(obj)
         check = verify_certificate(certificate)
         stats = certificate_stats(certificate) if check.ok else None
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
     except RecursionError:
         raise _CliError(f"{args.file} nests branches too deeply to check") from None
     spec_json = certificate.spec.as_json()
@@ -282,8 +276,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         result = args.handler(args)
-    except _CliError as exc:
-        result = _result("invalid", None, {"error": str(exc)}, "InvalidInput")
     except UnprovedError as exc:
         spec = exc.spec.as_json()
         payload = {

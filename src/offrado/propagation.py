@@ -42,6 +42,20 @@ class Clause(NamedTuple):
         )
 
 
+def _prefixes(m: int, top: int, left: tuple, entries: tuple, mask: int, p: int, total: int):
+    """The first m-1 entries of each solution extending ``left``, in lexicographic
+    order, with their distinct ids, mask, least next id and sum.  Module-level,
+    because as a nested closure this recursion is a reference cycle per call."""
+    remaining = m - len(left)
+    if remaining == 1:
+        yield left, entries, mask, p, total
+        return
+    while total + p * remaining <= top:
+        ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
+        yield from _prefixes(m, top, left + (p,), ids, bits, p, total + p)
+        p += 1
+
+
 def solution_clauses(color: Color, m: int, lo: int, top: int) -> Iterator[Clause]:
     """Every solution p1 <= ... <= pm with p1 >= lo and x0 = p1 + ... + pm <= top,
     once each, lazily, in lexicographic order of (p1, ..., pm).
@@ -49,18 +63,7 @@ def solution_clauses(color: Color, m: int, lo: int, top: int) -> Iterator[Clause
     Because the order is lexicographic, the clauses with x0 <= t come out in
     the same relative order for every top >= t.
     """
-
-    def prefixes(left: tuple, entries: tuple, mask: int, p: int, total: int):
-        remaining = m - len(left)
-        if remaining == 1:
-            yield left, entries, mask, p, total
-            return
-        while total + p * remaining <= top:
-            ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
-            yield from prefixes(left + (p,), ids, bits, p, total + p)
-            p += 1
-
-    for left, entries, mask, p, total in prefixes((), (), 0, lo, 0):
+    for left, entries, mask, p, total in _prefixes(m, top, (), (), 0, lo, 0):
         while total + p <= top:
             ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
             x0 = total + p

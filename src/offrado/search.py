@@ -1,7 +1,9 @@
 """Exact discrete Rado numbers over {1..n} by propagation-driven search.
 
 The search is ``propagation.dpll``: lowest uncolored integer first, red before
-blue, so extremal colorings and node counts are reproducible.
+blue, so extremal colorings and node counts are reproducible.  A
+``DiscreteColoring`` holds the kernel's own (red, blue) bitmasks, bit i for the
+integer i, so models, re-checks and propagation pass masks without converting.
 A numpy bitmask sweep over all 2^n colorings serves as the independent oracle
 (and as the ``--no-propagation`` mode); it shares no inference machinery with
 the propagating search.
@@ -34,20 +36,32 @@ BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather th
 _SWEEP_CHUNK = 1 << 20
 
 
+def _points(n: int) -> int:
+    """The bitmask of {1..n}: bit i stands for the integer i."""
+    return (1 << (n + 1)) - 2
+
+
 @dataclass(frozen=True)
 class DiscreteColoring:
-    """Assignment on {1..n}; entries may be None (uncolored) while searching."""
+    """Assignment on {1..n} as the kernel's bitmasks: bit i of ``red`` (of
+    ``blue``) means the integer i is red (blue).  A point in neither mask is
+    uncolored, as while searching."""
 
     n: int
-    colors: tuple[Optional[Color], ...]
+    red: int
+    blue: int
 
     def __post_init__(self) -> None:
-        if self.n < 0 or len(self.colors) != self.n + 1 or self.colors[0] is not None:
-            raise ValueError("colors must have length n+1 with index 0 unused")
+        if self.n < 0:
+            raise ValueError(f"need n >= 0, got {self.n}")
+        if self.red & self.blue:
+            raise ValueError("red and blue sets overlap")
+        if (self.red | self.blue) & ~_points(self.n):
+            raise ValueError("sets must lie in {1..n}")
 
     @classmethod
     def empty(cls, n: int) -> "DiscreteColoring":
-        return cls(n, (None,) * (n + 1))
+        return cls(n, 0, 0)
 
     @classmethod
     def from_sets(cls, n: int, red, blue) -> "DiscreteColoring":
@@ -56,33 +70,32 @@ class DiscreteColoring:
             raise ValueError("red and blue sets overlap")
         if not red | blue <= set(range(1, n + 1)):
             raise ValueError("sets must lie in {1..n}")
-        colors = [None] + [
-            Color.RED if i in red else Color.BLUE if i in blue else None
-            for i in range(1, n + 1)
-        ]
-        return cls(n, tuple(colors))
+        # the range check admits equal non-ints such as 2.0; int() gives their bit
+        return cls(n, sum(1 << int(i) for i in red), sum(1 << int(i) for i in blue))
 
     @property
     def is_total(self) -> bool:
-        return all(c is not None for c in self.colors[1:])
+        return self.red | self.blue == _points(self.n)
 
     def color_of(self, i: int) -> Optional[Color]:
-        return self.colors[i]
+        if self.red >> i & 1:
+            return Color.RED
+        return Color.BLUE if self.blue >> i & 1 else None
 
     def values_of(self, color: Color) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.colors[i] is color)
+        mask = self.red if color is Color.RED else self.blue
+        return tuple(i for i in range(1, self.n + 1) if mask >> i & 1)
 
     def assign(self, i: int, color: Color) -> "DiscreteColoring":
         if not 1 <= i <= self.n:
             raise ValueError(f"{i} outside 1..{self.n}")
-        colors = list(self.colors)
-        colors[i] = color
-        return DiscreteColoring(self.n, tuple(colors))
+        bit = 1 << i
+        if color is Color.RED:
+            return DiscreteColoring(self.n, self.red | bit, self.blue & ~bit)
+        return DiscreteColoring(self.n, self.red & ~bit, self.blue | bit)
 
     def swapped(self) -> "DiscreteColoring":
-        return DiscreteColoring(
-            self.n, tuple(c.opposite if c is not None else None for c in self.colors)
-        )
+        return DiscreteColoring(self.n, self.blue, self.red)
 
     def as_json(self) -> dict:
         return {
@@ -164,35 +177,14 @@ def _system(k: int, l: int, n: int) -> ClauseSystem:
     return ClauseSystem(n + 1, rado_clauses(k, l, 1, n))
 
 
-def _masks(coloring: DiscreteColoring) -> tuple[int, int]:
-    red = blue = 0
-    for i in range(1, coloring.n + 1):
-        c = coloring.colors[i]
-        if c is Color.RED:
-            red |= 1 << i
-        elif c is Color.BLUE:
-            blue |= 1 << i
-    return red, blue
-
-
-def _coloring_from_masks(n: int, red: int, blue: int) -> DiscreteColoring:
-    colors: list[Optional[Color]] = [None] * (n + 1)
-    for i in range(1, n + 1):
-        if red >> i & 1:
-            colors[i] = Color.RED
-        elif blue >> i & 1:
-            colors[i] = Color.BLUE
-    return DiscreteColoring(n, tuple(colors))
-
-
 def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
     """WitnessFound on the first all-red k-solution or all-blue l-solution,
     in enumeration order (red stream first); Valid otherwise."""
     if not coloring.is_total:
         raise ValueError("coloring must be total")
-    red, blue = _masks(coloring)
     for clause in rado_clauses(spec.k, spec.l, 1, coloring.n):
-        if clause.mask & ~(red if clause.color is Color.RED else blue) == 0:
+        own = coloring.red if clause.color is Color.RED else coloring.blue
+        if clause.mask & ~own == 0:
             return Verdict.witness_found(clause.witness())
     return Verdict.valid()
 
@@ -209,12 +201,12 @@ def propagate(
     second forcing turns some clause fully monochromatic.
     """
     system = _system(spec.k, spec.l, coloring.n)
-    red, blue = _masks(coloring)
-    pending = [i for i in range(1, coloring.n + 1) if coloring.colors[i] is not None]
-    red, blue, _, conflict = propagate_masks(system, red, blue, pending)
+    colored = coloring.red | coloring.blue
+    pending = [i for i in range(1, coloring.n + 1) if colored >> i & 1]
+    red, blue, _, conflict = propagate_masks(system, coloring.red, coloring.blue, pending)
     if conflict is not None:
         return Conflict(system.clauses[conflict].witness())
-    return _coloring_from_masks(coloring.n, red, blue)
+    return DiscreteColoring(coloring.n, red, blue)
 
 
 def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColoring]:
@@ -244,10 +236,8 @@ def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColorin
         for mask in blue_masks:
             candidates = candidates[(candidates & mask) != 0]
         if candidates.size:
-            bits = int(candidates[0])
-            red = {i for i in range(1, n + 1) if bits >> (i - 1) & 1}
-            blue = set(range(1, n + 1)) - red
-            return DiscreteColoring.from_sets(n, red, blue)
+            red = int(candidates[0]) << 1
+            return DiscreteColoring(n, red, _points(n) & ~red)
     return None
 
 
@@ -273,13 +263,13 @@ def search_valid(
         return brute_force_colorable(n, spec)
 
     system = _system(spec.k, spec.l, n)
-    domain = ((1 << (n + 1)) - 1) & ~1
+    domain = _points(n)
     effort: Counter = Counter()
     try:
         for color in (Color.RED, Color.BLUE):
             dpll(system, 1, color, 0, 0, [1], domain, n, effort)
     except Satisfiable as model:
-        return _coloring_from_masks(n, *model.args)
+        return DiscreteColoring(n, *model.args)
     finally:
         stats.nodes_explored += effort["nodes"]
         stats.propagations += effort["forcings"]

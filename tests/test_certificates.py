@@ -238,6 +238,10 @@ class TestAutoProve:
         assert node is not None and node.children is not None
         assert verify_branch(spec, Fraction(11), node).ok
 
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative integer depth"):
+            auto_prove(ProblemSpec(3, 3), 1, [(Fraction(5), RED)], max_branch_depth=-1)
+
     def test_assumption_chain_closes_without_branching(self):
         # the half-grid refutation of (2,5) from 1=Red is pure forcing
         node = auto_prove(ProblemSpec(2, 5), 2, [(Fraction(1), RED)], max_branch_depth=0)

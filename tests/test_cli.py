@@ -162,6 +162,16 @@ class TestCertificatePipeline:
         code, doc = run_cli(capsys, "certify-upper", "2", "3", "--grid-denominator", "0")
         assert code == 64 and doc["status"] == "InvalidInput"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("3", "4"), ("2", "3"), ("2", "4", "--grid-denominator", "2")],
+        ids=["prover", "k2-built-chains", "k2-grid"],
+    )
+    def test_negative_max_depth_is_invalid_input(self, capsys, argv):
+        code, doc = run_cli(capsys, "certify-upper", *argv, "--max-depth", "-1")
+        assert code == 64 and doc["status"] == "InvalidInput"
+        assert "depth" in doc["payload"]["error"]
+
     def test_unit_grid_closes_where_values_coincide(self, capsys):
         # at (2,3) the discrete and continuous values are both 7, so the
         # integer grid refutes and no half-steps are needed

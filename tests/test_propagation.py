@@ -202,3 +202,21 @@ def test_no_clause_data_left_in_reference_cycles():
         gc.set_debug(flags)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_clause_generation_leaves_no_cyclic_garbage():
+    # a recursive generator nested inside solution_clauses would be a cycle of
+    # function, cells and tuple on every call; DEBUG_SAVEALL keeps any cycle
+    gc.collect()
+    gc.disable()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        compute_rado(ProblemSpec(4, 5))
+        auto_prove(ProblemSpec(3, 4), 1, [(1, Color.RED)])
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()

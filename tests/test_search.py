@@ -2,6 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offrado import search
 from offrado.equations import Color, ProblemSpec, SolutionWitness
@@ -233,6 +234,19 @@ class TestComputeRado:
         assert doc["stats"]["nodes_explored"] > 0
 
 
+property_settings = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def partial_colorings(draw):
+    """(n, red, blue) with n in 0..16 and each point red, blue or uncolored."""
+    n = draw(st.integers(0, 16))
+    colors = draw(st.lists(st.sampled_from([Color.RED, Color.BLUE, None]), min_size=n, max_size=n))
+    red = {i for i, c in enumerate(colors, 1) if c is Color.RED}
+    blue = {i for i, c in enumerate(colors, 1) if c is Color.BLUE}
+    return n, red, blue
+
+
 class TestDiscreteColoring:
     def test_from_sets_validation(self):
         with pytest.raises(ValueError):
@@ -247,6 +261,49 @@ class TestDiscreteColoring:
     def test_json_round_trip(self):
         c = DiscreteColoring.from_sets(4, red={1, 4}, blue={2, 3})
         assert DiscreteColoring.from_json(c.as_json()) == c
+
+    @property_settings
+    @given(partial_colorings())
+    def test_from_sets_agrees_with_its_sets(self, drawn):
+        n, red, blue = drawn
+        c = DiscreteColoring.from_sets(n, red, blue)
+        assert c.values_of(Color.RED) == tuple(sorted(red))
+        assert c.values_of(Color.BLUE) == tuple(sorted(blue))
+        for i in range(1, n + 1):
+            expected = Color.RED if i in red else Color.BLUE if i in blue else None
+            assert c.color_of(i) is expected
+        assert c.is_total == (len(red) + len(blue) == n)
+
+    @property_settings
+    @given(partial_colorings())
+    def test_assign_chain_equals_from_sets(self, drawn):
+        n, red, blue = drawn
+        c = DiscreteColoring.empty(n)
+        for i in sorted(red | blue):
+            c = c.assign(i, Color.RED if i in red else Color.BLUE)
+        target = DiscreteColoring.from_sets(n, red, blue)
+        assert c == target and hash(c) == hash(target)
+
+    @property_settings
+    @given(partial_colorings())
+    def test_swap_twice_and_json_round_trip_are_identities(self, drawn):
+        c = DiscreteColoring.from_sets(*drawn)
+        assert c.swapped() == DiscreteColoring.from_sets(drawn[0], drawn[2], drawn[1])
+        assert c.swapped().swapped() == c
+        assert DiscreteColoring.from_json(c.as_json()) == c
+
+    @property_settings
+    @given(partial_colorings())
+    def test_constructor_rejects_overlap_bit_0_and_bit_n_plus_1(self, drawn):
+        n, red, blue = drawn
+        c = DiscreteColoring.from_sets(n, red, blue)
+        if n >= 1:
+            with pytest.raises(ValueError, match="overlap"):
+                DiscreteColoring(n, c.red | 2, c.blue | 2)
+        with pytest.raises(ValueError, match="must lie in"):
+            DiscreteColoring(n, c.red | 1, c.blue)
+        with pytest.raises(ValueError, match="must lie in"):
+            DiscreteColoring(n, c.red, c.blue | 1 << (n + 1))
 
 
 class TestCrossModule:

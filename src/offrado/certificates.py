@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness, check_witness
-from .propagation import Clause, ClauseSystem, Refutation, Satisfiable, dpll, rado_clauses
+from .propagation import ClauseSystem, Refutation, Satisfiable, dpll, rado_clauses
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
@@ -415,16 +415,16 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[ClauseSystem, int
     return ClauseSystem(top + 1, rado_clauses(spec.k, spec.l, denominator, top)), top
 
 
-def _branch_node(tree: Refutation, clauses: Sequence[Clause], d: int) -> BranchNode:
+def _branch_node(tree: Refutation, d: int) -> BranchNode:
     """The certificate node of a DPLL tree on the 1/d grid, with exact witnesses."""
     steps = tuple(
-        ForcingStep(Fraction(v, d), clauses[cid].color.opposite, clauses[cid].witness(d))
-        for v, cid in tree.forcings
+        ForcingStep(Fraction(v, d), clause.color.opposite, clause.witness(d))
+        for v, clause in tree.forcings
     )
     point = Fraction(tree.var, d)
     if tree.conflict is not None:
-        return BranchNode(point, tree.color, steps, clauses[tree.conflict].witness(d))
-    first, second = (_branch_node(child, clauses, d) for child in tree.children)
+        return BranchNode(point, tree.color, steps, tree.conflict.witness(d))
+    first, second = (_branch_node(child, d) for child in tree.children)
     return BranchNode(point, tree.color, steps, children=(first, second))
 
 
@@ -480,7 +480,7 @@ def auto_prove(
         return None
     if tree is None:
         return None
-    node = _branch_node(tree, system.clauses, d)
+    node = _branch_node(tree, d)
     ambient = {exact_fraction(p): c for p, c in assumptions[:-1]}
     end = Fraction(spec.k * spec.l + spec.k - 1)
     result = verify_branch(spec, end, node, ambient)

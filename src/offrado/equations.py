@@ -150,7 +150,8 @@ class SolutionWitness:
             raise ValueError("witness left side must be a list of [value, multiplicity]")
         pairs = []
         for item in left:
-            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], int)):
+            # a JSON true is an int to isinstance, so the type is compared
+            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
                 raise ValueError(f"malformed left entry {item!r}")
             pairs.append((parse_rational(item[0]), item[1]))
         return cls(color, tuple(pairs), parse_rational(obj["x0"]))

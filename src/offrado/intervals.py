@@ -74,17 +74,11 @@ class Interval:
         return Interval(t - self.hi, t - self.lo, self.hi_closed, self.lo_closed)
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo, lo_closed = max(
-            (self.lo, self.lo_closed), (other.lo, other.lo_closed),
-            key=lambda p: (p[0], 0 if p[1] else 1),
-        )
-        hi, hi_closed = min(
-            (self.hi, self.hi_closed), (other.hi, other.hi_closed),
-            key=lambda p: (p[0], 0 if p[1] else -1),
-        )
-        if (lo, 0 if lo_closed else 1) > (hi, 0 if hi_closed else -1):
+        lower = max(self, other, key=Interval._lo_key)
+        upper = min(self, other, key=Interval._hi_key)
+        if lower._lo_key() > upper._hi_key():
             return None
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return Interval(lower.lo, upper.hi, lower.lo_closed, upper.hi_closed)
 
     def scale(self, factor) -> "Interval":
         factor = exact_fraction(factor)
@@ -164,11 +158,8 @@ def normalize(raw: Iterable[Interval]) -> IntervalSet:
     for iv in items:
         if merged and merged[-1]._mergeable_with(iv):
             last = merged[-1]
-            hi, hi_closed = max(
-                (last.hi, last.hi_closed), (iv.hi, iv.hi_closed),
-                key=lambda p: (p[0], 0 if p[1] else -1),
-            )
-            merged[-1] = Interval(last.lo, hi, last.lo_closed, hi_closed)
+            upper = max(last, iv, key=Interval._hi_key)
+            merged[-1] = Interval(last.lo, upper.hi, last.lo_closed, upper.hi_closed)
         else:
             merged.append(iv)
     return IntervalSet(tuple(merged))

@@ -5,7 +5,8 @@ Variables are numerator ids: id p stands for the value p/d.  The integers
 {1..n} are d = 1 with ids 1..n; the 1/d grid of [1, e] is ids d..e*d.  Over
 one denominator x1 + ... + xm = x0 reads p1 + ... + pm = p0, so a single
 generator on plain ints serves both.  A clause keeps one solution's left-hand
-ids and x0 id, plus its distinct ids and their bitmask.  Its exact
+ids and x0 id, plus the bitmask of its distinct ids.  The kernel hands back
+the clauses themselves for its forcings and conflicts; a clause's exact
 ``SolutionWitness`` is built on demand, only for a conflict or forcing step a
 caller emits or a hit it reports, so the hot loops never touch a Fraction.
 
@@ -30,7 +31,6 @@ class Clause(NamedTuple):
     color: Color
     left: tuple[int, ...]
     x0: int
-    entries: tuple[int, ...]
     mask: int
 
     def witness(self, denominator: int = 1) -> SolutionWitness:
@@ -42,17 +42,16 @@ class Clause(NamedTuple):
         )
 
 
-def _prefixes(m: int, top: int, left: tuple, entries: tuple, mask: int, p: int, total: int):
+def _prefixes(m: int, top: int, left: tuple, mask: int, p: int, total: int):
     """The first m-1 entries of each solution extending ``left``, in lexicographic
-    order, with their distinct ids, mask, least next id and sum.  Module-level,
-    because as a nested closure this recursion is a reference cycle per call."""
+    order, with their mask, least next id and sum.  Module-level, because as a
+    nested closure this recursion is a reference cycle per call."""
     remaining = m - len(left)
     if remaining == 1:
-        yield left, entries, mask, p, total
+        yield left, mask, p, total
         return
     while total + p * remaining <= top:
-        ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
-        yield from _prefixes(m, top, left + (p,), ids, bits, p, total + p)
+        yield from _prefixes(m, top, left + (p,), mask | 1 << p, p, total + p)
         p += 1
 
 
@@ -63,13 +62,9 @@ def solution_clauses(color: Color, m: int, lo: int, top: int) -> Iterator[Clause
     Because the order is lexicographic, the clauses with x0 <= t come out in
     the same relative order for every top >= t.
     """
-    for left, entries, mask, p, total in _prefixes(m, top, (), (), 0, lo, 0):
+    for left, mask, p, total in _prefixes(m, top, (), 0, lo, 0):
         while total + p <= top:
-            ids, bits = (entries, mask) if mask >> p & 1 else (entries + (p,), mask | 1 << p)
-            x0 = total + p
-            if not bits >> x0 & 1:  # x0 equals p only when m = 1
-                ids, bits = ids + (x0,), bits | 1 << x0
-            yield Clause(color, left + (p,), x0, ids, bits)
+            yield Clause(color, left + (p,), total + p, mask | 1 << p | 1 << (total + p))
             p += 1
 
 
@@ -79,67 +74,64 @@ def rado_clauses(k: int, l: int, lo: int, top: int) -> list[Clause]:
 
 
 class ClauseSystem:
-    """Immutable clause store with a per-variable occurrence index."""
+    """Immutable per-variable occurrence index: ``by_var[v]`` holds the clauses
+    whose mask has bit v, in clause order, for ids 0..nvars-1."""
 
     def __init__(self, nvars: int, clauses: list[Clause]):
-        self.nvars = nvars
-        self.clauses = tuple(clauses)
-        by_var: list[list[int]] = [[] for _ in range(nvars)]
-        for cid, clause in enumerate(clauses):
-            for v in clause.entries:
-                by_var[v].append(cid)
-        self.by_var = tuple(tuple(ids) for ids in by_var)
+        by_var: list[list[Clause]] = [[] for _ in range(nvars)]
+        for clause in clauses:
+            for v in {*clause.left, clause.x0}:
+                by_var[v].append(clause)
+        self.by_var = tuple(map(tuple, by_var))
 
 
 def propagate_masks(
     system: ClauseSystem, red: int, blue: int, pending: list[int]
-) -> tuple[int, int, list[tuple[int, int]], int | None]:
+) -> tuple[int, int, list[tuple[int, Clause]], Optional[Clause]]:
     """Run unit forcing to fixpoint from the given assignment.
 
     ``pending`` seeds the worklist with variables whose assignment is news to
     the clause store.  Returns (red, blue, forcings, conflict): ``forcings``
-    lists (variable, clause id) in the order applied, each variable taking the
-    opposite of its clause's color; ``conflict`` is the id of a monochromatic
-    clause, or None.  Forcings already applied stay applied on conflict, which
-    callers treat as a dead state anyway.
+    lists (variable, clause) in the order applied, each variable taking the
+    opposite of its clause's color; ``conflict`` is a monochromatic clause, or
+    None.  Forcings already applied stay applied on conflict, which callers
+    treat as a dead state anyway.
     """
-    forcings: list[tuple[int, int]] = []
+    forcings: list[tuple[int, Clause]] = []
     queue = list(pending)
-    clauses = system.clauses
     by_var = system.by_var
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        for cid in by_var[v]:
-            clause = clauses[cid]
+        for clause in by_var[v]:
             own, other = (red, blue) if clause.color is Color.RED else (blue, red)
             em = clause.mask
             if em & other:
                 continue  # some entry has the opposite color: satisfied forever
             free = em & ~own
             if free == 0:
-                return red, blue, forcings, cid
+                return red, blue, forcings, clause
             if free & (free - 1) == 0:  # exactly one entry undecided
                 if clause.color is Color.RED:
                     blue |= free
                 else:
                     red |= free
-                forcings.append((free.bit_length() - 1, cid))
+                forcings.append((free.bit_length() - 1, clause))
                 queue.append(free.bit_length() - 1)
     return red, blue, forcings, None
 
 
 class Refutation(NamedTuple):
-    """A closed DPLL branch, on ids only: ``var`` took ``color`` and
-    ``forcings`` followed, as (id, clause id) pairs; it ends in the
-    monochromatic clause ``conflict`` or in ``children``, the red and the blue
-    split of the lowest free id.  Callers attach witnesses."""
+    """A closed DPLL branch: ``var`` took ``color`` and ``forcings`` followed,
+    as (id, clause) pairs; it ends in the monochromatic clause ``conflict`` or
+    in ``children``, the red and the blue split of the lowest free id.  Ids are
+    not values yet: callers build the witnesses on their own denominator."""
 
     var: int
     color: Color
-    forcings: list[tuple[int, int]]
-    conflict: Optional[int]
+    forcings: list[tuple[int, Clause]]
+    conflict: Optional[Clause]
     children: Optional[tuple["Refutation", "Refutation"]]
 
 

@@ -108,7 +108,13 @@ class DiscreteColoring:
     def from_json(cls, obj) -> "DiscreteColoring":
         if not isinstance(obj, dict) or not {"n", "red", "blue"} <= set(obj):
             raise ValueError("coloring object must carry n, red, blue")
-        return cls.from_sets(obj["n"], obj["red"], obj["blue"])
+        n, red, blue = obj["n"], obj["red"], obj["blue"]
+        # a JSON true or 5.0 would pass isinstance(x, int) or the range check
+        if not (isinstance(red, list) and isinstance(blue, list)) or any(
+            type(x) is not int for x in (n, *red, *blue)
+        ):
+            raise ValueError("coloring n and members must be JSON integers")
+        return cls.from_sets(n, red, blue)
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ def propagate(
     pending = [i for i in range(1, coloring.n + 1) if colored >> i & 1]
     red, blue, _, conflict = propagate_masks(system, coloring.red, coloring.blue, pending)
     if conflict is not None:
-        return Conflict(system.clauses[conflict].witness())
+        return Conflict(conflict.witness())
     return DiscreteColoring(coloring.n, red, blue)
 
 

@@ -32,6 +32,8 @@ def exact_fraction(value) -> Fraction:
     Floats would smuggle binary rounding into verification paths, so they are
     a type error here rather than a silent conversion.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, float):

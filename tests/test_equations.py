@@ -15,7 +15,7 @@ from offrado.equations import (
     formula_degenerate_k1,
     formula_discrete,
 )
-from offrado.serialize import canonical_json, format_rational, parse_rational
+from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational
 
 
 class TestFormulaDiscrete:
@@ -137,6 +137,12 @@ class TestSolutionWitness:
         w = SolutionWitness(Color.BLUE, ((Fraction(3, 2), 2), (Fraction(2), 1)), Fraction(5))
         assert SolutionWitness.from_json(w.as_json()) == w
 
+    @pytest.mark.parametrize("left", [[["1", True]], [["1", 1], ["2", True]]])
+    def test_from_json_rejects_boolean_multiplicity(self, left):
+        # a JSON true read as multiplicity 1 would not survive the round trip
+        with pytest.raises(ValueError):
+            SolutionWitness.from_json({"color": "red", "left": left, "x0": "3"})
+
 
 class TestCheckWitness:
     def test_half_step_red_pair(self):
@@ -218,6 +224,22 @@ class TestRationalStrings:
         for _ in range(200):
             q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             assert parse_rational(format_rational(q)) == q
+
+    def test_exact_fraction_passes_a_fraction_through(self):
+        q = Fraction(3, 2)
+        assert exact_fraction(q) is q
+
+    def test_exact_fraction_copies_a_fraction_subclass(self):
+        class Sub(Fraction):
+            pass
+
+        q = exact_fraction(Sub(3, 2))
+        assert type(q) is Fraction and q == Fraction(3, 2)
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_exact_fraction_rejects_floats_and_bools(self, value):
+        with pytest.raises(TypeError):
+            exact_fraction(value)
 
     def test_canonical_json_is_sorted_and_compact(self):
         text = canonical_json({"b": 1, "a": [1, 2]})

@@ -8,12 +8,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import auto_prove
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.propagation import (
-    Clause, ClauseSystem, Satisfiable, dpll, rado_clauses, solution_clauses,
+    Clause, ClauseSystem, Satisfiable, dpll, propagate_masks, rado_clauses, solution_clauses,
 )
 from offrado.search import (
     SearchStats, compute_rado, enumerate_solutions, is_valid_discrete, search_valid,
@@ -82,8 +83,7 @@ class TestGenerator:
     def test_entries_and_mask_are_the_distinct_ids(self, m, lo, top):
         for c in solution_clauses(Color.RED, m, lo, top):
             assert sum(c.left) == c.x0 <= top and min(c.left) >= lo
-            assert c.entries == tuple(sorted({*c.left, c.x0}))
-            assert c.mask == sum(1 << v for v in c.entries)
+            assert c.mask == sum(1 << v for v in {*c.left, c.x0})
 
     def test_enumeration_is_lazy(self):
         # the full list of 10-part multisets with sum <= 200 has billions of entries
@@ -152,6 +152,46 @@ def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
 
 def integer_system(k, l, n):
     return ClauseSystem(n + 1, rado_clauses(k, l, 1, n)), (1 << (n + 1)) - 2
+
+
+@st.composite
+def kernel_states(draw):
+    """(k, l, n, red, blue): a spec with 2 <= k <= l <= 4 and a partial coloring
+    of {1..n} as bitmasks."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.integers(k, 4))
+    n = draw(st.integers(1, 16))
+    colors = draw(st.lists(st.sampled_from([Color.RED, Color.BLUE, None]), min_size=n, max_size=n))
+    red = sum(1 << i for i, c in enumerate(colors, 1) if c is Color.RED)
+    blue = sum(1 << i for i, c in enumerate(colors, 1) if c is Color.BLUE)
+    return k, l, n, red, blue
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(kernel_states())
+def test_propagation_is_sound_and_reaches_its_fixpoint(state):
+    k, l, n, red, blue = state
+    clauses = rado_clauses(k, l, 1, n)
+    pending = [i for i in range(1, n + 1) if (red | blue) >> i & 1]
+    red, blue, forcings, conflict = propagate_masks(ClauseSystem(n + 1, clauses), red, blue, pending)
+    assert red & blue == 0
+
+    def own(clause):
+        return red if clause.color is Color.RED else blue
+
+    for v, clause in forcings:
+        bit = 1 << v
+        assert clause.mask & bit
+        assert (red if clause.color is Color.BLUE else blue) & bit  # the opposite color
+        assert clause.mask & ~bit & ~own(clause) == 0
+    if conflict is not None:
+        assert conflict.mask & ~own(conflict) == 0
+        return
+    for clause in clauses:
+        if clause.mask & (blue if clause.color is Color.RED else red):
+            continue  # satisfied
+        free = clause.mask & ~own(clause)
+        assert free & (free - 1), clause  # at least two entries still free
 
 
 def tree_nodes(tree):

@@ -262,6 +262,20 @@ class TestDiscreteColoring:
         c = DiscreteColoring.from_sets(4, red={1, 4}, blue={2, 3})
         assert DiscreteColoring.from_json(c.as_json()) == c
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": "5", "red": [], "blue": []},
+            {"n": 5.0, "red": [], "blue": []},
+            {"n": True, "red": [1], "blue": []},
+            {"n": 2, "red": [True], "blue": [2]},
+            {"n": 2, "red": [1.0], "blue": [2]},
+        ],
+    )
+    def test_from_json_rejects_non_integers(self, doc):
+        with pytest.raises(ValueError):
+            DiscreteColoring.from_json(doc)
+
     @property_settings
     @given(partial_colorings())
     def test_from_sets_agrees_with_its_sets(self, drawn):

@@ -1,28 +1,32 @@
-"""The integer clause generator, the bitmask unit-propagation kernel and the
-one DPLL loop above it, shared by the discrete search and the grid prover.
+"""The integer clause generator, the two unit-propagation kernels and the one
+DPLL loop above them, shared by the discrete search and the grid prover.
 
 Variables are numerator ids: id p stands for the value p/d.  The integers
 {1..n} are d = 1 with ids 1..n; the 1/d grid of [1, e] is ids d..e*d.  Over
 one denominator x1 + ... + xm = x0 reads p1 + ... + pm = p0, so a single
 generator on plain ints serves both.  A clause keeps one solution's left-hand
-ids and x0 id, plus the bitmask of its distinct ids.  The kernel hands back
-the clauses themselves for its forcings and conflicts; a clause's exact
-``SolutionWitness`` is built on demand, only for a conflict or forcing step a
-caller emits or a hit it reports, so the hot loops never touch a Fraction.
+ids and x0 id, plus the bitmask of its distinct ids.
 
 A clause of color c states "not every entry is colored c": once all entries
 but one are c and that one is free, the free entry is forced to the opposite
 color; once every entry is c the clause is a monochromatic solution and the
-state is in conflict.  Assignments are a pair of bitmasks (red, blue), so the
-three clause states are single mask operations, and backtracking is free
-because masks are passed by value.
+state is in conflict.  Assignments are a pair of bitmasks (red, blue), and
+backtracking is free because masks are passed by value.
+
+``ClauseSystem`` indexes a listed clause set and ``propagate_masks`` visits it;
+the grid prover runs on it.  ``SumsetSystem`` lists no clause: the clauses of
+color c are exactly the solutions, so unit forcing is read from the m-fold
+sumsets of c's own mask; the discrete search runs on it.  Both kernels hand
+back handles for their forcings and conflicts, and a handle's exact
+``SolutionWitness`` is built on demand, only for a step a caller emits or a
+hit it reports, so the hot loops never touch a Fraction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .equations import Color, SolutionWitness
 
@@ -84,6 +88,9 @@ class ClauseSystem:
                 by_var[v].append(clause)
         self.by_var = tuple(map(tuple, by_var))
 
+    def propagate(self, red: int, blue: int, pending: list[int]):
+        return propagate_masks(self, red, blue, pending)
+
 
 def propagate_masks(
     system: ClauseSystem, red: int, blue: int, pending: list[int]
@@ -122,16 +129,172 @@ def propagate_masks(
     return red, blue, forcings, None
 
 
+def _ids(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _sumset_layers(own: int, m: int, limit: int) -> list[int]:
+    """[L_0, ..., L_m]: bit s of L_j is set when s is a sum of j ids of
+    ``own``, repeats allowed, so L_0 = {0} and L_j = L_{j-1} + own; every
+    layer is cut to the bits of ``limit``."""
+    parts = _ids(own)
+    layers = [1]
+    for _ in range(m):
+        prev, acc = layers[-1], 0
+        for p in parts:
+            acc |= prev << p
+        layers.append(acc & limit)
+    return layers
+
+
+def _forced(layers: list[int], own: int, free: int, m: int) -> int:
+    """The free ids y that complete a solution whose other entries all lie in
+    ``own``: as x0 (y in L_m), or as j of the m parts with the other m - j in
+    ``own`` and x0 = j*y + s in ``own`` for some s in L_{m-j}."""
+    forced = layers[m] & free
+    last = own.bit_length() - 1
+    for y in _ids(free & ~forced):
+        for j in range(1, m + 1):
+            if j * y > last:
+                break
+            if layers[m - j] << j * y & own:
+                forced |= 1 << y
+                break
+    return forced
+
+
+def _least_parts(own: int, r: int, targets: int, offset: int) -> Optional[tuple[int, ...]]:
+    """The least sorted r-tuple of ids of ``own`` whose sum plus ``offset`` is
+    in ``targets``, or None, found by walking back down the sumset layers:
+    each part is the least id of ``own`` from which the rest can still hit a
+    target."""
+    layers = _sumset_layers(own, r, (1 << targets.bit_length()) - 1)
+    if not layers[r] << offset & targets:
+        return None
+    ids = _ids(own)
+    parts: list[int] = []
+    total, at = offset, 0
+    for rest in range(r - 1, -1, -1):
+        while not layers[rest] << (total + ids[at]) & targets:
+            at += 1
+        parts.append(ids[at])
+        total += ids[at]
+    return tuple(parts)
+
+
+class SumsetHandle(NamedTuple):
+    """A forcing or a conflict of ``SumsetSystem``, decoded only on demand.
+
+    It stands for the least solution of ``color``'s ``arity``-variable
+    equation, in ``solution_clauses`` order, with every entry other than
+    ``var`` in the mask ``own``: for a forcing, the solution contains ``var``;
+    for a conflict ``var`` is None and every entry lies in ``own``.
+    """
+
+    color: Color
+    arity: int
+    own: int
+    var: Optional[int]
+
+    def clause(self) -> Clause:
+        own, m, y = self.own, self.arity, self.var
+        if y is None:
+            cases = [((), m, own, 0)]
+        else:  # y is x0, or y fills j of the m parts (y is free, so not both)
+            cases = [((), m, 1 << y, 0)]
+            cases += [((y,) * j, m - j, own, j * y) for j in range(1, m + 1)]
+        lefts = []
+        for fixed, r, targets, offset in cases:
+            rest = _least_parts(own, r, targets, offset)
+            if rest is not None:
+                lefts.append(tuple(sorted(fixed + rest)))
+        left = min(lefts)
+        x0 = sum(left)
+        mask = 1 << x0
+        for p in left:
+            mask |= 1 << p
+        return Clause(self.color, left, x0, mask)
+
+    def witness(self, denominator: int = 1) -> SolutionWitness:
+        """The exact solution, reading id p as the value p/denominator."""
+        return self.clause().witness(denominator)
+
+
+class SumsetSystem:
+    """Unit forcing for the red k-clauses and blue l-clauses on ids lo..top,
+    read from sumsets of the color masks instead of from a clause list.
+
+    For a color with own mask A and arity m, with L_j the j-fold sumset of A
+    cut to top, the state is in conflict iff A meets L_m, and a free y is
+    forced to the other color iff y is in L_m or (L_{m-j} << j*y) meets A for
+    some 1 <= j <= m.  These are exactly the conflicts and unit clauses of
+    ``rado_clauses(k, l, lo, top)``.
+    """
+
+    def __init__(self, k: int, l: int, lo: int, top: int):
+        self.k, self.l = k, l
+        self.domain = (1 << (top + 1)) - (1 << lo)
+        self.limit = (1 << (top + 1)) - 1
+
+    def propagate(
+        self, red: int, blue: int, pending: list[int]
+    ) -> tuple[int, int, list[tuple[int, SumsetHandle]], Optional[SumsetHandle]]:
+        """Run unit forcing to fixpoint, in rounds, as ``propagate_masks`` does.
+
+        Only a color that holds a ``pending`` id is read in the first round:
+        the rest of the assignment is taken to be closed already, as the
+        clause kernel takes it.  Each round applies every forcing of the
+        colors whose masks changed; a point forced both ways goes blue, so
+        the next round reads the blue conflict.  Returns (red, blue,
+        forcings, conflict) with (id, handle) forcings and a handle or None.
+        """
+        forcings: list[tuple[int, SumsetHandle]] = []
+        stale_red = stale_blue = False
+        for v in pending:
+            if red >> v & 1:
+                stale_red = True
+            else:
+                stale_blue = True
+        while stale_red or stale_blue:
+            free = self.domain & ~(red | blue)
+            to_blue = to_red = 0
+            if stale_red:
+                layers = _sumset_layers(red, self.k, self.limit)
+                if layers[self.k] & red:
+                    return red, blue, forcings, SumsetHandle(Color.RED, self.k, red, None)
+                to_blue = _forced(layers, red, free, self.k)
+            if stale_blue:
+                layers = _sumset_layers(blue, self.l, self.limit)
+                if layers[self.l] & blue:
+                    return red, blue, forcings, SumsetHandle(Color.BLUE, self.l, blue, None)
+                to_red = _forced(layers, blue, free, self.l) & ~to_blue
+            forcings += [(y, SumsetHandle(Color.RED, self.k, red, y)) for y in _ids(to_blue)]
+            forcings += [(y, SumsetHandle(Color.BLUE, self.l, blue, y)) for y in _ids(to_red)]
+            red |= to_red
+            blue |= to_blue
+            stale_red, stale_blue = to_red != 0, to_blue != 0
+        return red, blue, forcings, None
+
+
+Handle = Union[Clause, SumsetHandle]
+
+
 class Refutation(NamedTuple):
     """A closed DPLL branch: ``var`` took ``color`` and ``forcings`` followed,
-    as (id, clause) pairs; it ends in the monochromatic clause ``conflict`` or
+    as (id, handle) pairs; it ends in the monochromatic handle ``conflict`` or
     in ``children``, the red and the blue split of the lowest free id.  Ids are
     not values yet: callers build the witnesses on their own denominator."""
 
     var: int
     color: Color
-    forcings: list[tuple[int, Clause]]
-    conflict: Optional[Clause]
+    forcings: list[tuple[int, Handle]]
+    conflict: Optional[Handle]
     children: Optional[tuple["Refutation", "Refutation"]]
 
 
@@ -141,19 +304,20 @@ class Satisfiable(Exception):
 
 
 def dpll(
-    system: ClauseSystem, var: int, color: Color, red: int, blue: int,
+    system: Union[ClauseSystem, SumsetSystem], var: int, color: Color, red: int, blue: int,
     pending: list[int], domain: int, depth: int, effort: Counter,
 ) -> Optional[Refutation]:
-    """Assume ``var`` is ``color``, propagate the ``pending`` ids, then split on
-    the lowest free id of the ``domain`` mask, red first, at most ``depth``
-    splits deep.  ``effort`` counts "nodes" (one per assumption) and "forcings".
+    """Assume ``var`` is ``color``, propagate the ``pending`` ids with
+    ``system.propagate``, then split on the lowest free id of the ``domain``
+    mask, red first, at most ``depth`` splits deep.  ``effort`` counts "nodes"
+    (one per assumption) and "forcings".
 
     Returns the refutation tree, or None when ``depth`` splits are not enough.
     Raises Satisfiable at the first total assignment of ``domain``.
     """
     bit = 1 << var
     red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
-    red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
+    red, blue, forcings, conflict = system.propagate(red, blue, pending)
     effort["nodes"] += 1
     effort["forcings"] += len(forcings)
     if conflict is not None:

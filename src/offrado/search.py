@@ -1,12 +1,14 @@
 """Exact discrete Rado numbers over {1..n} by propagation-driven search.
 
-The search is ``propagation.dpll``: lowest uncolored integer first, red before
-blue, so extremal colorings and node counts are reproducible.  A
-``DiscreteColoring`` holds the kernel's own (red, blue) bitmasks, bit i for the
-integer i, so models, re-checks and propagation pass masks without converting.
-A numpy bitmask sweep over all 2^n colorings serves as the independent oracle
-(and as the ``--no-propagation`` mode); it shares no inference machinery with
-the propagating search.
+The search is ``propagation.dpll`` on a ``SumsetSystem``: lowest uncolored
+integer first, red before blue, so extremal colorings and node counts are
+reproducible.  Unit forcing is read from the m-fold sumsets of each color
+class, so no n of the scan lists its clauses.  A ``DiscreteColoring`` holds the
+kernel's own (red, blue) bitmasks, bit i for the integer i, so models,
+re-checks and propagation pass masks without converting.  Two checks share no
+inference code with the search: ``is_valid_discrete`` re-checks a coloring
+with plain set sums, and a numpy bitmask sweep over all 2^n colorings serves
+as the independent oracle (and as the ``--no-propagation`` mode).
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import (
-    ClauseSystem, Satisfiable, dpll, propagate_masks, rado_clauses, solution_clauses,
-)
+from .propagation import Satisfiable, SumsetSystem, dpll, rado_clauses, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 _SWEEP_CHUNK = 1 << 20
@@ -179,19 +179,36 @@ def enumerate_solutions(m: int, n: int, color: Color = Color.RED) -> Iterator[So
         yield clause.witness()
 
 
-def _system(k: int, l: int, n: int) -> ClauseSystem:
-    return ClauseSystem(n + 1, rado_clauses(k, l, 1, n))
+def _system(k: int, l: int, n: int) -> SumsetSystem:
+    return SumsetSystem(k, l, 1, n)
+
+
+def _has_solution(members: set[int], m: int, n: int) -> bool:
+    """Whether some m members of ``members`` (repeats allowed) sum to a member,
+    by plain set sums: the re-check shares no code with the kernel."""
+    sums = {0}
+    for _ in range(m):
+        sums = {s + x for s in sums for x in members if s + x <= n}
+    return not sums.isdisjoint(members)
 
 
 def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
     """WitnessFound on the first all-red k-solution or all-blue l-solution,
-    in enumeration order (red stream first); Valid otherwise."""
+    in enumeration order (red stream first); Valid otherwise.
+
+    The verdict comes from m-fold sums of each color class as Python sets;
+    only the first color with a hit has its solutions walked, lazily, to name
+    the first witness.
+    """
     if not coloring.is_total:
         raise ValueError("coloring must be total")
-    for clause in rado_clauses(spec.k, spec.l, 1, coloring.n):
-        own = coloring.red if clause.color is Color.RED else coloring.blue
-        if clause.mask & ~own == 0:
-            return Verdict.witness_found(clause.witness())
+    for color, own in ((Color.RED, coloring.red), (Color.BLUE, coloring.blue)):
+        m = spec.arity(color)
+        if _has_solution(set(coloring.values_of(color)), m, coloring.n):
+            for clause in solution_clauses(color, m, 1, coloring.n):
+                if clause.mask & ~own == 0:
+                    return Verdict.witness_found(clause.witness())
+            raise RuntimeError("set sums and solution enumeration disagree")
     return Verdict.valid()
 
 
@@ -203,13 +220,14 @@ def propagate(
     Any solution with every entry but one colored by its own equation's color
     forces the last entry to the opposite color; repeated to fixpoint.
     Conflict (a value, not an error) reports a monochromatic solution among
-    colored entries, which is also how "forced both ways" manifests: the
-    second forcing turns some clause fully monochromatic.
+    colored entries, the least of its color.  A point forced both ways is
+    colored blue, and the next round of forcing reports the conflict that
+    makes.
     """
     system = _system(spec.k, spec.l, coloring.n)
     colored = coloring.red | coloring.blue
     pending = [i for i in range(1, coloring.n + 1) if colored >> i & 1]
-    red, blue, _, conflict = propagate_masks(system, coloring.red, coloring.blue, pending)
+    red, blue, _, conflict = system.propagate(coloring.red, coloring.blue, pending)
     if conflict is not None:
         return Conflict(conflict.witness())
     return DiscreteColoring(coloring.n, red, blue)

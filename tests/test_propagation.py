@@ -1,6 +1,7 @@
-"""Invariants of the integer clause kernel: the generator against reference
-enumerations, and outputs pinned to the values the Fraction-based clause
-builders produced (node counts, extremal colorings, certificate files)."""
+"""Invariants of the two propagation kernels: the generator against reference
+enumerations, the sumset propagator against the clause kernel, and outputs
+pinned to the values the Fraction-based clause builders produced (node counts,
+extremal colorings, certificate files)."""
 
 import gc
 import hashlib
@@ -14,10 +15,12 @@ from offrado.certificates import auto_prove
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.propagation import (
-    Clause, ClauseSystem, Satisfiable, dpll, propagate_masks, rado_clauses, solution_clauses,
+    Clause, ClauseSystem, Satisfiable, SumsetHandle, SumsetSystem, dpll, propagate_masks,
+    rado_clauses, solution_clauses,
 )
 from offrado.search import (
-    SearchStats, compute_rado, enumerate_solutions, is_valid_discrete, search_valid,
+    Conflict, DiscreteColoring, SearchStats, compute_rado, enumerate_solutions,
+    is_valid_discrete, propagate, search_valid,
 )
 
 
@@ -96,14 +99,23 @@ class TestGenerator:
             assert [c for c in whole if c.x0 <= n] == rado_clauses(3, 5, 1, n)
 
 
-# (k, l) -> value, nodes explored, propagations, red half of the extremal coloring
+# (k, l) -> value, nodes explored, propagations, red half of the extremal coloring.
+# Propagations count the forcings made before each conflict, which depends on
+# the kernel's forcing order; values, nodes and colorings do not.
 PINNED_SEARCH = {
-    (2, 10): (29, 127, 322, [1, 3, 5, 7, 9, 20, 22, 24, 26, 28]),
+    (2, 10): (29, 127, 318, [1, 3, 5, 7, 9, 20, 22, 24, 26, 28]),
     (3, 7): (23, 96, 185, [1, 2, 8, 9, 14, 15, 21, 22]),
-    (4, 5): (23, 80, 192, [1, 2, 3, 20, 21, 22]),
-    (4, 6): (27, 107, 265, [1, 2, 3, 13, 14, 24, 25, 26]),
-    (5, 5): (29, 112, 320, [1, 2, 3, 4, 25, 26, 27, 28]),
-    (5, 6): (34, 152, 432, [1, 2, 3, 4, 30, 31, 32, 33]),
+    (4, 5): (23, 80, 186, [1, 2, 3, 20, 21, 22]),
+    (4, 6): (27, 107, 263, [1, 2, 3, 13, 14, 24, 25, 26]),
+    (5, 5): (29, 112, 308, [1, 2, 3, 4, 25, 26, 27, 28]),
+    (5, 6): (34, 152, 423, [1, 2, 3, 4, 30, 31, 32, 33]),
+}
+# (k, l) -> value, nodes explored, red half of the extremal coloring, as the
+# clause kernel computed them (in seconds; the sumset kernel takes milliseconds)
+PINNED_LARGE = {
+    (6, 6): (41, 197, [1, 2, 3, 4, 5, 36, 37, 38, 39, 40]),
+    (6, 7): (47, 257, [1, 2, 3, 4, 5, 42, 43, 44, 45, 46]),
+    (7, 7): (55, 317, [1, 2, 3, 4, 5, 6, 49, 50, 51, 52, 53, 54]),
 }
 
 
@@ -122,10 +134,30 @@ def test_search_counts_and_extremal_coloring_pinned(k, l):
     assert is_valid_discrete(report.extremal, ProblemSpec(k, l)).is_valid
 
 
-def test_search_work_does_not_grow_with_the_scan_cap():
-    # clauses are built per n, so a loose cap costs nothing until it is reached
+@pytest.mark.parametrize("k,l", list(PINNED_LARGE))
+def test_large_search_pinned(k, l):
+    value, nodes, red = PINNED_LARGE[k, l]
+    report = compute_rado(ProblemSpec(k, l))
+    assert (report.value, report.stats.nodes_explored) == (value, nodes)
+    assert [i for i in range(1, value) if report.extremal.red >> i & 1] == red
+    assert report.extremal.blue == (1 << value) - 2 - report.extremal.red
+
+
+def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
+    # the scan stops at the first uncolorable n, and no n lists its clauses
+    built = Counter()
+    new = Clause.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built["Clause"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Clause, "__new__", counting_new)
     report = compute_rado(ProblemSpec(2, 10), max_n=200)
     assert (report.value, report.stats.nodes_explored) == (29, 127)
+    assert built["Clause"] == 0
+    next(solution_clauses(Color.RED, 2, 1, 2))
+    assert built["Clause"] == 1  # the count does see a construction
 
 
 @pytest.mark.parametrize(
@@ -194,6 +226,69 @@ def test_propagation_is_sound_and_reaches_its_fixpoint(state):
         assert free & (free - 1), clause  # at least two entries still free
 
 
+@st.composite
+def sumset_states(draw):
+    """(k, l, lo, top, red, blue): a spec with 2 <= k <= l <= 4, the ids lo..top
+    of the integers (lo = 1) or of the 1/lo grid (lo = 2, 3), and a partial
+    coloring of them as bitmasks."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.integers(k, 4))
+    lo = draw(st.sampled_from([1, 2, 3]))
+    top = draw(st.integers(lo, lo + 20))
+    size = top - lo + 1
+    # mostly uncolored, so that most states propagate before any conflict
+    palette = st.sampled_from([Color.RED, Color.BLUE, None, None, None, None])
+    colors = draw(st.lists(palette, min_size=size, max_size=size))
+    red = sum(1 << i for i, c in enumerate(colors, lo) if c is Color.RED)
+    blue = sum(1 << i for i, c in enumerate(colors, lo) if c is Color.BLUE)
+    return k, l, lo, top, red, blue
+
+
+def first_clause(handle, lo, top):
+    """The first clause in generator order whose entries other than the
+    handle's var all lie in its mask, and that contains the var."""
+    need = 0 if handle.var is None else 1 << handle.var
+    for clause in solution_clauses(handle.color, handle.arity, lo, top):
+        if clause.mask & ~handle.own == need:
+            return clause
+    return None
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(sumset_states())
+def test_sumset_propagation_matches_the_clause_kernel(state):
+    k, l, lo, top, red, blue = state
+    pending = [i for i in range(lo, top + 1) if (red | blue) >> i & 1]
+    system = ClauseSystem(top + 1, rado_clauses(k, l, lo, top))
+    expected = propagate_masks(system, red, blue, pending)
+    red, blue, forcings, conflict = SumsetSystem(k, l, lo, top).propagate(red, blue, pending)
+    assert (conflict is None) == (expected[3] is None)
+    if conflict is None:
+        assert (red, blue) == expected[:2]
+    assert red & blue == 0
+
+    handles = forcings + ([(None, conflict)] if conflict else [])
+    for var, handle in handles:
+        own = red if handle.color is Color.RED else blue
+        assert handle.var == var and handle.arity == (k if handle.color is Color.RED else l)
+        assert handle.own & ~own == 0
+        if var is not None:
+            assert (blue if handle.color is Color.RED else red) >> var & 1  # the opposite color
+        witness = handle.witness(lo)
+        # a real solution: arity parts summing to x0, on ids lo..top
+        parts = [v * lo for v, mult in witness.left for _ in range(mult)]
+        assert witness.color is handle.color and len(parts) == handle.arity
+        assert all(p.denominator == 1 and lo <= p <= top for p in (*parts, witness.x0 * lo))
+        ids = {int(p) for p in (*parts, witness.x0 * lo)}
+        assert sum(parts) == witness.x0 * lo
+        # ... with every entry but the var in the handle's mask, and the var in it
+        assert all(handle.own >> i & 1 for i in ids - {var})
+        assert var is None or var in ids
+        clause = first_clause(handle, lo, top)
+        assert handle.clause() == clause
+        assert witness == clause.witness(lo)
+
+
 def tree_nodes(tree):
     return 1 + sum(tree_nodes(child) for child in tree.children or ())
 
@@ -234,9 +329,11 @@ def test_no_clause_data_left_in_reference_cycles():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         compute_rado(ProblemSpec(4, 5))
+        assert isinstance(propagate(DiscreteColoring.empty(7).assign(1, Color.RED), ProblemSpec(2, 3)), Conflict)
         auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), Color.RED)])
         gc.collect()
-        leaked = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, (Clause, ClauseSystem)))
+        kinds = (Clause, ClauseSystem, SumsetSystem, SumsetHandle)
+        leaked = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, kinds))
         assert not leaked
     finally:
         gc.set_debug(flags)

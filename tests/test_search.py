@@ -74,6 +74,36 @@ class TestIsValid:
             is_valid_discrete(DiscreteColoring.empty(3), ProblemSpec(2, 2))
 
 
+def first_monochromatic(coloring, spec):
+    """The first all-red k-solution, else the first all-blue l-solution, in
+    lexicographic order of the sorted left side, by a plain walk; or None."""
+    for color in (Color.RED, Color.BLUE):
+        members = set(coloring.values_of(color))
+        for left in combinations_with_replacement(range(1, coloring.n + 1), spec.arity(color)):
+            if sum(left) <= coloring.n and members.issuperset((*left, sum(left))):
+                return SolutionWitness.from_values(color, left, sum(left))
+    return None
+
+
+@st.composite
+def total_colorings(draw):
+    k = draw(st.integers(2, 5))
+    l = draw(st.integers(k, 5))
+    n = draw(st.integers(1, 18))
+    red = draw(st.sets(st.integers(1, n)))
+    return ProblemSpec(k, l), DiscreteColoring.from_sets(n, red, set(range(1, n + 1)) - red)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(total_colorings())
+def test_is_valid_discrete_matches_a_plain_solution_walk(case):
+    spec, coloring = case
+    verdict = is_valid_discrete(coloring, spec)
+    expected = first_monochromatic(coloring, spec)
+    assert verdict.is_valid == (expected is None)
+    assert verdict.witness == expected
+
+
 class TestPropagate:
     def test_red_start_forces_small_chain(self):
         spec = ProblemSpec(2, 3)

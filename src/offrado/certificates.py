@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness, check_witness
-from .propagation import ClauseSystem, Refutation, Satisfiable, dpll, rado_clauses
+from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
@@ -408,18 +408,19 @@ def build_blue1_certificate(spec: ProblemSpec) -> BranchNode:
 # Automatic prover
 
 
-def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[ClauseSystem, int]:
-    """Clauses on the 1/d grid of [1, kl+k-1], where id p stands for the value
-    p/d; also returns the id of the domain end."""
+def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[SumsetSystem, int]:
+    """The propagation geometry of the 1/d grid of [1, kl+k-1], ids d..top,
+    where id p stands for the value p/d; also returns top, the id of the
+    domain end."""
     top = (spec.k * spec.l + spec.k - 1) * denominator
-    return ClauseSystem(top + 1, rado_clauses(spec.k, spec.l, denominator, top)), top
+    return SumsetSystem(spec.k, spec.l, denominator, top), top
 
 
 def _branch_node(tree: Refutation, d: int) -> BranchNode:
     """The certificate node of a DPLL tree on the 1/d grid, with exact witnesses."""
     steps = tuple(
-        ForcingStep(Fraction(v, d), clause.color.opposite, clause.witness(d))
-        for v, clause in tree.forcings
+        ForcingStep(Fraction(v, d), handle.color.opposite, handle.witness(d))
+        for v, handle in tree.forcings
     )
     point = Fraction(tree.var, d)
     if tree.conflict is not None:
@@ -436,8 +437,9 @@ def auto_prove(
 ) -> Optional[BranchNode]:
     """Search for a closing branch tree on the 1/d grid of [1, kl+k-1].
 
-    The search is ``propagation.dpll`` over grid ids, at most
-    ``max_branch_depth`` splits deep.  The final assumption becomes the
+    The search is ``propagation.dpll`` over grid ids, with unit forcing
+    read from sumsets by ``propagate_masks`` as in the discrete search, at
+    most ``max_branch_depth`` splits deep.  The final assumption becomes the
     returned node; earlier assumptions are ambient pre-colored context.
     Returns None on grid or depth exhaustion, and as soon as some branch
     completes a valid total grid coloring (then no refutation can exist).
@@ -470,12 +472,10 @@ def auto_prove(
             blue |= 1 << idx
         pending.append(idx)
 
-    domain = (1 << (top + 1)) - (1 << d)
-    try:  # the last assumption is the root; the others are ambient
-        tree = dpll(
-            system, pending[-1], assumptions[-1][1], red, blue, pending, domain,
-            max_branch_depth, Counter(),
-        )
+    # the last assumption is the root; the others are ambient
+    root, color = pending[-1], assumptions[-1][1]
+    try:
+        tree = dpll(system, root, color, red, blue, pending, max_branch_depth, Counter())
     except Satisfiable:
         return None
     if tree is None:

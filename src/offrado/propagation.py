@@ -1,5 +1,5 @@
-"""The integer clause generator, the two unit-propagation kernels and the one
-DPLL loop above them, shared by the discrete search and the grid prover.
+"""The integer clause generator, the unit-propagation kernel and the one DPLL
+loop above it, shared by the discrete search and the grid prover.
 
 Variables are numerator ids: id p stands for the value p/d.  The integers
 {1..n} are d = 1 with ids 1..n; the 1/d grid of [1, e] is ids d..e*d.  Over
@@ -13,20 +13,21 @@ color; once every entry is c the clause is a monochromatic solution and the
 state is in conflict.  Assignments are a pair of bitmasks (red, blue), and
 backtracking is free because masks are passed by value.
 
-``ClauseSystem`` indexes a listed clause set and ``propagate_masks`` visits it;
-the grid prover runs on it.  ``SumsetSystem`` lists no clause: the clauses of
-color c are exactly the solutions, so unit forcing is read from the m-fold
-sumsets of c's own mask; the discrete search runs on it.  Both kernels hand
-back handles for their forcings and conflicts, and a handle's exact
-``SolutionWitness`` is built on demand, only for a step a caller emits or a
-hit it reports, so the hot loops never touch a Fraction.
+``propagate_masks`` lists no clause: the clauses of color c are exactly the
+solutions, so unit forcing is read from the m-fold sumsets of c's own mask
+on a ``SumsetSystem``.  Every command runs on it.  It hands back handles for
+its forcings and conflicts, and a handle's exact ``SolutionWitness`` is built
+on demand, only for a step a caller emits or a hit it reports, so the hot
+loops never touch a Fraction.  ``ClauseSystem`` indexes a listed clause set
+and propagates over it; it is the reference the kernel-equivalence test
+compares against, and no command runs it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .equations import Color, SolutionWitness
 
@@ -73,13 +74,17 @@ def solution_clauses(color: Color, m: int, lo: int, top: int) -> Iterator[Clause
 
 
 def rado_clauses(k: int, l: int, lo: int, top: int) -> list[Clause]:
-    """The red k-clauses, then the blue l-clauses, on ids lo..top."""
+    """The red k-clauses, then the blue l-clauses, on ids lo..top: the input
+    of the reference ``ClauseSystem``; no command lists them."""
     return [*solution_clauses(Color.RED, k, lo, top), *solution_clauses(Color.BLUE, l, lo, top)]
 
 
 class ClauseSystem:
-    """Immutable per-variable occurrence index: ``by_var[v]`` holds the clauses
-    whose mask has bit v, in clause order, for ids 0..nvars-1."""
+    """The reference kernel: an immutable per-variable occurrence index,
+    ``by_var[v]`` holding the clauses whose mask has bit v, in clause order,
+    for ids 0..nvars-1, and unit propagation that visits it.  The
+    kernel-equivalence test compares ``propagate_masks`` against it; no
+    command runs it."""
 
     def __init__(self, nvars: int, clauses: list[Clause]):
         by_var: list[list[Clause]] = [[] for _ in range(nvars)]
@@ -88,45 +93,34 @@ class ClauseSystem:
                 by_var[v].append(clause)
         self.by_var = tuple(map(tuple, by_var))
 
-    def propagate(self, red: int, blue: int, pending: list[int]):
-        return propagate_masks(self, red, blue, pending)
-
-
-def propagate_masks(
-    system: ClauseSystem, red: int, blue: int, pending: list[int]
-) -> tuple[int, int, list[tuple[int, Clause]], Optional[Clause]]:
-    """Run unit forcing to fixpoint from the given assignment.
-
-    ``pending`` seeds the worklist with variables whose assignment is news to
-    the clause store.  Returns (red, blue, forcings, conflict): ``forcings``
-    lists (variable, clause) in the order applied, each variable taking the
-    opposite of its clause's color; ``conflict`` is a monochromatic clause, or
-    None.  Forcings already applied stay applied on conflict, which callers
-    treat as a dead state anyway.
-    """
-    forcings: list[tuple[int, Clause]] = []
-    queue = list(pending)
-    by_var = system.by_var
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for clause in by_var[v]:
-            own, other = (red, blue) if clause.color is Color.RED else (blue, red)
-            em = clause.mask
-            if em & other:
-                continue  # some entry has the opposite color: satisfied forever
-            free = em & ~own
-            if free == 0:
-                return red, blue, forcings, clause
-            if free & (free - 1) == 0:  # exactly one entry undecided
-                if clause.color is Color.RED:
-                    blue |= free
-                else:
-                    red |= free
-                forcings.append((free.bit_length() - 1, clause))
-                queue.append(free.bit_length() - 1)
-    return red, blue, forcings, None
+    def propagate(
+        self, red: int, blue: int, pending: list[int]
+    ) -> tuple[int, int, list[tuple[int, Clause]], Optional[Clause]]:
+        """Run unit forcing to fixpoint with ``propagate_masks``'s contract,
+        visiting the clauses of each ``pending`` and each forced id in turn;
+        forcings and the conflict carry clauses where it carries handles."""
+        forcings: list[tuple[int, Clause]] = []
+        queue = list(pending)
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for clause in self.by_var[v]:
+                own, other = (red, blue) if clause.color is Color.RED else (blue, red)
+                em = clause.mask
+                if em & other:
+                    continue  # some entry has the opposite color: satisfied forever
+                free = em & ~own
+                if free == 0:
+                    return red, blue, forcings, clause
+                if free & (free - 1) == 0:  # exactly one entry undecided
+                    if clause.color is Color.RED:
+                        blue |= free
+                    else:
+                        red |= free
+                    forcings.append((free.bit_length() - 1, clause))
+                    queue.append(free.bit_length() - 1)
+        return red, blue, forcings, None
 
 
 def _ids(mask: int) -> list[int]:
@@ -189,7 +183,7 @@ def _least_parts(own: int, r: int, targets: int, offset: int) -> Optional[tuple[
 
 
 class SumsetHandle(NamedTuple):
-    """A forcing or a conflict of ``SumsetSystem``, decoded only on demand.
+    """A forcing or a conflict of ``propagate_masks``, decoded only on demand.
 
     It stands for the least solution of ``color``'s ``arity``-variable
     equation, in ``solution_clauses`` order, with every entry other than
@@ -227,62 +221,62 @@ class SumsetHandle(NamedTuple):
 
 
 class SumsetSystem:
-    """Unit forcing for the red k-clauses and blue l-clauses on ids lo..top,
-    read from sumsets of the color masks instead of from a clause list.
-
-    For a color with own mask A and arity m, with L_j the j-fold sumset of A
-    cut to top, the state is in conflict iff A meets L_m, and a free y is
-    forced to the other color iff y is in L_m or (L_{m-j} << j*y) meets A for
-    some 1 <= j <= m.  These are exactly the conflicts and unit clauses of
-    ``rado_clauses(k, l, lo, top)``.
-    """
+    """The geometry of the red k-clauses and blue l-clauses on ids lo..top,
+    which ``propagate_masks`` reads from sumsets of the color masks instead
+    of from a clause list: ``domain`` is the mask of ids lo..top, ``limit``
+    that of ids 0..top."""
 
     def __init__(self, k: int, l: int, lo: int, top: int):
         self.k, self.l = k, l
         self.domain = (1 << (top + 1)) - (1 << lo)
         self.limit = (1 << (top + 1)) - 1
 
-    def propagate(
-        self, red: int, blue: int, pending: list[int]
-    ) -> tuple[int, int, list[tuple[int, SumsetHandle]], Optional[SumsetHandle]]:
-        """Run unit forcing to fixpoint, in rounds, as ``propagate_masks`` does.
 
-        Only a color that holds a ``pending`` id is read in the first round:
-        the rest of the assignment is taken to be closed already, as the
-        clause kernel takes it.  Each round applies every forcing of the
-        colors whose masks changed; a point forced both ways goes blue, so
-        the next round reads the blue conflict.  Returns (red, blue,
-        forcings, conflict) with (id, handle) forcings and a handle or None.
-        """
-        forcings: list[tuple[int, SumsetHandle]] = []
-        stale_red = stale_blue = False
-        for v in pending:
-            if red >> v & 1:
-                stale_red = True
-            else:
-                stale_blue = True
-        while stale_red or stale_blue:
-            free = self.domain & ~(red | blue)
-            to_blue = to_red = 0
-            if stale_red:
-                layers = _sumset_layers(red, self.k, self.limit)
-                if layers[self.k] & red:
-                    return red, blue, forcings, SumsetHandle(Color.RED, self.k, red, None)
-                to_blue = _forced(layers, red, free, self.k)
-            if stale_blue:
-                layers = _sumset_layers(blue, self.l, self.limit)
-                if layers[self.l] & blue:
-                    return red, blue, forcings, SumsetHandle(Color.BLUE, self.l, blue, None)
-                to_red = _forced(layers, blue, free, self.l) & ~to_blue
-            forcings += [(y, SumsetHandle(Color.RED, self.k, red, y)) for y in _ids(to_blue)]
-            forcings += [(y, SumsetHandle(Color.BLUE, self.l, blue, y)) for y in _ids(to_red)]
-            red |= to_red
-            blue |= to_blue
-            stale_red, stale_blue = to_red != 0, to_blue != 0
-        return red, blue, forcings, None
+def propagate_masks(
+    system: SumsetSystem, red: int, blue: int, pending: list[int]
+) -> tuple[int, int, list[tuple[int, SumsetHandle]], Optional[SumsetHandle]]:
+    """Run unit forcing to fixpoint, in rounds, from the given assignment.
 
+    For a color with own mask A and arity m, with L_j the j-fold sumset of A
+    cut to top, the state is in conflict iff A meets L_m, and a free y is
+    forced to the other color iff y is in L_m or (L_{m-j} << j*y) meets A for
+    some 1 <= j <= m.  These are exactly the conflicts and unit clauses of
+    ``rado_clauses(k, l, lo, top)``.
 
-Handle = Union[Clause, SumsetHandle]
+    Only a color that holds a ``pending`` id is read in the first round:
+    the rest of the assignment is taken to be closed already.  Each round
+    applies every forcing of the colors whose masks changed; a point forced
+    both ways goes blue, so the next round reads the blue conflict.  Returns
+    (red, blue, forcings, conflict): ``forcings`` lists (id, handle) in the
+    order applied, each id taking the opposite of its handle's color;
+    ``conflict`` is a monochromatic handle, or None.
+    """
+    forcings: list[tuple[int, SumsetHandle]] = []
+    stale_red = stale_blue = False
+    for v in pending:
+        if red >> v & 1:
+            stale_red = True
+        else:
+            stale_blue = True
+    while stale_red or stale_blue:
+        free = system.domain & ~(red | blue)
+        to_blue = to_red = 0
+        if stale_red:
+            layers = _sumset_layers(red, system.k, system.limit)
+            if layers[system.k] & red:
+                return red, blue, forcings, SumsetHandle(Color.RED, system.k, red, None)
+            to_blue = _forced(layers, red, free, system.k)
+        if stale_blue:
+            layers = _sumset_layers(blue, system.l, system.limit)
+            if layers[system.l] & blue:
+                return red, blue, forcings, SumsetHandle(Color.BLUE, system.l, blue, None)
+            to_red = _forced(layers, blue, free, system.l) & ~to_blue
+        forcings += [(y, SumsetHandle(Color.RED, system.k, red, y)) for y in _ids(to_blue)]
+        forcings += [(y, SumsetHandle(Color.BLUE, system.l, blue, y)) for y in _ids(to_red)]
+        red |= to_red
+        blue |= to_blue
+        stale_red, stale_blue = to_red != 0, to_blue != 0
+    return red, blue, forcings, None
 
 
 class Refutation(NamedTuple):
@@ -293,8 +287,8 @@ class Refutation(NamedTuple):
 
     var: int
     color: Color
-    forcings: list[tuple[int, Handle]]
-    conflict: Optional[Handle]
+    forcings: list[tuple[int, SumsetHandle]]
+    conflict: Optional[SumsetHandle]
     children: Optional[tuple["Refutation", "Refutation"]]
 
 
@@ -304,34 +298,34 @@ class Satisfiable(Exception):
 
 
 def dpll(
-    system: Union[ClauseSystem, SumsetSystem], var: int, color: Color, red: int, blue: int,
-    pending: list[int], domain: int, depth: int, effort: Counter,
+    system: SumsetSystem, var: int, color: Color, red: int, blue: int,
+    pending: list[int], depth: int, effort: Counter,
 ) -> Optional[Refutation]:
     """Assume ``var`` is ``color``, propagate the ``pending`` ids with
-    ``system.propagate``, then split on the lowest free id of the ``domain``
-    mask, red first, at most ``depth`` splits deep.  ``effort`` counts "nodes"
-    (one per assumption) and "forcings".
+    ``propagate_masks``, then split on the lowest free id of
+    ``system.domain``, red first, at most ``depth`` splits deep.  ``effort``
+    counts "nodes" (one per assumption) and "forcings".
 
     Returns the refutation tree, or None when ``depth`` splits are not enough.
-    Raises Satisfiable at the first total assignment of ``domain``.
+    Raises Satisfiable at the first total assignment of the domain.
     """
     bit = 1 << var
     red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
-    red, blue, forcings, conflict = system.propagate(red, blue, pending)
+    red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
     effort["nodes"] += 1
     effort["forcings"] += len(forcings)
     if conflict is not None:
         return Refutation(var, color, forcings, conflict, None)
-    free = domain & ~(red | blue)
+    free = system.domain & ~(red | blue)
     if free == 0:
         raise Satisfiable(red, blue)
     if depth <= 0:
         return None
     split = (free & -free).bit_length() - 1
-    first = dpll(system, split, Color.RED, red, blue, [split], domain, depth - 1, effort)
+    first = dpll(system, split, Color.RED, red, blue, [split], depth - 1, effort)
     if first is None:
         return None
-    second = dpll(system, split, Color.BLUE, red, blue, [split], domain, depth - 1, effort)
+    second = dpll(system, split, Color.BLUE, red, blue, [split], depth - 1, effort)
     if second is None:
         return None
     return Refutation(var, color, forcings, None, (first, second))

@@ -30,7 +30,7 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import Satisfiable, SumsetSystem, dpll, rado_clauses, solution_clauses
+from .propagation import Satisfiable, SumsetSystem, dpll, propagate_masks, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 _SWEEP_CHUNK = 1 << 20
@@ -227,7 +227,7 @@ def propagate(
     system = _system(spec.k, spec.l, coloring.n)
     colored = coloring.red | coloring.blue
     pending = [i for i in range(1, coloring.n + 1) if colored >> i & 1]
-    red, blue, _, conflict = system.propagate(coloring.red, coloring.blue, pending)
+    red, blue, _, conflict = propagate_masks(system, coloring.red, coloring.blue, pending)
     if conflict is not None:
         return Conflict(conflict.witness())
     return DiscreteColoring(coloring.n, red, blue)
@@ -246,10 +246,9 @@ def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColorin
         raise ValueError("need n >= 1")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at n={BRUTE_FORCE_LIMIT}; use propagation")
-    clauses = rado_clauses(spec.k, spec.l, 1, n)
     red_masks, blue_masks = (
-        np.array([c.mask >> 1 for c in clauses if c.color is color], dtype=np.uint64)
-        for color in (Color.RED, Color.BLUE)
+        np.array([c.mask >> 1 for c in solution_clauses(color, m, 1, n)], dtype=np.uint64)
+        for color, m in ((Color.RED, spec.k), (Color.BLUE, spec.l))
     )
     total = 1 << n
     for start in range(0, total, _SWEEP_CHUNK):
@@ -287,11 +286,10 @@ def search_valid(
         return brute_force_colorable(n, spec)
 
     system = _system(spec.k, spec.l, n)
-    domain = _points(n)
     effort: Counter = Counter()
     try:
         for color in (Color.RED, Color.BLUE):
-            dpll(system, 1, color, 0, 0, [1], domain, n, effort)
+            dpll(system, 1, color, 0, 0, [1], n, effort)
     except Satisfiable as model:
         return DiscreteColoring(n, *model.args)
     finally:

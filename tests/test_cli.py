@@ -264,7 +264,7 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-            "6a0ef5ae2d0f9f930b125e9ddca06a588605cdf69b914e4e5c78704e68917f93"
+            "8edaeb3e067ce6163150655ea87a21f1b23df31cf04b2cec0ce9eab19400a270"
         )
 
 

@@ -1,17 +1,19 @@
-"""Invariants of the two propagation kernels: the generator against reference
-enumerations, the sumset propagator against the clause kernel, and outputs
-pinned to the values the Fraction-based clause builders produced (node counts,
-extremal colorings, certificate files)."""
+"""Invariants of the propagation kernel: the generator against reference
+enumerations, the sumset propagator against the reference clause kernel, and
+outputs pinned to the values the Fraction-based clause builders produced
+(node counts, extremal colorings), with certificate files pinned and archived."""
 
 import gc
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.certificates import auto_prove
+from offrado.certificates import auto_prove, certify_upper, verify_certificate
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.propagation import (
@@ -22,6 +24,8 @@ from offrado.search import (
     Conflict, DiscreteColoring, SearchStats, compute_rado, enumerate_solutions,
     is_valid_discrete, propagate, search_valid,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def reference_solutions(m, n, color):
@@ -163,17 +167,18 @@ def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (["4", "6"], "0a5c4a2f87d3b4a21c5635ac5af74afa853d2b6f938acea8dae98917f555bb98"),
-        (["5", "5"], "dab3e051bf36746899c985eed3845cd19ffc6b5b7b1d993c61d6595ee6032d44"),
+        (["4", "6"], "5c21c74e2216211e7fb564ff89609d3e5e00292eebfa6c98626c0c48cc14521e"),
+        (["5", "5"], "b2810b44bdaaf5084b629c107bff2189686dd425f256d260637d64cd70b290d6"),
         (
             ["2", "5", "--grid-denominator", "4"],
-            "883680f1bb4c22c2ce99a3b600c638333b40b92e2458bb0d882ab7414d823da7",
+            "fd4aea6b4efccf4eb5c9a14a67794a8fe95105186fa7756ca6117dca48674c07",
         ),
         (
             ["3", "4", "--grid-denominator", "3"],
-            "f4ed3b18c1c8b566f2285ecf4e6c152ba4a02311215d6353f9def883aedeafcc",
+            "b900e14c226163c997974baeca704d6cadef2de1bb12cd475f1aa5118c7a9fe9",
         ),
     ],
+    ids=["4-6", "5-5", "2-5-d4", "3-4-d3"],
 )
 def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "cert.json"
@@ -182,8 +187,42 @@ def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "name,digest,end,branches,steps",
+    [
+        ("4-6", "0a5c4a2f87d3b4a21c5635ac5af74afa853d2b6f938acea8dae98917f555bb98", "27", 2, 19),
+        ("5-5", "dab3e051bf36746899c985eed3845cd19ffc6b5b7b1d993c61d6595ee6032d44", "29", 2, 24),
+        ("2-5-d4", "883680f1bb4c22c2ce99a3b600c638333b40b92e2458bb0d882ab7414d823da7", "11", 2, 28),
+        ("3-4-d3", "f4ed3b18c1c8b566f2285ecf4e6c152ba4a02311215d6353f9def883aedeafcc", "14", 2, 37),
+    ],
+    ids=["4-6", "5-5", "2-5-d4", "3-4-d3"],
+)
+def test_archived_certificate_files_still_verify(capsys, name, digest, end, branches, steps):
+    # written by the clause-kernel grid prover, before the sumset kernel
+    # changed the forcing order; a verifier must keep accepting them
+    path = DATA / f"certificate-{name}.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert main(["verify-certificate", "--file", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"verified": True, "domain_end": end, "branches": branches, "steps": steps}
+
+
+def test_no_command_builds_the_reference_kernel(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the reference clause kernel was built")
+
+    monkeypatch.setattr(ClauseSystem, "__init__", refuse)
+    for spec, d in (((6, 7), 1), ((12, 12), 1), ((2, 5), 4), ((3, 4), 3)):
+        cert = certify_upper(ProblemSpec(*spec), auto_denominator=d, force_auto=d > 1)
+        assert verify_certificate(cert).ok
+    assert compute_rado(ProblemSpec(4, 5)).value == 23
+    assert isinstance(propagate(DiscreteColoring.empty(7).assign(1, Color.RED), ProblemSpec(2, 3)), Conflict)
+    with pytest.raises(AssertionError, match="reference"):
+        ClauseSystem(3, [])
+
+
 def integer_system(k, l, n):
-    return ClauseSystem(n + 1, rado_clauses(k, l, 1, n)), (1 << (n + 1)) - 2
+    return SumsetSystem(k, l, 1, n)
 
 
 @st.composite
@@ -205,7 +244,7 @@ def test_propagation_is_sound_and_reaches_its_fixpoint(state):
     k, l, n, red, blue = state
     clauses = rado_clauses(k, l, 1, n)
     pending = [i for i in range(1, n + 1) if (red | blue) >> i & 1]
-    red, blue, forcings, conflict = propagate_masks(ClauseSystem(n + 1, clauses), red, blue, pending)
+    red, blue, forcings, conflict = ClauseSystem(n + 1, clauses).propagate(red, blue, pending)
     assert red & blue == 0
 
     def own(clause):
@@ -259,9 +298,8 @@ def first_clause(handle, lo, top):
 def test_sumset_propagation_matches_the_clause_kernel(state):
     k, l, lo, top, red, blue = state
     pending = [i for i in range(lo, top + 1) if (red | blue) >> i & 1]
-    system = ClauseSystem(top + 1, rado_clauses(k, l, lo, top))
-    expected = propagate_masks(system, red, blue, pending)
-    red, blue, forcings, conflict = SumsetSystem(k, l, lo, top).propagate(red, blue, pending)
+    expected = ClauseSystem(top + 1, rado_clauses(k, l, lo, top)).propagate(red, blue, pending)
+    red, blue, forcings, conflict = propagate_masks(SumsetSystem(k, l, lo, top), red, blue, pending)
     assert (conflict is None) == (expected[3] is None)
     if conflict is None:
         assert (red, blue) == expected[:2]
@@ -295,17 +333,17 @@ def tree_nodes(tree):
 
 class TestDpll:
     def test_model_masks_match_the_search(self):
-        system, domain = integer_system(2, 2, 4)
+        system = integer_system(2, 2, 4)
         with pytest.raises(Satisfiable) as model:
-            dpll(system, 1, Color.RED, 0, 0, [1], domain, 4, Counter())
+            dpll(system, 1, Color.RED, 0, 0, [1], 4, Counter())
         found = search_valid(4, ProblemSpec(2, 2))
         masks = tuple(sum(1 << i for i in found.values_of(c)) for c in (Color.RED, Color.BLUE))
         assert model.value.args == masks
 
     def test_root_trees_have_the_search_node_count(self):
-        system, domain = integer_system(2, 2, 5)
+        system = integer_system(2, 2, 5)
         effort = Counter()
-        trees = [dpll(system, 1, c, 0, 0, [1], domain, 5, effort) for c in (Color.RED, Color.BLUE)]
+        trees = [dpll(system, 1, c, 0, 0, [1], 5, effort) for c in (Color.RED, Color.BLUE)]
         stats = SearchStats()
         assert search_valid(5, ProblemSpec(2, 2), stats=stats) is None
         assert sum(map(tree_nodes, trees)) == effort["nodes"] == stats.nodes_explored
@@ -314,9 +352,9 @@ class TestDpll:
     def test_depth_exhaustion_is_none(self):
         # the integer case of auto_prove's depth test: 5 = red leaves
         # propagation stuck, so closing needs splits
-        system, domain = integer_system(3, 3, 11)
-        assert dpll(system, 5, Color.RED, 0, 0, [5], domain, 0, Counter()) is None
-        tree = dpll(system, 5, Color.RED, 0, 0, [5], domain, 64, Counter())
+        system = integer_system(3, 3, 11)
+        assert dpll(system, 5, Color.RED, 0, 0, [5], 0, Counter()) is None
+        tree = dpll(system, 5, Color.RED, 0, 0, [5], 64, Counter())
         assert tree is not None and tree.children is not None
 
 

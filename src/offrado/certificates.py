@@ -11,6 +11,14 @@ allowed to use the forced value twice), so the rule is deliberately not
 Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  Builders never return unverified output.
+
+The replay keys each point by its reduced (numerator, denominator) pair and
+checks each witness on integers over the lcm of its own denominators, never
+over a scale common to the file, which an untrusted file could inflate.  One
+explicit stack walks the branch tree; every colored point goes on an undo
+trail, unwound at each split instead of copying the state.  Parsing uses an
+explicit stack too and reads each distinct literal once, so certificate depth
+is bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -18,9 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .equations import Color, ProblemSpec, SolutionWitness, check_witness
+from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
 from .serialize import exact_fraction, format_rational, parse_rational
 
@@ -103,65 +112,120 @@ def _branch_label(point: Fraction, color: Color) -> str:
     return f"{format_rational(point)}={color.value}"
 
 
-def _verify_node(
+def _key(point: Fraction) -> tuple[int, int]:
+    return point.numerator, point.denominator
+
+
+def _format_key(key: tuple[int, int]) -> str:
+    return format_rational(Fraction(*key))
+
+
+def _witness_keys(
+    w: SolutionWitness, arity: int, bounds: tuple[int, int, int, int]
+) -> tuple[bool, bool, list[tuple[int, int]]]:
+    """Check one witness on integers: (sound, inside the domain end, keys).
+
+    ``sound`` is what ``check_witness`` decides: the arity, the sum over the
+    lcm of this witness's own denominators, and every value >= gamma by
+    cross-multiplication.  ``keys`` are its distinct points in ``points()``
+    order.
+    """
+    gn, gd, en, ed = bounds
+    xn, xd = x0 = _key(w.x0)
+    left = [(v.numerator, v.denominator, m) for v, m in w.left]
+    scale = lcm(xd, *[d for _, d, _ in left])
+    total = count = 0
+    sound = gn * xd <= xn * gd
+    inside = xn * ed <= en * xd
+    keys = []
+    for n, d, m in left:
+        total += m * n * (scale // d)
+        count += m
+        sound = sound and gn * d <= n * gd
+        inside = inside and n * ed <= en * d
+        keys.append((n, d))
+    if x0 not in keys:
+        keys.append(x0)
+    return sound and count == arity and total == xn * (scale // xd), inside, keys
+
+
+def _replay(
     spec: ProblemSpec,
     domain_end: Fraction,
-    node: BranchNode,
-    state: dict[Fraction, Color],
-    path: tuple[str, ...],
+    roots: Sequence[BranchNode],
+    state: dict[tuple[int, int], Color],
 ) -> CertificateCheck:
-    path = path + (_branch_label(node.point, node.color),)
-    if not spec.gamma <= node.point <= domain_end:
-        return _fail(path, None, "assumption point outside the domain")
-    if node.point in state:
-        return _fail(path, None, "assumption point already colored")
-    state[node.point] = node.color
+    """Replay branch trees depth-first from ``state``, each root from the
+    same state, with one explicit stack and an undo trail: every point the
+    replay colors is recorded on the trail, and before a node is entered the
+    trail is unwound to the length it had at the node's split."""
+    bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
+    trail: list[tuple[int, int]] = []
+    chain: list[BranchNode] = []  # the nodes from a root down to the current one
+    stack = [(node, 0, 0) for node in reversed(roots)]  # (node, depth, trail mark)
 
-    for index, step in enumerate(node.steps):
-        w = step.witness
-        if w.color is not step.forced.opposite:
-            return _fail(path, index, "witness color must oppose the forced color")
-        if not check_witness(spec, w):
-            return _fail(path, index, "witness fails arithmetic, arity, or domain-start check")
-        if any(v > domain_end for v in w.points()):
-            return _fail(path, index, "witness uses a value beyond the domain end")
-        if not w.contains(step.point):
-            return _fail(path, index, "forced point does not occur in its witness")
-        for v in w.points():
-            if v != step.point and state.get(v) is not w.color:
-                return _fail(
-                    path, index,
-                    f"entry {format_rational(v)} is not already colored {w.color.value}",
-                )
-        if step.point in state:
-            return _fail(path, index, "forced point already colored")
-        state[step.point] = step.forced
+    def fail(step: Optional[int], reason: str) -> CertificateCheck:
+        return _fail(tuple(_branch_label(n.point, n.color) for n in chain), step, reason)
 
-    if node.contradiction is not None:
+    while stack:
+        node, depth, mark = stack.pop()
+        while len(trail) > mark:
+            del state[trail.pop()]
+        del chain[depth:]
+        chain.append(node)
+        n, d = key = _key(node.point)
+        if not (gn * d <= n * gd and n * ed <= en * d):
+            return fail(None, "assumption point outside the domain")
+        if key in state:
+            return fail(None, "assumption point already colored")
+        state[key] = node.color
+        trail.append(key)
+
+        for index, step in enumerate(node.steps):
+            w = step.witness
+            if w.color is not step.forced.opposite:
+                return fail(index, "witness color must oppose the forced color")
+            sound, inside, keys = _witness_keys(w, spec.arity(w.color), bounds)
+            if not sound:
+                return fail(index, "witness fails arithmetic, arity, or domain-start check")
+            if not inside:
+                return fail(index, "witness uses a value beyond the domain end")
+            key = _key(step.point)
+            if key not in keys:
+                return fail(index, "forced point does not occur in its witness")
+            for entry in keys:
+                if entry != key and state.get(entry) is not w.color:
+                    return fail(
+                        index, f"entry {_format_key(entry)} is not already colored {w.color.value}"
+                    )
+            if key in state:
+                return fail(index, "forced point already colored")
+            state[key] = step.forced
+            trail.append(key)
+
         w = node.contradiction
-        if not check_witness(spec, w):
-            return _fail(path, None, "contradiction fails arithmetic, arity, or domain-start check")
-        if any(v > domain_end for v in w.points()):
-            return _fail(path, None, "contradiction uses a value beyond the domain end")
-        for v in w.points():
-            if state.get(v) is not w.color:
-                return _fail(
-                    path, None,
-                    f"contradiction entry {format_rational(v)} is not colored {w.color.value}",
-                )
-        return CertificateCheck(True)
+        if w is not None:
+            sound, inside, keys = _witness_keys(w, spec.arity(w.color), bounds)
+            if not sound:
+                return fail(None, "contradiction fails arithmetic, arity, or domain-start check")
+            if not inside:
+                return fail(None, "contradiction uses a value beyond the domain end")
+            for entry in keys:
+                if state.get(entry) is not w.color:
+                    return fail(
+                        None, f"contradiction entry {_format_key(entry)} is not colored {w.color.value}"
+                    )
+            continue
 
-    first, second = node.children  # type: ignore[misc]
-    if first.point != second.point:
-        return _fail(path, None, "children must split the same point")
-    if {first.color, second.color} != {Color.RED, Color.BLUE}:
-        return _fail(path, None, "children must assume opposite colors")
-    if first.point in state:
-        return _fail(path, None, "split point already colored")
-    for child in (first, second):
-        result = _verify_node(spec, domain_end, child, dict(state), path)
-        if not result.ok:
-            return result
+        first, second = node.children  # type: ignore[misc]
+        if first.point != second.point:
+            return fail(None, "children must split the same point")
+        if {first.color, second.color} != {Color.RED, Color.BLUE}:
+            return fail(None, "children must assume opposite colors")
+        if _key(first.point) in state:
+            return fail(None, "split point already colored")
+        stack.append((second, depth + 1, len(trail)))
+        stack.append((first, depth + 1, len(trail)))
     return CertificateCheck(True)
 
 
@@ -172,9 +236,8 @@ def verify_branch(
     ambient: Mapping[Fraction, Color] = {},
 ) -> CertificateCheck:
     """Check a single branch under pre-colored ambient points."""
-    domain_end = exact_fraction(domain_end)
-    state = {exact_fraction(p): c for p, c in ambient.items()}
-    return _verify_node(spec, domain_end, node, state, ())
+    state = {_key(exact_fraction(p)): c for p, c in ambient.items()}
+    return _replay(spec, exact_fraction(domain_end), (node,), state)
 
 
 def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
@@ -189,11 +252,7 @@ def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
         return _fail((), None, "root must branch on the left endpoint")
     if {first.color, second.color} != {Color.RED, Color.BLUE}:
         return _fail((), None, "root branches must assume opposite colors")
-    for node in certificate.root:
-        result = _verify_node(spec, certificate.domain_end, node, {}, ())
-        if not result.ok:
-            return result
-    return CertificateCheck(True)
+    return _replay(spec, certificate.domain_end, certificate.root, {})
 
 
 def certificate_stats(certificate: ForcingCertificate) -> dict:
@@ -555,8 +614,8 @@ def _node_as_json(node: BranchNode) -> dict:
     return out
 
 
-def _witness_from_json(obj, spec: ProblemSpec) -> SolutionWitness:
-    witness = SolutionWitness.from_json(obj)
+def _witness_from_json(obj, spec: ProblemSpec, rational) -> SolutionWitness:
+    witness = SolutionWitness.from_json(obj, rational)
     if witness.total_multiplicity != spec.arity(witness.color):
         raise ValueError(
             f"witness arity {witness.total_multiplicity} does not match the "
@@ -565,43 +624,66 @@ def _witness_from_json(obj, spec: ProblemSpec) -> SolutionWitness:
     return witness
 
 
-def _node_from_json(obj, spec: ProblemSpec) -> BranchNode:
-    if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
-        raise ValueError("branch node must carry assume and steps")
-    assume = obj["assume"]
-    if not isinstance(assume, dict) or set(assume) != {"point", "color"}:
-        raise ValueError("assume must carry exactly point and color")
-    try:
-        color = Color(assume["color"])
-    except ValueError:
-        raise ValueError(f"unknown color {assume['color']!r}") from None
-    point = parse_rational(assume["point"])
-    if not isinstance(obj["steps"], list):
-        raise ValueError("steps must be a list")
-    steps = []
-    for item in obj["steps"]:
-        if not isinstance(item, dict) or set(item) != {"point", "forced", "witness"}:
-            raise ValueError("step must carry exactly point, forced, witness")
+def _nodes_from_json(objs: list, spec: ProblemSpec, rational) -> tuple[BranchNode, ...]:
+    """Parse sibling branch trees with an explicit stack.
+
+    The walk is pre-order, first child first, so the first schema error is
+    the one a recursive descent would meet.  Nodes are built afterwards in
+    reverse pre-order, where every node's children already exist.
+    """
+    parsed: list[tuple] = []  # (point, color, steps, contradiction, child indices)
+    roots: list[int] = []
+    stack = [(obj, roots) for obj in reversed(objs)]
+    while stack:
+        obj, siblings = stack.pop()
+        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
+            raise ValueError("branch node must carry assume and steps")
+        assume = obj["assume"]
+        if not isinstance(assume, dict) or set(assume) != {"point", "color"}:
+            raise ValueError("assume must carry exactly point and color")
         try:
-            forced = Color(item["forced"])
+            color = Color(assume["color"])
         except ValueError:
-            raise ValueError(f"unknown color {item['forced']!r}") from None
-        steps.append(
-            ForcingStep(
-                parse_rational(item["point"]), forced, _witness_from_json(item["witness"], spec)
-            )
-        )
-    has_contradiction = "contradiction" in obj
-    has_children = "children" in obj
-    if has_contradiction == has_children:
-        raise ValueError("branch node must end in exactly one of contradiction or children")
-    if has_contradiction:
-        return BranchNode(point, color, tuple(steps), _witness_from_json(obj["contradiction"], spec))
-    children = obj["children"]
-    if not (isinstance(children, list) and len(children) == 2):
-        raise ValueError("children must be a pair")
-    pair = (_node_from_json(children[0], spec), _node_from_json(children[1], spec))
-    return BranchNode(point, color, tuple(steps), children=pair)
+            raise ValueError(f"unknown color {assume['color']!r}") from None
+        point = rational(assume["point"])
+        if not isinstance(obj["steps"], list):
+            raise ValueError("steps must be a list")
+        steps = []
+        for item in obj["steps"]:
+            if not isinstance(item, dict) or set(item) != {"point", "forced", "witness"}:
+                raise ValueError("step must carry exactly point, forced, witness")
+            try:
+                forced = Color(item["forced"])
+            except ValueError:
+                raise ValueError(f"unknown color {item['forced']!r}") from None
+            forced_point = rational(item["point"])
+            witness = _witness_from_json(item["witness"], spec, rational)
+            steps.append(ForcingStep(forced_point, forced, witness))
+        has_contradiction = "contradiction" in obj
+        if has_contradiction == ("children" in obj):
+            raise ValueError("branch node must end in exactly one of contradiction or children")
+        siblings.append(len(parsed))
+        if has_contradiction:
+            contradiction = _witness_from_json(obj["contradiction"], spec, rational)
+            parsed.append((point, color, tuple(steps), contradiction, None))
+            continue
+        children = obj["children"]
+        if not (isinstance(children, list) and len(children) == 2):
+            raise ValueError("children must be a pair")
+        kids: list[int] = []
+        parsed.append((point, color, tuple(steps), None, kids))
+        stack.append((children[1], kids))
+        stack.append((children[0], kids))
+
+    nodes: list = [None] * len(parsed)
+    for index in reversed(range(len(parsed))):
+        point, color, steps, contradiction, kids = parsed[index]
+        if kids is None:
+            nodes[index] = BranchNode(point, color, steps, contradiction)
+        else:
+            pair = (nodes[kids[0]], nodes[kids[1]])
+            nodes[index] = BranchNode(point, color, steps, children=pair)
+    return tuple(nodes[i] for i in roots)
 
 
 def certificate_as_json(certificate: ForcingCertificate) -> dict:
@@ -619,8 +701,16 @@ def certificate_from_json(obj) -> ForcingCertificate:
     root = obj["root"]
     if not (isinstance(root, list) and len(root) == 2):
         raise ValueError("root must be a pair of branch nodes")
-    return ForcingCertificate(
-        spec,
-        parse_rational(obj["domain_end"]),
-        (_node_from_json(root[0], spec), _node_from_json(root[1], spec)),
-    )
+    literals: dict[str, Fraction] = {}
+
+    def rational(text) -> Fraction:
+        """``parse_rational``, run once per distinct literal of this file."""
+        if type(text) is not str:  # parse_rational raises ValueError on it
+            return parse_rational(text)
+        value = literals.get(text)
+        if value is None:
+            value = literals[text] = parse_rational(text)
+        return value
+
+    domain_end = rational(obj["domain_end"])
+    return ForcingCertificate(spec, domain_end, _nodes_from_json(root, spec, rational))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .serialize import exact_fraction, format_rational, parse_rational
@@ -88,13 +89,21 @@ class SolutionWitness:
     x0: Fraction
 
     def __post_init__(self) -> None:
-        merged: dict[Fraction, int] = {}
+        pairs = []
         for value, mult in self.left:
             value = exact_fraction(value)
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
-            merged[value] = merged.get(value, 0) + mult
-        object.__setattr__(self, "left", tuple(sorted(merged.items())))
+            pairs.append((value, int(mult)))
+        # sort on the values alone, then merge runs of equal values
+        pairs.sort(key=itemgetter(0))
+        merged = pairs[:1]
+        for value, mult in pairs[1:]:
+            if value == merged[-1][0]:
+                merged[-1] = (value, merged[-1][1] + mult)
+            else:
+                merged.append((value, mult))
+        object.__setattr__(self, "left", tuple(merged))
         object.__setattr__(self, "x0", exact_fraction(self.x0))
 
     @classmethod
@@ -138,7 +147,9 @@ class SolutionWitness:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "SolutionWitness":
+    def from_json(cls, obj, parse=parse_rational) -> "SolutionWitness":
+        """``parse`` reads each rational literal; it must raise ValueError on
+        anything that is not one."""
         if not isinstance(obj, dict) or set(obj) != {"color", "left", "x0"}:
             raise ValueError("witness object must carry exactly color, left, x0")
         try:
@@ -153,8 +164,8 @@ class SolutionWitness:
             # a JSON true is an int to isinstance, so the type is compared
             if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
                 raise ValueError(f"malformed left entry {item!r}")
-            pairs.append((parse_rational(item[0]), item[1]))
-        return cls(color, tuple(pairs), parse_rational(obj["x0"]))
+            pairs.append((parse(item[0]), item[1]))
+        return cls(color, tuple(pairs), parse(obj["x0"]))
 
 
 class RadoKind(enum.Enum):

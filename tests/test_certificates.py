@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import (
     BranchNode,
+    CertificateCheck,
+    CheckFailure,
+    ForcingCertificate,
     ForcingStep,
     UnprovedError,
     auto_prove,
@@ -18,12 +24,15 @@ from offrado.certificates import (
     residue_params,
     verify_branch,
     verify_certificate,
+    _branch_label,
+    _fail,
 )
-from offrado.equations import Color, ProblemSpec, SolutionWitness
+from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
 from offrado.search import search_valid
-from offrado.serialize import canonical_json
+from offrado.serialize import canonical_json, format_rational, parse_rational
 
 RED, BLUE = Color.RED, Color.BLUE
+DATA = Path(__file__).parent / "data"
 
 
 def branch_points(node):
@@ -453,3 +462,414 @@ class TestBranchNodeShape:
                     BranchNode(Fraction(2), BLUE, (), contradiction=w),
                 ),
             )
+
+
+# ---------------------------------------------------------------------------
+# The recursive replay and parse the iterative ones replaced, kept as the
+# reference of the property tests below.  Each branch is checked on a copy of
+# its parent's state, in Fraction arithmetic.
+
+
+def reference_verify_node(spec, domain_end, node, state, path):
+    path = path + (_branch_label(node.point, node.color),)
+    if not spec.gamma <= node.point <= domain_end:
+        return _fail(path, None, "assumption point outside the domain")
+    if node.point in state:
+        return _fail(path, None, "assumption point already colored")
+    state[node.point] = node.color
+
+    for index, step in enumerate(node.steps):
+        w = step.witness
+        if w.color is not step.forced.opposite:
+            return _fail(path, index, "witness color must oppose the forced color")
+        if not check_witness(spec, w):
+            return _fail(path, index, "witness fails arithmetic, arity, or domain-start check")
+        if any(v > domain_end for v in w.points()):
+            return _fail(path, index, "witness uses a value beyond the domain end")
+        if not w.contains(step.point):
+            return _fail(path, index, "forced point does not occur in its witness")
+        for v in w.points():
+            if v != step.point and state.get(v) is not w.color:
+                return _fail(
+                    path, index, f"entry {format_rational(v)} is not already colored {w.color.value}"
+                )
+        if step.point in state:
+            return _fail(path, index, "forced point already colored")
+        state[step.point] = step.forced
+
+    if node.contradiction is not None:
+        w = node.contradiction
+        if not check_witness(spec, w):
+            return _fail(path, None, "contradiction fails arithmetic, arity, or domain-start check")
+        if any(v > domain_end for v in w.points()):
+            return _fail(path, None, "contradiction uses a value beyond the domain end")
+        for v in w.points():
+            if state.get(v) is not w.color:
+                return _fail(
+                    path, None, f"contradiction entry {format_rational(v)} is not colored {w.color.value}"
+                )
+        return CertificateCheck(True)
+
+    first, second = node.children
+    if first.point != second.point:
+        return _fail(path, None, "children must split the same point")
+    if {first.color, second.color} != {RED, BLUE}:
+        return _fail(path, None, "children must assume opposite colors")
+    if first.point in state:
+        return _fail(path, None, "split point already colored")
+    for child in (first, second):
+        result = reference_verify_node(spec, domain_end, child, dict(state), path)
+        if not result.ok:
+            return result
+    return CertificateCheck(True)
+
+
+def reference_verify_certificate(certificate):
+    spec = certificate.spec
+    first, second = certificate.root
+    if first.point != spec.gamma or second.point != spec.gamma:
+        return _fail((), None, "root must branch on the left endpoint")
+    if {first.color, second.color} != {RED, BLUE}:
+        return _fail((), None, "root branches must assume opposite colors")
+    for node in certificate.root:
+        result = reference_verify_node(spec, certificate.domain_end, node, {}, ())
+        if not result.ok:
+            return result
+    return CertificateCheck(True)
+
+
+def reference_witness_from_json(obj, spec):
+    witness = SolutionWitness.from_json(obj)
+    if witness.total_multiplicity != spec.arity(witness.color):
+        raise ValueError(
+            f"witness arity {witness.total_multiplicity} does not match the "
+            f"{witness.color.value} equation of (k={spec.k}, l={spec.l})"
+        )
+    return witness
+
+
+def reference_node_from_json(obj, spec):
+    if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
+        raise ValueError("branch node must carry assume and steps")
+    assume = obj["assume"]
+    if not isinstance(assume, dict) or set(assume) != {"point", "color"}:
+        raise ValueError("assume must carry exactly point and color")
+    try:
+        color = Color(assume["color"])
+    except ValueError:
+        raise ValueError(f"unknown color {assume['color']!r}") from None
+    point = parse_rational(assume["point"])
+    if not isinstance(obj["steps"], list):
+        raise ValueError("steps must be a list")
+    steps = []
+    for item in obj["steps"]:
+        if not isinstance(item, dict) or set(item) != {"point", "forced", "witness"}:
+            raise ValueError("step must carry exactly point, forced, witness")
+        try:
+            forced = Color(item["forced"])
+        except ValueError:
+            raise ValueError(f"unknown color {item['forced']!r}") from None
+        steps.append(
+            ForcingStep(
+                parse_rational(item["point"]), forced, reference_witness_from_json(item["witness"], spec)
+            )
+        )
+    has_contradiction = "contradiction" in obj
+    has_children = "children" in obj
+    if has_contradiction == has_children:
+        raise ValueError("branch node must end in exactly one of contradiction or children")
+    if has_contradiction:
+        witness = reference_witness_from_json(obj["contradiction"], spec)
+        return BranchNode(point, color, tuple(steps), witness)
+    children = obj["children"]
+    if not (isinstance(children, list) and len(children) == 2):
+        raise ValueError("children must be a pair")
+    pair = (reference_node_from_json(children[0], spec), reference_node_from_json(children[1], spec))
+    return BranchNode(point, color, tuple(steps), children=pair)
+
+
+def reference_certificate_from_json(obj):
+    if not isinstance(obj, dict) or set(obj) != {"spec", "domain_end", "root"}:
+        raise ValueError("certificate must carry exactly spec, domain_end, root")
+    spec = ProblemSpec.from_json(obj["spec"])
+    root = obj["root"]
+    if not (isinstance(root, list) and len(root) == 2):
+        raise ValueError("root must be a pair of branch nodes")
+    return ForcingCertificate(
+        spec,
+        parse_rational(obj["domain_end"]),
+        (reference_node_from_json(root[0], spec), reference_node_from_json(root[1], spec)),
+    )
+
+
+def spine(cert, branch, points):
+    """``cert`` with root branch ``branch`` deepened by one useless split per
+    point: the red child of every split replays the branch's tail, the blue
+    child splits again, and the last blue child replays the tail too."""
+    node = cert.root[branch]
+
+    def tail(point, color):
+        return dataclasses.replace(node, point=point, color=color)
+
+    below = tail(points[-1], BLUE)
+    for i in range(len(points) - 1, -1, -1):
+        pair = (tail(points[i], RED), below)
+        if i == 0:
+            below = BranchNode(node.point, node.color, (), children=pair)
+        else:
+            below = BranchNode(points[i - 1], BLUE, (), children=pair)
+    root = list(cert.root)
+    root[branch] = below
+    return dataclasses.replace(cert, root=tuple(root))
+
+
+def _property_bases():
+    bases = [
+        build_k2_certificate(3),
+        build_k2_certificate(6),
+        certify_upper(ProblemSpec(3, 5)),  # a built blue-1 branch beside an auto-proved one
+        certify_upper(ProblemSpec(4, 6)),
+        certify_upper(ProblemSpec(4, 5), force_auto=True, auto_denominator=1),
+        certify_upper(ProblemSpec(2, 4), force_auto=True, auto_denominator=2),
+        certify_upper(ProblemSpec(3, 4), force_auto=True, auto_denominator=3),
+    ]
+    bases.append(spine(bases[0], 0, [Fraction(1) + Fraction(i, 11) for i in (3, 7, 5)]))
+    bases.append(spine(bases[2], 1, [Fraction(1) + Fraction(i, 13) for i in (9, 2)]))
+    for path in sorted(DATA.glob("certificate-*.json")):
+        bases.append(reference_certificate_from_json(json.loads(path.read_text(encoding="ascii"))))
+    # Auto-proved branches split only below an inner assumption.  Each pair
+    # holds both colors of one inner point, so it fails the root check, but
+    # verify_branch accepts each of its nodes.
+    for k, l, p in ((3, 3, 5), (3, 4, 2)):
+        spec = ProblemSpec(k, l)
+        pair = tuple(auto_prove(spec, 1, [(Fraction(p), color)]) for color in (RED, BLUE))
+        bases.append(ForcingCertificate(spec, Fraction(k * l + k - 1), pair))
+    return bases
+
+
+BASES = _property_bases()
+MUTATIONS = (
+    "assume-point", "assume-color", "step-point", "step-color", "witness-color",
+    "witness-value", "witness-x0", "witness-multiplicity", "contradiction-value",
+    "contradiction-x0", "drop-step", "duplicate-step", "swap-children", "split-point", "domain-end",
+)
+
+
+def _nodes(cert):
+    """(path of child indices from the root pair, node) for every node."""
+    out, stack = [], [((i,), node) for i, node in enumerate(cert.root)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        if node.children is not None:
+            stack.extend((path + (j,), child) for j, child in enumerate(node.children))
+    return out
+
+
+def _replace_node(cert, path, new):
+    chain = [cert.root[path[0]]]
+    for j in path[1:]:
+        chain.append(chain[-1].children[j])
+    for depth in range(len(path) - 1, 0, -1):
+        children = list(chain[depth - 1].children)
+        children[path[depth]] = new
+        new = dataclasses.replace(chain[depth - 1], children=tuple(children))
+    root = list(cert.root)
+    root[path[0]] = new
+    return dataclasses.replace(cert, root=tuple(root))
+
+
+def _mutated_witness(draw, w, kind, values):
+    left, x0, color = list(w.left), w.x0, w.color
+    i = draw(st.integers(0, len(left) - 1))
+    if kind == "value":
+        left[i] = (draw(values), left[i][1])
+    elif kind == "multiplicity":
+        m = left[i][1] + draw(st.sampled_from((-1, 1, 2)))
+        left[i:i + 1] = [(left[i][0], m)] if m >= 1 else []
+    elif kind == "x0":
+        x0 = draw(values)
+    else:
+        color = color.opposite
+    return SolutionWitness(color, tuple(left), x0)
+
+
+def _eligible(kind, path, node):
+    if kind.startswith("assume"):
+        return len(path) > 1  # a moved or recolored root fails the root check first
+    if kind in ("swap-children", "split-point"):
+        return node.children is not None
+    if kind.startswith("contradiction"):
+        return node.contradiction is not None
+    return bool(node.steps)
+
+
+@st.composite
+def mutated_certificates(draw):
+    cert = draw(st.sampled_from(BASES))
+    used = {Fraction(p) for p in certificate_stats(cert)["points_used"]}
+    shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)]
+    values = st.builds(
+        lambda v, s: v + s, st.sampled_from(sorted(used | {cert.domain_end})), st.sampled_from(shifts)
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "domain-end":
+            cert = dataclasses.replace(cert, domain_end=draw(values))
+            continue
+        eligible = [(path, node) for path, node in _nodes(cert) if _eligible(kind, path, node)]
+        if not eligible:
+            continue
+        path, node = draw(st.sampled_from(eligible))
+        if kind == "assume-point":
+            node = dataclasses.replace(node, point=draw(values))
+        elif kind == "assume-color":
+            node = dataclasses.replace(node, color=node.color.opposite)
+        elif kind == "swap-children":
+            node = dataclasses.replace(node, children=node.children[::-1])
+        elif kind == "split-point":
+            colored = [node.point] + [step.point for step in node.steps]
+            point = draw(st.sampled_from(colored) | values)
+            pair = tuple(dataclasses.replace(child, point=point) for child in node.children)
+            node = dataclasses.replace(node, children=pair)
+        elif kind.startswith("contradiction"):
+            w = _mutated_witness(draw, node.contradiction, kind.split("-")[1], values)
+            node = dataclasses.replace(node, contradiction=w)
+        else:
+            steps = list(node.steps)
+            i = draw(st.integers(0, len(steps) - 1))
+            step = steps[i]
+            if kind == "drop-step":
+                del steps[i]
+            elif kind == "duplicate-step":
+                steps.insert(draw(st.integers(i + 1, len(steps))), step)
+            elif kind == "step-point":
+                steps[i] = dataclasses.replace(step, point=draw(values))
+            elif kind == "step-color":
+                steps[i] = dataclasses.replace(step, forced=step.forced.opposite)
+            else:
+                w = _mutated_witness(draw, step.witness, kind.split("-")[1], values)
+                steps[i] = dataclasses.replace(step, witness=w)
+            node = dataclasses.replace(node, steps=tuple(steps))
+        cert = _replace_node(cert, path, node)
+    return cert
+
+
+def _outcome(parse, doc):
+    """The parse, or the message of the ValueError it raised; any other
+    exception escapes and fails the test."""
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(mutated_certificates(), st.data())
+def test_replay_matches_the_recursive_reference(cert, data):
+    assert verify_certificate(cert) == reference_verify_certificate(cert)
+    # one branch under ambient pre-colored points, as the prover checks it
+    node = data.draw(st.sampled_from(cert.root))
+    points = [node.point] + [step.point for step in node.steps]
+    ambient = data.draw(st.dictionaries(st.sampled_from(points), st.sampled_from((RED, BLUE))))
+    expected = reference_verify_node(cert.spec, cert.domain_end, node, dict(ambient), ())
+    assert verify_branch(cert.spec, cert.domain_end, node, ambient) == expected
+    # the emitted file parses as the reference parses it (a wrong arity is a
+    # schema error there) and replays the same
+    doc = json.loads(canonical_json(certificate_as_json(cert)))
+    parsed = _outcome(certificate_from_json, doc)
+    assert parsed == _outcome(reference_certificate_from_json, doc)
+    if not isinstance(parsed, str):
+        assert verify_certificate(parsed) == verify_certificate(cert)
+
+
+def test_property_bases_verify_and_some_split():
+    for cert in BASES:
+        if cert.root[0].point == cert.spec.gamma:
+            assert verify_certificate(cert).ok
+        else:
+            assert all(verify_branch(cert.spec, cert.domain_end, node).ok for node in cert.root)
+    # splits are where the undo trail is unwound
+    assert sum(any(node.children for _, node in _nodes(cert)) for cert in BASES) >= 4
+
+
+JUNK = (None, True, 3, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")
+
+
+@st.composite
+def damaged_documents(draw):
+    """Certificate JSON with one to three values replaced, deleted or junked."""
+    doc = json.loads(canonical_json(certificate_as_json(draw(st.sampled_from(BASES)))))
+    for _ in range(draw(st.integers(1, 3))):
+        places, stack = [], [doc]
+        while stack:
+            container = stack.pop()
+            keys = container if isinstance(container, dict) else range(len(container))
+            for key in keys:
+                places.append((container, key))
+                if isinstance(container[key], (dict, list)):
+                    stack.append(container[key])
+        if not places:  # every key was deleted
+            break
+        parent, key = draw(st.sampled_from(places))
+        action = draw(st.sampled_from(("junk", "junk", "delete", "swap")))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "swap" and isinstance(parent, list) and len(parent) > 1:
+            parent[0], parent[-1] = parent[-1], parent[0]
+        else:
+            parent[key] = draw(st.sampled_from(JUNK))
+    return doc
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(damaged_documents())
+def test_parse_matches_the_recursive_reference_on_damaged_files(doc):
+    got = _outcome(certificate_from_json, doc)
+    assert got == _outcome(reference_certificate_from_json, doc)
+    if not isinstance(got, str):
+        assert verify_certificate(got) == reference_verify_certificate(got)
+
+
+def _first_primes(count):
+    sieve = bytearray([1]) * 20000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 142):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    return [p for p in range(len(sieve)) if sieve[p]][:count]
+
+
+def test_hostile_denominators_stay_cheap():
+    # 2000 steps, each forcing 1 + l/q red for its own denominator q through
+    # the blue solution (l - q) * 1 + q * (1 + l/q) = 2l, with q the 30th power
+    # of one of the first 2000 primes and l = 2^521 - 1, a prime above every q.
+    # A scale common to the file would be the product of all the q, about
+    # 745,000 bits; checking every step over it took 18 s where this replay
+    # takes 0.02 s.  With bare primes that product has only 25,000 bits and
+    # such a replay stays under a second, so it would not show here.
+    l = 2**521 - 1
+    cert = build_k2_certificate(l)
+    blue = cert.root[1]
+    inserted = []
+    for p in _first_primes(2000):
+        q = p**30
+        x = 1 + Fraction(l, q)
+        inserted.append(ForcingStep(x, RED, SolutionWitness(BLUE, ((Fraction(1), l - q), (x, q)), 2 * l)))
+    assert blue.steps[1].point == 2 * l and blue.steps[1].forced is BLUE
+    steps = blue.steps[:2] + tuple(inserted) + blue.steps[2:]
+    broken_step = dataclasses.replace(
+        inserted[-1], witness=dataclasses.replace(inserted[-1].witness, x0=Fraction(2 * l + 1))
+    )
+    broken_steps = steps[:2001] + (broken_step,) + steps[2002:]
+    for tree, ok in ((steps, True), (broken_steps, False)):
+        certificate = dataclasses.replace(cert, root=(cert.root[0], dataclasses.replace(blue, steps=tree)))
+        text = canonical_json(certificate_as_json(certificate))
+        start = time.perf_counter()
+        check = verify_certificate(certificate_from_json(json.loads(text)))
+        assert time.perf_counter() - start < 2.0
+        assert check.ok is ok
+        assert check == reference_verify_certificate(certificate)
+    assert check.failure == CheckFailure(
+        ("1=blue",), 2001, "witness fails arithmetic, arity, or domain-start check"
+    )

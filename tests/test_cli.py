@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from offrado.certificates import build_k2_certificate, certificate_as_json, certificate_stats
 from offrado.cli import main
 from offrado.serialize import canonical_json
 
@@ -212,22 +214,52 @@ class TestCertificatePipeline:
         assert code == 64 and out["status"] == "InvalidInput"
         assert "too deeply" in out["payload"]["error"]
 
-    def test_nesting_read_but_too_deep_to_check_is_invalid_input(self, capsys, monkeypatch):
+    @staticmethod
+    def spine_document(depth, tamper_level=None):
+        """The k = 2, l = 3 certificate with its red root branch deepened by
+        ``depth`` useless splits on fresh points p_i = 1 + i/8009: each red
+        child closes with the branch's contradiction, each blue child splits
+        again.  Built bottom-up, so no step recurses."""
+        doc = json.loads(canonical_json(certificate_as_json(build_k2_certificate(3))))
+        red = doc["root"][0]
+        closing = red.pop("contradiction")
+        points = [str(Fraction(8009 + i, 8009)) for i in range(1, depth + 1)]
+
+        def leaf(point, color, level):
+            witness = dict(closing, x0="3") if level == tamper_level else closing
+            return {"assume": {"color": color, "point": point}, "steps": [], "contradiction": witness}
+
+        node = leaf(points[-1], "blue", depth)
+        for level in range(depth, 1, -1):
+            pair = [leaf(points[level - 1], "red", level), node]
+            node = {"assume": {"color": "blue", "point": points[level - 2]}, "steps": [], "children": pair}
+        red["children"] = [leaf(points[0], "red", 1), node]
+        return doc, points
+
+    def test_nesting_too_deep_for_recursion_is_read_and_checked(self, capsys, monkeypatch):
         # Interpreters whose json.loads recursion limit is separate from the
-        # Python one read files the recursive parser cannot walk.  Hand such a
-        # parsed object (4000 split levels) straight to the command.
-        leaf = {
-            "assume": {"color": "red", "point": "1"}, "steps": [],
-            "contradiction": {"color": "red", "left": [["1", 2]], "x0": "2"},
-        }
-        node = leaf
-        for _ in range(4000):
-            node = {"assume": {"color": "red", "point": "1"}, "steps": [], "children": [node, leaf]}
-        obj = {"spec": {"k": 2, "l": 2, "gamma": "1"}, "domain_end": "5", "root": [node, leaf]}
-        monkeypatch.setattr("offrado.cli._read_json", lambda path: obj)
+        # Python one read files nested past it.  Parse and replay use explicit
+        # stacks, so such a parsed object (4000 split levels) is checked like
+        # any other: handed straight to the command, it verifies.
+        base = certificate_stats(build_k2_certificate(3))
+        valid, points = self.spine_document(4000)
+        monkeypatch.setattr("offrado.cli._read_json", lambda path: valid)
         code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
-        assert code == 64 and out["status"] == "InvalidInput"
-        assert "too deeply to check" in out["payload"]["error"]
+        assert code == 0 and out["status"] == "Ok"
+        assert out["payload"] == {
+            "verified": True, "domain_end": "7",
+            "branches": base["branches"] + 2 * 4000, "steps": base["steps"],
+        }
+        # a broken contradiction at split 3999 is reported at its full path
+        tampered, points = self.spine_document(4000, tamper_level=3999)
+        monkeypatch.setattr("offrado.cli._read_json", lambda path: tampered)
+        code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
+        assert code == 1 and out["status"] == "WitnessFound"
+        failure = out["payload"]["failure"]
+        assert len(failure["path"]) == 4000
+        assert failure["path"] == ["1=red"] + [f"{p}=blue" for p in points[:3998]] + [f"{points[3998]}=red"]
+        assert failure["step_index"] is None
+        assert failure["reason"] == "contradiction fails arithmetic, arity, or domain-start check"
 
 
 class TestFileSystemErrors:

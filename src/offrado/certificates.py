@@ -467,12 +467,11 @@ def build_blue1_certificate(spec: ProblemSpec) -> BranchNode:
 # Automatic prover
 
 
-def _grid_system(spec: ProblemSpec, denominator: int) -> tuple[SumsetSystem, int]:
-    """The propagation geometry of the 1/d grid of [1, kl+k-1], ids d..top,
-    where id p stands for the value p/d; also returns top, the id of the
-    domain end."""
+def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
+    """The propagation geometry of the 1/d grid of [1, kl+k-1], ids
+    d..(kl+k-1)*d, where id p stands for the value p/d."""
     top = (spec.k * spec.l + spec.k - 1) * denominator
-    return SumsetSystem(spec.k, spec.l, denominator, top), top
+    return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
 def _branch_node(tree: Refutation, d: int) -> BranchNode:
@@ -513,14 +512,15 @@ def auto_prove(
     if not assumptions:
         raise ValueError("at least one assumption is required")
 
-    system, top = _grid_system(spec, grid_denominator)
+    system = _grid_system(spec, grid_denominator)
     d = grid_denominator
+    end = spec.k * spec.l + spec.k - 1
     red = blue = 0
     pending: list[int] = []
     for point, color in assumptions:
         point = exact_fraction(point)
         scaled = point * d
-        if scaled.denominator != 1 or not d <= scaled <= top:
+        if scaled.denominator != 1 or not d <= scaled <= end * d:
             raise ValueError(f"{format_rational(point)} is not a grid point")
         idx = int(scaled)
         if (red | blue) >> idx & 1:
@@ -541,7 +541,6 @@ def auto_prove(
         return None
     node = _branch_node(tree, d)
     ambient = {exact_fraction(p): c for p, c in assumptions[:-1]}
-    end = Fraction(spec.k * spec.l + spec.k - 1)
     result = verify_branch(spec, end, node, ambient)
     if not result.ok:
         raise RuntimeError(f"auto-proved branch failed its own check: {result.failure}")
@@ -549,41 +548,36 @@ def auto_prove(
 
 
 def certify_upper(
-    spec: ProblemSpec,
-    auto_denominator: int = 1,
-    max_depth: int = 64,
-    force_auto: bool = False,
+    spec: ProblemSpec, grid_denominator: Optional[int] = None, max_depth: int = 64
 ) -> ForcingCertificate:
     """Assemble and verify the full branch-on-the-endpoint certificate.
 
-    Default assembly: k=2 uses the hand-built half-step chains; k < l pairs
-    the built blue-start branch with an auto-proved red branch on the integer
-    grid; the diagonal k = l >= 3 auto-proves both branches.  With
-    ``force_auto`` every branch is searched at ``auto_denominator`` instead.
-    Raises UnprovedError when a search exhausts, never returns unchecked
-    output.
+    With ``grid_denominator`` None, the default assembly: k=2 uses the
+    hand-built half-step chains; k < l pairs the built blue-start branch with
+    an auto-proved red branch on the integer grid; the diagonal k = l >= 3
+    auto-proves both branches.  With an integer d every branch is searched on
+    the 1/d grid instead.  Raises UnprovedError when a search exhausts, never
+    returns unchecked output.
     """
     if spec.gamma != 1:
         raise ValueError("certificates are built on the unit domain")
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ValueError(f"need a non-negative integer depth, got {max_depth!r}")
-    end = Fraction(spec.k * spec.l + spec.k - 1)
+    built = grid_denominator is None
+    d = 1 if built else grid_denominator
 
     def auto(color: Color) -> BranchNode:
-        node = auto_prove(spec, auto_denominator, [(Fraction(1), color)], max_depth)
+        node = auto_prove(spec, d, [(Fraction(1), color)], max_depth)
         if node is None:
-            raise UnprovedError(spec, color.value, auto_denominator, max_depth)
+            raise UnprovedError(spec, color.value, d, max_depth)
         return node
 
-    if spec.k == 2 and not force_auto:
+    if built and spec.k == 2:
         certificate = build_k2_certificate(spec.l)
     else:
         red = auto(Color.RED)
-        if spec.k < spec.l and not force_auto:
-            blue = build_blue1_certificate(spec)
-        else:
-            blue = auto(Color.BLUE)
-        certificate = ForcingCertificate(spec, end, (red, blue))
+        blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
+        certificate = ForcingCertificate(spec, spec.k * spec.l + spec.k - 1, (red, blue))
 
     result = verify_certificate(certificate)
     if not result.ok:

@@ -157,12 +157,7 @@ def cmd_verify_coloring(args) -> dict:
 
 def cmd_certify_upper(args) -> dict:
     spec = ProblemSpec(args.k, args.l)
-    certificate = certify_upper(
-        spec,
-        auto_denominator=args.grid_denominator if args.grid_denominator is not None else 1,
-        max_depth=args.max_depth,
-        force_auto=args.grid_denominator is not None,
-    )
+    certificate = certify_upper(spec, args.grid_denominator, args.max_depth)
     doc = certificate_as_json(certificate)
     stats = certificate_stats(certificate)
     payload = {

@@ -163,19 +163,18 @@ def _forced(layers: list[int], own: int, free: int, m: int) -> int:
     return forced
 
 
-def _least_parts(own: int, r: int, targets: int, offset: int) -> Optional[tuple[int, ...]]:
-    """The least sorted r-tuple of ids of ``own`` whose sum plus ``offset`` is
-    in ``targets``, or None, found by walking back down the sumset layers:
-    each part is the least id of ``own`` from which the rest can still hit a
-    target."""
-    layers = _sumset_layers(own, r, (1 << targets.bit_length()) - 1)
-    if not layers[r] << offset & targets:
+def _least_parts(own: int, r: int) -> Optional[tuple[int, ...]]:
+    """The least sorted r-tuple of ids of ``own`` whose sum is also in
+    ``own``, or None, found by walking back down the sumset layers: each part
+    is the least id of ``own`` from which the rest can still hit ``own``."""
+    layers = _sumset_layers(own, r, (1 << own.bit_length()) - 1)
+    if not layers[r] & own:
         return None
     ids = _ids(own)
     parts: list[int] = []
-    total, at = offset, 0
+    total, at = 0, 0
     for rest in range(r - 1, -1, -1):
-        while not layers[rest] << (total + ids[at]) & targets:
+        while not layers[rest] << (total + ids[at]) & own:
             at += 1
         parts.append(ids[at])
         total += ids[at]
@@ -186,9 +185,11 @@ class SumsetHandle(NamedTuple):
     """A forcing or a conflict of ``propagate_masks``, decoded only on demand.
 
     It stands for the least solution of ``color``'s ``arity``-variable
-    equation, in ``solution_clauses`` order, with every entry other than
-    ``var`` in the mask ``own``: for a forcing, the solution contains ``var``;
-    for a conflict ``var`` is None and every entry lies in ``own``.
+    equation, in ``solution_clauses`` order, inside the mask ``own``, with
+    ``var`` added for a forcing (None for a conflict).  ``propagate_masks``
+    reads a color's conflict before its forcings, so a forcing's ``own``
+    holds no solution by itself: every solution inside ``own | 1 << var``
+    contains ``var``.
     """
 
     color: Color
@@ -197,18 +198,8 @@ class SumsetHandle(NamedTuple):
     var: Optional[int]
 
     def clause(self) -> Clause:
-        own, m, y = self.own, self.arity, self.var
-        if y is None:
-            cases = [((), m, own, 0)]
-        else:  # y is x0, or y fills j of the m parts (y is free, so not both)
-            cases = [((), m, 1 << y, 0)]
-            cases += [((y,) * j, m - j, own, j * y) for j in range(1, m + 1)]
-        lefts = []
-        for fixed, r, targets, offset in cases:
-            rest = _least_parts(own, r, targets, offset)
-            if rest is not None:
-                lefts.append(tuple(sorted(fixed + rest)))
-        left = min(lefts)
+        own = self.own if self.var is None else self.own | 1 << self.var
+        left = _least_parts(own, self.arity)
         x0 = sum(left)
         mask = 1 << x0
         for p in left:

@@ -306,11 +306,14 @@ def compute_rado(
 ) -> SearchReport:
     """Least n whose colorings all contain a monochromatic solution.
 
-    Scans n = 1, 2, ... and takes the first uncolorable n (the definition;
-    colorability is not assumed monotone).  The preceding n's coloring is kept
-    as the extremal witness and re-checked independently of the search.  The
-    formula value is compared, never trusted: a mismatch is reported as data.
-    With ``scan`` the walk continues to the cap and records every n.
+    Scans n = 1, 2, ... and takes the first uncolorable n.  Colorability is
+    downward closed: a valid coloring of {1..n+1}, restricted to {1..n}, is
+    still valid, because every solution inside {1..n} lies inside {1..n+1}.
+    So every n past the first uncolorable one is uncolorable too.  The
+    preceding n's coloring is kept as the extremal witness and re-checked
+    independently of the search.  The formula value is compared, never
+    trusted: a mismatch is reported as data.  With ``scan`` the walk
+    continues to the cap and records every n.
     """
     formula = int(formula_discrete(spec.k, spec.l).value)
     cap = max_n if max_n is not None else formula + 5
@@ -319,25 +322,21 @@ def compute_rado(
     stats = SearchStats()
     started = time.perf_counter()
     records: list[tuple[int, bool]] = []
-    colorings: dict[int, DiscreteColoring] = {}
     value: Optional[int] = None
+    extremal = previous = None  # the coloring of value - 1, and of n - 1
     for n in range(1, cap + 1):
         found = search_valid(n, spec, propagation=propagation, stats=stats)
         records.append((n, found is not None))
-        if found is not None:
-            colorings[n] = found
-        elif value is None:
-            value = n
+        if found is None and value is None:
+            value, extremal = n, previous
             if not scan:
                 break
+        previous = found
     stats.elapsed_seconds = time.perf_counter() - started
 
-    extremal = None
-    if value is not None:
-        extremal = colorings.get(value - 1)
-        if value > 1:
-            if extremal is None or not is_valid_discrete(extremal, spec).is_valid:
-                raise RuntimeError("extremal coloring failed its independent re-check")
+    if value is not None and value > 1:
+        if extremal is None or not is_valid_discrete(extremal, spec).is_valid:
+            raise RuntimeError("extremal coloring failed its independent re-check")
     return SearchReport(
         spec=spec,
         value=value,

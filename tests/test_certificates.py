@@ -306,11 +306,11 @@ class TestCertifyUpper:
 
     def test_unproved_surfaces_explicitly(self):
         with pytest.raises(UnprovedError) as info:
-            certify_upper(ProblemSpec(2, 4), force_auto=True, auto_denominator=1)
+            certify_upper(ProblemSpec(2, 4), grid_denominator=1)
         assert info.value.branch == "red"
 
     def test_force_auto_half_grid(self):
-        cert = certify_upper(ProblemSpec(2, 4), force_auto=True, auto_denominator=2)
+        cert = certify_upper(ProblemSpec(2, 4), grid_denominator=2)
         assert verify_certificate(cert).ok
 
     def test_rejects_scaled_domain(self):
@@ -629,9 +629,9 @@ def _property_bases():
         build_k2_certificate(6),
         certify_upper(ProblemSpec(3, 5)),  # a built blue-1 branch beside an auto-proved one
         certify_upper(ProblemSpec(4, 6)),
-        certify_upper(ProblemSpec(4, 5), force_auto=True, auto_denominator=1),
-        certify_upper(ProblemSpec(2, 4), force_auto=True, auto_denominator=2),
-        certify_upper(ProblemSpec(3, 4), force_auto=True, auto_denominator=3),
+        certify_upper(ProblemSpec(4, 5), grid_denominator=1),
+        certify_upper(ProblemSpec(2, 4), grid_denominator=2),
+        certify_upper(ProblemSpec(3, 4), grid_denominator=3),
     ]
     bases.append(spine(bases[0], 0, [Fraction(1) + Fraction(i, 11) for i in (3, 7, 5)]))
     bases.append(spine(bases[2], 1, [Fraction(1) + Fraction(i, 13) for i in (9, 2)]))

@@ -213,7 +213,7 @@ def test_no_command_builds_the_reference_kernel(monkeypatch):
 
     monkeypatch.setattr(ClauseSystem, "__init__", refuse)
     for spec, d in (((6, 7), 1), ((12, 12), 1), ((2, 5), 4), ((3, 4), 3)):
-        cert = certify_upper(ProblemSpec(*spec), auto_denominator=d, force_auto=d > 1)
+        cert = certify_upper(ProblemSpec(*spec), grid_denominator=d if d > 1 else None)
         assert verify_certificate(cert).ok
     assert compute_rado(ProblemSpec(4, 5)).value == 23
     assert isinstance(propagate(DiscreteColoring.empty(7).assign(1, Color.RED), ProblemSpec(2, 3)), Conflict)
@@ -312,6 +312,7 @@ def test_sumset_propagation_matches_the_clause_kernel(state):
         assert handle.own & ~own == 0
         if var is not None:
             assert (blue if handle.color is Color.RED else red) >> var & 1  # the opposite color
+            assert first_clause(handle._replace(var=None), lo, top) is None  # own holds no solution
         witness = handle.witness(lo)
         # a real solution: arity parts summing to x0, on ids lo..top
         parts = [v * lo for v, mult in witness.left for _ in range(mult)]

@@ -61,6 +61,7 @@ from .certificates import (
     certificate_from_json,
     certificate_stats,
     certify_upper,
+    points_used,
     residue_params,
     verify_branch,
     verify_certificate,

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
@@ -255,24 +255,31 @@ def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
     return _replay(spec, certificate.domain_end, certificate.root, {})
 
 
-def certificate_stats(certificate: ForcingCertificate) -> dict:
-    """Branch count, step count, and every point the certificate colors."""
-    branches = steps = 0
-    points: set[Fraction] = set()
+def _nodes(certificate: ForcingCertificate) -> Iterator[BranchNode]:
     stack = list(certificate.root)
     while stack:
         node = stack.pop()
-        branches += 1
-        steps += len(node.steps)
-        points.add(node.point)
-        points.update(step.point for step in node.steps)
+        yield node
         if node.children is not None:
             stack.extend(node.children)
-    return {
-        "branches": branches,
-        "steps": steps,
-        "points_used": [format_rational(p) for p in sorted(points)],
-    }
+
+
+def certificate_stats(certificate: ForcingCertificate) -> dict:
+    """Branch count and step count."""
+    branches = steps = 0
+    for node in _nodes(certificate):
+        branches += 1
+        steps += len(node.steps)
+    return {"branches": branches, "steps": steps}
+
+
+def points_used(certificate: ForcingCertificate) -> list[str]:
+    """Every point the certificate colors, ascending, as rational strings."""
+    points: set[Fraction] = set()
+    for node in _nodes(certificate):
+        points.add(node.point)
+        points.update(step.point for step in node.steps)
+    return [format_rational(p) for p in sorted(points)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .certificates import (
     certificate_from_json,
     certificate_stats,
     certify_upper,
+    points_used,
     verify_certificate,
 )
 from .equations import (
@@ -165,7 +166,7 @@ def cmd_certify_upper(args) -> dict:
         "domain_end": format_rational(certificate.domain_end),
         "branches": stats["branches"],
         "steps": stats["steps"],
-        "points_used": stats["points_used"],
+        "points_used": points_used(certificate),
     }
     return _result("certify-upper", spec.as_json(), payload, "Ok")
 

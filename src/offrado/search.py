@@ -7,8 +7,8 @@ class, so no n of the scan lists its clauses.  A ``DiscreteColoring`` holds the
 kernel's own (red, blue) bitmasks, bit i for the integer i, so models,
 re-checks and propagation pass masks without converting.  Two checks share no
 inference code with the search: ``is_valid_discrete`` re-checks a coloring
-with plain set sums, and a numpy bitmask sweep over all 2^n colorings serves
-as the independent oracle (and as the ``--no-propagation`` mode).
+with plain set sums, and a bit-sliced sweep over all 2^n colorings, on plain
+ints, serves as the independent oracle (and as the ``--no-propagation`` mode).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from typing import Iterator, Optional, Union
-
-import numpy as np
 
 from .equations import (
     Color,
@@ -33,7 +33,9 @@ from .equations import (
 from .propagation import Satisfiable, SumsetSystem, dpll, propagate_masks, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
-_SWEEP_CHUNK = 1 << 20
+# Candidates per sweep int, a power of two: wider ints cost more per AND,
+# narrower ones mean more chunks and more high-bit groups per chunk.
+_SWEEP_CHUNK = 1 << 16
 
 
 def _points(n: int) -> int:
@@ -233,33 +235,62 @@ def propagate(
     return DiscreteColoring(coloring.n, red, blue)
 
 
-def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColoring]:
-    """Oracle: sweep all 2^n total colorings with vectorized clause masks.
+def _bit_slices(width_log: int) -> list[int]:
+    """Slice j of a chunk of 2^width_log candidates: bit t set iff bit j of t is."""
+    slices = []
+    for j in range(width_log):
+        run = 1 << j
+        pattern, size = ((1 << run) - 1) << run, 2 * run
+        while size < 1 << width_log:
+            pattern |= pattern << size
+            size *= 2
+        slices.append(pattern)
+    return slices
 
-    Bit i-1 of a candidate means integer i is red.  Each clause drops the
-    candidates it makes monochromatic, so later clauses test only survivors;
-    the filtering keeps ascending order.  Exact integer bit arithmetic
+
+def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColoring]:
+    """Oracle: sweep all 2^n total colorings, one chunk of candidates per int.
+
+    Bit i-1 of a candidate means integer i is red.  A chunk is the
+    ``_SWEEP_CHUNK`` candidates (all 2^n if fewer) that share their high bits,
+    the prefix; bit t of a chunk int stands for the candidate with low bits t.
+    A red clause whose high bits are all red in the chunk removes the
+    candidates whose low bits of its mask are all red (the AND of those
+    ``_bit_slices``); a blue clause with no high bit red keeps only the
+    candidates with some low bit of its mask red (the OR).  Clauses with the
+    same high bits are combined once per call.  Exact integer bit arithmetic
     throughout; returns the lexicographically least valid coloring (by red
-    bitmask) or None.
+    bitmask), the lowest survivor of the first chunk that has one, or None.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at n={BRUTE_FORCE_LIMIT}; use propagation")
-    red_masks, blue_masks = (
-        np.array([c.mask >> 1 for c in solution_clauses(color, m, 1, n)], dtype=np.uint64)
-        for color, m in ((Color.RED, spec.k), (Color.BLUE, spec.l))
-    )
-    total = 1 << n
-    for start in range(0, total, _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, total)
-        candidates = np.arange(start, stop, dtype=np.uint64)
-        for mask in red_masks:
-            candidates = candidates[(candidates & mask) != mask]
-        for mask in blue_masks:
-            candidates = candidates[(candidates & mask) != 0]
-        if candidates.size:
-            red = int(candidates[0]) << 1
+    low = min(n, _SWEEP_CHUNK.bit_length() - 1)
+    slices = _bit_slices(low)
+    chunk = (1 << (1 << low)) - 1
+
+    def low_slices(clause):
+        return [slices[j] for j in range(low) if clause.mask >> (j + 1) & 1]
+
+    cleared: dict[int, int] = {}  # high bits -> candidates a red clause makes monochromatic
+    for clause in solution_clauses(Color.RED, spec.k, 1, n):
+        high = clause.mask >> (low + 1)
+        cleared[high] = cleared.get(high, 0) | reduce(and_, low_slices(clause), chunk)
+    kept: dict[int, int] = {}  # high bits -> candidates every blue clause leaves some red
+    for clause in solution_clauses(Color.BLUE, spec.l, 1, n):
+        high = clause.mask >> (low + 1)
+        kept[high] = kept.get(high, chunk) & reduce(or_, low_slices(clause), 0)
+    for prefix in range(1 << (n - low)):
+        survivors = chunk
+        for high, bad in cleared.items():
+            if high & prefix == high:
+                survivors &= ~bad
+        for high, good in kept.items():
+            if not high & prefix:
+                survivors &= good
+        if survivors:
+            red = ((prefix << low) + (survivors & -survivors).bit_length() - 1) << 1
             return DiscreteColoring(n, red, _points(n) & ~red)
     return None
 

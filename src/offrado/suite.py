@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .certificates import auto_prove, certificate_stats, certify_upper, residue_params, verify_certificate
+from .certificates import (
+    auto_prove,
+    certificate_stats,
+    certify_upper,
+    points_used,
+    residue_params,
+    verify_certificate,
+)
 from .equations import (
     Color,
     ProblemSpec,
@@ -104,7 +111,7 @@ def check_certificates(k2_max_l: int = 10, max_kl: int = 5) -> list[CheckResult]
     for l in range(2, k2_max_l + 1):
         cert = certify_upper(ProblemSpec(2, l))
         stats = certificate_stats(cert)
-        halves_ok = l < 3 or {"3/2", "5/2"} <= set(stats["points_used"])
+        halves_ok = l < 3 or {"3/2", "5/2"} <= set(points_used(cert))
         ok = bool(verify_certificate(cert)) and cert.domain_end == 2 * l + 1 and halves_ok
         out.append(
             CheckResult(

@@ -21,8 +21,8 @@ from itertools import combinations_with_replacement
 
 from offrado.certificates import (
     auto_prove,
-    certificate_stats,
     certify_upper,
+    points_used,
     residue_params,
     verify_branch,
     verify_certificate,
@@ -91,7 +91,7 @@ def test_criterion_3_upper_bound_certificates():
     bad = []
     for l in range(2, 11):
         cert = certify_upper(ProblemSpec(2, l))
-        points = set(certificate_stats(cert)["points_used"])
+        points = set(points_used(cert))
         halves = l < 3 or {"3/2", "5/2"} <= points
         if not (verify_certificate(cert).ok and cert.domain_end == 2 * l + 1 and halves):
             bad.append((2, l))

@@ -19,8 +19,8 @@ from offrado.certificates import (
     build_k2_certificate,
     certificate_as_json,
     certificate_from_json,
-    certificate_stats,
     certify_upper,
+    points_used,
     residue_params,
     verify_branch,
     verify_certificate,
@@ -48,8 +48,7 @@ class TestK2Builder:
         cert = build_k2_certificate(3)
         assert verify_certificate(cert).ok
         assert cert.domain_end == 7
-        stats = certificate_stats(cert)
-        assert stats["points_used"] == ["1", "3/2", "2", "5/2", "3", "4", "5", "6", "7"]
+        assert points_used(cert) == ["1", "3/2", "2", "5/2", "3", "4", "5", "6", "7"]
         red_branch = cert.root[0]
         assert red_branch.color is RED
         assert Fraction(3, 2) in branch_points(red_branch)
@@ -707,7 +706,7 @@ def _eligible(kind, path, node):
 @st.composite
 def mutated_certificates(draw):
     cert = draw(st.sampled_from(BASES))
-    used = {Fraction(p) for p in certificate_stats(cert)["points_used"]}
+    used = {Fraction(p) for p in points_used(cert)}
     shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)]
     values = st.builds(
         lambda v, s: v + s, st.sampled_from(sorted(used | {cert.domain_end})), st.sampled_from(shifts)

@@ -87,6 +87,24 @@ class TestDiscrete:
             > fast["payload"]["stats"]["nodes_explored"]
         )
 
+    def test_oracle_mode_output_pinned(self, capsys):
+        # the 2^n sweep visits every coloring of each n it tries: 2 + 4 + ... + 2^7
+        code, doc = run_cli(capsys, "discrete", "2", "3", "--no-propagation")
+        assert code == 0
+        stats = doc["payload"].pop("stats")
+        assert stats.pop("elapsed_seconds") >= 0
+        assert stats == {"nodes_explored": sum(1 << n for n in range(1, 8)), "propagations": 0}
+        assert doc == {
+            "command": "discrete",
+            "payload": {
+                "extremal": {"blue": [2, 3, 4, 5], "n": 6, "red": [1, 6]},
+                "formula_mismatch": False, "formula_value": 7, "max_n": 12,
+                "spec": {"gamma": "1", "k": 2, "l": 3}, "value": 7,
+            },
+            "spec": {"gamma": "1", "k": 2, "l": 3},
+            "status": "Ok",
+        }
+
 
 class TestColoringPipeline:
     def test_round_trip_across_range(self, capsys, tmp_path):
@@ -202,10 +220,11 @@ class TestCertificatePipeline:
         assert code == 64 and out["status"] == "InvalidInput"
 
     def test_deep_nesting_is_invalid_input_not_witness_found(self, capsys, tmp_path):
-        # 1000 split levels, each an object inside a list: about 2000 deep
+        # 6000 split levels, each an object inside a list: about 12000 deep,
+        # past the json reader's nesting limit on CPython 3.10 through 3.13
         assume = '"assume":{"color":"red","point":"1"},"steps":[]'
         leaf = "{" + assume + ',"contradiction":{"color":"red","left":[["1",2]],"x0":"2"}}'
-        root = ("{" + assume + ',"children":[') * 1000 + leaf + (',' + leaf + "]}") * 1000
+        root = ("{" + assume + ',"children":[') * 6000 + leaf + (',' + leaf + "]}") * 6000
         path = tmp_path / "deep.json"
         path.write_text(
             '{"spec":{"k":2,"l":2,"gamma":"1"},"domain_end":"5","root":[' + root + "," + leaf + "]}"
@@ -301,6 +320,21 @@ class TestReproduce:
 
 
 class TestProcessLevel:
+    def test_cli_never_imports_numpy(self):
+        # not on import, and not in the 2^n oracle that once used it
+        script = (
+            "import contextlib, io, sys, offrado.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    offrado.cli.main(['discrete', '2', '3', '--no-propagation'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0 and proc.stdout == "False\nFalse\n"
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "offrado", "formula", "2", "2", "--mode", "discrete"],

@@ -200,11 +200,16 @@ class TestSearchValid:
                 if slow is not None:
                     assert is_valid_discrete(slow, spec).is_valid
 
-    @pytest.mark.parametrize("spec", [(2, 2), (2, 3), (3, 3)])
-    def test_brute_force_is_least_valid_red_bitmask(self, spec):
+    @pytest.mark.parametrize("spec", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_brute_force_is_least_valid_red_bitmask(self, spec, monkeypatch):
+        default = search._SWEEP_CHUNK
+        assert default & (default - 1) == 0, "a chunk is a power of two"
         for n in range(1, 13):
             expected = least_valid_red_bits(n, *spec)
-            assert red_bits(brute_force_colorable(n, ProblemSpec(*spec))) == expected, (spec, n)
+            for chunk in (1, 2, 16, default):
+                monkeypatch.setattr(search, "_SWEEP_CHUNK", chunk)
+                got = red_bits(brute_force_colorable(n, ProblemSpec(*spec)))
+                assert got == expected, (spec, n, chunk)
 
     def test_brute_force_least_across_chunks(self, monkeypatch):
         monkeypatch.setattr(search, "_SWEEP_CHUNK", 16)

@@ -9,11 +9,8 @@ certificates (upper bounds).  All arithmetic is exact rational.
 from .equations import (
     Color,
     ProblemSpec,
-    RadoKind,
-    RadoValue,
     SolutionWitness,
     Verdict,
-    VerdictStatus,
     check_witness,
     formula_continuous,
     formula_degenerate_k1,

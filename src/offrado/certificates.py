@@ -83,8 +83,13 @@ class CheckFailure:
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    ok: bool
+    """A certificate verifies iff no step failed."""
+
     failure: Optional[CheckFailure] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -105,7 +110,7 @@ class UnprovedError(Exception):
 
 
 def _fail(path: tuple[str, ...], step: Optional[int], reason: str) -> CertificateCheck:
-    return CertificateCheck(False, CheckFailure(path, step, reason))
+    return CertificateCheck(CheckFailure(path, step, reason))
 
 
 def _branch_label(point: Fraction, color: Color) -> str:
@@ -226,7 +231,7 @@ def _replay(
             return fail(None, "split point already colored")
         stack.append((second, depth + 1, len(trail)))
         stack.append((first, depth + 1, len(trail)))
-    return CertificateCheck(True)
+    return CertificateCheck()
 
 
 def verify_branch(

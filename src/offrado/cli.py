@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,39 +81,25 @@ def _read_json(path: str) -> dict:
         raise _CliError(f"{path} nests too deeply to read") from None
 
 
-def _thread_mode() -> int:
-    """RADO_THREADS: 0 selects automatically, 1 forces the deterministic
-    single-threaded mode.  Every current code path is single-threaded and
-    deterministic, so all values behave like 1."""
-    raw = os.environ.get("RADO_THREADS", "0")
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        print(f"offrado: ignoring invalid RADO_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return value
-
-
 def cmd_formula(args) -> dict:
     gamma = parse_rational(args.gamma) if args.gamma is not None else None
     if args.mode == "discrete":
         if gamma is not None:
             raise _CliError("--gamma does not apply to the discrete formula")
-        value = formula_discrete(args.k, args.l)
+        value, kind = formula_discrete(args.k, args.l), "discrete-formula"
         spec = _spec_json(args.k, args.l)
     elif args.mode == "continuous":
-        value = formula_continuous(args.k, args.l, gamma if gamma is not None else 1)
-        spec = _spec_json(args.k, args.l, gamma if gamma is not None else Fraction(1))
+        gamma = Fraction(1) if gamma is None else gamma
+        value, kind = formula_continuous(args.k, args.l, gamma), "continuous-formula"
+        spec = _spec_json(args.k, args.l, gamma)
     else:  # k1
         if args.k != 1:
             raise _CliError("--mode k1 requires k = 1")
         if gamma is not None:
             raise _CliError("--gamma does not apply to the degenerate k=1 oracle")
-        value = formula_degenerate_k1(args.l)
+        value, kind = formula_degenerate_k1(args.l), "continuous-formula"
         spec = _spec_json(args.k, args.l)
-    payload = {"value": format_rational(value.value), "kind": value.kind.value}
+    payload = {"value": format_rational(value), "kind": kind}
     return _result("formula", spec, payload, "Ok")
 
 
@@ -263,7 +248,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _thread_mode()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

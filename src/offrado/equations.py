@@ -6,14 +6,14 @@ asymmetric: a blue solution to the red equation counts for nothing.  Swapping
 the colors of a coloring therefore changes which equation each class guards;
 colorings expose a ``swapped()`` helper for that, there is no symmetric spec.
 
-Every value is an exact ``fractions.Fraction``; no float enters any
+Every value is an exact int or ``fractions.Fraction``; no float enters any
 verification path.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -64,13 +64,12 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ProblemSpec":
-        if not isinstance(obj, dict) or not {"k", "l"} <= set(obj):
-            raise ValueError("spec object must carry k and l")
+        if not isinstance(obj, dict) or set(obj) != {"k", "l", "gamma"}:
+            raise ValueError("spec object must carry exactly k, l, gamma")
         k, l = obj["k"], obj["l"]
         if not isinstance(k, int) or not isinstance(l, int):
             raise ValueError("spec arities must be JSON integers")
-        gamma = parse_rational(obj["gamma"]) if "gamma" in obj else ONE
-        return cls(k, l, gamma)
+        return cls(k, l, parse_rational(obj["gamma"]))
 
 
 @dataclass(frozen=True)
@@ -168,52 +167,31 @@ class SolutionWitness:
         return cls(color, tuple(pairs), parse(obj["x0"]))
 
 
-class RadoKind(enum.Enum):
-    DISCRETE_FORMULA = "discrete-formula"
-    CONTINUOUS_FORMULA = "continuous-formula"
-    SEARCH_EXACT = "search-exact"
-
-
-@dataclass(frozen=True)
-class RadoValue:
-    value: Fraction
-    kind: RadoKind
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", exact_fraction(self.value))
-        if self.value <= 0:
-            raise ValueError("a Rado number is positive")
-        if self.kind is not RadoKind.CONTINUOUS_FORMULA and self.value.denominator != 1:
-            raise ValueError(f"{self.kind.value} values are integers, got {self.value}")
-
-
-def formula_discrete(k: int, l: int) -> RadoValue:
+def formula_discrete(k: int, l: int) -> int:
     """Known integer value: 3l-1 (k=2, l even), 3l-2 (k=2, l odd >= 3), else kl+k-1."""
     if not (isinstance(k, int) and isinstance(l, int) and 2 <= k <= l):
         raise ValueError(f"need integers 2 <= k <= l, got k={k!r}, l={l!r}")
     if k == 2:
-        value = 3 * l - 1 if l % 2 == 0 else 3 * l - 2
-    else:
-        value = k * l + k - 1
-    return RadoValue(Fraction(value), RadoKind.DISCRETE_FORMULA)
+        return 3 * l - 1 if l % 2 == 0 else 3 * l - 2
+    return k * l + k - 1
 
 
-def formula_continuous(k: int, l: int, gamma=ONE) -> RadoValue:
+def formula_continuous(k: int, l: int, gamma=ONE) -> Fraction:
     """Real-domain value gamma*(kl + k - 1), one formula for every k >= 2."""
     if not (isinstance(k, int) and isinstance(l, int) and 2 <= k <= l):
         raise ValueError(f"need integers 2 <= k <= l, got k={k!r}, l={l!r}")
     gamma = exact_fraction(gamma)
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return RadoValue(gamma * (k * l + k - 1), RadoKind.CONTINUOUS_FORMULA)
+    return gamma * (k * l + k - 1)
 
 
-def formula_degenerate_k1(l: int) -> RadoValue:
+def formula_degenerate_k1(l: int) -> int:
     """k=1 forces every number blue (x1 = x0 is always a red solution), so the
     answer is just l, where the all-blue class first meets its own equation."""
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"need an integer l >= 1, got {l!r}")
-    return RadoValue(Fraction(l), RadoKind.CONTINUOUS_FORMULA)
+    return l
 
 
 def check_witness(spec: ProblemSpec, witness: SolutionWitness) -> bool:
@@ -231,36 +209,17 @@ def check_witness(spec: ProblemSpec, witness: SolutionWitness) -> bool:
     return all(v >= spec.gamma for v, _ in witness.left)
 
 
-class VerdictStatus(enum.Enum):
-    VALID = "Valid"
-    WITNESS_FOUND = "WitnessFound"
-
-
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of checking a coloring: Valid, or a concrete monochromatic hit."""
+    """Outcome of checking a coloring: Valid iff no monochromatic witness."""
 
-    status: VerdictStatus
-    witness: Optional[SolutionWitness] = field(default=None)
-
-    def __post_init__(self) -> None:
-        if (self.status is VerdictStatus.WITNESS_FOUND) != (self.witness is not None):
-            raise ValueError("witness present iff status is WitnessFound")
+    witness: Optional[SolutionWitness] = None
 
     @property
     def is_valid(self) -> bool:
-        return self.status is VerdictStatus.VALID
-
-    @classmethod
-    def valid(cls) -> "Verdict":
-        return cls(VerdictStatus.VALID)
-
-    @classmethod
-    def witness_found(cls, witness: SolutionWitness) -> "Verdict":
-        return cls(VerdictStatus.WITNESS_FOUND, witness)
+        return self.witness is None
 
     def as_json(self) -> dict:
-        out: dict = {"status": self.status.value}
-        if self.witness is not None:
-            out["witness"] = self.witness.as_json()
-        return out
+        if self.witness is None:
+            return {"status": "Valid"}
+        return {"status": "WitnessFound", "witness": self.witness.as_json()}

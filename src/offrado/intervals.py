@@ -259,8 +259,8 @@ def verify_coloring(coloring: ContinuousColoring, spec: ProblemSpec) -> Verdict:
         if not bad.is_empty:
             x0 = bad.intervals[0].representative()
             values = decompose_sum(cls, spec.arity(color), x0)
-            return Verdict.witness_found(SolutionWitness.from_values(color, values, x0))
-    return Verdict.valid()
+            return Verdict(SolutionWitness.from_values(color, values, x0))
+    return Verdict()
 
 
 def lower_bound_coloring(spec: ProblemSpec) -> ContinuousColoring:

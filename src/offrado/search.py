@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
 from typing import Iterator, Optional, Union
@@ -24,8 +23,6 @@ from typing import Iterator, Optional, Union
 from .equations import (
     Color,
     ProblemSpec,
-    RadoKind,
-    RadoValue,
     SolutionWitness,
     Verdict,
     formula_discrete,
@@ -151,12 +148,6 @@ class SearchReport:
     max_n: int
     scan: Optional[tuple[tuple[int, bool], ...]] = None
 
-    @property
-    def rado_value(self) -> RadoValue:
-        if self.value is None:
-            raise ValueError(f"scan cap {self.max_n} exhausted; no value was established")
-        return RadoValue(Fraction(self.value), RadoKind.SEARCH_EXACT)
-
     def as_json(self) -> dict:
         out = {
             "spec": self.spec.as_json(),
@@ -209,9 +200,9 @@ def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
         if _has_solution(set(coloring.values_of(color)), m, coloring.n):
             for clause in solution_clauses(color, m, 1, coloring.n):
                 if clause.mask & ~own == 0:
-                    return Verdict.witness_found(clause.witness())
+                    return Verdict(clause.witness())
             raise RuntimeError("set sums and solution enumeration disagree")
-    return Verdict.valid()
+    return Verdict()
 
 
 def propagate(
@@ -346,7 +337,7 @@ def compute_rado(
     trusted: a mismatch is reported as data.  With ``scan`` the walk
     continues to the cap and records every n.
     """
-    formula = int(formula_discrete(spec.k, spec.l).value)
+    formula = formula_discrete(spec.k, spec.l)
     cap = max_n if max_n is not None else formula + 5
     if cap < 1:
         raise ValueError("cap must be at least 1")

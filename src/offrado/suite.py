@@ -145,8 +145,8 @@ def check_grid_necessity(ls: tuple[int, ...] = (3, 4, 5)) -> list[CheckResult]:
         spec = ProblemSpec(2, l)
         d1 = auto_prove(spec, 1, [(Fraction(1), Color.RED)])
         d2 = auto_prove(spec, 2, [(Fraction(1), Color.RED)])
-        discrete = int(formula_discrete(2, l).value)
-        continuous = int(formula_continuous(2, l).value)
+        discrete = formula_discrete(2, l)
+        continuous = formula_continuous(2, l)
         expect_d1 = discrete == continuous
         ok = (d1 is not None) == expect_d1 and d2 is not None
         out.append(
@@ -194,7 +194,7 @@ def check_scaling(gammas=(Fraction(1, 2), Fraction(2), Fraction(3, 7))) -> list[
             ok = (
                 verify_coloring(scaled, spec).is_valid
                 and scaled == lower_bound_coloring(spec)
-                and formula_continuous(k, l, g).value == g * (k * l + k - 1)
+                and formula_continuous(k, l, g) == g * (k * l + k - 1)
             )
             out.append(CheckResult(f"scaling ({k},{l}) gamma={g}", ok, f"end {g*(k*l+k-1)}"))
     return out

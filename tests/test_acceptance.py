@@ -114,7 +114,7 @@ def test_criterion_4_non_integer_necessity():
     for l in (3, 4, 5):
         spec = ProblemSpec(2, l)
         end = Fraction(2 * l + 1)
-        if expected[l] != (formula_discrete(2, l).value == formula_continuous(2, l).value):
+        if expected[l] != (formula_discrete(2, l) == formula_continuous(2, l)):
             bad.append((l, "expectation vs formula comparison"))
         if expected[l] != (search_valid(2 * l + 1, spec) is None):
             bad.append((l, "expectation vs discrete search"))
@@ -212,7 +212,7 @@ def test_criterion_7_scaling():
                 and scaled.domain.lo == gamma
                 and scaled.domain.hi == gamma * (k * l + k - 1)
                 and not scaled.domain.hi_closed
-                and formula_continuous(k, l, gamma).value
+                and formula_continuous(k, l, gamma)
                 == gamma * k * l + gamma * k - gamma
             )
             if not ok:

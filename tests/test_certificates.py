@@ -347,6 +347,8 @@ class TestSerialization:
             lambda d: d["root"][0]["steps"][0].update(forced="green"),
             lambda d: d["root"][0]["steps"][0]["witness"].update(x0="2.5"),
             lambda d: d["root"][0].update(children=[]),
+            lambda d: d["spec"].pop("gamma"),
+            lambda d: d["spec"].update(note="x"),
         ],
     )
     def test_schema_violations(self, mutate):
@@ -507,7 +509,7 @@ def reference_verify_node(spec, domain_end, node, state, path):
                 return _fail(
                     path, None, f"contradiction entry {format_rational(v)} is not colored {w.color.value}"
                 )
-        return CertificateCheck(True)
+        return CertificateCheck()
 
     first, second = node.children
     if first.point != second.point:
@@ -520,7 +522,7 @@ def reference_verify_node(spec, domain_end, node, state, path):
         result = reference_verify_node(spec, domain_end, child, dict(state), path)
         if not result.ok:
             return result
-    return CertificateCheck(True)
+    return CertificateCheck()
 
 
 def reference_verify_certificate(certificate):
@@ -534,7 +536,7 @@ def reference_verify_certificate(certificate):
         result = reference_verify_node(spec, certificate.domain_end, node, {}, ())
         if not result.ok:
             return result
-    return CertificateCheck(True)
+    return CertificateCheck()
 
 
 def reference_witness_from_json(obj, spec):

@@ -29,14 +29,17 @@ class TestFormula:
     def test_discrete(self, capsys):
         code, doc = run_cli(capsys, "formula", "3", "4", "--mode", "discrete")
         assert code == 0 and doc["payload"]["value"] == "14"
+        assert doc["payload"]["kind"] == "discrete-formula"
 
     def test_continuous_scaled(self, capsys):
         code, doc = run_cli(capsys, "formula", "2", "3", "--mode", "continuous", "--gamma", "2")
         assert code == 0 and doc["payload"]["value"] == "14"
+        assert doc["payload"]["kind"] == "continuous-formula"
 
     def test_k1(self, capsys):
         code, doc = run_cli(capsys, "formula", "1", "5", "--mode", "k1")
         assert code == 0 and doc["payload"]["value"] == "5"
+        assert doc["payload"]["kind"] == "continuous-formula"
 
     @pytest.mark.parametrize(
         "argv",
@@ -342,22 +345,3 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["value"] == "5"
-
-    def test_thread_env_accepted(self):
-        for value in ("0", "1", "8"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "offrado", "formula", "2", "2"],
-                capture_output=True, text=True,
-                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "RADO_THREADS": value},
-            )
-            assert proc.returncode == 0
-
-    def test_invalid_thread_env_warns_on_stderr(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "offrado", "formula", "2", "2"],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "RADO_THREADS": "many"},
-        )
-        assert proc.returncode == 0
-        assert "RADO_THREADS" in proc.stderr
-        json.loads(proc.stdout)  # stdout still a single clean document

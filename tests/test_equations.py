@@ -6,8 +6,6 @@ import pytest
 from offrado.equations import (
     Color,
     ProblemSpec,
-    RadoKind,
-    RadoValue,
     SolutionWitness,
     Verdict,
     check_witness,
@@ -24,14 +22,12 @@ class TestFormulaDiscrete:
         [(2, 2, 5), (2, 3, 7), (3, 3, 11), (3, 4, 14), (2, 4, 11), (2, 5, 13)],
     )
     def test_known_values(self, k, l, expected):
-        result = formula_discrete(k, l)
-        assert result.value == expected
-        assert result.kind is RadoKind.DISCRETE_FORMULA
+        assert formula_discrete(k, l) == expected
 
     def test_diagonal_matches_quadratic(self):
         # both piecewise branches agree with k^2+k-1 when k = l
         for k in range(2, 13):
-            assert formula_discrete(k, k).value == k * k + k - 1
+            assert formula_discrete(k, k) == k * k + k - 1
 
     @pytest.mark.parametrize("k,l", [(1, 5), (0, 2), (3, 2), (2, 1)])
     def test_rejects_bad_arities(self, k, l):
@@ -45,7 +41,7 @@ class TestFormulaContinuous:
         [(2, 3, 1, 7), (2, 2, 1, 5), (2, 3, 2, 14), (3, 4, Fraction(1, 2), 7)],
     )
     def test_values(self, k, l, gamma, expected):
-        assert formula_continuous(k, l, gamma).value == expected
+        assert formula_continuous(k, l, gamma) == expected
 
     def test_homogeneous_scaling(self):
         rng = random.Random(7)
@@ -54,8 +50,8 @@ class TestFormulaContinuous:
             l = rng.randint(k, 12)
             gamma = Fraction(rng.randint(1, 40), rng.randint(1, 40))
             assert (
-                formula_continuous(k, l, gamma).value
-                == gamma * formula_continuous(k, l, 1).value
+                formula_continuous(k, l, gamma)
+                == gamma * formula_continuous(k, l, 1)
             )
 
     def test_discrete_vs_continuous(self):
@@ -63,11 +59,11 @@ class TestFormulaContinuous:
         # strictly larger for k = 2, l >= 4 (3l-2 > 2l+1 only once l > 3).
         for k in range(3, 8):
             for l in range(k, 10):
-                assert formula_discrete(k, l).value == formula_continuous(k, l).value
-        assert formula_discrete(2, 2).value == formula_continuous(2, 2).value
-        assert formula_discrete(2, 3).value == formula_continuous(2, 3).value
+                assert formula_discrete(k, l) == formula_continuous(k, l)
+        assert formula_discrete(2, 2) == formula_continuous(2, 2)
+        assert formula_discrete(2, 3) == formula_continuous(2, 3)
         for l in range(4, 12):
-            assert formula_discrete(2, l).value > formula_continuous(2, l).value
+            assert formula_discrete(2, l) > formula_continuous(2, l)
 
     @pytest.mark.parametrize("gamma", [0, -1, Fraction(-3, 2)])
     def test_rejects_nonpositive_gamma(self, gamma):
@@ -82,7 +78,7 @@ class TestFormulaContinuous:
 class TestDegenerateK1:
     @pytest.mark.parametrize("l,expected", [(5, 5), (1, 1), (9, 9)])
     def test_values(self, l, expected):
-        assert formula_degenerate_k1(l).value == expected
+        assert formula_degenerate_k1(l) == expected
 
     def test_rejects_small_l(self):
         with pytest.raises(ValueError):
@@ -187,22 +183,12 @@ class TestCheckWitness:
         assert results == {True}
 
 
-class TestRadoValue:
-    def test_discrete_must_be_integer(self):
-        with pytest.raises(ValueError):
-            RadoValue(Fraction(7, 2), RadoKind.DISCRETE_FORMULA)
-        RadoValue(Fraction(7, 2), RadoKind.CONTINUOUS_FORMULA)
-
-    def test_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RadoValue(Fraction(0), RadoKind.SEARCH_EXACT)
-
-
 class TestVerdict:
     def test_witness_iff_found(self):
-        assert Verdict.valid().is_valid
-        with pytest.raises(ValueError):
-            Verdict(Verdict.valid().status, SolutionWitness.from_values(Color.RED, [1, 1], 2))
+        assert Verdict().is_valid and Verdict().as_json() == {"status": "Valid"}
+        w = SolutionWitness.from_values(Color.RED, [1, 1], 2)
+        assert not Verdict(w).is_valid
+        assert Verdict(w).as_json() == {"status": "WitnessFound", "witness": w.as_json()}
 
 
 class TestRationalStrings:

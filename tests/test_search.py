@@ -239,15 +239,6 @@ class TestComputeRado:
     def test_cap_exhaustion_reported(self):
         report = compute_rado(ProblemSpec(2, 2), max_n=4)
         assert report.value is None and report.extremal is None
-        with pytest.raises(ValueError):
-            report.rado_value
-
-    def test_typed_value(self):
-        from offrado.equations import RadoKind
-
-        report = compute_rado(ProblemSpec(2, 3))
-        assert report.rado_value.value == 7
-        assert report.rado_value.kind is RadoKind.SEARCH_EXACT
 
     def test_scan_records_every_n(self):
         report = compute_rado(ProblemSpec(2, 2), max_n=8, scan=True)

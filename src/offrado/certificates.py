@@ -12,13 +12,18 @@ Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  Builders never return unverified output.
 
-The replay keys each point by its reduced (numerator, denominator) pair and
-checks each witness on integers over the lcm of its own denominators, never
-over a scale common to the file, which an untrusted file could inflate.  One
-explicit stack walks the branch tree; every colored point goes on an undo
-trail, unwound at each split instead of copying the state.  Parsing uses an
-explicit stack too and reads each distinct literal once, so certificate depth
-is bounded by memory, not by the interpreter's recursion limit.
+A file is checked without building objects.  ``read_certificate`` is the one
+schema pass over the decoded JSON: it parses each distinct literal once, into
+the point's reduced (numerator, denominator) key, and returns plain tuples.
+``check_certificate`` runs the one replay over those tuples, which checks each
+witness on integers over the lcm of its own denominators, never over a scale
+common to the file, which an untrusted file could inflate, and puts every
+colored point on an undo trail, unwound at each split instead of copying the
+state.  The dataclasses are for the builders and the library:
+``verify_certificate`` and ``verify_branch`` turn them into the same tuples,
+and ``certificate_from_json`` builds them from the schema pass's output.
+Every walk over a branch tree uses an explicit stack, so certificate depth is
+bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
 from .serialize import exact_fraction, format_rational, parse_rational
+
+Key = tuple[int, int]  # a point's reduced (numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -117,121 +125,149 @@ def _branch_label(point: Fraction, color: Color) -> str:
     return f"{format_rational(point)}={color.value}"
 
 
-def _key(point: Fraction) -> tuple[int, int]:
+def _key(point: Fraction) -> Key:
     return point.numerator, point.denominator
 
 
-def _format_key(key: tuple[int, int]) -> str:
-    return format_rational(Fraction(*key))
+def _flatten(roots: Sequence, read) -> list[tuple]:
+    """Sibling branch trees as one list in pre-order, first child first: per
+    node (depth, point, color, steps, contradiction, child indices), from the
+    (point, color, steps, contradiction, children) that ``read`` gives.  In the
+    checker's node tuples the point is a key, a step is (point key, forced
+    color, witness), a witness is (color, ((key, multiplicity), ...), x0 key),
+    and a node ends in a contradiction witness or in two children, never both.
+    """
+    nodes: list[tuple] = []
+    stack = [(root, 0, None) for root in reversed(roots)]
+    while stack:
+        item, depth, siblings = stack.pop()
+        key, color, steps, contradiction, children = read(item)
+        if siblings is not None:
+            siblings.append(len(nodes))
+        kids: Optional[list[int]] = None if children is None else []
+        nodes.append((depth, key, color, steps, contradiction, kids))
+        if children is not None:
+            stack.extend((child, depth + 1, kids) for child in reversed(children))
+    return nodes
 
 
-def _witness_keys(
-    w: SolutionWitness, arity: int, bounds: tuple[int, int, int, int]
-) -> tuple[bool, bool, list[tuple[int, int]]]:
-    """Check one witness on integers: (sound, inside the domain end, keys).
+def _witness_tuple(w: SolutionWitness) -> tuple:
+    return w.color, tuple([((v.numerator, v.denominator), m) for v, m in w.left]), _key(w.x0)
 
-    ``sound`` is what ``check_witness`` decides: the arity, the sum over the
-    lcm of this witness's own denominators, and every value >= gamma by
-    cross-multiplication.  ``keys`` are its distinct points in ``points()``
-    order.
+
+def _read_node(node: BranchNode) -> tuple:
+    steps = tuple((_key(s.point), s.forced, _witness_tuple(s.witness)) for s in node.steps)
+    end = None if node.contradiction is None else _witness_tuple(node.contradiction)
+    return _key(node.point), node.color, steps, end, node.children
+
+
+def _witness_failure(
+    w: tuple, arity: tuple[int, int], bounds: tuple, state: dict, point: Optional[Key] = None
+) -> Optional[str]:
+    """Why a witness tuple fails, or None; a step's witness names the point
+    it forces, a contradiction names none.
+
+    Everything is checked on integers: what ``check_witness`` decides (the
+    arity, the sum over the lcm of this witness's own denominators, and
+    every value >= gamma), then every value <= the domain end, then that each
+    entry but the forced point already has the witness's color.
     """
     gn, gd, en, ed = bounds
-    xn, xd = x0 = _key(w.x0)
-    left = [(v.numerator, v.denominator, m) for v, m in w.left]
-    scale = lcm(xd, *[d for _, d, _ in left])
+    color, left, (xn, xd) = w
+    scale = lcm(xd, *[d for (_, d), _ in left])
     total = count = 0
     sound = gn * xd <= xn * gd
     inside = xn * ed <= en * xd
-    keys = []
-    for n, d, m in left:
+    for (n, d), m in left:
         total += m * n * (scale // d)
         count += m
         sound = sound and gn * d <= n * gd
         inside = inside and n * ed <= en * d
-        keys.append((n, d))
-    if x0 not in keys:
-        keys.append(x0)
-    return sound and count == arity and total == xn * (scale // xd), inside, keys
+    what = "contradiction" if point is None else "witness"
+    if not (sound and count == arity[color is Color.BLUE] and total == xn * (scale // xd)):
+        return f"{what} fails arithmetic, arity, or domain-start check"
+    if not inside:
+        return f"{what} uses a value beyond the domain end"
+    support = {(xn, xd), *[p for p, _ in left]}
+    if point is not None and point not in support:
+        return "forced point does not occur in its witness"
+    bad = {p for p in support if p != point and state.get(p) is not color}
+    if not bad:
+        return None
+    # the entry named is the first in ascending order, x0 last
+    in_left = [Fraction(*p) for p, _ in left if p in bad]
+    entry = format_rational(min(in_left) if in_left else Fraction(*bad.pop()))
+    if point is not None:
+        return f"entry {entry} is not already colored {color.value}"
+    return f"contradiction entry {entry} is not colored {color.value}"
 
 
-def _replay(
-    spec: ProblemSpec,
-    domain_end: Fraction,
-    roots: Sequence[BranchNode],
-    state: dict[tuple[int, int], Color],
-) -> CertificateCheck:
-    """Replay branch trees depth-first from ``state``, each root from the
-    same state, with one explicit stack and an undo trail: every point the
-    replay colors is recorded on the trail, and before a node is entered the
-    trail is unwound to the length it had at the node's split."""
+def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list, state: dict) -> CertificateCheck:
+    """Replay node tuples in their pre-order from ``state``, every root from
+    the same state.  Every point the replay colors goes on an undo trail, and
+    entering a node unwinds the trail to the length it had at its parent's
+    split."""
     bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
-    trail: list[tuple[int, int]] = []
-    chain: list[BranchNode] = []  # the nodes from a root down to the current one
-    stack = [(node, 0, 0) for node in reversed(roots)]  # (node, depth, trail mark)
+    arity = spec.k, spec.l
+    trail: list[Key] = []
+    marks = [0]  # marks[t]: the trail length that a node at depth t starts from
+    chain: list[tuple] = []  # the nodes from a root down to the current one
 
     def fail(step: Optional[int], reason: str) -> CertificateCheck:
-        return _fail(tuple(_branch_label(n.point, n.color) for n in chain), step, reason)
+        return _fail(tuple(_branch_label(Fraction(*n[1]), n[2]) for n in chain), step, reason)
 
-    while stack:
-        node, depth, mark = stack.pop()
-        while len(trail) > mark:
+    for node in nodes:
+        depth, key, color, steps, contradiction, kids = node
+        while len(trail) > marks[depth]:
             del state[trail.pop()]
         del chain[depth:]
         chain.append(node)
-        n, d = key = _key(node.point)
+        n, d = key
         if not (gn * d <= n * gd and n * ed <= en * d):
             return fail(None, "assumption point outside the domain")
         if key in state:
             return fail(None, "assumption point already colored")
-        state[key] = node.color
+        state[key] = color
         trail.append(key)
 
-        for index, step in enumerate(node.steps):
-            w = step.witness
-            if w.color is not step.forced.opposite:
+        for index, (point, forced, w) in enumerate(steps):
+            if w[0] is not forced.opposite:
                 return fail(index, "witness color must oppose the forced color")
-            sound, inside, keys = _witness_keys(w, spec.arity(w.color), bounds)
-            if not sound:
-                return fail(index, "witness fails arithmetic, arity, or domain-start check")
-            if not inside:
-                return fail(index, "witness uses a value beyond the domain end")
-            key = _key(step.point)
-            if key not in keys:
-                return fail(index, "forced point does not occur in its witness")
-            for entry in keys:
-                if entry != key and state.get(entry) is not w.color:
-                    return fail(
-                        index, f"entry {_format_key(entry)} is not already colored {w.color.value}"
-                    )
-            if key in state:
+            reason = _witness_failure(w, arity, bounds, state, point)
+            if reason:
+                return fail(index, reason)
+            if point in state:
                 return fail(index, "forced point already colored")
-            state[key] = step.forced
-            trail.append(key)
+            state[point] = forced
+            trail.append(point)
 
-        w = node.contradiction
-        if w is not None:
-            sound, inside, keys = _witness_keys(w, spec.arity(w.color), bounds)
-            if not sound:
-                return fail(None, "contradiction fails arithmetic, arity, or domain-start check")
-            if not inside:
-                return fail(None, "contradiction uses a value beyond the domain end")
-            for entry in keys:
-                if state.get(entry) is not w.color:
-                    return fail(
-                        None, f"contradiction entry {_format_key(entry)} is not colored {w.color.value}"
-                    )
+        if contradiction is not None:
+            reason = _witness_failure(contradiction, arity, bounds, state)
+            if reason:
+                return fail(None, reason)
             continue
 
-        first, second = node.children  # type: ignore[misc]
-        if first.point != second.point:
+        first, second = nodes[kids[0]], nodes[kids[1]]
+        if first[1] != second[1]:
             return fail(None, "children must split the same point")
-        if {first.color, second.color} != {Color.RED, Color.BLUE}:
+        if first[2] is second[2]:
             return fail(None, "children must assume opposite colors")
-        if _key(first.point) in state:
+        if first[1] in state:
             return fail(None, "split point already colored")
-        stack.append((second, depth + 1, len(trail)))
-        stack.append((first, depth + 1, len(trail)))
+        del marks[depth + 1:]
+        marks.append(len(trail))
     return CertificateCheck()
+
+
+def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
+    """Check a whole certificate's node tuples: both roots assume the left
+    endpoint, in opposite colors, and every branch replays."""
+    first, second = (node for node in nodes if node[0] == 0)
+    if {first[1], second[1]} != {_key(spec.gamma)}:
+        return _fail((), None, "root must branch on the left endpoint")
+    if first[2] is second[2]:
+        return _fail((), None, "root branches must assume opposite colors")
+    return _replay(spec, domain_end, nodes, {})
 
 
 def verify_branch(
@@ -242,7 +278,7 @@ def verify_branch(
 ) -> CertificateCheck:
     """Check a single branch under pre-colored ambient points."""
     state = {_key(exact_fraction(p)): c for p, c in ambient.items()}
-    return _replay(spec, exact_fraction(domain_end), (node,), state)
+    return _replay(spec, exact_fraction(domain_end), _flatten((node,), _read_node), state)
 
 
 def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
@@ -251,39 +287,26 @@ def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
     Verification depends only on the certificate's own content, so a
     round-tripped file checks identically to the freshly built object.
     """
-    spec = certificate.spec
-    first, second = certificate.root
-    if first.point != spec.gamma or second.point != spec.gamma:
-        return _fail((), None, "root must branch on the left endpoint")
-    if {first.color, second.color} != {Color.RED, Color.BLUE}:
-        return _fail((), None, "root branches must assume opposite colors")
-    return _replay(spec, certificate.domain_end, certificate.root, {})
+    nodes = _flatten(certificate.root, _read_node)
+    return check_certificate(certificate.spec, certificate.domain_end, nodes)
 
 
-def _nodes(certificate: ForcingCertificate) -> Iterator[BranchNode]:
-    stack = list(certificate.root)
-    while stack:
-        node = stack.pop()
-        yield node
-        if node.children is not None:
-            stack.extend(node.children)
+# a node's own fields, for the walks that need no witness tuples
+_fields = attrgetter("point", "color", "steps", "contradiction", "children")
 
 
 def certificate_stats(certificate: ForcingCertificate) -> dict:
     """Branch count and step count."""
-    branches = steps = 0
-    for node in _nodes(certificate):
-        branches += 1
-        steps += len(node.steps)
-    return {"branches": branches, "steps": steps}
+    nodes = _flatten(certificate.root, _fields)
+    return {"branches": len(nodes), "steps": sum(len(node[3]) for node in nodes)}
 
 
 def points_used(certificate: ForcingCertificate) -> list[str]:
     """Every point the certificate colors, ascending, as rational strings."""
     points: set[Fraction] = set()
-    for node in _nodes(certificate):
-        points.add(node.point)
-        points.update(step.point for step in node.steps)
+    for _, point, _, steps, _, _ in _flatten(certificate.root, _fields):
+        points.add(point)
+        points.update(step.point for step in steps)
     return [format_rational(p) for p in sorted(points)]
 
 
@@ -601,122 +624,139 @@ def certify_upper(
 # Serialization
 
 
-def _node_as_json(node: BranchNode) -> dict:
-    out: dict = {
-        "assume": {"point": format_rational(node.point), "color": node.color.value},
-        "steps": [
-            {
-                "point": format_rational(step.point),
-                "forced": step.forced.value,
-                "witness": step.witness.as_json(),
-            }
-            for step in node.steps
-        ],
-    }
-    if node.contradiction is not None:
-        out["contradiction"] = node.contradiction.as_json()
-    else:
-        out["children"] = [_node_as_json(child) for child in node.children]  # type: ignore[union-attr]
-    return out
-
-
-def _witness_from_json(obj, spec: ProblemSpec, rational) -> SolutionWitness:
-    witness = SolutionWitness.from_json(obj, rational)
-    if witness.total_multiplicity != spec.arity(witness.color):
-        raise ValueError(
-            f"witness arity {witness.total_multiplicity} does not match the "
-            f"{witness.color.value} equation of (k={spec.k}, l={spec.l})"
-        )
-    return witness
-
-
-def _nodes_from_json(objs: list, spec: ProblemSpec, rational) -> tuple[BranchNode, ...]:
-    """Parse sibling branch trees with an explicit stack.
-
-    The walk is pre-order, first child first, so the first schema error is
-    the one a recursive descent would meet.  Nodes are built afterwards in
-    reverse pre-order, where every node's children already exist.
-    """
-    parsed: list[tuple] = []  # (point, color, steps, contradiction, child indices)
-    roots: list[int] = []
-    stack = [(obj, roots) for obj in reversed(objs)]
-    while stack:
-        obj, siblings = stack.pop()
-        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
-            raise ValueError("branch node must carry assume and steps")
-        assume = obj["assume"]
-        if not isinstance(assume, dict) or set(assume) != {"point", "color"}:
-            raise ValueError("assume must carry exactly point and color")
-        try:
-            color = Color(assume["color"])
-        except ValueError:
-            raise ValueError(f"unknown color {assume['color']!r}") from None
-        point = rational(assume["point"])
-        if not isinstance(obj["steps"], list):
-            raise ValueError("steps must be a list")
-        steps = []
-        for item in obj["steps"]:
-            if not isinstance(item, dict) or set(item) != {"point", "forced", "witness"}:
-                raise ValueError("step must carry exactly point, forced, witness")
-            try:
-                forced = Color(item["forced"])
-            except ValueError:
-                raise ValueError(f"unknown color {item['forced']!r}") from None
-            forced_point = rational(item["point"])
-            witness = _witness_from_json(item["witness"], spec, rational)
-            steps.append(ForcingStep(forced_point, forced, witness))
-        has_contradiction = "contradiction" in obj
-        if has_contradiction == ("children" in obj):
-            raise ValueError("branch node must end in exactly one of contradiction or children")
-        siblings.append(len(parsed))
-        if has_contradiction:
-            contradiction = _witness_from_json(obj["contradiction"], spec, rational)
-            parsed.append((point, color, tuple(steps), contradiction, None))
-            continue
-        children = obj["children"]
-        if not (isinstance(children, list) and len(children) == 2):
-            raise ValueError("children must be a pair")
-        kids: list[int] = []
-        parsed.append((point, color, tuple(steps), None, kids))
-        stack.append((children[1], kids))
-        stack.append((children[0], kids))
-
-    nodes: list = [None] * len(parsed)
-    for index in reversed(range(len(parsed))):
-        point, color, steps, contradiction, kids = parsed[index]
-        if kids is None:
-            nodes[index] = BranchNode(point, color, steps, contradiction)
-        else:
-            pair = (nodes[kids[0]], nodes[kids[1]])
-            nodes[index] = BranchNode(point, color, steps, children=pair)
-    return tuple(nodes[i] for i in roots)
-
-
 def certificate_as_json(certificate: ForcingCertificate) -> dict:
-    return {
-        "spec": certificate.spec.as_json(),
-        "domain_end": format_rational(certificate.domain_end),
-        "root": [_node_as_json(node) for node in certificate.root],
-    }
+    """The file form of a certificate, emitted with an explicit stack."""
+    root: list[dict] = []
+    stack = [(node, root) for node in reversed(certificate.root)]
+    while stack:
+        node, siblings = stack.pop()
+        out: dict = {
+            "assume": {"point": format_rational(node.point), "color": node.color.value},
+            "steps": [
+                {"point": format_rational(s.point), "forced": s.forced.value,
+                 "witness": s.witness.as_json()}
+                for s in node.steps
+            ],
+        }
+        siblings.append(out)
+        if node.contradiction is not None:
+            out["contradiction"] = node.contradiction.as_json()
+        else:
+            out["children"] = children = []
+            stack.extend((child, children) for child in reversed(node.children))  # type: ignore
+    end = format_rational(certificate.domain_end)
+    return {"spec": certificate.spec.as_json(), "domain_end": end, "root": root}
 
 
-def certificate_from_json(obj) -> ForcingCertificate:
-    if not isinstance(obj, dict) or set(obj) != {"spec", "domain_end", "root"}:
+_COLORS = {color.value: color for color in Color}
+_ASSUME_KEYS, _STEP_KEYS = {"point", "color"}, {"point", "forced", "witness"}
+_WITNESS_KEYS = {"color", "left", "x0"}
+
+
+def _color(value) -> Color:
+    try:
+        return _COLORS[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or dict
+        raise ValueError(f"unknown color {value!r}") from None
+
+
+def read_certificate(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
+    """The schema pass over a decoded certificate file: its spec, its domain
+    end and its node tuples (see ``_flatten``), or a ValueError that names the
+    first rule the file breaks.
+
+    Rules are checked in this order: the certificate's keys, the spec, the
+    root pair, the domain end, then the nodes in pre-order, first child first.
+    A witness's left entries are checked in file order, then its x0, its
+    multiplicities and its arity.  Each distinct literal is parsed once, into
+    a reduced (numerator, denominator) key.  Nothing is built but the spec.
+    """
+    if not isinstance(obj, dict) or obj.keys() != {"spec", "domain_end", "root"}:
         raise ValueError("certificate must carry exactly spec, domain_end, root")
     spec = ProblemSpec.from_json(obj["spec"])
     root = obj["root"]
     if not (isinstance(root, list) and len(root) == 2):
         raise ValueError("root must be a pair of branch nodes")
-    literals: dict[str, Fraction] = {}
+    domain_end = parse_rational(obj["domain_end"])
+    keys: dict[str, Key] = {}
 
-    def rational(text) -> Fraction:
-        """``parse_rational``, run once per distinct literal of this file."""
-        if type(text) is not str:  # parse_rational raises ValueError on it
-            return parse_rational(text)
-        value = literals.get(text)
-        if value is None:
-            value = literals[text] = parse_rational(text)
-        return value
+    def key(text) -> Key:
+        try:
+            return keys[text]
+        except (KeyError, TypeError):
+            keys[text] = pair = _key(parse_rational(text))  # ValueError on a non-literal
+            return pair
 
-    domain_end = rational(obj["domain_end"])
-    return ForcingCertificate(spec, domain_end, _nodes_from_json(root, spec, rational))
+    def witness(obj) -> tuple:
+        if not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
+            raise ValueError("witness object must carry exactly color, left, x0")
+        color = _color(obj["color"])
+        left = obj["left"]
+        if not isinstance(left, list):
+            raise ValueError("witness left side must be a list of [value, multiplicity]")
+        pairs = []
+        for item in left:
+            # a JSON true is an int to isinstance, so the type is compared
+            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
+                raise ValueError(f"malformed left entry {item!r}")
+            pairs.append((key(item[0]), item[1]))
+        x0 = key(obj["x0"])
+        low = [m for _, m in pairs if m < 1]
+        if low:
+            raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
+        total = sum(m for _, m in pairs)
+        if total != (spec.k if color is Color.RED else spec.l):
+            raise ValueError(f"witness arity {total} does not match the {color.value} "
+                             f"equation of (k={spec.k}, l={spec.l})")
+        return color, tuple(pairs), x0
+
+    def node(obj) -> tuple:
+        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
+            raise ValueError("branch node must carry assume and steps")
+        assume = obj["assume"]
+        if not isinstance(assume, dict) or assume.keys() != _ASSUME_KEYS:
+            raise ValueError("assume must carry exactly point and color")
+        color = _color(assume["color"])
+        point = key(assume["point"])
+        if not isinstance(obj["steps"], list):
+            raise ValueError("steps must be a list")
+        steps = []
+        for item in obj["steps"]:
+            if not isinstance(item, dict) or item.keys() != _STEP_KEYS:
+                raise ValueError("step must carry exactly point, forced, witness")
+            forced = _color(item["forced"])
+            steps.append((key(item["point"]), forced, witness(item["witness"])))
+        has_contradiction = "contradiction" in obj
+        if has_contradiction == ("children" in obj):
+            raise ValueError("branch node must end in exactly one of contradiction or children")
+        if len(obj) != 3:
+            raise ValueError("branch node must carry nothing but assume, steps, and its ending")
+        if has_contradiction:
+            return point, color, tuple(steps), witness(obj["contradiction"]), None
+        children = obj["children"]
+        if not (isinstance(children, list) and len(children) == 2):
+            raise ValueError("children must be a pair")
+        return point, color, tuple(steps), None, children
+
+    return spec, domain_end, _flatten(root, node)
+
+
+def certificate_from_json(obj) -> ForcingCertificate:
+    """The certificate objects of a decoded file, built from the schema pass."""
+    spec, domain_end, nodes = read_certificate(obj)
+
+    def witness(w: tuple) -> SolutionWitness:
+        color, left, x0 = w
+        return SolutionWitness(color, tuple((Fraction(*p), m) for p, m in left), Fraction(*x0))
+
+    built: list = [None] * len(nodes)
+    for index in reversed(range(len(nodes))):  # every node's children exist already
+        _, key, color, steps, contradiction, kids = nodes[index]
+        steps = tuple(ForcingStep(Fraction(*p), forced, witness(w)) for p, forced, w in steps)
+        if kids is None:
+            built[index] = BranchNode(Fraction(*key), color, steps, witness(contradiction))
+        else:
+            pair = (built[kids[0]], built[kids[1]])
+            built[index] = BranchNode(Fraction(*key), color, steps, children=pair)
+    root = tuple(built[i] for i, node in enumerate(nodes) if node[0] == 0)
+    return ForcingCertificate(spec, domain_end, root)

@@ -145,27 +145,6 @@ class SolutionWitness:
             "x0": format_rational(self.x0),
         }
 
-    @classmethod
-    def from_json(cls, obj, parse=parse_rational) -> "SolutionWitness":
-        """``parse`` reads each rational literal; it must raise ValueError on
-        anything that is not one."""
-        if not isinstance(obj, dict) or set(obj) != {"color", "left", "x0"}:
-            raise ValueError("witness object must carry exactly color, left, x0")
-        try:
-            color = Color(obj["color"])
-        except ValueError:
-            raise ValueError(f"unknown color {obj['color']!r}") from None
-        left = obj["left"]
-        if not isinstance(left, list):
-            raise ValueError("witness left side must be a list of [value, multiplicity]")
-        pairs = []
-        for item in left:
-            # a JSON true is an int to isinstance, so the type is compared
-            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
-                raise ValueError(f"malformed left entry {item!r}")
-            pairs.append((parse(item[0]), item[1]))
-        return cls(color, tuple(pairs), parse(obj["x0"]))
-
 
 def formula_discrete(k: int, l: int) -> int:
     """Known integer value: 3l-1 (k=2, l even), 3l-2 (k=2, l odd >= 3), else kl+k-1."""

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import time
 from fractions import Fraction
@@ -19,14 +21,18 @@ from offrado.certificates import (
     build_k2_certificate,
     certificate_as_json,
     certificate_from_json,
+    certificate_stats,
     certify_upper,
+    check_certificate,
     points_used,
+    read_certificate,
     residue_params,
     verify_branch,
     verify_certificate,
     _branch_label,
     _fail,
 )
+from offrado import cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
 from offrado.search import search_valid
 from offrado.serialize import canonical_json, format_rational, parse_rational
@@ -349,6 +355,7 @@ class TestSerialization:
             lambda d: d["root"][0].update(children=[]),
             lambda d: d["spec"].pop("gamma"),
             lambda d: d["spec"].update(note="x"),
+            lambda d: d["root"][0].update(note="hello"),
         ],
     )
     def test_schema_violations(self, mutate):
@@ -540,7 +547,21 @@ def reference_verify_certificate(certificate):
 
 
 def reference_witness_from_json(obj, spec):
-    witness = SolutionWitness.from_json(obj)
+    if not isinstance(obj, dict) or set(obj) != {"color", "left", "x0"}:
+        raise ValueError("witness object must carry exactly color, left, x0")
+    try:
+        color = Color(obj["color"])
+    except ValueError:
+        raise ValueError(f"unknown color {obj['color']!r}") from None
+    left = obj["left"]
+    if not isinstance(left, list):
+        raise ValueError("witness left side must be a list of [value, multiplicity]")
+    pairs = []
+    for item in left:
+        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
+            raise ValueError(f"malformed left entry {item!r}")
+        pairs.append((parse_rational(item[0]), item[1]))
+    witness = SolutionWitness(color, tuple(pairs), parse_rational(obj["x0"]))
     if witness.total_multiplicity != spec.arity(witness.color):
         raise ValueError(
             f"witness arity {witness.total_multiplicity} does not match the "
@@ -579,6 +600,8 @@ def reference_node_from_json(obj, spec):
     has_children = "children" in obj
     if has_contradiction == has_children:
         raise ValueError("branch node must end in exactly one of contradiction or children")
+    if len(obj) != 3:
+        raise ValueError("branch node must carry nothing but assume, steps, and its ending")
     if has_contradiction:
         witness = reference_witness_from_json(obj["contradiction"], spec)
         return BranchNode(point, color, tuple(steps), witness)
@@ -782,6 +805,7 @@ def test_replay_matches_the_recursive_reference(cert, data):
     assert parsed == _outcome(reference_certificate_from_json, doc)
     if not isinstance(parsed, str):
         assert verify_certificate(parsed) == verify_certificate(cert)
+        assert check_certificate(*read_certificate(doc)) == verify_certificate(cert)
 
 
 def test_property_bases_verify_and_some_split():
@@ -794,7 +818,7 @@ def test_property_bases_verify_and_some_split():
     assert sum(any(node.children for _, node in _nodes(cert)) for cert in BASES) >= 4
 
 
-JUNK = (None, True, 3, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")
+JUNK = (None, True, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")
 
 
 @st.composite
@@ -830,6 +854,30 @@ def test_parse_matches_the_recursive_reference_on_damaged_files(doc):
     assert got == _outcome(reference_certificate_from_json, doc)
     if not isinstance(got, str):
         assert verify_certificate(got) == reference_verify_certificate(got)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(damaged_documents())
+def test_command_matches_the_recursive_reference_on_damaged_files(doc):
+    # verify-certificate exits as the reference parse and replay imply: a
+    # schema error is InvalidInput (64), never WitnessFound (1)
+    try:
+        cert = reference_certificate_from_json(doc)
+    except ValueError as exc:
+        expected = (64, {"error": str(exc)})
+    else:
+        check = reference_verify_certificate(cert)
+        if check.ok:
+            end = format_rational(cert.domain_end)
+            expected = (0, {"verified": True, "domain_end": end, **certificate_stats(cert)})
+        else:
+            failure = dataclasses.asdict(check.failure)
+            expected = (1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))})
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_read_json", lambda path: doc)
+        code = cli.main(["verify-certificate", "--file", "damaged.json"])
+    assert (code, json.loads(out.getvalue())["payload"]) == expected
 
 
 def _first_primes(count):

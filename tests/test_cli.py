@@ -8,12 +8,42 @@ from pathlib import Path
 
 import pytest
 
-from offrado.certificates import build_k2_certificate, certificate_as_json, certificate_stats
+from offrado.certificates import (
+    BranchNode,
+    ForcingStep,
+    build_k2_certificate,
+    certificate_as_json,
+    certificate_from_json,
+    certificate_stats,
+)
 from offrado.cli import main
+from offrado.equations import Color, SolutionWitness
 from offrado.serialize import canonical_json
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def same_document(a, b) -> bool:
+    """JSON equality by an explicit stack: == recurses, and deep documents
+    overflow it."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, dict):
+            if x.keys() != y.keys():
+                return False
+            stack.extend((x[key], y[key]) for key in x)
+        elif isinstance(x, list):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 def run_cli(capsys, *argv):
@@ -260,9 +290,9 @@ class TestCertificatePipeline:
 
     def test_nesting_too_deep_for_recursion_is_read_and_checked(self, capsys, monkeypatch):
         # Interpreters whose json.loads recursion limit is separate from the
-        # Python one read files nested past it.  Parse and replay use explicit
-        # stacks, so such a parsed object (4000 split levels) is checked like
-        # any other: handed straight to the command, it verifies.
+        # Python one read files nested past it.  Parse, replay and emission
+        # use explicit stacks, so such a parsed object (4000 split levels) is
+        # checked like any other: handed straight to the command, it verifies.
         base = certificate_stats(build_k2_certificate(3))
         valid, points = self.spine_document(4000)
         monkeypatch.setattr("offrado.cli._read_json", lambda path: valid)
@@ -272,6 +302,11 @@ class TestCertificatePipeline:
             "verified": True, "domain_end": "7",
             "branches": base["branches"] + 2 * 4000, "steps": base["steps"],
         }
+        # its objects emit the same document, which reads and replays the same
+        emitted = certificate_as_json(certificate_from_json(valid))
+        assert same_document(emitted, valid)
+        monkeypatch.setattr("offrado.cli._read_json", lambda path: emitted)
+        assert run_cli(capsys, "verify-certificate", "--file", "deep.json") == (code, out)
         # a broken contradiction at split 3999 is reported at its full path
         tampered, points = self.spine_document(4000, tamper_level=3999)
         monkeypatch.setattr("offrado.cli._read_json", lambda path: tampered)
@@ -282,6 +317,20 @@ class TestCertificatePipeline:
         assert failure["path"] == ["1=red"] + [f"{p}=blue" for p in points[:3998]] + [f"{points[3998]}=red"]
         assert failure["step_index"] is None
         assert failure["reason"] == "contradiction fails arithmetic, arity, or domain-start check"
+
+    def test_verify_certificate_builds_no_certificate_objects(self, capsys, monkeypatch):
+        # the command checks the decoded file's tuples; objects are for the
+        # builders and the library
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for cls in (SolutionWitness, ForcingStep, BranchNode):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        for path in sorted(DATA.glob("certificate-*.json")):
+            code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+            assert code == 0 and out["payload"]["verified"] is True
+        with pytest.raises(AssertionError, match="SolutionWitness was built"):
+            SolutionWitness(Color.RED, (), Fraction(1))
 
 
 class TestFileSystemErrors:

@@ -13,7 +13,16 @@ from offrado.equations import (
     formula_degenerate_k1,
     formula_discrete,
 )
+from offrado.certificates import build_k2_certificate, certificate_as_json, certificate_from_json
 from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational
+
+
+def read_back(witness_json):
+    """A witness read from JSON by the certificate reader, the only one: it
+    stands in for the contradiction of the (2,3) certificate's red branch."""
+    doc = certificate_as_json(build_k2_certificate(3))
+    doc["root"][0]["contradiction"] = witness_json
+    return certificate_from_json(doc).root[0].contradiction
 
 
 class TestFormulaDiscrete:
@@ -131,13 +140,13 @@ class TestSolutionWitness:
 
     def test_json_round_trip(self):
         w = SolutionWitness(Color.BLUE, ((Fraction(3, 2), 2), (Fraction(2), 1)), Fraction(5))
-        assert SolutionWitness.from_json(w.as_json()) == w
+        assert read_back(w.as_json()) == w
 
     @pytest.mark.parametrize("left", [[["1", True]], [["1", 1], ["2", True]]])
     def test_from_json_rejects_boolean_multiplicity(self, left):
         # a JSON true read as multiplicity 1 would not survive the round trip
-        with pytest.raises(ValueError):
-            SolutionWitness.from_json({"color": "red", "left": left, "x0": "3"})
+        with pytest.raises(ValueError, match="malformed left entry"):
+            read_back({"color": "red", "left": left, "x0": "3"})
 
 
 class TestCheckWitness:

@@ -240,7 +240,11 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_verify_certificate)
 
     p = sub.add_parser("reproduce", help="run the whole verification suite")
-    p.add_argument("--full", action="store_true", help="heavyweight ranges (a few seconds more)")
+    p.add_argument(
+        "--full", action="store_true",
+        help="wider ranges: formula table to (5,5), lower bounds to kl=10, certificates "
+        "to (2,10) and (5,5), search oracle to n=18, 500 sumset-oracle instances",
+    )
     p.set_defaults(handler=cmd_reproduce)
 
     return parser

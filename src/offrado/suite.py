@@ -8,6 +8,7 @@ selects the heavyweight ranges (the complete formula table through (5,5), all
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -267,26 +268,57 @@ def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int, rng: random.Rando
     """Is every sum of m member samples of ``a`` a member of ``sums``?
 
     All multisets of samples when there are at most 2000, else 2000 random
-    m-tuples.  Samples are scaled to integers over their common denominator so
-    each combination is summed as ints; ``sums.contains`` judges each distinct
-    total once.  Stops at the first miss, so ``rng`` advances exactly as far
-    as it would for ``all(sums.contains(sum(c)) for c in combos)``.
+    m-tuples.  Stops at the first miss.  Verdicts and draws are those of
+    ``all(sums.contains(sum(c)) for c in combos)`` with each random tuple
+    ``tuple(rng.choice(samples) for _ in range(m))``, on plain ints:
+
+    - A random index is drawn by CPython's ``Random._randbelow_with_getrandbits``
+      rejection loop, inlined on a bound ``rng.getrandbits`` in
+      ``_random_totals``, so ``rng`` advances exactly as ``rng.choice`` would.
+      The loop is the same in CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0,
+      where this was checked.  Each tuple's total is added up as it is drawn.
+    - Samples and the endpoints of ``sums`` are scaled to ints over one common
+      denominator, so each distinct total is judged once by ``bisect`` and
+      int comparisons, with the closure flags as they are.
     """
     samples = sorted({x for iv in a.intervals for x in _interval_samples(iv)})
-    scale = math.lcm(*(x.denominator for x in samples))
-    scaled = [x.numerator * (scale // x.denominator) for x in samples]
+    ends = [x for iv in sums.intervals for x in (iv.lo, iv.hi)]
+    scale = math.lcm(*(x.denominator for x in samples + ends))
+    scaled = [int(x * scale) for x in samples]  # exact: scale is a multiple of each denominator
+    pieces = [(int(iv.lo * scale), int(iv.hi * scale), iv.lo_closed, iv.hi_closed) for iv in sums.intervals]
+    los = [lo for lo, _, _, _ in pieces]
     if len(scaled) ** m <= 2000:
-        combos = combinations_with_replacement(scaled, m)
+        totals = map(sum, combinations_with_replacement(scaled, m))
     else:
-        combos = (tuple(rng.choice(scaled) for _ in range(m)) for _ in range(2000))
+        totals = _random_totals(scaled, m, rng)
     seen = set()
-    for combo in combos:
-        total = sum(combo)
+    for total in totals:
         if total not in seen:
-            if not sums.contains(Fraction(total, scale)):
+            i = bisect.bisect_right(los, total) - 1
+            if i < 0:
+                return False
+            lo, hi, lo_closed, hi_closed = pieces[i]
+            if total > hi or (total == hi and not hi_closed) or (total == lo and not lo_closed):
                 return False
             seen.add(total)
     return True
+
+
+def _random_totals(scaled: list[int], m: int, rng: random.Random):
+    """The totals of 2000 m-tuples ``tuple(rng.choice(scaled) for _ in
+    range(m))``, drawn lazily and exactly as those ``choice`` calls draw them
+    (see ``_sample_sums_in``)."""
+    n = len(scaled)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(2000):
+        total = 0
+        for _ in range(m):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            total += scaled[r]
+        yield total
 
 
 def _fold(combo) -> Interval:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -823,21 +824,48 @@ JUNK = (None, True, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "
 
 @st.composite
 def damaged_documents(draw):
-    """Certificate JSON with one to three values replaced, deleted or junked."""
-    doc = json.loads(canonical_json(certificate_as_json(draw(st.sampled_from(BASES)))))
+    """Certificate JSON with one to three values replaced, deleted or junked.
+
+    Junk, deletions and swaps mostly break the schema (exit 64); recoloring a
+    forced step, replacing a literal by another rational inside the domain and
+    dropping a step keep it, so those files reach the replay (exit 0 or 1).
+    """
+    base = draw(st.sampled_from(BASES))
+    doc = json.loads(canonical_json(certificate_as_json(base)))
     for _ in range(draw(st.integers(1, 3))):
-        places, stack = [], [doc]
+        places, steps, literals, stack = [], [], [], [doc]
         while stack:
             container = stack.pop()
             keys = container if isinstance(container, dict) else range(len(container))
             for key in keys:
+                value = container[key]
                 places.append((container, key))
-                if isinstance(container[key], (dict, list)):
-                    stack.append(container[key])
+                if key in ("point", "x0") and isinstance(value, str):
+                    literals.append((container, key))
+                elif key == "left" and isinstance(value, list):
+                    literals += [(item, 0) for item in value if isinstance(item, list) and item]
+                elif key == "steps" and isinstance(value, list):
+                    steps += [(value, i) for i in range(len(value))]
+                if isinstance(value, (dict, list)):
+                    stack.append(value)
         if not places:  # every key was deleted
             break
+        action = draw(st.sampled_from(("junk", "delete", "swap", "recolor", "literal", "literal", "drop-step")))
+        if action == "literal" and literals:
+            parent, key = draw(st.sampled_from(literals))
+            d = draw(st.integers(1, 3))
+            low, high = math.ceil(base.spec.gamma * d), math.floor(base.domain_end * d)
+            parent[key] = format_rational(Fraction(draw(st.integers(low, high)), d))
+            continue
+        if action in ("recolor", "drop-step") and steps:
+            parent, i = draw(st.sampled_from(steps))
+            step = parent[i]
+            if action == "drop-step":
+                del parent[i]
+            elif isinstance(step, dict) and step.get("forced") in ("red", "blue"):
+                step["forced"] = {"red": "blue", "blue": "red"}[step["forced"]]
+            continue
         parent, key = draw(st.sampled_from(places))
-        action = draw(st.sampled_from(("junk", "junk", "delete", "swap")))
         if action == "delete" and isinstance(parent, dict):
             del parent[key]
         elif action == "swap" and isinstance(parent, list) and len(parent) > 1:

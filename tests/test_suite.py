@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from offrado import suite
 from offrado.intervals import Interval, IntervalSet, m_fold_sumset, normalize
-from offrado.suite import _interval_samples, _sample_sums_in, random_interval_set
+from offrado.suite import _interval_samples, _sample_sums_in, check_sumset_oracle, random_interval_set
+
+property_settings = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
 def member_sample_verdict(sums, a, m, rng):
@@ -93,3 +97,80 @@ class TestSampleSums:
         assert _sample_sums_in(sums, a, 2, random.Random(0))
         near = normalize([Interval.point(Fraction(2, 3)), Interval.point(Fraction(5, 6))])
         assert not _sample_sums_in(near, a, 2, random.Random(0))
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 40 distinct points (one sample each), m in 1..4, and a sumset
+    holding every total, so the walk never stops early.  Both are drawn
+    evenly, so n = 1 and powers of two come up; random tuples are drawn from
+    7 or more samples when m = 4, from 13 or more when m = 3."""
+    n = draw(st.sampled_from(range(1, 41)))
+    m = draw(st.sampled_from(range(1, 5)))
+    gen = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = [Fraction(v, 6) for v in gen.sample(range(120), n)]
+    a = normalize([Interval.point(v) for v in values])
+    cover = normalize([Interval(m * min(values), m * max(values), True, True)])
+    return a, m, cover
+
+
+@st.composite
+def unrelated_sumsets(draw):
+    """A seeded ``a`` (a random interval set and up to 12 points, so that
+    random tuples are drawn often) and m, and a sumset not built from them: a
+    second random interval set or the true sumset, plus intervals whose open
+    or closed ends lie exactly on sums of m samples."""
+    gen = random.Random(draw(st.integers(0, 2**32 - 1)))
+    points = [Interval.point(Fraction(gen.randint(0, 90), gen.randint(1, 9)))
+              for _ in range(draw(st.integers(0, 12)))]
+    a = normalize(list(random_interval_set(gen).intervals) + points)
+    m = draw(st.integers(1, 4))
+    samples = sorted({x for iv in a.intervals for x in _interval_samples(iv)})
+    totals = sorted({(m - 1) * x + y for x in samples for y in samples})
+    if draw(st.booleans()):
+        pieces = list(m_fold_sumset(a, m).intervals)
+    else:
+        pieces = list(random_interval_set(gen, max_denominator=draw(st.integers(1, 12))).intervals)
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.sampled_from(totals)) for _ in range(2))
+        if lo == hi:
+            pieces.append(Interval.point(lo))
+        else:
+            pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return a, m, normalize(pieces), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampleSumsDraws:
+    @property_settings
+    @given(point_sets(), st.integers(0, 2**32 - 1))
+    def test_inline_draws_match_rng_choice(self, case, seed):
+        a, m, cover = case
+        old_rng, new_rng = random.Random(seed), random.Random(seed)
+        assert member_sample_verdict(cover, a, m, old_rng)
+        assert _sample_sums_in(cover, a, m, new_rng)
+        assert new_rng.getstate() == old_rng.getstate()
+
+    @property_settings
+    @given(unrelated_sumsets())
+    def test_integer_membership_is_exact(self, case):
+        a, m, sums, seed = case
+        same_verdict_and_draws(sums, a, m, seed)
+
+    def test_oracle_draw_stream_matches_reference(self, monkeypatch):
+        # The oracle's report reads "all instances agree" whatever it draws,
+        # so the pinned reproduce output cannot see a changed draw stream.
+        def recorded(route, log):
+            def run(sums, a, m, rng):
+                verdict = route(sums, a, m, rng)
+                log.append((verdict, rng.getstate()))
+                return verdict
+            return run
+
+        logs = {}
+        for name, route in (("new", _sample_sums_in), ("reference", member_sample_verdict)):
+            logs[name] = []
+            monkeypatch.setattr(suite, "_sample_sums_in", recorded(route, logs[name]))
+            assert check_sumset_oracle(500, seed=20250810)[0].ok
+        assert len(logs["new"]) == 500
+        for trial, (new, old) in enumerate(zip(logs["new"], logs["reference"])):
+            assert new == old, trial

@@ -9,6 +9,7 @@ decimals are refused because they are not exactly what they look like.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -157,8 +158,16 @@ def cmd_certify_upper(args) -> dict:
 
 
 def cmd_verify_certificate(args) -> dict:
-    spec, domain_end, nodes = read_certificate(_read_json(args.file))
-    check = check_certificate(spec, domain_end, nodes)
+    # The read path builds only acyclic tuples, so the cyclic collector would
+    # only re-walk the whole decoded document each time allocations trigger it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        spec, domain_end, nodes = read_certificate(_read_json(args.file))
+        check = check_certificate(spec, domain_end, nodes)
+    finally:
+        if collecting:
+            gc.enable()
     spec_json = spec.as_json()
     if check.ok:
         payload = {
@@ -206,7 +215,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("discrete", help="exact search over {1..n}")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.add_argument("--max-n", type=int, default=None, help="hard scan cap (default formula+5)")
+    p.add_argument("--max-n", type=int, default=None, help="hard search cap (default formula+5)")
     p.add_argument("--no-propagation", action="store_true", help="2^n brute-force oracle mode")
     p.add_argument("--scan", action="store_true", help="record colorability for every n up to the cap")
     p.set_defaults(handler=cmd_discrete)

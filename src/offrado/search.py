@@ -3,12 +3,13 @@
 The search is ``propagation.dpll`` on a ``SumsetSystem``: lowest uncolored
 integer first, red before blue, so extremal colorings and node counts are
 reproducible.  Unit forcing is read from the m-fold sumsets of each color
-class, so no n of the scan lists its clauses.  A ``DiscreteColoring`` holds the
+class, so no searched n lists its clauses.  A ``DiscreteColoring`` holds the
 kernel's own (red, blue) bitmasks, bit i for the integer i, so models,
 re-checks and propagation pass masks without converting.  Two checks share no
 inference code with the search: ``is_valid_discrete`` re-checks a coloring
-with plain set sums, and a bit-sliced sweep over all 2^n colorings, on plain
-ints, serves as the independent oracle (and as the ``--no-propagation`` mode).
+with its own shift-OR sumsets, and a bit-sliced sweep over all 2^n colorings,
+on plain ints, serves as the independent oracle (and as the
+``--no-propagation`` mode).
 """
 
 from __future__ import annotations
@@ -176,32 +177,38 @@ def _system(k: int, l: int, n: int) -> SumsetSystem:
     return SumsetSystem(k, l, 1, n)
 
 
-def _has_solution(members: set[int], m: int, n: int) -> bool:
-    """Whether some m members of ``members`` (repeats allowed) sum to a member,
-    by plain set sums: the re-check shares no code with the kernel."""
-    sums = {0}
+def _sums_hit(own: int, m: int, n: int) -> bool:
+    """Whether some m members of the mask ``own`` (repeats allowed) sum to a
+    member.  Bit s of ``sums`` is set when j members sum to s; each round
+    shift-ORs it by every member and cuts it at n.  Written apart from
+    ``propagation``'s layers, so the re-check shares no code with the kernel."""
+    members = [x for x in range(1, n + 1) if own >> x & 1]
+    cut = (1 << (n + 1)) - 1
+    sums = 1
     for _ in range(m):
-        sums = {s + x for s in sums for x in members if s + x <= n}
-    return not sums.isdisjoint(members)
+        sums = reduce(or_, (sums << x for x in members), 0) & cut
+        if not sums:
+            return False
+    return bool(sums & own)
 
 
 def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
     """WitnessFound on the first all-red k-solution or all-blue l-solution,
     in enumeration order (red stream first); Valid otherwise.
 
-    The verdict comes from m-fold sums of each color class as Python sets;
-    only the first color with a hit has its solutions walked, lazily, to name
-    the first witness.
+    The verdict comes from m-fold sums of each color mask on plain ints; only
+    the first color with a hit has its solutions walked, lazily, to name the
+    first witness.
     """
     if not coloring.is_total:
         raise ValueError("coloring must be total")
     for color, own in ((Color.RED, coloring.red), (Color.BLUE, coloring.blue)):
         m = spec.arity(color)
-        if _has_solution(set(coloring.values_of(color)), m, coloring.n):
+        if _sums_hit(own, m, coloring.n):
             for clause in solution_clauses(color, m, 1, coloring.n):
                 if clause.mask & ~own == 0:
                     return Verdict(clause.witness())
-            raise RuntimeError("set sums and solution enumeration disagree")
+            raise RuntimeError("sumsets and solution enumeration disagree")
     return Verdict()
 
 
@@ -326,16 +333,28 @@ def compute_rado(
     propagation: bool = True,
     scan: bool = False,
 ) -> SearchReport:
-    """Least n whose colorings all contain a monochromatic solution.
+    """Least n <= cap whose colorings all contain a monochromatic solution.
 
-    Scans n = 1, 2, ... and takes the first uncolorable n.  Colorability is
-    downward closed: a valid coloring of {1..n+1}, restricted to {1..n}, is
-    still valid, because every solution inside {1..n} lies inside {1..n+1}.
-    So every n past the first uncolorable one is uncolorable too.  The
-    preceding n's coloring is kept as the extremal witness and re-checked
+    Colorability is downward closed: a valid coloring of {1..n+1}, restricted
+    to {1..n}, is still valid, because every solution inside {1..n} lies
+    inside {1..n+1}.  So the colorable n are 1..v-1 and the value is v: a
+    colorable v-1 and an uncolorable v decide it, whatever any other n does.
+
+    The search starts at the formula value f (at the cap, if that is lower).
+    When the formula holds, f is uncolorable and f-1 colorable: two searches.
+    Otherwise it gallops away from f, to f-1, f-3, f-7, ... while the n stay
+    uncolorable, or to f+1, f+3, f+7, ... while they stay colorable, within
+    [1, cap]; then it bisects between the largest colorable n and the least
+    uncolorable n seen.  By downward closure every n below a colorable one is
+    colorable and every n above an uncolorable one is not, so each step drops
+    only n whose answer is already known, and the result is the scan's.  If
+    the cap is colorable the value is unproved (None).
+
+    The extremal witness is the model ``search_valid`` returns at v-1, which
+    depends on that n alone, so it is the scan's too; it is re-checked
     independently of the search.  The formula value is compared, never
-    trusted: a mismatch is reported as data.  With ``scan`` the walk
-    continues to the cap and records every n.
+    trusted: a mismatch is reported as data.  With ``scan`` the search walks
+    n = 1, 2, ... to the cap instead and records every n.
     """
     formula = formula_discrete(spec.k, spec.l)
     cap = max_n if max_n is not None else formula + 5
@@ -344,17 +363,36 @@ def compute_rado(
     stats = SearchStats()
     started = time.perf_counter()
     records: list[tuple[int, bool]] = []
-    value: Optional[int] = None
-    extremal = previous = None  # the coloring of value - 1, and of n - 1
-    for n in range(1, cap + 1):
-        found = search_valid(n, spec, propagation=propagation, stats=stats)
-        records.append((n, found is not None))
-        if found is None and value is None:
-            value, extremal = n, previous
-            if not scan:
-                break
-        previous = found
+    # colorable at lo (0: no points), uncolorable at hi (cap + 1: none seen);
+    # below is the coloring found at lo
+    lo, hi, below = 0, cap + 1, None
+    if scan:
+        for n in range(1, cap + 1):
+            found = search_valid(n, spec, propagation=propagation, stats=stats)
+            records.append((n, found is not None))
+            if found is None:
+                hi = min(hi, n)
+            elif n < hi:
+                lo, below = n, found
+    else:
+        n, step, up, galloping = min(formula, cap), 1, None, True
+        while hi - lo > 1:
+            found = search_valid(n, spec, propagation=propagation, stats=stats)
+            if found is None:
+                hi = n
+            else:
+                lo, below = n, found
+            if up is None:  # the first answer sets the gallop's direction
+                up = found is not None
+            galloping = galloping and (found is not None) is up
+            if galloping:
+                n = min(n + step, cap) if up else max(n - step, 1)
+                step *= 2
+            else:
+                n = (lo + hi) // 2
     stats.elapsed_seconds = time.perf_counter() - started
+    value = hi if hi <= cap else None
+    extremal = below if value is not None else None
 
     if value is not None and value > 1:
         if extremal is None or not is_valid_discrete(extremal, spec).is_valid:

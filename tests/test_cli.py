@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from offrado.certificates import (
     certificate_from_json,
     certificate_stats,
 )
+from offrado import cli
 from offrado.cli import main
 from offrado.equations import Color, SolutionWitness
 from offrado.serialize import canonical_json
@@ -121,12 +123,13 @@ class TestDiscrete:
         )
 
     def test_oracle_mode_output_pinned(self, capsys):
-        # the 2^n sweep visits every coloring of each n it tries: 2 + 4 + ... + 2^7
+        # the 2^n sweep visits every coloring of each n it searches: the
+        # formula value 7, then 6
         code, doc = run_cli(capsys, "discrete", "2", "3", "--no-propagation")
         assert code == 0
         stats = doc["payload"].pop("stats")
         assert stats.pop("elapsed_seconds") >= 0
-        assert stats == {"nodes_explored": sum(1 << n for n in range(1, 8)), "propagations": 0}
+        assert stats == {"nodes_explored": (1 << 7) + (1 << 6), "propagations": 0}
         assert doc == {
             "command": "discrete",
             "payload": {
@@ -333,6 +336,44 @@ class TestCertificatePipeline:
             SolutionWitness(Color.RED, (), Fraction(1))
 
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_collector_paused_while_checking_and_restored(
+        self, capsys, tmp_path, monkeypatch, collecting
+    ):
+        tampered = tmp_path / "tampered.json"
+        run_cli(capsys, "certify-upper", "2", "3", "--out", str(tampered))
+        doc = json.loads(tampered.read_text())
+        doc["root"][0]["steps"][0]["forced"] = "red"
+        tampered.write_text(canonical_json(doc))
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"spec": ')
+        seen = []
+        check = cli.check_certificate
+
+        def recording_check(*args):
+            seen.append(gc.isenabled())
+            return check(*args)
+
+        monkeypatch.setattr(cli, "check_certificate", recording_check)
+        before = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            cases = (
+                (DATA / "certificate-4-6.json", 0),
+                (tampered, 1),
+                (broken, 64),
+                (tmp_path / "missing.json", 64),
+                (DATA, 64),
+            )
+            for path, expected in cases:
+                code, _ = run_cli(capsys, "verify-certificate", "--file", str(path))
+                assert code == expected
+                assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False, False]
+
+
 class TestFileSystemErrors:
     """An unreadable or unwritable path is InvalidInput (64), never a crash
     that exits 1, which would read as WitnessFound."""
@@ -369,7 +410,7 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-            "8edaeb3e067ce6163150655ea87a21f1b23df31cf04b2cec0ce9eab19400a270"
+            "0e15347e31affacf3c35dfa594975e8db05bc5e3588f1bbcf2da2ab8e1fa0239"
         )
 
 

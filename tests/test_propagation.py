@@ -104,22 +104,28 @@ class TestGenerator:
 
 
 # (k, l) -> value, nodes explored, propagations, red half of the extremal coloring.
-# Propagations count the forcings made before each conflict, which depends on
-# the kernel's forcing order; values, nodes and colorings do not.
+# The search visits n = f and n = f - 1 only, so nodes and propagations count
+# those two searches.  Propagations count the forcings made before each
+# conflict, which depends on the kernel's forcing order; values, nodes and
+# colorings do not.
 PINNED_SEARCH = {
-    (2, 10): (29, 127, 318, [1, 3, 5, 7, 9, 20, 22, 24, 26, 28]),
-    (3, 7): (23, 96, 185, [1, 2, 8, 9, 14, 15, 21, 22]),
-    (4, 5): (23, 80, 186, [1, 2, 3, 20, 21, 22]),
-    (4, 6): (27, 107, 263, [1, 2, 3, 13, 14, 24, 25, 26]),
-    (5, 5): (29, 112, 308, [1, 2, 3, 4, 25, 26, 27, 28]),
-    (5, 6): (34, 152, 423, [1, 2, 3, 4, 30, 31, 32, 33]),
+    (2, 10): (29, 3, 64, [1, 3, 5, 7, 9, 20, 22, 24, 26, 28]),
+    (3, 7): (23, 7, 43, [1, 2, 8, 9, 14, 15, 21, 22]),
+    (4, 5): (23, 3, 32, [1, 2, 3, 20, 21, 22]),
+    (4, 6): (27, 5, 40, [1, 2, 3, 13, 14, 24, 25, 26]),
+    (5, 5): (29, 3, 39, [1, 2, 3, 4, 25, 26, 27, 28]),
+    (5, 6): (34, 3, 44, [1, 2, 3, 4, 30, 31, 32, 33]),
 }
-# (k, l) -> value, nodes explored, red half of the extremal coloring, as the
-# clause kernel computed them (in seconds; the sumset kernel takes milliseconds)
+# (k, l) -> value, nodes explored, red half of the extremal coloring.  The
+# values and colorings up to (7, 7) are the clause kernel's, found by scanning
+# every n; the rest equal a full scan's, which takes about 13 s at (30, 30).
 PINNED_LARGE = {
-    (6, 6): (41, 197, [1, 2, 3, 4, 5, 36, 37, 38, 39, 40]),
-    (6, 7): (47, 257, [1, 2, 3, 4, 5, 42, 43, 44, 45, 46]),
-    (7, 7): (55, 317, [1, 2, 3, 4, 5, 6, 49, 50, 51, 52, 53, 54]),
+    (6, 6): (41, 3, [1, 2, 3, 4, 5, 36, 37, 38, 39, 40]),
+    (6, 7): (47, 3, [1, 2, 3, 4, 5, 42, 43, 44, 45, 46]),
+    (7, 7): (55, 3, [1, 2, 3, 4, 5, 6, 49, 50, 51, 52, 53, 54]),
+    (12, 12): (155, 3, [*range(1, 12), *range(144, 155)]),
+    (20, 20): (419, 3, [*range(1, 20), *range(400, 419)]),
+    (30, 30): (929, 3, [*range(1, 30), *range(900, 929)]),
 }
 
 
@@ -148,7 +154,7 @@ def test_large_search_pinned(k, l):
 
 
 def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
-    # the scan stops at the first uncolorable n, and no n lists its clauses
+    # the search starts at the formula value whatever the cap, and no n lists its clauses
     built = Counter()
     new = Clause.__new__
 
@@ -158,7 +164,7 @@ def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
 
     monkeypatch.setattr(Clause, "__new__", counting_new)
     report = compute_rado(ProblemSpec(2, 10), max_n=200)
-    assert (report.value, report.stats.nodes_explored) == (29, 127)
+    assert (report.value, report.stats.nodes_explored) == (29, 3)
     assert built["Clause"] == 0
     next(solution_clauses(Color.RED, 2, 1, 2))
     assert built["Clause"] == 1  # the count does see a construction

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado import search
-from offrado.equations import Color, ProblemSpec, SolutionWitness
+from offrado.equations import Color, ProblemSpec, SolutionWitness, formula_discrete
 from offrado.intervals import lower_bound_coloring
+from offrado.propagation import solution_clauses
 from offrado.search import (
     Conflict,
     DiscreteColoring,
@@ -102,6 +103,58 @@ def test_is_valid_discrete_matches_a_plain_solution_walk(case):
     expected = first_monochromatic(coloring, spec)
     assert verdict.is_valid == (expected is None)
     assert verdict.witness == expected
+
+
+def _has_solution(members: set[int], m: int, n: int) -> bool:
+    """Whether some m members of ``members`` (repeats allowed) sum to a member,
+    by plain set sums: the reference of the bitset re-check."""
+    sums = {0}
+    for _ in range(m):
+        sums = {s + x for s in sums for x in members if s + x <= n}
+    return not sums.isdisjoint(members)
+
+
+def set_sum_witness(coloring, spec):
+    """``is_valid_discrete`` on set sums: the first color whose members hit
+    their own m-fold sums names its first clause inside that color."""
+    for color, own in ((Color.RED, coloring.red), (Color.BLUE, coloring.blue)):
+        m = spec.arity(color)
+        if _has_solution(set(coloring.values_of(color)), m, coloring.n):
+            return next(
+                clause.witness()
+                for clause in solution_clauses(color, m, 1, coloring.n)
+                if clause.mask & ~own == 0
+            )
+    return None
+
+
+@st.composite
+def wide_total_colorings(draw):
+    """Total colorings of {1..n}, n <= 60: random sets, or two red end blocks
+    around a blue middle with up to three points flipped, which are often
+    valid or close to it."""
+    k = draw(st.integers(2, 6))
+    l = draw(st.integers(k, 6))
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        red = draw(st.sets(st.integers(1, n)))
+    else:
+        a = draw(st.integers(0, n))
+        b = draw(st.integers(a + 1, n + 1))
+        red = set(range(1, a + 1)) | set(range(b, n + 1))
+        red ^= draw(st.sets(st.integers(1, n), max_size=3))
+    return ProblemSpec(k, l), DiscreteColoring.from_sets(n, red, set(range(1, n + 1)) - red)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(wide_total_colorings())
+def test_bitset_recheck_matches_set_sums(case):
+    spec, coloring = case
+    for color, own in ((Color.RED, coloring.red), (Color.BLUE, coloring.blue)):
+        m = spec.arity(color)
+        expected = _has_solution(set(coloring.values_of(color)), m, coloring.n)
+        assert search._sums_hit(own, m, coloring.n) is expected
+    assert is_valid_discrete(coloring, spec).witness == set_sum_witness(coloring, spec)
 
 
 class TestPropagate:
@@ -258,6 +311,83 @@ class TestComputeRado:
         assert doc["extremal"]["n"] == 4
         assert set(doc["extremal"]["red"]) | set(doc["extremal"]["blue"]) == {1, 2, 3, 4}
         assert doc["stats"]["nodes_explored"] > 0
+
+
+ALL_SPECS = [(k, l) for k in range(2, 11) for l in range(k, 11)]
+
+
+def decided(report):
+    return report.value, report.extremal, report.formula_mismatch, report.max_n
+
+
+def record_searches(monkeypatch) -> list[int]:
+    """Patch ``search.search_valid`` to note each n it is asked about."""
+    searched = []
+    real = search.search_valid
+
+    def recording(n, *args, **kwargs):
+        searched.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(search, "search_valid", recording)
+    return searched
+
+
+class TestTwoPointSearch:
+    """The default search visits the formula value and the n below it; the
+    scan walks every n.  By downward closure they must agree."""
+
+    @pytest.mark.parametrize("k,l", ALL_SPECS)
+    def test_agrees_with_the_scan(self, k, l):
+        spec = ProblemSpec(k, l)
+        f = formula_discrete(k, l)
+        for cap in (None, 1, f - 2, f - 1, f, f + 5):
+            scanned = compute_rado(spec, max_n=cap, scan=True)
+            assert decided(compute_rado(spec, max_n=cap)) == decided(scanned), cap
+            if f <= 14:  # the 2^n sweep has its own extremal: the least red bitmask
+                slow = compute_rado(spec, max_n=cap, propagation=False)
+                swept = compute_rado(spec, max_n=cap, propagation=False, scan=True)
+                assert decided(slow) == decided(swept), cap
+
+    @pytest.mark.parametrize(
+        "k,l,propagation",
+        [(2, 2, True), (2, 7, True), (5, 6, True), (8, 8, True), (2, 5, False), (3, 4, False)],
+    )
+    def test_two_searches_when_the_formula_holds(self, monkeypatch, k, l, propagation):
+        f = formula_discrete(k, l)
+        searched = record_searches(monkeypatch)
+        report = compute_rado(ProblemSpec(k, l), propagation=propagation)
+        assert report.value == f and searched == [f, f - 1]
+
+    @pytest.mark.parametrize("k,l", [(2, 4), (2, 5), (3, 4), (4, 5), (2, 10)])
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            pytest.param(lambda f: f - 7, id="f-7"),
+            pytest.param(lambda f: f - 1, id="f-1"),
+            pytest.param(lambda f: f + 1, id="f+1"),
+            pytest.param(lambda f: f + 9, id="f+9"),
+            pytest.param(lambda f: 1, id="1"),
+            pytest.param(lambda f: f + 50, id="above-the-cap"),
+        ],
+    )
+    def test_gallop_when_the_formula_is_wrong(self, monkeypatch, k, l, wrong):
+        f = formula_discrete(k, l)
+        patched = wrong(f)
+        spec = ProblemSpec(k, l)
+        monkeypatch.setattr(search, "formula_discrete", lambda k, l: patched)
+        searched = record_searches(monkeypatch)
+        for cap in (None, f + 5):
+            scanned = compute_rado(spec, max_n=cap, scan=True)
+            searched.clear()
+            report = compute_rado(spec, max_n=cap)
+            assert decided(report) == decided(scanned)
+            assert report.formula_value == patched
+            assert report.formula_mismatch == (report.value is not None and report.value != patched)
+            # galloping then bisecting: logarithmic in the distance, not linear
+            assert len(searched) <= 2 * abs(patched - f).bit_length() + 3
+            assert all(1 <= n <= report.max_n for n in searched)
+            assert len(set(searched)) == len(searched)
 
 
 property_settings = settings(derandomize=True, deadline=None, database=None)

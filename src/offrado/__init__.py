@@ -44,17 +44,13 @@ from .search import (
     search_valid,
 )
 from .certificates import (
-    BranchNode,
     CertificateCheck,
     CheckFailure,
-    ForcingCertificate,
-    ForcingStep,
     ResidueParams,
     UnprovedError,
     auto_prove,
     build_blue1_certificate,
     build_k2_certificate,
-    certificate_as_json,
     certificate_from_json,
     certificate_stats,
     certify_upper,

@@ -12,18 +12,21 @@ Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  Builders never return unverified output.
 
-A file is checked without building objects.  ``read_certificate`` is the one
-schema pass over the decoded JSON: it parses each distinct literal once, into
-the point's reduced (numerator, denominator) key, and returns plain tuples.
+A certificate has two forms.  Its document is the decoded JSON that
+``certify-upper --out`` writes: a dict of ``spec``, ``domain_end`` and
+``root``, the pair of branch nodes, where a node is a dict of ``assume``,
+``steps`` and either ``contradiction`` or ``children``.  The builders write
+that form and no other.  ``certificate_from_json`` is the one schema pass over
+a document: it parses each distinct literal once, into the point's reduced
+(numerator, denominator) key, and returns the checker's form, plain tuples.
 ``check_certificate`` runs the one replay over those tuples, which checks each
 witness on integers over the lcm of its own denominators, never over a scale
 common to the file, which an untrusted file could inflate, and puts every
 colored point on an undo trail, unwound at each split instead of copying the
-state.  The dataclasses are for the builders and the library:
-``verify_certificate`` and ``verify_branch`` turn them into the same tuples,
-and ``certificate_from_json`` builds them from the schema pass's output.
-Every walk over a branch tree uses an explicit stack, so certificate depth is
-bounded by memory, not by the interpreter's recursion limit.
+state.  A builder checks the document it returns through the same schema pass
+and replay, so it checks what users get.  Every walk over a branch tree uses
+an explicit stack, so certificate depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
@@ -40,46 +42,6 @@ from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
 from .serialize import exact_fraction, format_rational, parse_rational
 
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
-
-
-@dataclass(frozen=True)
-class ForcingStep:
-    point: Fraction
-    forced: Color
-    witness: SolutionWitness
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point", exact_fraction(self.point))
-
-
-@dataclass(frozen=True)
-class BranchNode:
-    """An assumption, the chain it forces, and how the branch ends: either a
-    contradiction witness or a further split on one point."""
-
-    point: Fraction
-    color: Color
-    steps: tuple[ForcingStep, ...]
-    contradiction: Optional[SolutionWitness] = None
-    children: Optional[tuple["BranchNode", "BranchNode"]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point", exact_fraction(self.point))
-        if (self.contradiction is None) == (self.children is None):
-            raise ValueError("a branch ends in exactly one of contradiction or children")
-
-
-@dataclass(frozen=True)
-class ForcingCertificate:
-    spec: ProblemSpec
-    domain_end: Fraction
-    root: tuple[BranchNode, BranchNode]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_end", exact_fraction(self.domain_end))
-        object.__setattr__(self, "root", tuple(self.root))
-        if len(self.root) != 2:
-            raise ValueError("root must branch both ways on the left endpoint")
 
 
 @dataclass(frozen=True)
@@ -98,9 +60,6 @@ class CertificateCheck:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class UnprovedError(Exception):
@@ -127,38 +86,6 @@ def _branch_label(point: Fraction, color: Color) -> str:
 
 def _key(point: Fraction) -> Key:
     return point.numerator, point.denominator
-
-
-def _flatten(roots: Sequence, read) -> list[tuple]:
-    """Sibling branch trees as one list in pre-order, first child first: per
-    node (depth, point, color, steps, contradiction, child indices), from the
-    (point, color, steps, contradiction, children) that ``read`` gives.  In the
-    checker's node tuples the point is a key, a step is (point key, forced
-    color, witness), a witness is (color, ((key, multiplicity), ...), x0 key),
-    and a node ends in a contradiction witness or in two children, never both.
-    """
-    nodes: list[tuple] = []
-    stack = [(root, 0, None) for root in reversed(roots)]
-    while stack:
-        item, depth, siblings = stack.pop()
-        key, color, steps, contradiction, children = read(item)
-        if siblings is not None:
-            siblings.append(len(nodes))
-        kids: Optional[list[int]] = None if children is None else []
-        nodes.append((depth, key, color, steps, contradiction, kids))
-        if children is not None:
-            stack.extend((child, depth + 1, kids) for child in reversed(children))
-    return nodes
-
-
-def _witness_tuple(w: SolutionWitness) -> tuple:
-    return w.color, tuple([((v.numerator, v.denominator), m) for v, m in w.left]), _key(w.x0)
-
-
-def _read_node(node: BranchNode) -> tuple:
-    steps = tuple((_key(s.point), s.forced, _witness_tuple(s.witness)) for s in node.steps)
-    end = None if node.contradiction is None else _witness_tuple(node.contradiction)
-    return _key(node.point), node.color, steps, end, node.children
 
 
 def _witness_failure(
@@ -273,41 +200,77 @@ def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> C
 def verify_branch(
     spec: ProblemSpec,
     domain_end,
-    node: BranchNode,
+    node: dict,
     ambient: Mapping[Fraction, Color] = {},
 ) -> CertificateCheck:
-    """Check a single branch under pre-colored ambient points."""
+    """Read a single branch node and replay it under pre-colored ambient
+    points; a node that breaks the schema raises ValueError."""
     state = {_key(exact_fraction(p)): c for p, c in ambient.items()}
-    return _replay(spec, exact_fraction(domain_end), _flatten((node,), _read_node), state)
+    return _replay(spec, exact_fraction(domain_end), _read_nodes(spec, (node,)), state)
 
 
-def verify_certificate(certificate: ForcingCertificate) -> CertificateCheck:
-    """Replay every branch in exact arithmetic; True iff all of them close.
-
-    Verification depends only on the certificate's own content, so a
-    round-tripped file checks identically to the freshly built object.
-    """
-    nodes = _flatten(certificate.root, _read_node)
-    return check_certificate(certificate.spec, certificate.domain_end, nodes)
+def verify_certificate(doc) -> CertificateCheck:
+    """Read a certificate document and replay every branch in exact
+    arithmetic; a document that breaks the schema raises ValueError."""
+    return check_certificate(*certificate_from_json(doc))
 
 
-# a node's own fields, for the walks that need no witness tuples
-_fields = attrgetter("point", "color", "steps", "contradiction", "children")
+def _check_own(what: str, verify, *args) -> None:
+    """A builder's check of what it is about to return.  Its output breaking
+    the schema or failing the replay is an internal fault, so either is a
+    RuntimeError, never the ValueError that means invalid input."""
+    try:
+        result = verify(*args)
+    except ValueError as exc:
+        raise RuntimeError(f"{what} failed its own check: {exc}") from exc
+    if not result.ok:
+        raise RuntimeError(f"{what} failed its own check: {result.failure}")
 
 
-def certificate_stats(certificate: ForcingCertificate) -> dict:
-    """Branch count and step count."""
-    nodes = _flatten(certificate.root, _fields)
+def certificate_stats(nodes: list) -> dict:
+    """Branch count and step count of the schema pass's node tuples."""
     return {"branches": len(nodes), "steps": sum(len(node[3]) for node in nodes)}
 
 
-def points_used(certificate: ForcingCertificate) -> list[str]:
-    """Every point the certificate colors, ascending, as rational strings."""
-    points: set[Fraction] = set()
-    for _, point, _, steps, _, _ in _flatten(certificate.root, _fields):
+def points_used(nodes: list) -> list[str]:
+    """Every point the node tuples color, ascending, as rational strings."""
+    points: set[Key] = set()
+    for _, point, _, steps, _, _ in nodes:
         points.add(point)
-        points.update(step.point for step in steps)
-    return [format_rational(p) for p in sorted(points)]
+        points.update(step[0] for step in steps)
+    return [format_rational(p) for p in sorted(Fraction(*p) for p in points)]
+
+
+# ---------------------------------------------------------------------------
+# The file form
+
+
+def _node(
+    point: Fraction,
+    color: Color,
+    steps: Iterable[tuple],
+    contradiction: Optional[SolutionWitness],
+    children: Optional[list] = None,
+) -> dict:
+    """A branch node in its file form, from its assumption, its steps as
+    (point, forced color, witness), and how it ends: a contradiction witness,
+    or else ``children``, the list its two children go into."""
+    node = {
+        "assume": {"point": format_rational(point), "color": color.value},
+        "steps": [
+            {"point": format_rational(p), "forced": forced.value, "witness": w.as_json()}
+            for p, forced, w in steps
+        ],
+    }
+    if contradiction is not None:
+        node["contradiction"] = contradiction.as_json()
+    else:
+        node["children"] = children
+    return node
+
+
+def _document(spec: ProblemSpec, domain_end, root: list[dict]) -> dict:
+    return {"spec": spec.as_json(), "domain_end": format_rational(domain_end), "root": root}
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +292,7 @@ class _ChainBuilder:
         self.point = exact_fraction(point)
         self.color = color
         self.state: dict[Fraction, Color] = {self.point: color}
-        self.steps: list[ForcingStep] = []
+        self.steps: list[tuple] = []  # (point, forced color, witness)
         self.contradiction: Optional[SolutionWitness] = None
 
     @property
@@ -354,7 +317,7 @@ class _ChainBuilder:
         if current is not None:  # already the witness color: monochromatic now
             self.contradiction = witness
             return
-        self.steps.append(ForcingStep(point, forced, witness))
+        self.steps.append((point, forced, witness))
         self.state[point] = forced
 
     def close(self, witness: SolutionWitness) -> None:
@@ -363,10 +326,10 @@ class _ChainBuilder:
         self._require_support(witness, exclude=None)
         self.contradiction = witness
 
-    def node(self) -> BranchNode:
+    def node(self) -> dict:
         if not self.closed:
             raise RuntimeError("chain did not reach a contradiction")
-        return BranchNode(self.point, self.color, tuple(self.steps), self.contradiction)
+        return _node(self.point, self.color, self.steps, self.contradiction)
 
 
 def _w(color: Color, pairs: Iterable[tuple], x0) -> SolutionWitness:
@@ -374,8 +337,8 @@ def _w(color: Color, pairs: Iterable[tuple], x0) -> SolutionWitness:
     return SolutionWitness(color, kept, exact_fraction(x0))
 
 
-def build_k2_certificate(l: int) -> ForcingCertificate:
-    """Both branches for k = 2 on the closed domain [1, 2l+1].
+def build_k2_certificate(l: int) -> dict:
+    """Both branches for k = 2 on the closed domain [1, 2l+1], as a document.
 
     The red-start branch walks 2, 2l, 2l+1, 2l-1 and then pins 3/2 and 5/2
     red through solutions that use each of them twice, ending in the red
@@ -405,10 +368,8 @@ def build_k2_certificate(l: int) -> ForcingCertificate:
     blue.force(l + 3, Color.RED, _w(Color.BLUE, [(1, l - 1), (4, 1)], l + 3))
     blue.close(_w(Color.RED, [(3, 1), (l, 1)], l + 3))
 
-    certificate = ForcingCertificate(spec, Fraction(2 * l + 1), (red.node(), blue.node()))
-    result = verify_certificate(certificate)
-    if not result.ok:
-        raise RuntimeError(f"built certificate failed its own check: {result.failure}")
+    certificate = _document(spec, 2 * l + 1, [red.node(), blue.node()])
+    _check_own("built certificate", verify_certificate, certificate)
     return certificate
 
 
@@ -447,8 +408,8 @@ def residue_params(k: int, l: int) -> ResidueParams:
     return ResidueParams(k, l, gap, residue, mix_count, mixed_sum)
 
 
-def build_blue1_certificate(spec: ProblemSpec) -> BranchNode:
-    """The branch assuming the left endpoint blue, for 3 <= k < l.
+def build_blue1_certificate(spec: ProblemSpec) -> dict:
+    """The node of the branch assuming the left endpoint blue, for 3 <= k < l.
 
     Forces l, k, l+1 red and kl blue, then forces the mixed sum blue.  When
     the residue vanishes the chain is already contradictory; otherwise 2 goes
@@ -492,9 +453,7 @@ def build_blue1_certificate(spec: ProblemSpec) -> BranchNode:
         chain.close(_w(Color.BLUE, [(1, l - 1), (2 * k, 1)], 2 * k + l - 1))
 
     node = chain.node()
-    result = verify_branch(spec, Fraction(k * l + k - 1), node)
-    if not result.ok:
-        raise RuntimeError(f"built branch failed its own check: {result.failure}")
+    _check_own("built branch", verify_branch, spec, k * l + k - 1, node)
     return node
 
 
@@ -509,17 +468,22 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
     return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
-def _branch_node(tree: Refutation, d: int) -> BranchNode:
-    """The certificate node of a DPLL tree on the 1/d grid, with exact witnesses."""
-    steps = tuple(
-        ForcingStep(Fraction(v, d), handle.color.opposite, handle.witness(d))
-        for v, handle in tree.forcings
-    )
-    point = Fraction(tree.var, d)
-    if tree.conflict is not None:
-        return BranchNode(point, tree.color, steps, tree.conflict.witness(d))
-    first, second = (_branch_node(child, d) for child in tree.children)
-    return BranchNode(point, tree.color, steps, children=(first, second))
+def _branch_node(tree: Refutation, d: int) -> dict:
+    """The file form of a DPLL tree on the 1/d grid, with exact witnesses,
+    emitted in pre-order with an explicit stack."""
+    root: list[dict] = []
+    stack = [(tree, root)]
+    while stack:
+        tree, siblings = stack.pop()
+        steps = [(Fraction(v, d), h.color.opposite, h.witness(d)) for v, h in tree.forcings]
+        point = Fraction(tree.var, d)
+        if tree.conflict is not None:
+            siblings.append(_node(point, tree.color, steps, tree.conflict.witness(d)))
+        else:
+            children: list[dict] = []
+            siblings.append(_node(point, tree.color, steps, None, children))
+            stack.extend((child, children) for child in reversed(tree.children))
+    return root[0]
 
 
 def auto_prove(
@@ -527,16 +491,17 @@ def auto_prove(
     grid_denominator: int,
     assumptions: Sequence[tuple],
     max_branch_depth: int = 64,
-) -> Optional[BranchNode]:
+) -> Optional[dict]:
     """Search for a closing branch tree on the 1/d grid of [1, kl+k-1].
 
     The search is ``propagation.dpll`` over grid ids, with unit forcing
     read from sumsets by ``propagate_masks`` as in the discrete search, at
     most ``max_branch_depth`` splits deep.  The final assumption becomes the
-    returned node; earlier assumptions are ambient pre-colored context.
-    Returns None on grid or depth exhaustion, and as soon as some branch
-    completes a valid total grid coloring (then no refutation can exist).
-    The emitted node is re-verified before being returned.
+    returned node, in its file form; earlier assumptions are ambient
+    pre-colored context.  Returns None on grid or depth exhaustion, and as
+    soon as some branch completes a valid total grid coloring (then no
+    refutation can exist).  The emitted node is re-verified before being
+    returned.
     """
     if spec.gamma != 1:
         raise ValueError("the grid prover runs on the unit domain")
@@ -576,16 +541,15 @@ def auto_prove(
         return None
     node = _branch_node(tree, d)
     ambient = {exact_fraction(p): c for p, c in assumptions[:-1]}
-    result = verify_branch(spec, end, node, ambient)
-    if not result.ok:
-        raise RuntimeError(f"auto-proved branch failed its own check: {result.failure}")
+    _check_own("auto-proved branch", verify_branch, spec, end, node, ambient)
     return node
 
 
 def certify_upper(
     spec: ProblemSpec, grid_denominator: Optional[int] = None, max_depth: int = 64
-) -> ForcingCertificate:
-    """Assemble and verify the full branch-on-the-endpoint certificate.
+) -> dict:
+    """Assemble and verify the full branch-on-the-endpoint certificate, as
+    the document that ``certify-upper --out`` writes.
 
     With ``grid_denominator`` None, the default assembly: k=2 uses the
     hand-built half-step chains; k < l pairs the built blue-start branch with
@@ -601,51 +565,23 @@ def certify_upper(
     built = grid_denominator is None
     d = 1 if built else grid_denominator
 
-    def auto(color: Color) -> BranchNode:
+    def auto(color: Color) -> dict:
         node = auto_prove(spec, d, [(Fraction(1), color)], max_depth)
         if node is None:
             raise UnprovedError(spec, color.value, d, max_depth)
         return node
 
     if built and spec.k == 2:
-        certificate = build_k2_certificate(spec.l)
-    else:
-        red = auto(Color.RED)
-        blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
-        certificate = ForcingCertificate(spec, spec.k * spec.l + spec.k - 1, (red, blue))
-
-    result = verify_certificate(certificate)
-    if not result.ok:
-        raise RuntimeError(f"assembled certificate failed verification: {result.failure}")
+        return build_k2_certificate(spec.l)  # checked whole as it was built
+    red = auto(Color.RED)
+    blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
+    certificate = _document(spec, spec.k * spec.l + spec.k - 1, [red, blue])
+    _check_own("assembled certificate", verify_certificate, certificate)
     return certificate
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def certificate_as_json(certificate: ForcingCertificate) -> dict:
-    """The file form of a certificate, emitted with an explicit stack."""
-    root: list[dict] = []
-    stack = [(node, root) for node in reversed(certificate.root)]
-    while stack:
-        node, siblings = stack.pop()
-        out: dict = {
-            "assume": {"point": format_rational(node.point), "color": node.color.value},
-            "steps": [
-                {"point": format_rational(s.point), "forced": s.forced.value,
-                 "witness": s.witness.as_json()}
-                for s in node.steps
-            ],
-        }
-        siblings.append(out)
-        if node.contradiction is not None:
-            out["contradiction"] = node.contradiction.as_json()
-        else:
-            out["children"] = children = []
-            stack.extend((child, children) for child in reversed(node.children))  # type: ignore
-    end = format_rational(certificate.domain_end)
-    return {"spec": certificate.spec.as_json(), "domain_end": end, "root": root}
+# The schema pass
 
 
 _COLORS = {color.value: color for color in Color}
@@ -660,24 +596,19 @@ def _color(value) -> Color:
         raise ValueError(f"unknown color {value!r}") from None
 
 
-def read_certificate(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
-    """The schema pass over a decoded certificate file: its spec, its domain
-    end and its node tuples (see ``_flatten``), or a ValueError that names the
-    first rule the file breaks.
+def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
+    """The schema pass over sibling branch nodes in their file form: the
+    checker's node tuples, or a ValueError that names the first rule a node
+    breaks.
 
-    Rules are checked in this order: the certificate's keys, the spec, the
-    root pair, the domain end, then the nodes in pre-order, first child first.
-    A witness's left entries are checked in file order, then its x0, its
-    multiplicities and its arity.  Each distinct literal is parsed once, into
-    a reduced (numerator, denominator) key.  Nothing is built but the spec.
+    The tuples come in pre-order, first child first, one per node: (depth,
+    point, color, steps, contradiction, child indices).  A point is its key,
+    a step is (point, forced color, witness), a witness is (color, ((point,
+    multiplicity), ...), x0), and a node ends in a contradiction witness or
+    in two children, never both.  A witness's left entries are checked in
+    file order, then its x0, its multiplicities and its arity.  Each distinct
+    literal is parsed once.
     """
-    if not isinstance(obj, dict) or obj.keys() != {"spec", "domain_end", "root"}:
-        raise ValueError("certificate must carry exactly spec, domain_end, root")
-    spec = ProblemSpec.from_json(obj["spec"])
-    root = obj["root"]
-    if not (isinstance(root, list) and len(root) == 2):
-        raise ValueError("root must be a pair of branch nodes")
-    domain_end = parse_rational(obj["domain_end"])
     keys: dict[str, Key] = {}
 
     def key(text) -> Key:
@@ -710,7 +641,10 @@ def read_certificate(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
                              f"equation of (k={spec.k}, l={spec.l})")
         return color, tuple(pairs), x0
 
-    def node(obj) -> tuple:
+    nodes: list[tuple] = []
+    stack = [(root, 0, None) for root in reversed(roots)]
+    while stack:
+        obj, depth, siblings = stack.pop()
         if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
             raise ValueError("branch node must carry assume and steps")
         assume = obj["assume"]
@@ -731,32 +665,34 @@ def read_certificate(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
             raise ValueError("branch node must end in exactly one of contradiction or children")
         if len(obj) != 3:
             raise ValueError("branch node must carry nothing but assume, steps, and its ending")
+        if siblings is not None:
+            siblings.append(len(nodes))
         if has_contradiction:
-            return point, color, tuple(steps), witness(obj["contradiction"]), None
+            nodes.append((depth, point, color, tuple(steps), witness(obj["contradiction"]), None))
+            continue
         children = obj["children"]
         if not (isinstance(children, list) and len(children) == 2):
             raise ValueError("children must be a pair")
-        return point, color, tuple(steps), None, children
+        kids: list[int] = []
+        nodes.append((depth, point, color, tuple(steps), None, kids))
+        stack.extend((child, depth + 1, kids) for child in reversed(children))
+    return nodes
 
-    return spec, domain_end, _flatten(root, node)
 
+def certificate_from_json(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
+    """The schema pass over a certificate document: its spec, its domain end
+    and its node tuples (see ``_read_nodes``), or a ValueError that names the
+    first rule the document breaks.
 
-def certificate_from_json(obj) -> ForcingCertificate:
-    """The certificate objects of a decoded file, built from the schema pass."""
-    spec, domain_end, nodes = read_certificate(obj)
-
-    def witness(w: tuple) -> SolutionWitness:
-        color, left, x0 = w
-        return SolutionWitness(color, tuple((Fraction(*p), m) for p, m in left), Fraction(*x0))
-
-    built: list = [None] * len(nodes)
-    for index in reversed(range(len(nodes))):  # every node's children exist already
-        _, key, color, steps, contradiction, kids = nodes[index]
-        steps = tuple(ForcingStep(Fraction(*p), forced, witness(w)) for p, forced, w in steps)
-        if kids is None:
-            built[index] = BranchNode(Fraction(*key), color, steps, witness(contradiction))
-        else:
-            pair = (built[kids[0]], built[kids[1]])
-            built[index] = BranchNode(Fraction(*key), color, steps, children=pair)
-    root = tuple(built[i] for i, node in enumerate(nodes) if node[0] == 0)
-    return ForcingCertificate(spec, domain_end, root)
+    Rules are checked in this order: the certificate's keys, the spec, the
+    root pair, the domain end, then the nodes in pre-order, first child first.
+    Nothing is built but the spec.
+    """
+    if not isinstance(obj, dict) or obj.keys() != {"spec", "domain_end", "root"}:
+        raise ValueError("certificate must carry exactly spec, domain_end, root")
+    spec = ProblemSpec.from_json(obj["spec"])
+    root = obj["root"]
+    if not (isinstance(root, list) and len(root) == 2):
+        raise ValueError("root must be a pair of branch nodes")
+    domain_end = parse_rational(obj["domain_end"])
+    return spec, domain_end, _read_nodes(spec, root)

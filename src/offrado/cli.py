@@ -17,12 +17,11 @@ from pathlib import Path
 
 from .certificates import (
     UnprovedError,
-    certificate_as_json,
+    certificate_from_json,
     certificate_stats,
     certify_upper,
     check_certificate,
     points_used,
-    read_certificate,
 )
 from .equations import (
     ProblemSpec,
@@ -144,15 +143,13 @@ def cmd_verify_coloring(args) -> dict:
 
 def cmd_certify_upper(args) -> dict:
     spec = ProblemSpec(args.k, args.l)
-    certificate = certify_upper(spec, args.grid_denominator, args.max_depth)
-    doc = certificate_as_json(certificate)
-    stats = certificate_stats(certificate)
+    doc = certify_upper(spec, args.grid_denominator, args.max_depth)
+    _, domain_end, nodes = certificate_from_json(doc)
     payload = {
         "file": _write_out(args.out, doc) if args.out else None,
-        "domain_end": format_rational(certificate.domain_end),
-        "branches": stats["branches"],
-        "steps": stats["steps"],
-        "points_used": points_used(certificate),
+        "domain_end": format_rational(domain_end),
+        **certificate_stats(nodes),
+        "points_used": points_used(nodes),
     }
     return _result("certify-upper", spec.as_json(), payload, "Ok")
 
@@ -163,7 +160,7 @@ def cmd_verify_certificate(args) -> dict:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        spec, domain_end, nodes = read_certificate(_read_json(args.file))
+        spec, domain_end, nodes = certificate_from_json(_read_json(args.file))
         check = check_certificate(spec, domain_end, nodes)
     finally:
         if collecting:
@@ -173,8 +170,7 @@ def cmd_verify_certificate(args) -> dict:
         payload = {
             "verified": True,
             "domain_end": format_rational(domain_end),
-            "branches": len(nodes),
-            "steps": sum(len(steps) for _, _, _, steps, _, _ in nodes),
+            **certificate_stats(nodes),
         }
         return _result("verify-certificate", spec_json, payload, "Ok")
     payload = {

@@ -130,14 +130,6 @@ class SolutionWitness:
     def contains(self, point: Fraction) -> bool:
         return point == self.x0 or any(v == point for v, _ in self.left)
 
-    def scaled(self, factor) -> "SolutionWitness":
-        factor = exact_fraction(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return SolutionWitness(
-            self.color, tuple((v * factor, m) for v, m in self.left), self.x0 * factor
-        )
-
     def as_json(self) -> dict:
         return {
             "color": self.color.value,

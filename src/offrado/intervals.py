@@ -327,9 +327,10 @@ def _interval_from_json(item) -> Interval:
     if not (isinstance(item, list) and len(item) == 3):
         raise ValueError(f"malformed interval entry {item!r}")
     lo, hi, code = item
-    if code not in _CODES_CLOSURE:
-        raise ValueError(f"unknown closure code {code!r}")
-    lo_closed, hi_closed = _CODES_CLOSURE[code]
+    try:
+        lo_closed, hi_closed = _CODES_CLOSURE[code]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or dict
+        raise ValueError(f"unknown closure code {code!r}") from None
     return Interval(parse_rational(lo), parse_rational(hi), lo_closed, hi_closed)
 
 

@@ -17,11 +17,12 @@ from itertools import combinations_with_replacement
 
 from .certificates import (
     auto_prove,
+    certificate_from_json,
     certificate_stats,
     certify_upper,
+    check_certificate,
     points_used,
     residue_params,
-    verify_certificate,
 )
 from .equations import (
     Color,
@@ -109,25 +110,15 @@ def check_lower_bounds(max_kl: int = 10) -> list[CheckResult]:
 def check_certificates(k2_max_l: int = 10, max_kl: int = 5) -> list[CheckResult]:
     """Upper-bound certificates assemble and verify across the covered range."""
     out = []
-    for l in range(2, k2_max_l + 1):
-        cert = certify_upper(ProblemSpec(2, l))
-        stats = certificate_stats(cert)
-        halves_ok = l < 3 or {"3/2", "5/2"} <= set(points_used(cert))
-        ok = bool(verify_certificate(cert)) and cert.domain_end == 2 * l + 1 and halves_ok
-        out.append(
-            CheckResult(
-                f"certificate (2,{l})", ok,
-                f"end {cert.domain_end}, {stats['branches']} branches, {stats['steps']} steps",
-            )
-        )
-    for k, l in _specs(max_kl, min_k=3):
-        cert = certify_upper(ProblemSpec(k, l))
-        stats = certificate_stats(cert)
-        ok = bool(verify_certificate(cert)) and cert.domain_end == k * l + k - 1
+    for k, l in [(2, l) for l in range(2, k2_max_l + 1)] + list(_specs(max_kl, min_k=3)):
+        spec, end, nodes = certificate_from_json(certify_upper(ProblemSpec(k, l)))
+        stats = certificate_stats(nodes)
+        halves_ok = k > 2 or l < 3 or {"3/2", "5/2"} <= set(points_used(nodes))
+        ok = check_certificate(spec, end, nodes).ok and end == k * l + k - 1 and halves_ok
         out.append(
             CheckResult(
                 f"certificate ({k},{l})", ok,
-                f"end {cert.domain_end}, {stats['branches']} branches, {stats['steps']} steps",
+                f"end {end}, {stats['branches']} branches, {stats['steps']} steps",
             )
         )
     return out

@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement
 
 from offrado.certificates import (
     auto_prove,
+    certificate_from_json,
     certify_upper,
     points_used,
     residue_params,
@@ -91,14 +92,14 @@ def test_criterion_3_upper_bound_certificates():
     bad = []
     for l in range(2, 11):
         cert = certify_upper(ProblemSpec(2, l))
-        points = set(points_used(cert))
-        halves = l < 3 or {"3/2", "5/2"} <= points
-        if not (verify_certificate(cert).ok and cert.domain_end == 2 * l + 1 and halves):
+        _, end, nodes = certificate_from_json(cert)
+        halves = l < 3 or {"3/2", "5/2"} <= set(points_used(nodes))
+        if not (verify_certificate(cert).ok and end == 2 * l + 1 and halves):
             bad.append((2, l))
     for k in range(3, 6):
         for l in range(k, 6):
             cert = certify_upper(ProblemSpec(k, l))
-            if not (verify_certificate(cert).ok and cert.domain_end == k * l + k - 1):
+            if not (verify_certificate(cert).ok and cert["domain_end"] == str(k * l + k - 1)):
                 bad.append((k, l))
     elapsed = time.perf_counter() - started
     report(3, "certificates k=2 l<=10 and 3<=k<=l<=5", not bad,

@@ -1,40 +1,42 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import math
 import time
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import (
-    BranchNode,
     CertificateCheck,
     CheckFailure,
-    ForcingCertificate,
-    ForcingStep,
     UnprovedError,
     auto_prove,
     build_blue1_certificate,
     build_k2_certificate,
-    certificate_as_json,
     certificate_from_json,
     certificate_stats,
     certify_upper,
     check_certificate,
     points_used,
-    read_certificate,
     residue_params,
     verify_branch,
     verify_certificate,
     _branch_label,
+    _branch_node,
     _fail,
+    _grid_system,
 )
 from offrado import cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
+from offrado.propagation import Refutation, dpll
 from offrado.search import search_valid
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
@@ -43,28 +45,40 @@ DATA = Path(__file__).parent / "data"
 
 
 def branch_points(node):
-    points = [node.point] + [s.point for s in node.steps]
-    if node.children:
-        for child in node.children:
-            points += branch_points(child)
+    """Every point a branch node in its file form assumes or forces."""
+    points, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        points.append(parse_rational(node["assume"]["point"]))
+        points += [parse_rational(step["point"]) for step in node["steps"]]
+        stack += node.get("children", [])
     return points
+
+
+def rejected(doc) -> bool:
+    """True when the schema pass or the replay refuses a document."""
+    try:
+        return not verify_certificate(doc).ok
+    except ValueError:
+        return True
 
 
 class TestK2Builder:
     def test_l3_structure(self):
         cert = build_k2_certificate(3)
         assert verify_certificate(cert).ok
-        assert cert.domain_end == 7
-        assert points_used(cert) == ["1", "3/2", "2", "5/2", "3", "4", "5", "6", "7"]
-        red_branch = cert.root[0]
-        assert red_branch.color is RED
+        assert cert["domain_end"] == "7"
+        nodes = certificate_from_json(cert)[2]
+        assert points_used(nodes) == ["1", "3/2", "2", "5/2", "3", "4", "5", "6", "7"]
+        red_branch = cert["root"][0]
+        assert red_branch["assume"]["color"] == "red"
         assert Fraction(3, 2) in branch_points(red_branch)
         assert Fraction(5, 2) in branch_points(red_branch)
 
     def test_l2_degenerate_chain_still_verifies(self):
         cert = build_k2_certificate(2)
         assert verify_certificate(cert).ok
-        assert cert.domain_end == 5
+        assert cert["domain_end"] == "5"
         # cross-check with the automatic prover on the half grid
         for color in (RED, BLUE):
             node = auto_prove(ProblemSpec(2, 2), 2, [(Fraction(1), color)])
@@ -73,7 +87,7 @@ class TestK2Builder:
     def test_l10(self):
         cert = build_k2_certificate(10)
         assert verify_certificate(cert).ok
-        assert cert.domain_end == 21
+        assert cert["domain_end"] == "21"
 
     def test_rejects_l1(self):
         with pytest.raises(ValueError):
@@ -81,82 +95,70 @@ class TestK2Builder:
 
     def test_half_points_in_every_red_branch(self):
         for l in range(3, 11):
-            points = branch_points(build_k2_certificate(l).root[0])
+            points = branch_points(build_k2_certificate(l)["root"][0])
             assert Fraction(3, 2) in points and Fraction(5, 2) in points
 
 
 class TestTamperResistance:
-    """Single-field mutations of a verified certificate must all be caught."""
+    """Single-field mutations of a verified certificate must all be caught,
+    by the schema pass or by the replay."""
 
-    def locate(self, cert):
-        for b, node in enumerate(cert.root):
-            for i, step in enumerate(node.steps):
-                yield b, i, step
+    def assert_every_step_caught(self, change):
+        base = build_k2_certificate(3)
+        located = [(b, i) for b, node in enumerate(base["root"]) for i in range(len(node["steps"]))]
+        assert located
+        for b, i in located:
+            doc = copy.deepcopy(base)
+            change(doc["root"][b]["steps"][i])
+            assert rejected(doc), (b, i)
 
-    def mutate_step(self, cert, b, i, new_step):
-        node = cert.root[b]
-        steps = list(node.steps)
-        steps[i] = new_step
-        new_node = dataclasses.replace(node, steps=tuple(steps))
-        root = list(cert.root)
-        root[b] = new_node
-        return dataclasses.replace(cert, root=tuple(root))
+    @staticmethod
+    def shifted(text, delta):
+        return format_rational(parse_rational(text) + delta)
 
     def test_every_point_mutation_fails(self):
-        cert = build_k2_certificate(3)
-        for b, i, step in self.locate(cert):
-            bad = dataclasses.replace(step, point=step.point + Fraction(1, 3))
-            assert not verify_certificate(self.mutate_step(cert, b, i, bad)).ok
+        def change(step):
+            step["point"] = self.shifted(step["point"], Fraction(1, 3))
+
+        self.assert_every_step_caught(change)
 
     def test_every_color_flip_fails(self):
-        cert = build_k2_certificate(3)
-        for b, i, step in self.locate(cert):
-            bad = dataclasses.replace(step, forced=step.forced.opposite)
-            assert not verify_certificate(self.mutate_step(cert, b, i, bad)).ok
+        def change(step):
+            step["forced"] = Color(step["forced"]).opposite.value
+
+        self.assert_every_step_caught(change)
 
     def test_every_witness_color_flip_fails(self):
-        cert = build_k2_certificate(3)
-        for b, i, step in self.locate(cert):
-            w = step.witness
-            bad_w = SolutionWitness(w.color.opposite, w.left, w.x0)
-            bad = dataclasses.replace(step, witness=bad_w)
-            assert not verify_certificate(self.mutate_step(cert, b, i, bad)).ok
+        def change(step):
+            step["witness"]["color"] = Color(step["witness"]["color"]).opposite.value
+
+        self.assert_every_step_caught(change)
 
     def test_every_witness_sum_break_fails(self):
-        cert = build_k2_certificate(3)
-        for b, i, step in self.locate(cert):
-            w = step.witness
-            bad_w = SolutionWitness(w.color, w.left, w.x0 + 1)
-            bad = dataclasses.replace(step, witness=bad_w)
-            assert not verify_certificate(self.mutate_step(cert, b, i, bad)).ok
+        def change(step):
+            step["witness"]["x0"] = self.shifted(step["witness"]["x0"], 1)
+
+        self.assert_every_step_caught(change)
 
     def test_every_witness_value_shift_fails(self):
-        cert = build_k2_certificate(3)
-        for b, i, step in self.locate(cert):
-            w = step.witness
-            (v0, m0), rest = w.left[0], w.left[1:]
-            bad_w = SolutionWitness(w.color, ((v0 + Fraction(1, 7), m0),) + rest, w.x0)
-            bad = dataclasses.replace(step, witness=bad_w)
-            assert not verify_certificate(self.mutate_step(cert, b, i, bad)).ok
+        def change(step):
+            entry = step["witness"]["left"][0]
+            entry[0] = self.shifted(entry[0], Fraction(1, 7))
+
+        self.assert_every_step_caught(change)
 
     def test_out_of_domain_point_fails(self):
-        cert = build_k2_certificate(3)
-        node = cert.root[0]
+        doc = build_k2_certificate(3)
         big = SolutionWitness.from_values(RED, [1, Fraction(15, 2)], Fraction(17, 2))
-        bad_step = ForcingStep(Fraction(17, 2), BLUE, big)
-        bad_node = dataclasses.replace(node, steps=node.steps + (bad_step,))
-        bad = dataclasses.replace(cert, root=(bad_node, cert.root[1]))
-        check = verify_certificate(bad)
+        doc["root"][0]["steps"].append({"point": "17/2", "forced": "blue", "witness": big.as_json()})
+        check = verify_certificate(doc)
         assert not check.ok and "domain" in check.failure.reason
 
     def test_failure_names_location(self):
-        cert = build_k2_certificate(3)
-        node = cert.root[1]
-        steps = list(node.steps)
-        steps[2] = dataclasses.replace(steps[2], forced=steps[2].forced.opposite)
-        bad_node = dataclasses.replace(node, steps=tuple(steps))
-        bad = dataclasses.replace(cert, root=(cert.root[0], bad_node))
-        check = verify_certificate(bad)
+        doc = build_k2_certificate(3)
+        step = doc["root"][1]["steps"][2]
+        step["forced"] = Color(step["forced"]).opposite.value
+        check = verify_certificate(doc)
         assert not check.ok
         assert check.failure.path == ("1=blue",)
         assert check.failure.step_index == 2
@@ -194,24 +196,24 @@ class TestBlueStartBranch:
     def test_verifies(self, k, l):
         spec = ProblemSpec(k, l)
         node = build_blue1_certificate(spec)
-        assert node.color is BLUE and node.point == 1
+        assert node["assume"] == {"point": "1", "color": "blue"}
         assert verify_branch(spec, Fraction(k * l + k - 1), node).ok
 
     def test_vanishing_residue_closes_early(self):
         node = build_blue1_certificate(ProblemSpec(3, 4))
-        assert [s.point for s in node.steps] == [4, 12, 3, 5, 9]
-        assert node.contradiction.x0 == 12  # 1+1+1+9 = 12, all blue
+        assert [s["point"] for s in node["steps"]] == ["4", "12", "3", "5", "9"]
+        assert node["contradiction"]["x0"] == "12"  # 1+1+1+9 = 12, all blue
 
     def test_nonzero_residue_full_chain(self):
         node = build_blue1_certificate(ProblemSpec(3, 7))
-        assert [s.point for s in node.steps] == [7, 21, 3, 8, 13, 2, 6, 12]
-        assert node.contradiction.x0 == 12  # 1x6 + 6 = 12, all blue
+        assert [s["point"] for s in node["steps"]] == ["7", "21", "3", "8", "13", "2", "6", "12"]
+        assert node["contradiction"]["x0"] == "12"  # 1x6 + 6 = 12, all blue
 
     def test_collision_with_doubled_small_arity(self):
         # 2k = l here; the planned step turns into an immediate contradiction
         node = build_blue1_certificate(ProblemSpec(3, 6))
         assert verify_branch(ProblemSpec(3, 6), Fraction(20), node).ok
-        assert node.contradiction.color is RED
+        assert node["contradiction"]["color"] == "red"
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -250,7 +252,7 @@ class TestAutoProve:
         spec = ProblemSpec(3, 3)
         assert auto_prove(spec, 1, [(Fraction(5), RED)], max_branch_depth=0) is None
         node = auto_prove(spec, 1, [(Fraction(5), RED)])
-        assert node is not None and node.children is not None
+        assert node is not None and "children" in node
         assert verify_branch(spec, Fraction(11), node).ok
 
     def test_negative_depth_is_rejected(self):
@@ -260,7 +262,7 @@ class TestAutoProve:
     def test_assumption_chain_closes_without_branching(self):
         # the half-grid refutation of (2,5) from 1=Red is pure forcing
         node = auto_prove(ProblemSpec(2, 5), 2, [(Fraction(1), RED)], max_branch_depth=0)
-        assert node is not None and node.children is None
+        assert node is not None and "children" not in node
 
     def test_agrees_with_discrete_search(self):
         for k in range(3, 6):
@@ -299,7 +301,7 @@ class TestAutoProve:
         # then 1+8=9 is an all-red pair.
         node = auto_prove(spec, 1, [(Fraction(1), RED), (Fraction(3), BLUE)])
         assert node is not None
-        assert node.point == 3 and node.color is BLUE
+        assert node["assume"] == {"point": "3", "color": "blue"}
         assert verify_branch(spec, Fraction(9), node, {Fraction(1): RED}).ok
 
 
@@ -308,7 +310,7 @@ class TestCertifyUpper:
     def test_verified_certificates(self, k, l):
         cert = certify_upper(ProblemSpec(k, l))
         assert verify_certificate(cert).ok
-        assert cert.domain_end == k * l + k - 1
+        assert cert["domain_end"] == str(k * l + k - 1)
 
     def test_unproved_surfaces_explicitly(self):
         with pytest.raises(UnprovedError) as info:
@@ -323,24 +325,49 @@ class TestCertifyUpper:
         with pytest.raises(ValueError):
             certify_upper(ProblemSpec(2, 3, 2))
 
+    @pytest.mark.parametrize("damage", ["schema", "replay"])
+    def test_emission_fault_is_an_internal_error(self, monkeypatch, damage):
+        # every builder checks the document it returns, so a fault in what it
+        # emits is a RuntimeError, never the ValueError of invalid input
+        as_json = SolutionWitness.as_json
+
+        def broken(self):
+            out = as_json(self)
+            if damage == "schema":
+                out["note"] = "x"
+            else:
+                out["x0"] = format_rational(parse_rational(out["x0"]) + 1)
+            return out
+
+        monkeypatch.setattr(SolutionWitness, "as_json", broken)
+        builds = (
+            lambda: build_k2_certificate(3),
+            lambda: build_blue1_certificate(ProblemSpec(3, 5)),
+            lambda: auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), RED)]),
+        )
+        for build in builds:
+            with pytest.raises(RuntimeError, match="failed its own check"):
+                build()
+
 
 class TestSerialization:
     def test_round_trip_bit_identical(self):
+        # a builder's document is plain JSON data: it reads back equal, and
+        # the schema pass reads the same tuples from both
         for spec in (ProblemSpec(2, 3), ProblemSpec(3, 4)):
             cert = certify_upper(spec)
-            doc = certificate_as_json(cert)
-            text = canonical_json(doc)
-            again = certificate_from_json(json.loads(text))
+            text = canonical_json(cert)
+            again = json.loads(text)
             assert again == cert
-            assert canonical_json(certificate_as_json(again)) == text
+            assert canonical_json(again) == text
+            assert certificate_from_json(again) == certificate_from_json(cert)
 
     def test_verification_after_round_trip(self):
         cert = build_k2_certificate(5)
-        again = certificate_from_json(json.loads(canonical_json(certificate_as_json(cert))))
-        assert verify_certificate(again).ok
+        assert verify_certificate(json.loads(canonical_json(cert))).ok
 
     def test_arity_mismatch_is_schema_error(self):
-        doc = certificate_as_json(build_k2_certificate(3))
+        doc = build_k2_certificate(3)
         doc["spec"]["l"] = 4  # witnesses inside still have arity 3
         with pytest.raises(ValueError):
             certificate_from_json(doc)
@@ -353,23 +380,26 @@ class TestSerialization:
             lambda d: d["root"][0].pop("assume"),
             lambda d: d["root"][0]["steps"][0].update(forced="green"),
             lambda d: d["root"][0]["steps"][0]["witness"].update(x0="2.5"),
-            lambda d: d["root"][0].update(children=[]),
+            lambda d: d["root"][0].update(children=[]),  # both endings
             lambda d: d["spec"].pop("gamma"),
             lambda d: d["spec"].update(note="x"),
             lambda d: d["root"][0].update(note="hello"),
+            lambda d: d["root"][0].pop("contradiction"),  # neither ending
         ],
     )
     def test_schema_violations(self, mutate):
-        doc = certificate_as_json(build_k2_certificate(3))
+        doc = build_k2_certificate(3)
         mutate(doc)
         with pytest.raises(ValueError):
             certificate_from_json(doc)
+        with pytest.raises(ValueError):
+            verify_certificate(doc)
 
     def test_tampered_file_fails_verification_not_parsing(self):
-        doc = certificate_as_json(build_k2_certificate(3))
+        doc = build_k2_certificate(3)
         doc["root"][0]["steps"][0]["forced"] = "red"  # was blue
-        cert = certificate_from_json(doc)
-        check = verify_certificate(cert)
+        certificate_from_json(doc)
+        check = verify_certificate(doc)
         assert not check.ok and check.failure.step_index == 0
 
 
@@ -400,7 +430,7 @@ class TestCertificateSemantics:
     def test_point_set_is_uncolorable(self, k, l):
         from itertools import product
 
-        cert = certify_upper(ProblemSpec(k, l))
+        cert = reference_certificate_from_json(certify_upper(ProblemSpec(k, l)))
         witnesses, points = [], set()
         for node in cert.root:
             self.collect(node, witnesses, points)
@@ -416,67 +446,153 @@ class TestCertificateSemantics:
 
 class TestVerifierStructure:
     def test_root_must_sit_on_the_left_endpoint(self):
-        cert = build_k2_certificate(3)
-        moved = dataclasses.replace(cert.root[0], point=Fraction(2))
-        check = verify_certificate(dataclasses.replace(cert, root=(moved, cert.root[1])))
+        doc = build_k2_certificate(3)
+        doc["root"][0]["assume"]["point"] = "2"
+        check = verify_certificate(doc)
         assert not check.ok and "left endpoint" in check.failure.reason
 
     def test_root_colors_must_differ(self):
-        cert = build_k2_certificate(3)
-        check = verify_certificate(dataclasses.replace(cert, root=(cert.root[0], cert.root[0])))
+        doc = build_k2_certificate(3)
+        doc["root"][1] = doc["root"][0]
+        check = verify_certificate(doc)
         assert not check.ok and "opposite colors" in check.failure.reason
 
     def test_children_must_split_one_point(self):
-        w12 = SolutionWitness.from_values(RED, [1, 1], 2)
-        spec = ProblemSpec(2, 2)
-        # well-formed split: both children assume 2, then close on (1,1)->2
-        leaf_blue = BranchNode(Fraction(3), BLUE, (), contradiction=w12)
-        bad_children = BranchNode(
-            Fraction(1), RED, (),
-            children=(
-                BranchNode(Fraction(2), RED, (), contradiction=w12),
-                BranchNode(Fraction(3), BLUE, (), contradiction=w12),
-            ),
-        )
-        check = verify_branch(spec, Fraction(5), bad_children)
+        w12 = SolutionWitness.from_values(RED, [1, 1], 2).as_json()
+
+        def leaf(point, color):
+            return {"assume": {"point": point, "color": color}, "steps": [], "contradiction": w12}
+
+        # each child would close on (1,1)->2, but they assume different points
+        split = {
+            "assume": {"point": "1", "color": "red"}, "steps": [],
+            "children": [leaf("2", "red"), leaf("3", "blue")],
+        }
+        check = verify_branch(ProblemSpec(2, 2), Fraction(5), split)
         assert not check.ok and "same point" in check.failure.reason
-        assert leaf_blue.contradiction is w12
 
     def test_branch_path_labels_nested_assumptions(self):
         spec = ProblemSpec(3, 3)
         node = auto_prove(spec, 1, [(Fraction(5), RED)])
-        assert node is not None and node.children is not None
+        assert node is not None and "children" in node
         # break the deepest reachable step and confirm the path points there
-        child = node.children[0]
-        bad_child = dataclasses.replace(
-            child, steps=(dataclasses.replace(child.steps[0], forced=child.steps[0].forced.opposite),)
-            + child.steps[1:],
-        )
-        bad = dataclasses.replace(node, children=(bad_child, node.children[1]))
-        check = verify_branch(spec, Fraction(11), bad)
+        step = node["children"][0]["steps"][0]
+        step["forced"] = Color(step["forced"]).opposite.value
+        check = verify_branch(spec, Fraction(11), node)
         assert not check.ok
         assert len(check.failure.path) == 2 and check.failure.step_index == 0
 
 
-class TestBranchNodeShape:
-    def test_exactly_one_outcome(self):
-        w = SolutionWitness.from_values(RED, [1, 1], 2)
-        with pytest.raises(ValueError):
-            BranchNode(Fraction(1), RED, ())
-        with pytest.raises(ValueError):
-            BranchNode(
-                Fraction(1), RED, (), contradiction=w,
-                children=(
-                    BranchNode(Fraction(2), RED, (), contradiction=w),
-                    BranchNode(Fraction(2), BLUE, (), contradiction=w),
-                ),
-            )
+def test_branch_node_emits_past_the_recursion_limit():
+    # the prover's trees are shallow, but the emitter walks them with an
+    # explicit stack: a 4000-split spine emits in pre-order, first child first
+    leaf = dpll(_grid_system(ProblemSpec(2, 2), 1), 1, RED, 0, 0, [1], 0, Counter())
+    assert leaf is not None and leaf.conflict is not None
+    tree = leaf
+    for _ in range(4000):
+        tree = Refutation(1, RED, [], None, (leaf, tree))
+    closing = _branch_node(leaf, 1)
+    node, depth = _branch_node(tree, 1), 0
+    while "children" in node:
+        first, node = node["children"]
+        assert first == closing
+        depth += 1
+    assert depth == 4000 and node == closing
 
 
 # ---------------------------------------------------------------------------
 # The recursive replay and parse the iterative ones replaced, kept as the
-# reference of the property tests below.  Each branch is checked on a copy of
-# its parent's state, in Fraction arithmetic.
+# reference of the property tests below, on node types of their own.  Each
+# branch is checked on a copy of its parent's state, in Fraction arithmetic.
+
+
+@dataclass(frozen=True)
+class Step:
+    point: Fraction
+    forced: Color
+    witness: SolutionWitness
+
+
+@dataclass(frozen=True)
+class Node:
+    point: Fraction
+    color: Color
+    steps: tuple
+    contradiction: Optional[SolutionWitness] = None
+    children: Optional[tuple] = None
+
+
+@dataclass(frozen=True)
+class Cert:
+    spec: ProblemSpec
+    domain_end: Fraction
+    root: tuple
+
+
+def emit_node(node):
+    """The file form of a reference node."""
+    out = {
+        "assume": {"point": format_rational(node.point), "color": node.color.value},
+        "steps": [
+            {"point": format_rational(s.point), "forced": s.forced.value, "witness": s.witness.as_json()}
+            for s in node.steps
+        ],
+    }
+    if node.contradiction is not None:
+        out["contradiction"] = node.contradiction.as_json()
+    else:
+        out["children"] = [emit_node(child) for child in node.children]
+    return out
+
+
+def emit(cert):
+    """The document of a reference certificate."""
+    root = [emit_node(node) for node in cert.root]
+    return {"spec": cert.spec.as_json(), "domain_end": format_rational(cert.domain_end), "root": root}
+
+
+def reference_tuples(cert):
+    """A reference certificate's node tuples in the schema pass's layout:
+    pre-order, first child first, points as reduced (numerator, denominator)."""
+
+    def key(v):
+        return v.numerator, v.denominator
+
+    def witness(w):
+        return w.color, tuple((key(v), m) for v, m in w.left), key(w.x0)
+
+    nodes = []
+
+    def walk(node, depth):
+        index = len(nodes)
+        nodes.append(None)
+        kids = None if node.children is None else [walk(child, depth + 1) for child in node.children]
+        steps = tuple((key(s.point), s.forced, witness(s.witness)) for s in node.steps)
+        end = None if node.contradiction is None else witness(node.contradiction)
+        nodes[index] = (depth, key(node.point), node.color, steps, end, kids)
+        return index
+
+    for node in cert.root:
+        walk(node, 0)
+    return nodes
+
+
+def canonical_nodes(nodes):
+    """Node tuples with each witness's left side merged and sorted by value,
+    as a SolutionWitness holds it; the schema pass keeps file order."""
+
+    def canon(w):
+        color, left, x0 = w
+        merged = Counter()
+        for point, m in left:
+            merged[point] += m
+        return color, tuple(sorted(merged.items(), key=lambda item: Fraction(*item[0]))), x0
+
+    return [
+        (depth, point, color, tuple((p, forced, canon(w)) for p, forced, w in steps),
+         None if end is None else canon(end), kids)
+        for depth, point, color, steps, end, kids in nodes
+    ]
 
 
 def reference_verify_node(spec, domain_end, node, state, path):
@@ -593,9 +709,7 @@ def reference_node_from_json(obj, spec):
         except ValueError:
             raise ValueError(f"unknown color {item['forced']!r}") from None
         steps.append(
-            ForcingStep(
-                parse_rational(item["point"]), forced, reference_witness_from_json(item["witness"], spec)
-            )
+            Step(parse_rational(item["point"]), forced, reference_witness_from_json(item["witness"], spec))
         )
     has_contradiction = "contradiction" in obj
     has_children = "children" in obj
@@ -605,12 +719,12 @@ def reference_node_from_json(obj, spec):
         raise ValueError("branch node must carry nothing but assume, steps, and its ending")
     if has_contradiction:
         witness = reference_witness_from_json(obj["contradiction"], spec)
-        return BranchNode(point, color, tuple(steps), witness)
+        return Node(point, color, tuple(steps), witness)
     children = obj["children"]
     if not (isinstance(children, list) and len(children) == 2):
         raise ValueError("children must be a pair")
     pair = (reference_node_from_json(children[0], spec), reference_node_from_json(children[1], spec))
-    return BranchNode(point, color, tuple(steps), children=pair)
+    return Node(point, color, tuple(steps), children=pair)
 
 
 def reference_certificate_from_json(obj):
@@ -620,11 +734,15 @@ def reference_certificate_from_json(obj):
     root = obj["root"]
     if not (isinstance(root, list) and len(root) == 2):
         raise ValueError("root must be a pair of branch nodes")
-    return ForcingCertificate(
+    return Cert(
         spec,
         parse_rational(obj["domain_end"]),
         (reference_node_from_json(root[0], spec), reference_node_from_json(root[1], spec)),
     )
+
+
+def reference_check(doc):
+    return reference_verify_certificate(reference_certificate_from_json(doc))
 
 
 def spine(cert, branch, points):
@@ -640,35 +758,40 @@ def spine(cert, branch, points):
     for i in range(len(points) - 1, -1, -1):
         pair = (tail(points[i], RED), below)
         if i == 0:
-            below = BranchNode(node.point, node.color, (), children=pair)
+            below = Node(node.point, node.color, (), children=pair)
         else:
-            below = BranchNode(points[i - 1], BLUE, (), children=pair)
+            below = Node(points[i - 1], BLUE, (), children=pair)
     root = list(cert.root)
     root[branch] = below
     return dataclasses.replace(cert, root=tuple(root))
 
 
 def _property_bases():
+    """Reference certificates read from builder documents and archived files."""
+    read = reference_certificate_from_json
     bases = [
-        build_k2_certificate(3),
-        build_k2_certificate(6),
-        certify_upper(ProblemSpec(3, 5)),  # a built blue-1 branch beside an auto-proved one
-        certify_upper(ProblemSpec(4, 6)),
-        certify_upper(ProblemSpec(4, 5), grid_denominator=1),
-        certify_upper(ProblemSpec(2, 4), grid_denominator=2),
-        certify_upper(ProblemSpec(3, 4), grid_denominator=3),
+        read(build_k2_certificate(3)),
+        read(build_k2_certificate(6)),
+        read(certify_upper(ProblemSpec(3, 5))),  # a built blue-1 branch beside an auto-proved one
+        read(certify_upper(ProblemSpec(4, 6))),
+        read(certify_upper(ProblemSpec(4, 5), grid_denominator=1)),
+        read(certify_upper(ProblemSpec(2, 4), grid_denominator=2)),
+        read(certify_upper(ProblemSpec(3, 4), grid_denominator=3)),
     ]
     bases.append(spine(bases[0], 0, [Fraction(1) + Fraction(i, 11) for i in (3, 7, 5)]))
     bases.append(spine(bases[2], 1, [Fraction(1) + Fraction(i, 13) for i in (9, 2)]))
     for path in sorted(DATA.glob("certificate-*.json")):
-        bases.append(reference_certificate_from_json(json.loads(path.read_text(encoding="ascii"))))
+        bases.append(read(json.loads(path.read_text(encoding="ascii"))))
     # Auto-proved branches split only below an inner assumption.  Each pair
     # holds both colors of one inner point, so it fails the root check, but
     # verify_branch accepts each of its nodes.
     for k, l, p in ((3, 3, 5), (3, 4, 2)):
         spec = ProblemSpec(k, l)
-        pair = tuple(auto_prove(spec, 1, [(Fraction(p), color)]) for color in (RED, BLUE))
-        bases.append(ForcingCertificate(spec, Fraction(k * l + k - 1), pair))
+        pair = tuple(
+            reference_node_from_json(auto_prove(spec, 1, [(Fraction(p), color)]), spec)
+            for color in (RED, BLUE)
+        )
+        bases.append(Cert(spec, Fraction(k * l + k - 1), pair))
     return bases
 
 
@@ -731,8 +854,10 @@ def _eligible(kind, path, node):
 
 @st.composite
 def mutated_certificates(draw):
+    """The document of a base certificate with one to three of MUTATIONS
+    applied to its reference objects."""
     cert = draw(st.sampled_from(BASES))
-    used = {Fraction(p) for p in points_used(cert)}
+    used = {point for _, node in _nodes(cert) for point in [node.point, *[s.point for s in node.steps]]}
     shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)]
     values = st.builds(
         lambda v, s: v + s, st.sampled_from(sorted(used | {cert.domain_end})), st.sampled_from(shifts)
@@ -777,44 +902,42 @@ def mutated_certificates(draw):
                 steps[i] = dataclasses.replace(step, witness=w)
             node = dataclasses.replace(node, steps=tuple(steps))
         cert = _replace_node(cert, path, node)
-    return cert
+    return emit(cert)
 
 
-def _outcome(parse, doc):
-    """The parse, or the message of the ValueError it raised; any other
-    exception escapes and fails the test."""
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the message of the ValueError it raised; any
+    other exception escapes and fails the test."""
     try:
-        return parse(doc)
+        return fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(mutated_certificates(), st.data())
-def test_replay_matches_the_recursive_reference(cert, data):
-    assert verify_certificate(cert) == reference_verify_certificate(cert)
+def test_replay_matches_the_recursive_reference(doc, data):
+    # schema pass and replay against the reference's parse and replay; a
+    # wrong arity, say, is a schema error in both
+    assert _outcome(verify_certificate, doc) == _outcome(reference_check, doc)
     # one branch under ambient pre-colored points, as the prover checks it
-    node = data.draw(st.sampled_from(cert.root))
-    points = [node.point] + [step.point for step in node.steps]
+    spec, end = ProblemSpec.from_json(doc["spec"]), parse_rational(doc["domain_end"])
+    node = data.draw(st.sampled_from(doc["root"]))
+    points = [parse_rational(p) for p in [node["assume"]["point"], *[s["point"] for s in node["steps"]]]]
     ambient = data.draw(st.dictionaries(st.sampled_from(points), st.sampled_from((RED, BLUE))))
-    expected = reference_verify_node(cert.spec, cert.domain_end, node, dict(ambient), ())
-    assert verify_branch(cert.spec, cert.domain_end, node, ambient) == expected
-    # the emitted file parses as the reference parses it (a wrong arity is a
-    # schema error there) and replays the same
-    doc = json.loads(canonical_json(certificate_as_json(cert)))
-    parsed = _outcome(certificate_from_json, doc)
-    assert parsed == _outcome(reference_certificate_from_json, doc)
-    if not isinstance(parsed, str):
-        assert verify_certificate(parsed) == verify_certificate(cert)
-        assert check_certificate(*read_certificate(doc)) == verify_certificate(cert)
+
+    def reference_branch(node):
+        return reference_verify_node(spec, end, reference_node_from_json(node, spec), dict(ambient), ())
+
+    assert _outcome(verify_branch, spec, end, node, ambient) == _outcome(reference_branch, node)
 
 
 def test_property_bases_verify_and_some_split():
     for cert in BASES:
         if cert.root[0].point == cert.spec.gamma:
-            assert verify_certificate(cert).ok
+            assert verify_certificate(emit(cert)).ok
         else:
-            assert all(verify_branch(cert.spec, cert.domain_end, node).ok for node in cert.root)
+            assert all(verify_branch(cert.spec, cert.domain_end, emit_node(node)).ok for node in cert.root)
     # splits are where the undo trail is unwound
     assert sum(any(node.children for _, node in _nodes(cert)) for cert in BASES) >= 4
 
@@ -831,7 +954,7 @@ def damaged_documents(draw):
     dropping a step keep it, so those files reach the replay (exit 0 or 1).
     """
     base = draw(st.sampled_from(BASES))
-    doc = json.loads(canonical_json(certificate_as_json(base)))
+    doc = emit(base)
     for _ in range(draw(st.integers(1, 3))):
         places, steps, literals, stack = [], [], [], [doc]
         while stack:
@@ -879,9 +1002,15 @@ def damaged_documents(draw):
 @given(damaged_documents())
 def test_parse_matches_the_recursive_reference_on_damaged_files(doc):
     got = _outcome(certificate_from_json, doc)
-    assert got == _outcome(reference_certificate_from_json, doc)
-    if not isinstance(got, str):
-        assert verify_certificate(got) == reference_verify_certificate(got)
+    expected = _outcome(reference_certificate_from_json, doc)
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    spec, end, nodes = got
+    assert (spec, end, canonical_nodes(nodes)) == (
+        expected.spec, expected.domain_end, reference_tuples(expected)
+    )
+    assert check_certificate(spec, end, nodes) == reference_verify_certificate(expected)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -897,7 +1026,8 @@ def test_command_matches_the_recursive_reference_on_damaged_files(doc):
         check = reference_verify_certificate(cert)
         if check.ok:
             end = format_rational(cert.domain_end)
-            expected = (0, {"verified": True, "domain_end": end, **certificate_stats(cert)})
+            stats = certificate_stats(reference_tuples(cert))
+            expected = (0, {"verified": True, "domain_end": end, **stats})
         else:
             failure = dataclasses.asdict(check.failure)
             expected = (1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))})
@@ -926,13 +1056,13 @@ def test_hostile_denominators_stay_cheap():
     # takes 0.02 s.  With bare primes that product has only 25,000 bits and
     # such a replay stays under a second, so it would not show here.
     l = 2**521 - 1
-    cert = build_k2_certificate(l)
+    cert = reference_certificate_from_json(build_k2_certificate(l))
     blue = cert.root[1]
     inserted = []
     for p in _first_primes(2000):
         q = p**30
         x = 1 + Fraction(l, q)
-        inserted.append(ForcingStep(x, RED, SolutionWitness(BLUE, ((Fraction(1), l - q), (x, q)), 2 * l)))
+        inserted.append(Step(x, RED, SolutionWitness(BLUE, ((Fraction(1), l - q), (x, q)), 2 * l)))
     assert blue.steps[1].point == 2 * l and blue.steps[1].forced is BLUE
     steps = blue.steps[:2] + tuple(inserted) + blue.steps[2:]
     broken_step = dataclasses.replace(
@@ -941,9 +1071,9 @@ def test_hostile_denominators_stay_cheap():
     broken_steps = steps[:2001] + (broken_step,) + steps[2002:]
     for tree, ok in ((steps, True), (broken_steps, False)):
         certificate = dataclasses.replace(cert, root=(cert.root[0], dataclasses.replace(blue, steps=tree)))
-        text = canonical_json(certificate_as_json(certificate))
+        text = canonical_json(emit(certificate))
         start = time.perf_counter()
-        check = verify_certificate(certificate_from_json(json.loads(text)))
+        check = verify_certificate(json.loads(text))
         assert time.perf_counter() - start < 2.0
         assert check.ok is ok
         assert check == reference_verify_certificate(certificate)

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,44 +10,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from offrado.certificates import (
-    BranchNode,
-    ForcingStep,
-    build_k2_certificate,
-    certificate_as_json,
-    certificate_from_json,
-    certificate_stats,
-)
+from offrado.certificates import build_k2_certificate, certificate_from_json, certificate_stats
 from offrado import cli
 from offrado.cli import main
-from offrado.equations import Color, SolutionWitness
-from offrado.serialize import canonical_json
+from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
+from offrado.intervals import coloring_as_json, coloring_from_json, lower_bound_coloring
+from offrado.serialize import canonical_json, format_rational, parse_rational
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def same_document(a, b) -> bool:
-    """JSON equality by an explicit stack: == recurses, and deep documents
-    overflow it."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, dict):
-            if x.keys() != y.keys():
-                return False
-            stack.extend((x[key], y[key]) for key in x)
-        elif isinstance(x, list):
-            if len(x) != len(y):
-                return False
-            stack.extend(zip(x, y))
-        elif x != y:
-            return False
-    return True
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +166,109 @@ class TestColoringPipeline:
         code, doc = run_cli(capsys, "verify-coloring", "2", "3", "--file", "/no/such/file")
         assert code == 64
 
+    @pytest.mark.parametrize("code_value", [[], {}, ["[", ")"]], ids=["list", "object", "pair"])
+    def test_unhashable_closure_code_is_invalid_input(self, capsys, tmp_path, code_value):
+        # an unhashable code once raised TypeError, which exits 1 (WitnessFound)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({
+            "gamma": "1", "end": "7", "end_inclusive": False,
+            "red": [["1", "2", code_value], ["6", "7", "[)"]], "blue": [["2", "6", "[)"]],
+        }))
+        code, doc = run_cli(capsys, "verify-coloring", "2", "3", "--file", str(path))
+        assert code == 64 and doc["status"] == "InvalidInput"
+        assert "closure code" in doc["payload"]["error"]
+
+
+COLORING_JUNK = (
+    None, True, False, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "[)", "[]",
+)
+SHIFTS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7))
+CODES = ("[)", "[]", "()", "(]")
+
+
+@st.composite
+def mutated_colorings(draw):
+    """A ``lower-bound`` file for 2 <= k <= l <= 4 with one to three changes:
+    an endpoint or a whole boundary shifted, a closure flipped, an interval
+    moved to the other class, or a value replaced by junk.  Each class keeps at most 4
+    intervals, so no sumset grows large."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.integers(k, 4))
+    gamma = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
+    doc = coloring_as_json(lower_bound_coloring(ProblemSpec(k, l, gamma)))
+    for _ in range(draw(st.integers(1, 3))):
+        intervals = [
+            (side, i) for side in ("red", "blue") if isinstance(doc.get(side), list)
+            for i, item in enumerate(doc[side]) if isinstance(item, list) and len(item) == 3
+        ]
+        kind = draw(st.sampled_from(("shift", "closure", "move", "junk")))
+        if kind == "shift":
+            places = [(doc, key) for key in ("gamma", "end") if key in doc]
+            places += [(doc[side][i], j) for side, i in intervals for j in (0, 1)]
+            if not places:
+                continue
+            parent, key = draw(st.sampled_from(places))
+            old = parent[key]
+            try:
+                new = format_rational(parse_rational(old) + draw(st.sampled_from(SHIFTS)))
+            except ValueError:  # junk from an earlier change
+                continue
+            # one endpoint alone, or a boundary: every endpoint at that value
+            for where, slot in places if draw(st.booleans()) else [(parent, key)]:
+                if where[slot] == old:
+                    where[slot] = new
+        elif kind == "closure":
+            if not intervals or draw(st.booleans()):
+                doc["end_inclusive"] = not doc.get("end_inclusive")
+            else:
+                side, i = draw(st.sampled_from(intervals))
+                doc[side][i][2] = draw(st.sampled_from(CODES))
+        elif kind == "move":
+            if not intervals:
+                continue
+            side, i = draw(st.sampled_from(intervals))
+            other = "blue" if side == "red" else "red"
+            if isinstance(doc.get(other), list) and len(doc[other]) < 4:
+                doc[other].append(doc[side].pop(i))
+        else:
+            places = [(doc, key) for key in doc]
+            places += [(doc[side], i) for side, i in intervals]
+            places += [(doc[side][i], j) for side, i in intervals for j in range(3)]
+            if not places:
+                continue
+            parent, key = draw(st.sampled_from(places))
+            parent[key] = draw(st.sampled_from(COLORING_JUNK))
+    return k, l, doc
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(mutated_colorings())
+def test_verify_coloring_on_mutated_files_is_valid_witness_or_invalid(case):
+    # exit 0 is Valid; exit 1 carries a true solution inside the class it
+    # names; anything the reader refuses is InvalidInput (64)
+    k, l, doc = case
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_read_json", lambda path: doc)
+        code = cli.main(["verify-coloring", str(k), str(l), "--file", "mutated.json"])
+    result = json.loads(out.getvalue())
+    assert code in (0, 1, 64)
+    if code == 64:
+        assert result["status"] == "InvalidInput"
+        return
+    coloring = coloring_from_json(doc)
+    if code == 0:
+        assert result["status"] == "Ok" and result["payload"] == {"status": "Valid"}
+        return
+    assert result["status"] == "WitnessFound" and result["payload"]["status"] == "WitnessFound"
+    w = result["payload"]["witness"]
+    color = Color(w["color"])
+    witness = SolutionWitness(
+        color, tuple((parse_rational(v), m) for v, m in w["left"]), parse_rational(w["x0"])
+    )
+    assert check_witness(ProblemSpec(k, l, coloring.domain.lo), witness)
+    assert all(coloring.class_of(color).contains(v) for v in witness.points())
+
 
 class TestCertificatePipeline:
     def test_emit_then_verify(self, capsys, tmp_path):
@@ -275,7 +354,7 @@ class TestCertificatePipeline:
         ``depth`` useless splits on fresh points p_i = 1 + i/8009: each red
         child closes with the branch's contradiction, each blue child splits
         again.  Built bottom-up, so no step recurses."""
-        doc = json.loads(canonical_json(certificate_as_json(build_k2_certificate(3))))
+        doc = json.loads(canonical_json(build_k2_certificate(3)))
         red = doc["root"][0]
         closing = red.pop("contradiction")
         points = [str(Fraction(8009 + i, 8009)) for i in range(1, depth + 1)]
@@ -293,10 +372,10 @@ class TestCertificatePipeline:
 
     def test_nesting_too_deep_for_recursion_is_read_and_checked(self, capsys, monkeypatch):
         # Interpreters whose json.loads recursion limit is separate from the
-        # Python one read files nested past it.  Parse, replay and emission
-        # use explicit stacks, so such a parsed object (4000 split levels) is
-        # checked like any other: handed straight to the command, it verifies.
-        base = certificate_stats(build_k2_certificate(3))
+        # Python one read files nested past it.  Parse and replay use explicit
+        # stacks, so such a parsed object (4000 split levels) is checked like
+        # any other: handed straight to the command, it verifies.
+        base = certificate_stats(certificate_from_json(build_k2_certificate(3))[2])
         valid, points = self.spine_document(4000)
         monkeypatch.setattr("offrado.cli._read_json", lambda path: valid)
         code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
@@ -305,11 +384,6 @@ class TestCertificatePipeline:
             "verified": True, "domain_end": "7",
             "branches": base["branches"] + 2 * 4000, "steps": base["steps"],
         }
-        # its objects emit the same document, which reads and replays the same
-        emitted = certificate_as_json(certificate_from_json(valid))
-        assert same_document(emitted, valid)
-        monkeypatch.setattr("offrado.cli._read_json", lambda path: emitted)
-        assert run_cli(capsys, "verify-certificate", "--file", "deep.json") == (code, out)
         # a broken contradiction at split 3999 is reported at its full path
         tampered, points = self.spine_document(4000, tamper_level=3999)
         monkeypatch.setattr("offrado.cli._read_json", lambda path: tampered)
@@ -322,13 +396,12 @@ class TestCertificatePipeline:
         assert failure["reason"] == "contradiction fails arithmetic, arity, or domain-start check"
 
     def test_verify_certificate_builds_no_certificate_objects(self, capsys, monkeypatch):
-        # the command checks the decoded file's tuples; objects are for the
-        # builders and the library
+        # the command checks the decoded file's tuples; witness objects are
+        # for the builders
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"a {type(self).__name__} was built")
 
-        for cls in (SolutionWitness, ForcingStep, BranchNode):
-            monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(SolutionWitness, "__init__", refuse)
         for path in sorted(DATA.glob("certificate-*.json")):
             code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
             assert code == 0 and out["payload"]["verified"] is True

@@ -13,16 +13,18 @@ from offrado.equations import (
     formula_degenerate_k1,
     formula_discrete,
 )
-from offrado.certificates import build_k2_certificate, certificate_as_json, certificate_from_json
+from offrado.certificates import build_k2_certificate, certificate_from_json
 from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational
 
 
 def read_back(witness_json):
     """A witness read from JSON by the certificate reader, the only one: it
-    stands in for the contradiction of the (2,3) certificate's red branch."""
-    doc = certificate_as_json(build_k2_certificate(3))
+    stands in for the contradiction of the (2,3) certificate's red branch,
+    the first node of the schema pass."""
+    doc = build_k2_certificate(3)
     doc["root"][0]["contradiction"] = witness_json
-    return certificate_from_json(doc).root[0].contradiction
+    color, left, x0 = certificate_from_json(doc)[2][0][4]
+    return SolutionWitness(color, tuple((Fraction(*p), m) for p, m in left), Fraction(*x0))
 
 
 class TestFormulaDiscrete:

@@ -310,6 +310,8 @@ class TestColoringJson:
             lambda d: d.update(end_inclusive="no"),
             lambda d: d["red"].append(["2", "3", "[)"]),  # overlaps blue
             lambda d: d["red"].__setitem__(0, ["1", "2", "[x"]),
+            lambda d: d["red"].__setitem__(0, ["1", "2", []]),  # unhashable codes
+            lambda d: d["red"].__setitem__(0, ["1", "2", {}]),
             lambda d: d.update(gamma="1.5"),
         ],
     )

@@ -171,26 +171,41 @@ def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv,digest",
+    "argv,digest,payload",
     [
-        (["4", "6"], "5c21c74e2216211e7fb564ff89609d3e5e00292eebfa6c98626c0c48cc14521e"),
-        (["5", "5"], "b2810b44bdaaf5084b629c107bff2189686dd425f256d260637d64cd70b290d6"),
+        (
+            ["4", "6"],
+            "5c21c74e2216211e7fb564ff89609d3e5e00292eebfa6c98626c0c48cc14521e",
+            ("27", 2, 19, "1 2 3 4 5 6 7 8 11 13 18 21 24 26 27"),
+        ),
+        (
+            ["5", "5"],
+            "b2810b44bdaaf5084b629c107bff2189686dd425f256d260637d64cd70b290d6",
+            ("29", 2, 12, "1 5 6 11 21 25 29"),
+        ),
         (
             ["2", "5", "--grid-denominator", "4"],
             "fd4aea6b4efccf4eb5c9a14a67794a8fe95105186fa7756ca6117dca48674c07",
+            ("11", 2, 26, "1 5/4 3/2 7/4 2 9/4 5/2 11/4 3 7/2 9/2 5 6 13/2 8 9 19/2 10 11"),
         ),
         (
             ["3", "4", "--grid-denominator", "3"],
             "b900e14c226163c997974baeca704d6cadef2de1bb12cd475f1aa5118c7a9fe9",
+            ("14", 2, 18, "1 4/3 3 11/3 4 13/3 14/3 5 16/3 8 25/3 26/3 9 10 12 14"),
         ),
     ],
     ids=["4-6", "5-5", "2-5-d4", "3-4-d3"],
 )
-def test_certificate_files_pinned(capsys, tmp_path, argv, digest):
+def test_certificate_files_pinned(capsys, tmp_path, argv, digest, payload):
     path = tmp_path / "cert.json"
     assert main(["certify-upper", *argv, "--out", str(path)]) == 0
-    capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # the numbers on stdout are read back from the document that was written
+    end, branches, steps, points = payload
+    assert json.loads(capsys.readouterr().out)["payload"] == {
+        "file": str(path), "domain_end": end, "branches": branches, "steps": steps,
+        "points_used": points.split(),
+    }
 
 
 @pytest.mark.parametrize(

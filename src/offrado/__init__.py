@@ -32,7 +32,6 @@ from .intervals import (
     verify_coloring,
 )
 from .search import (
-    Conflict,
     DiscreteColoring,
     SearchReport,
     SearchStats,
@@ -40,7 +39,6 @@ from .search import (
     compute_rado,
     enumerate_solutions,
     is_valid_discrete,
-    propagate,
     search_valid,
 )
 from .certificates import (

@@ -2,8 +2,9 @@
 
 stdout carries exactly one JSON document per invocation; anything meant for
 humans goes to stderr.  Exit codes: Ok 0, WitnessFound 1, Unproved 2,
-InvalidInput 64.  Rational arguments accept integer or "p/q" strings only;
-decimals are refused because they are not exactly what they look like.
+InvalidInput 64, InternalError 70 (a self-check failed: a bug, not a
+verdict).  Rational arguments accept integer or "p/q" strings only; decimals
+are refused because they are not exactly what they look like.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .search import compute_rado
 from .serialize import canonical_json, format_rational, parse_rational
 from . import suite
 
-EXIT_CODES = {"Ok": 0, "WitnessFound": 1, "Unproved": 2, "InvalidInput": 64}
+EXIT_CODES = {"Ok": 0, "WitnessFound": 1, "Unproved": 2, "InvalidInput": 64, "InternalError": 70}
 
 
 class _CliError(ValueError):
@@ -271,5 +272,10 @@ def main(argv=None) -> int:
         result = _result("certify-upper", spec, payload, "Unproved")
     except ValueError as exc:
         result = _result("invalid", None, {"error": str(exc)}, "InvalidInput")
+    except RuntimeError as exc:  # uncaught it would exit 1, which means WitnessFound
+        import traceback  # only on this path, so no command pays for the import
+
+        traceback.print_exc()
+        result = _result("internal", None, {"error": str(exc)}, "InternalError")
     print(canonical_json(result))
     return EXIT_CODES[result["status"]]

@@ -281,9 +281,6 @@ def lower_bound_coloring(spec: ProblemSpec) -> ContinuousColoring:
 def scale_coloring(coloring: ContinuousColoring, factor) -> ContinuousColoring:
     """Multiply every endpoint by a positive factor; closure flags ride along.
     The guarded equations are homogeneous, so validity is preserved."""
-    factor = exact_fraction(factor)
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
     return ContinuousColoring(
         coloring.domain.scale(factor),
         coloring.red.scale(factor),

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .equations import (
     Color,
@@ -28,7 +28,7 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import Satisfiable, SumsetSystem, dpll, propagate_masks, solution_clauses
+from .propagation import Satisfiable, SumsetSystem, dpll, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 # Candidates per sweep int, a power of two: wider ints cost more per AND,
@@ -60,14 +60,8 @@ class DiscreteColoring:
             raise ValueError("sets must lie in {1..n}")
 
     @classmethod
-    def empty(cls, n: int) -> "DiscreteColoring":
-        return cls(n, 0, 0)
-
-    @classmethod
     def from_sets(cls, n: int, red, blue) -> "DiscreteColoring":
         red, blue = set(red), set(blue)
-        if red & blue:
-            raise ValueError("red and blue sets overlap")
         if not red | blue <= set(range(1, n + 1)):
             raise ValueError("sets must lie in {1..n}")
         # the range check admits equal non-ints such as 2.0; int() gives their bit
@@ -85,14 +79,6 @@ class DiscreteColoring:
     def values_of(self, color: Color) -> tuple[int, ...]:
         mask = self.red if color is Color.RED else self.blue
         return tuple(i for i in range(1, self.n + 1) if mask >> i & 1)
-
-    def assign(self, i: int, color: Color) -> "DiscreteColoring":
-        if not 1 <= i <= self.n:
-            raise ValueError(f"{i} outside 1..{self.n}")
-        bit = 1 << i
-        if color is Color.RED:
-            return DiscreteColoring(self.n, self.red | bit, self.blue & ~bit)
-        return DiscreteColoring(self.n, self.red & ~bit, self.blue | bit)
 
     def swapped(self) -> "DiscreteColoring":
         return DiscreteColoring(self.n, self.blue, self.red)
@@ -117,13 +103,6 @@ class DiscreteColoring:
         return cls.from_sets(n, red, blue)
 
 
-@dataclass(frozen=True)
-class Conflict:
-    """Propagation dead end: a solution went monochromatic under forced colors."""
-
-    witness: SolutionWitness
-
-
 @dataclass
 class SearchStats:
     nodes_explored: int = 0
@@ -145,9 +124,12 @@ class SearchReport:
     extremal: Optional[DiscreteColoring]
     stats: SearchStats
     formula_value: int
-    formula_mismatch: bool
     max_n: int
     scan: Optional[tuple[tuple[int, bool], ...]] = None
+
+    @property
+    def formula_mismatch(self) -> bool:
+        return self.value is not None and self.value != self.formula_value
 
     def as_json(self) -> dict:
         out = {
@@ -210,27 +192,6 @@ def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
                     return Verdict(clause.witness())
             raise RuntimeError("sumsets and solution enumeration disagree")
     return Verdict()
-
-
-def propagate(
-    coloring: DiscreteColoring, spec: ProblemSpec
-) -> Union[DiscreteColoring, Conflict]:
-    """Close the assignment under unit forcing.
-
-    Any solution with every entry but one colored by its own equation's color
-    forces the last entry to the opposite color; repeated to fixpoint.
-    Conflict (a value, not an error) reports a monochromatic solution among
-    colored entries, the least of its color.  A point forced both ways is
-    colored blue, and the next round of forcing reports the conflict that
-    makes.
-    """
-    system = _system(spec.k, spec.l, coloring.n)
-    colored = coloring.red | coloring.blue
-    pending = [i for i in range(1, coloring.n + 1) if colored >> i & 1]
-    red, blue, _, conflict = propagate_masks(system, coloring.red, coloring.blue, pending)
-    if conflict is not None:
-        return Conflict(conflict.witness())
-    return DiscreteColoring(coloring.n, red, blue)
 
 
 def _bit_slices(width_log: int) -> list[int]:
@@ -403,7 +364,6 @@ def compute_rado(
         extremal=extremal,
         stats=stats,
         formula_value=formula,
-        formula_mismatch=value is not None and value != formula,
         max_n=cap,
         scan=tuple(records) if scan else None,
     )

@@ -29,10 +29,13 @@ from offrado.certificates import (
     residue_params,
     verify_branch,
     verify_certificate,
+    _ChainBuilder,
     _branch_label,
     _branch_node,
+    _check_own,
     _fail,
     _grid_system,
+    _w,
 )
 from offrado import cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
@@ -97,6 +100,13 @@ class TestK2Builder:
         for l in range(3, 11):
             points = branch_points(build_k2_certificate(l)["root"][0])
             assert Fraction(3, 2) in points and Fraction(5, 2) in points
+
+    def test_every_l_through_40_verifies(self):
+        # small l collide planned points, so skipped steps and short-circuits run here
+        for l in range(2, 41):
+            cert = build_k2_certificate(l)
+            assert verify_certificate(cert).ok
+            assert cert["domain_end"] == str(2 * l + 1)
 
 
 class TestTamperResistance:
@@ -215,11 +225,57 @@ class TestBlueStartBranch:
         assert verify_branch(ProblemSpec(3, 6), Fraction(20), node).ok
         assert node["contradiction"]["color"] == "red"
 
+    def test_every_pair_through_15_verifies(self):
+        for k in range(3, 15):
+            for l in range(k + 1, 16):
+                spec = ProblemSpec(k, l)
+                node = build_blue1_certificate(spec)
+                assert node["assume"] == {"point": "1", "color": "blue"}
+                assert verify_branch(spec, Fraction(k * l + k - 1), node).ok
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             build_blue1_certificate(ProblemSpec(3, 3))
         with pytest.raises(ValueError):
             build_blue1_certificate(ProblemSpec(2, 4))
+
+
+class TestChainBuilder:
+    """The builder checks no witness: the replay of its document is what
+    refuses a plan whose witness has an entry not yet colored."""
+
+    spec = ProblemSpec(2, 3)
+
+    def replay(self, chain):
+        return verify_branch(self.spec, 7, chain.node())
+
+    def test_force_with_uncolored_entry_fails(self):
+        chain = _ChainBuilder(1, RED)
+        chain.force(4, BLUE, _w(RED, [(2, 2)], 4))  # 2 is not colored
+        chain.close(_w(RED, [(1, 2)], 2))
+        check = self.replay(chain)
+        assert check.failure == CheckFailure(("1=red",), 0, "entry 2 is not already colored red")
+
+    def test_close_with_uncolored_entry_fails(self):
+        chain = _ChainBuilder(1, RED)
+        chain.close(_w(RED, [(1, 1), (2, 1)], 3))
+        check = self.replay(chain)
+        assert check.failure == CheckFailure(("1=red",), None, "contradiction entry 2 is not colored red")
+
+    def test_short_circuit_with_uncolored_entry_fails(self):
+        # 1 is already red, the witness color, so force short-circuits to a
+        # contradiction whose entries 2 and 3 are not colored
+        chain = _ChainBuilder(1, RED)
+        chain.force(1, BLUE, _w(RED, [(1, 1), (2, 1)], 3))
+        assert chain.steps == [] and chain.closed
+        check = self.replay(chain)
+        assert check.failure == CheckFailure(("1=red",), None, "contradiction entry 2 is not colored red")
+
+    def test_builder_check_turns_a_bad_plan_into_an_internal_fault(self):
+        chain = _ChainBuilder(1, RED)
+        chain.close(_w(RED, [(1, 1), (2, 1)], 3))
+        with pytest.raises(RuntimeError, match="failed its own check"):
+            _check_own("built branch", verify_branch, self.spec, 7, chain.node())
 
 
 class TestAutoProve:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import build_k2_certificate, certificate_from_json, certificate_stats
-from offrado import cli
+from offrado import cli, search
 from offrado.cli import main
-from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
+from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, check_witness
 from offrado.intervals import coloring_as_json, coloring_from_json, lower_bound_coloring
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
@@ -485,6 +485,31 @@ class TestReproduce:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
             "0e15347e31affacf3c35dfa594975e8db05bc5e3588f1bbcf2da2ab8e1fa0239"
         )
+
+
+class TestInternalError:
+    """A failed self-check is a bug, not a verdict: exit 70 with one JSON
+    document on stdout and the traceback on stderr, never the 1 of
+    WitnessFound."""
+
+    def run_internal(self, capsys, *argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert out.endswith("\n") and out.count("\n") == 1, "exactly one JSON document"
+        doc = json.loads(out)
+        assert code == 70 and doc["status"] == "InternalError" and doc["command"] == "internal"
+        assert "Traceback" in err and "RuntimeError" in err
+        return doc["payload"]["error"]
+
+    def test_certificate_emission_fault(self, capsys, monkeypatch):
+        as_json = SolutionWitness.as_json
+        monkeypatch.setattr(SolutionWitness, "as_json", lambda w: {**as_json(w), "note": "x"})
+        assert "failed its own check" in self.run_internal(capsys, "certify-upper", "3", "4")
+
+    def test_discrete_recheck_fault(self, capsys, monkeypatch):
+        witness = SolutionWitness.from_values(Color.RED, [1, 1, 1], 3)
+        monkeypatch.setattr(search, "is_valid_discrete", lambda coloring, spec: Verdict(witness))
+        assert "re-check" in self.run_internal(capsys, "discrete", "3", "4")
 
 
 class TestProcessLevel:

@@ -21,8 +21,8 @@ from offrado.propagation import (
     rado_clauses, solution_clauses,
 )
 from offrado.search import (
-    Conflict, DiscreteColoring, SearchStats, compute_rado, enumerate_solutions,
-    is_valid_discrete, propagate, search_valid,
+    SearchStats, _system, compute_rado, enumerate_solutions,
+    is_valid_discrete, search_valid,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -237,7 +237,7 @@ def test_no_command_builds_the_reference_kernel(monkeypatch):
         cert = certify_upper(ProblemSpec(*spec), grid_denominator=d if d > 1 else None)
         assert verify_certificate(cert).ok
     assert compute_rado(ProblemSpec(4, 5)).value == 23
-    assert isinstance(propagate(DiscreteColoring.empty(7).assign(1, Color.RED), ProblemSpec(2, 3)), Conflict)
+    assert propagate_masks(_system(2, 3, 7), 1 << 1, 0, [1])[3] is not None
     with pytest.raises(AssertionError, match="reference"):
         ClauseSystem(3, [])
 
@@ -389,7 +389,7 @@ def test_no_clause_data_left_in_reference_cycles():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         compute_rado(ProblemSpec(4, 5))
-        assert isinstance(propagate(DiscreteColoring.empty(7).assign(1, Color.RED), ProblemSpec(2, 3)), Conflict)
+        assert propagate_masks(_system(2, 3, 7), 1 << 1, 0, [1])[3] is not None
         auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), Color.RED)])
         gc.collect()
         kinds = (Clause, ClauseSystem, SumsetSystem, SumsetHandle)

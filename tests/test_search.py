@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado import search
-from offrado.equations import Color, ProblemSpec, SolutionWitness, formula_discrete
+from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness, formula_discrete
 from offrado.intervals import lower_bound_coloring
-from offrado.propagation import solution_clauses
+from offrado.propagation import propagate_masks, solution_clauses
 from offrado.search import (
-    Conflict,
     DiscreteColoring,
     brute_force_colorable,
     compute_rado,
     enumerate_solutions,
     is_valid_discrete,
-    propagate,
     search_valid,
 )
 
@@ -72,7 +70,7 @@ class TestIsValid:
 
     def test_requires_total(self):
         with pytest.raises(ValueError):
-            is_valid_discrete(DiscreteColoring.empty(3), ProblemSpec(2, 2))
+            is_valid_discrete(DiscreteColoring(3, 0, 0), ProblemSpec(2, 2))
 
 
 def first_monochromatic(coloring, spec):
@@ -157,11 +155,18 @@ def test_bitset_recheck_matches_set_sums(case):
     assert is_valid_discrete(coloring, spec).witness == set_sum_witness(coloring, spec)
 
 
+def propagate(spec, start):
+    """Close a partial coloring under the kernel's unit forcing, every colored
+    id pending: the closed coloring, or the monochromatic handle that stops it."""
+    pending = [i for i in range(1, start.n + 1) if start.color_of(i) is not None]
+    system = search._system(spec.k, spec.l, start.n)
+    red, blue, _, conflict = propagate_masks(system, start.red, start.blue, pending)
+    return conflict if conflict is not None else DiscreteColoring(start.n, red, blue)
+
+
 class TestPropagate:
     def test_red_start_forces_small_chain(self):
-        spec = ProblemSpec(2, 3)
-        start = DiscreteColoring.empty(6).assign(1, Color.RED)
-        result = propagate(start, spec)
+        result = propagate(ProblemSpec(2, 3), DiscreteColoring.from_sets(6, {1}, ()))
         assert isinstance(result, DiscreteColoring)
         assert result.color_of(2) is Color.BLUE  # 1+1=2
         assert result.color_of(6) is Color.RED   # 2+2+2=6
@@ -169,43 +174,38 @@ class TestPropagate:
 
     def test_red_start_conflicts_at_seven(self):
         # over {1..7} the chain closes: 2,7,3 go blue and 2+2+3=7 is all blue
-        spec = ProblemSpec(2, 3)
-        start = DiscreteColoring.empty(7).assign(1, Color.RED)
-        result = propagate(start, spec)
-        assert isinstance(result, Conflict)
-        assert result.witness.color is Color.BLUE
+        result = propagate(ProblemSpec(2, 3), DiscreteColoring.from_sets(7, {1}, ()))
+        assert not isinstance(result, DiscreteColoring)
+        assert result.color is Color.BLUE
+        witness = result.witness()
+        assert witness.color is Color.BLUE and check_witness(ProblemSpec(2, 3), witness)
+        assert all(result.own >> int(v) & 1 for v in witness.points())
 
     def test_blue_start_forces_l_red(self):
-        spec = ProblemSpec(2, 3)
-        start = DiscreteColoring.empty(5).assign(1, Color.BLUE)
-        result = propagate(start, spec)
+        result = propagate(ProblemSpec(2, 3), DiscreteColoring.from_sets(5, (), {1}))
         assert isinstance(result, DiscreteColoring)
         assert result.color_of(3) is Color.RED  # 1+1+1=3
 
     def test_empty_is_fixpoint(self):
-        spec = ProblemSpec(2, 3)
-        start = DiscreteColoring.empty(7)
-        assert propagate(start, spec) == start
+        start = DiscreteColoring(7, 0, 0)
+        assert propagate(ProblemSpec(2, 3), start) == start
 
     def test_monotone_and_idempotent(self):
         spec = ProblemSpec(2, 3)
         rng = random.Random(99)
         for _ in range(60):
             n = rng.randint(1, 9)
-            c = DiscreteColoring.empty(n)
-            for i in range(1, n + 1):
-                roll = rng.random()
-                if roll < 0.3:
-                    c = c.assign(i, Color.RED)
-                elif roll < 0.5:
-                    c = c.assign(i, Color.BLUE)
-            out = propagate(c, spec)
-            if isinstance(out, Conflict):
+            rolls = {i: rng.random() for i in range(1, n + 1)}
+            red = {i for i, roll in rolls.items() if roll < 0.3}
+            blue = {i for i, roll in rolls.items() if 0.3 <= roll < 0.5}
+            c = DiscreteColoring.from_sets(n, red, blue)
+            out = propagate(spec, c)
+            if not isinstance(out, DiscreteColoring):
                 continue
             for i in range(1, n + 1):
                 if c.color_of(i) is not None:
                     assert out.color_of(i) is c.color_of(i)
-            assert propagate(out, spec) == out
+            assert propagate(spec, out) == out
 
 
 def red_bits(coloring):
@@ -405,10 +405,17 @@ def partial_colorings(draw):
 
 class TestDiscreteColoring:
     def test_from_sets_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overlap"):
             DiscreteColoring.from_sets(3, red={1}, blue={1})
-        with pytest.raises(ValueError):
-            DiscreteColoring.from_sets(3, red={4}, blue=set())
+        with pytest.raises(ValueError, match="overlap"):
+            DiscreteColoring.from_sets(3, red={2.0}, blue={2})
+        # int() would truncate 2.5 to 2, so the range check must refuse it
+        for bad in ({4}, {2.5}):
+            with pytest.raises(ValueError, match="must lie in"):
+                DiscreteColoring.from_sets(3, red=bad, blue=set())
+        # the range is checked before the constructor sees any overlap
+        with pytest.raises(ValueError, match="must lie in"):
+            DiscreteColoring.from_sets(3, red={1, 4}, blue={1})
 
     def test_swapped(self):
         c = DiscreteColoring.from_sets(3, red={1}, blue={2, 3})
@@ -443,16 +450,6 @@ class TestDiscreteColoring:
             expected = Color.RED if i in red else Color.BLUE if i in blue else None
             assert c.color_of(i) is expected
         assert c.is_total == (len(red) + len(blue) == n)
-
-    @property_settings
-    @given(partial_colorings())
-    def test_assign_chain_equals_from_sets(self, drawn):
-        n, red, blue = drawn
-        c = DiscreteColoring.empty(n)
-        for i in sorted(red | blue):
-            c = c.assign(i, Color.RED if i in red else Color.BLUE)
-        target = DiscreteColoring.from_sets(n, red, blue)
-        assert c == target and hash(c) == hash(target)
 
     @property_settings
     @given(partial_colorings())

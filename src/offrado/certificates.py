@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
@@ -129,13 +129,13 @@ def _witness_failure(
     return f"contradiction entry {entry} is not colored {color.value}"
 
 
-def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list, state: dict) -> CertificateCheck:
-    """Replay node tuples in their pre-order from ``state``, every root from
-    the same state.  Every point the replay colors goes on an undo trail, and
-    entering a node unwinds the trail to the length it had at its parent's
-    split."""
+def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
+    """Replay node tuples in their pre-order, every root from no colored
+    point.  Every point the replay colors goes on an undo trail, and entering
+    a node unwinds the trail to the length it had at its parent's split."""
     bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
     arity = spec.k, spec.l
+    state: dict[Key, Color] = {}
     trail: list[Key] = []
     marks = [0]  # marks[t]: the trail length that a node at depth t starts from
     chain: list[tuple] = []  # the nodes from a root down to the current one
@@ -194,19 +194,13 @@ def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> C
         return _fail((), None, "root must branch on the left endpoint")
     if first[2] is second[2]:
         return _fail((), None, "root branches must assume opposite colors")
-    return _replay(spec, domain_end, nodes, {})
+    return _replay(spec, domain_end, nodes)
 
 
-def verify_branch(
-    spec: ProblemSpec,
-    domain_end,
-    node: dict,
-    ambient: Mapping[Fraction, Color] = {},
-) -> CertificateCheck:
-    """Read a single branch node and replay it under pre-colored ambient
-    points; a node that breaks the schema raises ValueError."""
-    state = {_key(exact_fraction(p)): c for p, c in ambient.items()}
-    return _replay(spec, exact_fraction(domain_end), _read_nodes(spec, (node,)), state)
+def verify_branch(spec: ProblemSpec, domain_end, node: dict) -> CertificateCheck:
+    """Read a single branch node and replay it from no colored point; a node
+    that breaks the schema raises ValueError."""
+    return _replay(spec, exact_fraction(domain_end), _read_nodes(spec, (node,)))
 
 
 def verify_certificate(doc) -> CertificateCheck:
@@ -478,21 +472,17 @@ def _branch_node(tree: Refutation, d: int) -> dict:
 
 
 def auto_prove(
-    spec: ProblemSpec,
-    grid_denominator: int,
-    assumptions: Sequence[tuple],
-    max_branch_depth: int = 64,
+    spec: ProblemSpec, grid_denominator: int, color: Color, max_branch_depth: int = 64
 ) -> Optional[dict]:
-    """Search for a closing branch tree on the 1/d grid of [1, kl+k-1].
+    """Search for a closing branch tree below "the left endpoint 1 is
+    ``color``" on the 1/d grid of [1, kl+k-1].
 
     The search is ``propagation.dpll`` over grid ids, with unit forcing
     read from sumsets by ``propagate_masks`` as in the discrete search, at
-    most ``max_branch_depth`` splits deep.  The final assumption becomes the
-    returned node, in its file form; earlier assumptions are ambient
-    pre-colored context.  Returns None on grid or depth exhaustion, and as
+    most ``max_branch_depth`` splits deep.  Returns the branch's node, in its
+    file form, after replaying it; returns None on depth exhaustion, and as
     soon as some branch completes a valid total grid coloring (then no
-    refutation can exist).  The emitted node is re-verified before being
-    returned.
+    refutation can exist).
     """
     if spec.gamma != 1:
         raise ValueError("the grid prover runs on the unit domain")
@@ -500,39 +490,16 @@ def auto_prove(
         raise ValueError(f"need a positive integer denominator, got {grid_denominator!r}")
     if not isinstance(max_branch_depth, int) or max_branch_depth < 0:
         raise ValueError(f"need a non-negative integer depth, got {max_branch_depth!r}")
-    if not assumptions:
-        raise ValueError("at least one assumption is required")
-
-    system = _grid_system(spec, grid_denominator)
     d = grid_denominator
-    end = spec.k * spec.l + spec.k - 1
-    red = blue = 0
-    pending: list[int] = []
-    for point, color in assumptions:
-        point = exact_fraction(point)
-        scaled = point * d
-        if scaled.denominator != 1 or not d <= scaled <= end * d:
-            raise ValueError(f"{format_rational(point)} is not a grid point")
-        idx = int(scaled)
-        if (red | blue) >> idx & 1:
-            raise ValueError(f"duplicate assumption on {format_rational(point)}")
-        if color is Color.RED:
-            red |= 1 << idx
-        else:
-            blue |= 1 << idx
-        pending.append(idx)
-
-    # the last assumption is the root; the others are ambient
-    root, color = pending[-1], assumptions[-1][1]
-    try:
-        tree = dpll(system, root, color, red, blue, pending, max_branch_depth, Counter())
+    try:  # id d stands for the left endpoint d/d = 1
+        tree = dpll(_grid_system(spec, d), d, color, 0, 0, [d], max_branch_depth, Counter())
     except Satisfiable:
         return None
     if tree is None:
         return None
     node = _branch_node(tree, d)
-    ambient = {exact_fraction(p): c for p, c in assumptions[:-1]}
-    _check_own("auto-proved branch", verify_branch, spec, end, node, ambient)
+    end = spec.k * spec.l + spec.k - 1
+    _check_own("auto-proved branch", verify_branch, spec, end, node)
     return node
 
 
@@ -557,7 +524,7 @@ def certify_upper(
     d = 1 if built else grid_denominator
 
     def auto(color: Color) -> dict:
-        node = auto_prove(spec, d, [(Fraction(1), color)], max_depth)
+        node = auto_prove(spec, d, color, max_depth)
         if node is None:
             raise UnprovedError(spec, color.value, d, max_depth)
         return node

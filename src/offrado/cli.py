@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -277,5 +278,13 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         result = _result("internal", None, {"error": str(exc)}, "InternalError")
-    print(canonical_json(result))
+    try:
+        print(canonical_json(result), flush=True)
+    except OSError as exc:  # a closed pipe, a full disk; uncaught it would exit 1
+        print(f"offrado: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_CODES["InvalidInput"]
     return EXIT_CODES[result["status"]]

@@ -3,8 +3,8 @@
 Red always guards the k-variable equation x1 + ... + xk = x0 and blue always
 guards the l-variable equation x1 + ... + xl = x0.  The pairing is fixed and
 asymmetric: a blue solution to the red equation counts for nothing.  Swapping
-the colors of a coloring therefore changes which equation each class guards;
-colorings expose a ``swapped()`` helper for that, there is no symmetric spec.
+the colors of a coloring therefore changes which equation each class guards,
+and there is no symmetric spec.
 
 Every value is an exact int or ``fractions.Fraction``; no float enters any
 verification path.
@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .serialize import exact_fraction, format_rational, parse_rational
 
@@ -51,13 +51,6 @@ class ProblemSpec:
 
     def arity(self, color: Color) -> int:
         return self.k if color is Color.RED else self.l
-
-    def scaled(self, factor) -> "ProblemSpec":
-        """Same arities, left endpoint multiplied by a positive factor."""
-        factor = exact_fraction(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ProblemSpec(self.k, self.l, self.gamma * factor)
 
     def as_json(self) -> dict:
         return {"k": self.k, "l": self.l, "gamma": format_rational(self.gamma)}
@@ -116,19 +109,6 @@ class SolutionWitness:
     @property
     def left_sum(self) -> Fraction:
         return sum((v * m for v, m in self.left), Fraction(0))
-
-    def points(self) -> Iterator[Fraction]:
-        """Distinct values occurring anywhere in the instance, x0 included."""
-        seen_x0 = False
-        for v, _ in self.left:
-            if v == self.x0:
-                seen_x0 = True
-            yield v
-        if not seen_x0:
-            yield self.x0
-
-    def contains(self, point: Fraction) -> bool:
-        return point == self.x0 or any(v == point for v, _ in self.left)
 
     def as_json(self) -> dict:
         return {

@@ -132,9 +132,6 @@ class IntervalSet:
 
     __contains__ = contains
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return normalize(self.intervals + other.intervals)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         pieces = []
         for a in self.intervals:
@@ -228,14 +225,21 @@ class ContinuousColoring:
     blue: IntervalSet
 
     def __post_init__(self) -> None:
-        if not self.red.intersect(self.blue).is_empty:
-            raise ValueError("red and blue classes overlap")
-        if self.red.union(self.blue) != IntervalSet((self.domain,)):
+        # Each class is canonical, so sorting both is one merge of two runs.
+        # In that order two pieces meet iff some piece meets its successor,
+        # and the pieces cover the domain iff each one abuts the next and the
+        # ends match.  An overlap is reported ahead of a gap.
+        pieces = sorted(self.red.intervals + self.blue.intervals, key=Interval._lo_key)
+        covered = bool(pieces) and (
+            pieces[0]._lo_key() == self.domain._lo_key()
+            and pieces[-1]._hi_key() == self.domain._hi_key()
+        )
+        for a, b in zip(pieces, pieces[1:]):
+            if b._lo_key() <= a._hi_key():
+                raise ValueError("red and blue classes overlap")
+            covered = covered and a._mergeable_with(b)
+        if not covered:
             raise ValueError("red and blue classes do not partition the domain")
-
-    def swapped(self) -> "ContinuousColoring":
-        """Exchange the classes (and hence which equation each one guards)."""
-        return ContinuousColoring(self.domain, self.blue, self.red)
 
     def class_of(self, color: Color) -> IntervalSet:
         return self.red if color is Color.RED else self.blue

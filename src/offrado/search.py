@@ -71,17 +71,9 @@ class DiscreteColoring:
     def is_total(self) -> bool:
         return self.red | self.blue == _points(self.n)
 
-    def color_of(self, i: int) -> Optional[Color]:
-        if self.red >> i & 1:
-            return Color.RED
-        return Color.BLUE if self.blue >> i & 1 else None
-
     def values_of(self, color: Color) -> tuple[int, ...]:
         mask = self.red if color is Color.RED else self.blue
         return tuple(i for i in range(1, self.n + 1) if mask >> i & 1)
-
-    def swapped(self) -> "DiscreteColoring":
-        return DiscreteColoring(self.n, self.blue, self.red)
 
     def as_json(self) -> dict:
         return {

@@ -135,8 +135,8 @@ def check_grid_necessity(ls: tuple[int, ...] = (3, 4, 5)) -> list[CheckResult]:
     out = []
     for l in ls:
         spec = ProblemSpec(2, l)
-        d1 = auto_prove(spec, 1, [(Fraction(1), Color.RED)])
-        d2 = auto_prove(spec, 2, [(Fraction(1), Color.RED)])
+        d1 = auto_prove(spec, 1, Color.RED)
+        d2 = auto_prove(spec, 2, Color.RED)
         discrete = formula_discrete(2, l)
         continuous = formula_continuous(2, l)
         expect_d1 = discrete == continuous

@@ -119,8 +119,8 @@ def test_criterion_4_non_integer_necessity():
             bad.append((l, "expectation vs formula comparison"))
         if expected[l] != (search_valid(2 * l + 1, spec) is None):
             bad.append((l, "expectation vs discrete search"))
-        d1 = auto_prove(spec, 1, [(Fraction(1), RED)])
-        d2 = auto_prove(spec, 2, [(Fraction(1), RED)])
+        d1 = auto_prove(spec, 1, RED)
+        d2 = auto_prove(spec, 2, RED)
         outcomes[l] = (d1 is not None, d2 is not None)
         if outcomes[l] != (expected[l], True):
             bad.append((l, "prover outcome"))

@@ -37,7 +37,7 @@ from offrado.certificates import (
     _grid_system,
     _w,
 )
-from offrado import cli
+from offrado import certificates, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
 from offrado.propagation import Refutation, dpll
 from offrado.search import search_valid
@@ -84,7 +84,7 @@ class TestK2Builder:
         assert cert["domain_end"] == "5"
         # cross-check with the automatic prover on the half grid
         for color in (RED, BLUE):
-            node = auto_prove(ProblemSpec(2, 2), 2, [(Fraction(1), color)])
+            node = auto_prove(ProblemSpec(2, 2), 2, color)
             assert node is not None
 
     def test_l10(self):
@@ -280,85 +280,61 @@ class TestChainBuilder:
 
 class TestAutoProve:
     def test_integer_grid_closes_for_k3(self):
-        node = auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), RED)])
+        node = auto_prove(ProblemSpec(3, 4), 1, RED)
         assert node is not None
+        assert node["assume"] == {"point": "1", "color": "red"}
         assert verify_branch(ProblemSpec(3, 4), Fraction(14), node).ok
 
     def test_unit_grid_at_23_closes_because_values_coincide(self):
         # S(2,3) = 7 both discretely and continuously, so integers alone
         # refute; half-steps only become necessary from l = 4 on.
-        assert auto_prove(ProblemSpec(2, 3), 1, [(Fraction(1), RED)]) is not None
+        assert auto_prove(ProblemSpec(2, 3), 1, RED) is not None
 
     def test_half_grid_at_23_closes_too(self):
-        node = auto_prove(ProblemSpec(2, 3), 2, [(Fraction(1), RED)])
+        node = auto_prove(ProblemSpec(2, 3), 2, RED)
         assert node is not None
         assert verify_branch(ProblemSpec(2, 3), Fraction(7), node).ok
 
     @pytest.mark.parametrize("l", [4, 5])
     def test_unit_grid_fails_then_half_grid_closes(self, l):
         spec = ProblemSpec(2, l)
-        assert auto_prove(spec, 1, [(Fraction(1), RED)]) is None
-        node = auto_prove(spec, 2, [(Fraction(1), RED)])
+        assert auto_prove(spec, 1, RED) is None
+        node = auto_prove(spec, 2, RED)
         assert node is not None
         assert verify_branch(spec, Fraction(2 * l + 1), node).ok
 
-    def test_depth_exhaustion_is_none(self):
-        # assuming an interior point leaves propagation stuck, so depth 0
-        # exhausts; with branching allowed the same start closes
-        spec = ProblemSpec(3, 3)
-        assert auto_prove(spec, 1, [(Fraction(5), RED)], max_branch_depth=0) is None
-        node = auto_prove(spec, 1, [(Fraction(5), RED)])
-        assert node is not None and "children" in node
-        assert verify_branch(spec, Fraction(11), node).ok
+    def test_depth_exhaustion_is_none(self, monkeypatch):
+        # 1 = red leaves the unit grid of (2,5) partly free after forcing, so
+        # depth 0 runs out before any split; with splits the search finds a
+        # valid coloring, also None.  TestDpll has a tree that needs splits.
+        returned = []
+        monkeypatch.setattr(certificates, "dpll", lambda *args: returned.append(dpll(*args)))
+        assert auto_prove(ProblemSpec(2, 5), 1, RED, max_branch_depth=0) is None
+        assert returned == [None]  # a valid coloring would have raised Satisfiable instead
 
     def test_negative_depth_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative integer depth"):
-            auto_prove(ProblemSpec(3, 3), 1, [(Fraction(5), RED)], max_branch_depth=-1)
+            auto_prove(ProblemSpec(3, 3), 1, RED, max_branch_depth=-1)
 
     def test_assumption_chain_closes_without_branching(self):
         # the half-grid refutation of (2,5) from 1=Red is pure forcing
-        node = auto_prove(ProblemSpec(2, 5), 2, [(Fraction(1), RED)], max_branch_depth=0)
+        node = auto_prove(ProblemSpec(2, 5), 2, RED, max_branch_depth=0)
         assert node is not None and "children" not in node
 
     def test_agrees_with_discrete_search(self):
         for k in range(3, 6):
             for l in range(k, 6):
                 spec = ProblemSpec(k, l)
-                closed = all(
-                    auto_prove(spec, 1, [(Fraction(1), color)]) is not None
-                    for color in (RED, BLUE)
-                )
+                closed = all(auto_prove(spec, 1, color) is not None for color in (RED, BLUE))
                 uncolorable = search_valid(k * l + k - 1, spec) is None
                 assert closed == uncolorable
 
-    def test_off_grid_assumption_rejected(self):
-        with pytest.raises(ValueError):
-            auto_prove(ProblemSpec(2, 3), 1, [(Fraction(3, 2), RED)])
-
     @pytest.mark.parametrize(
-        "denominator,assumptions",
-        [
-            (1, [(Fraction(2), RED), (Fraction(2), BLUE)]),  # duplicate
-            (1, [(Fraction(15), RED)]),  # beyond kl + k - 1 = 14
-            (2, [(Fraction(1, 2), RED)]),  # a grid id, but below 1
-            (1, []),
-            (0, [(Fraction(1), RED)]),
-        ],
-        ids=["duplicate", "beyond-end", "below-one", "empty", "denominator-0"],
+        "denominator", [0, -2, Fraction(1, 2)], ids=["denominator-0", "denominator-negative", "denominator-half"]
     )
-    def test_bad_input_rejected(self, denominator, assumptions):
+    def test_bad_input_rejected(self, denominator):
         with pytest.raises(ValueError):
-            auto_prove(ProblemSpec(3, 4), denominator, assumptions)
-
-    def test_ambient_assumptions_supported(self):
-        spec = ProblemSpec(2, 4)
-        # ambient 1=Red alone is not enough at d=1, but adding 3=Blue closes:
-        # 3 blue with 1 red forces 9 red (3+3+3), 2 blue (1+1), 8 red (2x4),
-        # then 1+8=9 is an all-red pair.
-        node = auto_prove(spec, 1, [(Fraction(1), RED), (Fraction(3), BLUE)])
-        assert node is not None
-        assert node["assume"] == {"point": "3", "color": "blue"}
-        assert verify_branch(spec, Fraction(9), node, {Fraction(1): RED}).ok
+            auto_prove(ProblemSpec(3, 4), denominator, RED)
 
 
 class TestCertifyUpper:
@@ -399,7 +375,7 @@ class TestCertifyUpper:
         builds = (
             lambda: build_k2_certificate(3),
             lambda: build_blue1_certificate(ProblemSpec(3, 5)),
-            lambda: auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), RED)]),
+            lambda: auto_prove(ProblemSpec(3, 4), 1, RED),
         )
         for build in builds:
             with pytest.raises(RuntimeError, match="failed its own check"):
@@ -471,10 +447,10 @@ class TestCertificateSemantics:
         for step in node.steps:
             points.add(step.point)
             witnesses.append(step.witness)
-            points.update(step.witness.points())
+            points.update(support(step.witness))
         if node.contradiction is not None:
             witnesses.append(node.contradiction)
-            points.update(node.contradiction.points())
+            points.update(support(node.contradiction))
         else:
             for child in node.children:
                 TestCertificateSemantics.collect(child, witnesses, points)
@@ -492,7 +468,7 @@ class TestCertificateSemantics:
             self.collect(node, witnesses, points)
         points = sorted(points)
         assert len(points) <= 12
-        checks = [(w.color, tuple(w.points())) for w in witnesses]
+        checks = [(w.color, support(w)) for w in witnesses]
         for assignment in product((RED, BLUE), repeat=len(points)):
             coloring = dict(zip(points, assignment))
             assert any(
@@ -529,8 +505,8 @@ class TestVerifierStructure:
 
     def test_branch_path_labels_nested_assumptions(self):
         spec = ProblemSpec(3, 3)
-        node = auto_prove(spec, 1, [(Fraction(5), RED)])
-        assert node is not None and "children" in node
+        node = inner_branch(spec, 5, RED)
+        assert "children" in node
         # break the deepest reachable step and confirm the path points there
         step = node["children"][0]["steps"][0]
         step["forced"] = Color(step["forced"]).opposite.value
@@ -651,6 +627,19 @@ def canonical_nodes(nodes):
     ]
 
 
+def support(w):
+    """Every value of a witness: its left values ascending, then x0, the
+    order in which the replay names the first entry that breaks a rule."""
+    return [*(v for v, _ in w.left), w.x0]
+
+
+def inner_branch(spec, point, color):
+    """The prover's branch below ``point`` = ``color`` on the integer grid,
+    with nothing colored before it: ``auto_prove`` roots only at 1."""
+    tree = dpll(_grid_system(spec, 1), point, color, 0, 0, [point], 64, Counter())
+    return _branch_node(tree, 1)
+
+
 def reference_verify_node(spec, domain_end, node, state, path):
     path = path + (_branch_label(node.point, node.color),)
     if not spec.gamma <= node.point <= domain_end:
@@ -665,11 +654,11 @@ def reference_verify_node(spec, domain_end, node, state, path):
             return _fail(path, index, "witness color must oppose the forced color")
         if not check_witness(spec, w):
             return _fail(path, index, "witness fails arithmetic, arity, or domain-start check")
-        if any(v > domain_end for v in w.points()):
+        if any(v > domain_end for v in support(w)):
             return _fail(path, index, "witness uses a value beyond the domain end")
-        if not w.contains(step.point):
+        if step.point not in support(w):
             return _fail(path, index, "forced point does not occur in its witness")
-        for v in w.points():
+        for v in support(w):
             if v != step.point and state.get(v) is not w.color:
                 return _fail(
                     path, index, f"entry {format_rational(v)} is not already colored {w.color.value}"
@@ -682,9 +671,9 @@ def reference_verify_node(spec, domain_end, node, state, path):
         w = node.contradiction
         if not check_witness(spec, w):
             return _fail(path, None, "contradiction fails arithmetic, arity, or domain-start check")
-        if any(v > domain_end for v in w.points()):
+        if any(v > domain_end for v in support(w)):
             return _fail(path, None, "contradiction uses a value beyond the domain end")
-        for v in w.points():
+        for v in support(w):
             if state.get(v) is not w.color:
                 return _fail(
                     path, None, f"contradiction entry {format_rational(v)} is not colored {w.color.value}"
@@ -838,15 +827,12 @@ def _property_bases():
     bases.append(spine(bases[2], 1, [Fraction(1) + Fraction(i, 13) for i in (9, 2)]))
     for path in sorted(DATA.glob("certificate-*.json")):
         bases.append(read(json.loads(path.read_text(encoding="ascii"))))
-    # Auto-proved branches split only below an inner assumption.  Each pair
+    # The prover's branches split only below an inner point.  Each pair
     # holds both colors of one inner point, so it fails the root check, but
     # verify_branch accepts each of its nodes.
     for k, l, p in ((3, 3, 5), (3, 4, 2)):
         spec = ProblemSpec(k, l)
-        pair = tuple(
-            reference_node_from_json(auto_prove(spec, 1, [(Fraction(p), color)]), spec)
-            for color in (RED, BLUE)
-        )
+        pair = tuple(reference_node_from_json(inner_branch(spec, p, color), spec) for color in (RED, BLUE))
         bases.append(Cert(spec, Fraction(k * l + k - 1), pair))
     return bases
 
@@ -976,16 +962,14 @@ def test_replay_matches_the_recursive_reference(doc, data):
     # schema pass and replay against the reference's parse and replay; a
     # wrong arity, say, is a schema error in both
     assert _outcome(verify_certificate, doc) == _outcome(reference_check, doc)
-    # one branch under ambient pre-colored points, as the prover checks it
+    # one branch on its own, as a builder checks it
     spec, end = ProblemSpec.from_json(doc["spec"]), parse_rational(doc["domain_end"])
     node = data.draw(st.sampled_from(doc["root"]))
-    points = [parse_rational(p) for p in [node["assume"]["point"], *[s["point"] for s in node["steps"]]]]
-    ambient = data.draw(st.dictionaries(st.sampled_from(points), st.sampled_from((RED, BLUE))))
 
     def reference_branch(node):
-        return reference_verify_node(spec, end, reference_node_from_json(node, spec), dict(ambient), ())
+        return reference_verify_node(spec, end, reference_node_from_json(node, spec), {}, ())
 
-    assert _outcome(verify_branch, spec, end, node, ambient) == _outcome(reference_branch, node)
+    assert _outcome(verify_branch, spec, end, node) == _outcome(reference_branch, node)
 
 
 def test_property_bases_verify_and_some_split():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,7 +268,7 @@ def test_verify_coloring_on_mutated_files_is_valid_witness_or_invalid(case):
         color, tuple((parse_rational(v), m) for v, m in w["left"]), parse_rational(w["x0"])
     )
     assert check_witness(ProblemSpec(k, l, coloring.domain.lo), witness)
-    assert all(coloring.class_of(color).contains(v) for v in witness.points())
+    assert all(coloring.class_of(color).contains(v) for v in {witness.x0, *dict(witness.left)})
 
 
 class TestCertificatePipeline:
@@ -468,6 +469,20 @@ class TestFileSystemErrors:
         assert not out.parent.exists()
 
 
+def test_verify_coloring_reads_2000_alternating_intervals_per_class(capsys, tmp_path):
+    # Reading checks the partition in one sweep over all 4000 pieces; the
+    # pairwise check it replaced took about 30 s on a 2-vCPU host.  This end leaves
+    # [4001, 4002) uncolored, so the command stops after reading.
+    red = [[str(2 * i + 1), str(2 * i + 2), "[)"] for i in range(2000)]
+    blue = [[str(2 * i + 2), str(2 * i + 3), "[)"] for i in range(2000)]
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps({"gamma": "1", "end": "4002", "end_inclusive": False, "red": red, "blue": blue}))
+    start = time.perf_counter()
+    code, result = run_cli(capsys, "verify-coloring", "2", "3", "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, result["payload"]["error"]) == (64, "red and blue classes do not partition the domain")
+
+
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
         code, doc = run_cli(capsys, "reproduce")
@@ -513,6 +528,12 @@ class TestInternalError:
 
 
 class TestProcessLevel:
+    def run_offrado(self, stdout, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "offrado", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+
     def test_cli_never_imports_numpy(self):
         # not on import, and not in the 2^n oracle that once used it
         script = (
@@ -528,10 +549,29 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0 and proc.stdout == "False\nFalse\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_full_stdout_is_invalid_input(self):
+        # exit 1 would read as WitnessFound; the write failing is not a verdict
+        with open("/dev/full", "w") as full:
+            proc = self.run_offrado(full, "discrete", "2", "3")
+        assert proc.returncode == 64
+        assert proc.stderr == "offrado: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("discrete", "2", "3"), ("certify-upper", "2", "4", "--grid-denominator", "1")],
+        ids=["ok", "unproved"],
+    )
+    def test_closed_pipe_is_invalid_input(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before anything is written
+        try:
+            proc = self.run_offrado(write, *argv)
+        finally:
+            os.close(write)
+        assert proc.returncode == 64
+        assert proc.stderr == "offrado: cannot write stdout: Broken pipe\n"
+
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "offrado", "formula", "2", "2", "--mode", "discrete"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
-        )
+        proc = self.run_offrado(subprocess.PIPE, "formula", "2", "2", "--mode", "discrete")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["value"] == "5"

@@ -109,12 +109,6 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(2, 3, 0)
 
-    def test_scaled(self):
-        spec = ProblemSpec(2, 3, Fraction(1, 2)).scaled(4)
-        assert spec.gamma == 2
-        with pytest.raises(ValueError):
-            spec.scaled(0)
-
     def test_json_round_trip(self):
         spec = ProblemSpec(3, 7, Fraction(2, 5))
         assert ProblemSpec.from_json(spec.as_json()) == spec
@@ -135,10 +129,6 @@ class TestSolutionWitness:
     def test_rejects_bad_multiplicity(self):
         with pytest.raises(ValueError):
             SolutionWitness(Color.RED, ((Fraction(1), 0),), Fraction(1))
-
-    def test_points_include_x0_once(self):
-        w = SolutionWitness(Color.RED, ((Fraction(1), 1), (Fraction(2), 1)), Fraction(2))
-        assert sorted(w.points()) == [1, 2]
 
     def test_json_round_trip(self):
         w = SolutionWitness(Color.BLUE, ((Fraction(3, 2), 2), (Fraction(2), 1)), Fraction(5))

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offrado.equations import Color, ProblemSpec, check_witness
 from offrado.intervals import (
@@ -174,7 +176,7 @@ class TestVerifyColoring:
         assert not verdict.is_valid
         w = verdict.witness
         assert w.color is Color.RED and check_witness(spec, w)
-        assert all(coloring.red.contains(v) for v in w.points())
+        assert all(coloring.red.contains(v) for v in {w.x0, *dict(w.left)})
 
     def test_endpoint_moved_red_fails(self):
         # closing 7 into the red class creates the red solution 1 + 6 = 7
@@ -203,7 +205,8 @@ class TestVerifyColoring:
     def test_swapped_coloring_guards_other_equations(self):
         spec = ProblemSpec(2, 3)
         coloring = lower_bound_coloring(spec)
-        assert not verify_coloring(coloring.swapped(), spec).is_valid
+        swapped = ContinuousColoring(coloring.domain, coloring.blue, coloring.red)
+        assert not verify_coloring(swapped, spec).is_valid
 
 
 class TestLowerBoundColoring:
@@ -246,13 +249,14 @@ class TestScaling:
     def test_verdict_equivariance(self, gamma):
         spec = ProblemSpec(2, 3)
         good = lower_bound_coloring(spec)
-        assert verify_coloring(scale_coloring(good, gamma), spec.scaled(gamma)).is_valid
+        scaled_spec = ProblemSpec(spec.k, spec.l, gamma)
+        assert verify_coloring(scale_coloring(good, gamma), scaled_spec).is_valid
         bad = ContinuousColoring(
             iv(1, 7, "[]"),
             normalize([iv(1, 2), iv(6, 7, "[]")]),
             normalize([iv(2, 6)]),
         )
-        scaled_verdict = verify_coloring(scale_coloring(bad, gamma), spec.scaled(gamma))
+        scaled_verdict = verify_coloring(scale_coloring(bad, gamma), scaled_spec)
         assert not scaled_verdict.is_valid
 
 
@@ -320,3 +324,64 @@ class TestColoringJson:
         mutate(doc)
         with pytest.raises(ValueError):
             coloring_from_json(doc)
+
+
+def reference_partition_error(domain, red, blue):
+    """The partition rule as ``ContinuousColoring`` first checked it: the
+    classes intersected pair by pair, then their union compared with the
+    domain.  The message it raises, or None."""
+    if not red.intersect(blue).is_empty:
+        return "red and blue classes overlap"
+    if normalize(red.intervals + blue.intervals) != IntervalSet((domain,)):
+        return "red and blue classes do not partition the domain"
+    return None
+
+
+@st.composite
+def drawn_classes(draw):
+    """A domain and two classes on the half grid: a partition of the domain,
+    then up to three of its pieces, or new points, moved, reclosed or
+    recolored, so valid partitions, overlaps and gaps all occur.  A piece is
+    [lo, hi, lo_closed, hi_closed, red]."""
+    cuts = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=7)))
+    closed = [draw(st.booleans()) for _ in cuts]  # an inner cut closes its left piece or its right
+    pieces = [
+        [Fraction(a, 2), Fraction(b, 2), closed[0] if i == 0 else not closed[i], closed[i + 1], draw(st.booleans())]
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
+    ]
+    domain = Interval(pieces[0][0], pieces[-1][1], pieces[0][2], pieces[-1][3])
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            point = Fraction(draw(st.integers(-1, 13)), 2)
+            pieces.append([point, point, True, True, True])
+        piece, field = draw(st.sampled_from(pieces)), draw(st.integers(0, 4))
+        if field < 2:
+            piece[field] += draw(st.sampled_from((Fraction(-1, 2), Fraction(1, 2))))
+        else:
+            piece[field] = not piece[field]
+    kept = [p for p in pieces if p[0] < p[1] or (p[0] == p[1] and p[2] and p[3])]
+    red = normalize([Interval(*p[:4]) for p in kept if p[4]])
+    blue = normalize([Interval(*p[:4]) for p in kept if not p[4]])
+    return domain, red, blue
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(drawn_classes())
+def test_partition_check_matches_the_pairwise_reference(drawn):
+    try:
+        ContinuousColoring(*drawn)
+    except ValueError as exc:
+        assert str(exc) == reference_partition_error(*drawn)
+    else:
+        assert reference_partition_error(*drawn) is None
+
+
+
+def test_reading_2000_alternating_intervals_per_class_takes_under_a_second():
+    red = [[str(2 * i + 1), str(2 * i + 2), "[)"] for i in range(2000)]
+    blue = [[str(2 * i + 2), str(2 * i + 3), "[)"] for i in range(2000)]
+    doc = {"gamma": "1", "end": "4001", "end_inclusive": False, "red": red, "blue": blue}
+    start = time.perf_counter()
+    coloring = coloring_from_json(doc)
+    assert time.perf_counter() - start < 1.0  # the pairwise check took about 30 s
+    assert len(coloring.red.intervals) == len(coloring.blue.intervals) == 2000

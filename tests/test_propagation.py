@@ -372,8 +372,7 @@ class TestDpll:
         assert effort["forcings"] == stats.propagations
 
     def test_depth_exhaustion_is_none(self):
-        # the integer case of auto_prove's depth test: 5 = red leaves
-        # propagation stuck, so closing needs splits
+        # 5 = red leaves propagation stuck, so closing needs splits
         system = integer_system(3, 3, 11)
         assert dpll(system, 5, Color.RED, 0, 0, [5], 0, Counter()) is None
         tree = dpll(system, 5, Color.RED, 0, 0, [5], 64, Counter())
@@ -390,7 +389,7 @@ def test_no_clause_data_left_in_reference_cycles():
     try:
         compute_rado(ProblemSpec(4, 5))
         assert propagate_masks(_system(2, 3, 7), 1 << 1, 0, [1])[3] is not None
-        auto_prove(ProblemSpec(3, 4), 1, [(Fraction(1), Color.RED)])
+        auto_prove(ProblemSpec(3, 4), 1, Color.RED)
         gc.collect()
         kinds = (Clause, ClauseSystem, SumsetSystem, SumsetHandle)
         leaked = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, kinds))
@@ -410,7 +409,7 @@ def test_clause_generation_leaves_no_cyclic_garbage():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         compute_rado(ProblemSpec(4, 5))
-        auto_prove(ProblemSpec(3, 4), 1, [(1, Color.RED)])
+        auto_prove(ProblemSpec(3, 4), 1, Color.RED)
         gc.collect()
         assert gc.garbage == []
     finally:

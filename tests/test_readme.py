@@ -1,0 +1,24 @@
+"""The README's Library section, run as written."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_block_runs_and_prints_what_its_comments_say():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):  # no comment, or prose
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked == 3

@@ -10,7 +10,8 @@ allowed to use the forced value twice), so the rule is deliberately not
 
 Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
-condition on failure.  Builders never return unverified output.
+condition on failure.  ``certify_upper`` never returns unchecked output; the
+branch builders are its parts and check nothing themselves.
 
 A certificate has two forms.  Its document is the decoded JSON that
 ``certify-upper --out`` writes: a dict of ``spec``, ``domain_end`` and
@@ -23,8 +24,9 @@ a document: it parses each distinct literal once, into the point's reduced
 witness on integers over the lcm of its own denominators, never over a scale
 common to the file, which an untrusted file could inflate, and puts every
 colored point on an undo trail, unwound at each split instead of copying the
-state.  A builder checks the document it returns through the same schema pass
-and replay, so it checks what users get.  Every walk over a branch tree uses
+state.  ``certify_upper`` runs that schema pass and that replay once, on the
+document it assembled, and returns the tuples it read with the document, so
+what users get is what was checked.  Every walk over a branch tree uses
 an explicit stack, so certificate depth is bounded by memory, not by the
 interpreter's recursion limit.
 """
@@ -63,17 +65,23 @@ class CertificateCheck:
 
 
 class UnprovedError(Exception):
-    """The automatic prover exhausted its grid or depth; explicitly not a bug."""
+    """The automatic prover found no closing chain for a branch: the 1/d grid
+    has a valid coloring with that branch's assumption (``colorable``), or
+    the search ran out of depth.  Explicitly not a bug."""
 
-    def __init__(self, spec: ProblemSpec, branch: str, denominator: int, depth: int):
+    def __init__(
+        self, spec: ProblemSpec, branch: str, denominator: int, depth: int, colorable: bool
+    ):
         self.spec = spec
         self.branch = branch
         self.denominator = denominator
         self.depth = depth
-        super().__init__(
-            f"no closing chain for the {branch} branch of (k={spec.k}, l={spec.l}) "
-            f"on the 1/{denominator} grid within depth {depth}"
-        )
+        what = f"no closing chain for the {branch} branch of (k={spec.k}, l={spec.l})"
+        if colorable:
+            why = f": the 1/{denominator} grid has a valid coloring with 1 = {branch}"
+        else:
+            why = f" on the 1/{denominator} grid within depth {depth}"
+        super().__init__(what + why)
 
 
 def _fail(path: tuple[str, ...], step: Optional[int], reason: str) -> CertificateCheck:
@@ -197,28 +205,10 @@ def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> C
     return _replay(spec, domain_end, nodes)
 
 
-def verify_branch(spec: ProblemSpec, domain_end, node: dict) -> CertificateCheck:
-    """Read a single branch node and replay it from no colored point; a node
-    that breaks the schema raises ValueError."""
-    return _replay(spec, exact_fraction(domain_end), _read_nodes(spec, (node,)))
-
-
 def verify_certificate(doc) -> CertificateCheck:
     """Read a certificate document and replay every branch in exact
     arithmetic; a document that breaks the schema raises ValueError."""
     return check_certificate(*certificate_from_json(doc))
-
-
-def _check_own(what: str, verify, *args) -> None:
-    """A builder's check of what it is about to return.  Its output breaking
-    the schema or failing the replay is an internal fault, so either is a
-    RuntimeError, never the ValueError that means invalid input."""
-    try:
-        result = verify(*args)
-    except ValueError as exc:
-        raise RuntimeError(f"{what} failed its own check: {exc}") from exc
-    if not result.ok:
-        raise RuntimeError(f"{what} failed its own check: {result.failure}")
 
 
 def certificate_stats(nodes: list) -> dict:
@@ -280,7 +270,7 @@ class _ChainBuilder:
     target color is skipped; a step whose point already carries the witness's
     color short-circuits the branch, because that witness is then fully
     monochromatic.  Nothing here checks a witness: a short-circuit is sound
-    because the builder's check of the document it returns confirms it.
+    because ``certify_upper``'s check of the assembled document confirms it.
     """
 
     def __init__(self, point, color: Color):
@@ -353,9 +343,7 @@ def build_k2_certificate(l: int) -> dict:
     blue.force(l + 3, Color.RED, _w(Color.BLUE, [(1, l - 1), (4, 1)], l + 3))
     blue.close(_w(Color.RED, [(3, 1), (l, 1)], l + 3))
 
-    certificate = _document(spec, 2 * l + 1, [red.node(), blue.node()])
-    _check_own("built certificate", verify_certificate, certificate)
-    return certificate
+    return _document(spec, 2 * l + 1, [red.node(), blue.node()])
 
 
 @dataclass(frozen=True)
@@ -437,9 +425,7 @@ def build_blue1_certificate(spec: ProblemSpec) -> dict:
         )
         chain.close(_w(Color.BLUE, [(1, l - 1), (2 * k, 1)], 2 * k + l - 1))
 
-    node = chain.node()
-    _check_own("built branch", verify_branch, spec, k * l + k - 1, node)
-    return node
+    return chain.node()
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +466,9 @@ def auto_prove(
     The search is ``propagation.dpll`` over grid ids, with unit forcing
     read from sumsets by ``propagate_masks`` as in the discrete search, at
     most ``max_branch_depth`` splits deep.  Returns the branch's node, in its
-    file form, after replaying it; returns None on depth exhaustion, and as
-    soon as some branch completes a valid total grid coloring (then no
-    refutation can exist).
+    file form and unchecked, or None on depth exhaustion; raises
+    ``Satisfiable`` as soon as some branch completes a valid total grid
+    coloring, since then no refutation can exist.
     """
     if spec.gamma != 1:
         raise ValueError("the grid prover runs on the unit domain")
@@ -490,31 +476,26 @@ def auto_prove(
         raise ValueError(f"need a positive integer denominator, got {grid_denominator!r}")
     if not isinstance(max_branch_depth, int) or max_branch_depth < 0:
         raise ValueError(f"need a non-negative integer depth, got {max_branch_depth!r}")
-    d = grid_denominator
-    try:  # id d stands for the left endpoint d/d = 1
-        tree = dpll(_grid_system(spec, d), d, color, 0, 0, [d], max_branch_depth, Counter())
-    except Satisfiable:
-        return None
-    if tree is None:
-        return None
-    node = _branch_node(tree, d)
-    end = spec.k * spec.l + spec.k - 1
-    _check_own("auto-proved branch", verify_branch, spec, end, node)
-    return node
+    d = grid_denominator  # id d stands for the left endpoint d/d = 1
+    tree = dpll(_grid_system(spec, d), d, color, 0, 0, [d], max_branch_depth, Counter())
+    return None if tree is None else _branch_node(tree, d)
 
 
 def certify_upper(
     spec: ProblemSpec, grid_denominator: Optional[int] = None, max_depth: int = 64
-) -> dict:
-    """Assemble and verify the full branch-on-the-endpoint certificate, as
-    the document that ``certify-upper --out`` writes.
+) -> tuple[dict, list[tuple]]:
+    """Assemble the full branch-on-the-endpoint certificate, check it once,
+    and return its document, which ``certify-upper --out`` writes, with the
+    node tuples that check read (see ``_read_nodes``).
 
     With ``grid_denominator`` None, the default assembly: k=2 uses the
     hand-built half-step chains; k < l pairs the built blue-start branch with
     an auto-proved red branch on the integer grid; the diagonal k = l >= 3
     auto-proves both branches.  With an integer d every branch is searched on
-    the 1/d grid instead.  Raises UnprovedError when a search exhausts, never
-    returns unchecked output.
+    the 1/d grid instead.  Raises UnprovedError when a search finds a valid
+    grid coloring or exhausts its depth, and RuntimeError when the document
+    breaks the schema or fails the replay: that is an internal fault, never
+    the ValueError of invalid input.
     """
     if spec.gamma != 1:
         raise ValueError("certificates are built on the unit domain")
@@ -524,18 +505,28 @@ def certify_upper(
     d = 1 if built else grid_denominator
 
     def auto(color: Color) -> dict:
-        node = auto_prove(spec, d, color, max_depth)
+        try:
+            node = auto_prove(spec, d, color, max_depth)
+        except Satisfiable:
+            raise UnprovedError(spec, color.value, d, max_depth, colorable=True) from None
         if node is None:
-            raise UnprovedError(spec, color.value, d, max_depth)
+            raise UnprovedError(spec, color.value, d, max_depth, colorable=False)
         return node
 
     if built and spec.k == 2:
-        return build_k2_certificate(spec.l)  # checked whole as it was built
-    red = auto(Color.RED)
-    blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
-    certificate = _document(spec, spec.k * spec.l + spec.k - 1, [red, blue])
-    _check_own("assembled certificate", verify_certificate, certificate)
-    return certificate
+        certificate = build_k2_certificate(spec.l)
+    else:
+        red = auto(Color.RED)
+        blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
+        certificate = _document(spec, spec.k * spec.l + spec.k - 1, [red, blue])
+    try:
+        read_spec, end, nodes = certificate_from_json(certificate)
+    except ValueError as exc:
+        raise RuntimeError(f"certificate failed its own check: {exc}") from exc
+    check = check_certificate(read_spec, end, nodes)
+    if not check.ok:
+        raise RuntimeError(f"certificate failed its own check: {check.failure}")
+    return certificate, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,10 @@ def cmd_verify_coloring(args) -> dict:
 
 def cmd_certify_upper(args) -> dict:
     spec = ProblemSpec(args.k, args.l)
-    doc = certify_upper(spec, args.grid_denominator, args.max_depth)
-    _, domain_end, nodes = certificate_from_json(doc)
+    doc, nodes = certify_upper(spec, args.grid_denominator, args.max_depth)
     payload = {
         "file": _write_out(args.out, doc) if args.out else None,
-        "domain_end": format_rational(domain_end),
+        "domain_end": doc["domain_end"],
         **certificate_stats(nodes),
         "points_used": points_used(nodes),
     }

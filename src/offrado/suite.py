@@ -16,16 +16,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .certificates import (
-    auto_prove,
-    certificate_from_json,
+    UnprovedError,
     certificate_stats,
     certify_upper,
-    check_certificate,
     points_used,
     residue_params,
 )
 from .equations import (
-    Color,
     ProblemSpec,
     check_witness,
     formula_continuous,
@@ -111,10 +108,11 @@ def check_certificates(k2_max_l: int = 10, max_kl: int = 5) -> list[CheckResult]
     """Upper-bound certificates assemble and verify across the covered range."""
     out = []
     for k, l in [(2, l) for l in range(2, k2_max_l + 1)] + list(_specs(max_kl, min_k=3)):
-        spec, end, nodes = certificate_from_json(certify_upper(ProblemSpec(k, l)))
+        doc, nodes = certify_upper(ProblemSpec(k, l))  # raises unless it checks
+        end = doc["domain_end"]
         stats = certificate_stats(nodes)
         halves_ok = k > 2 or l < 3 or {"3/2", "5/2"} <= set(points_used(nodes))
-        ok = check_certificate(spec, end, nodes).ok and end == k * l + k - 1 and halves_ok
+        ok = end == str(k * l + k - 1) and halves_ok
         out.append(
             CheckResult(
                 f"certificate ({k},{l})", ok,
@@ -130,27 +128,34 @@ def check_grid_necessity(ls: tuple[int, ...] = (3, 4, 5)) -> list[CheckResult]:
     For k=2 the integer grid closes exactly when the discrete value already
     equals the continuous one (that happens at l=3: both are 7); as soon as
     the discrete value is strictly larger the unit grid admits a valid
-    coloring and the prover needs denominator 2.
+    coloring and the prover needs denominator 2.  A grid "closes" when
+    ``certify_upper`` refutes both branches on it and checks the result.
     """
     out = []
     for l in ls:
-        spec = ProblemSpec(2, l)
-        d1 = auto_prove(spec, 1, Color.RED)
-        d2 = auto_prove(spec, 2, Color.RED)
+        d1, d2 = (_closes(ProblemSpec(2, l), d) for d in (1, 2))
         discrete = formula_discrete(2, l)
         continuous = formula_continuous(2, l)
-        expect_d1 = discrete == continuous
-        ok = (d1 is not None) == expect_d1 and d2 is not None
+        ok = d1 == (discrete == continuous) and d2
         out.append(
             CheckResult(
                 f"grid necessity (2,{l})",
                 ok,
                 f"discrete {discrete} vs continuous {continuous}: denominator 1 "
-                f"{'closes' if d1 is not None else 'fails'}, denominator 2 "
-                f"{'closes' if d2 is not None else 'fails'}",
+                f"{'closes' if d1 else 'fails'}, denominator 2 "
+                f"{'closes' if d2 else 'fails'}",
             )
         )
     return out
+
+
+def _closes(spec: ProblemSpec, d: int) -> bool:
+    """Whether a checked refutation of both branches exists on the 1/d grid."""
+    try:
+        certify_upper(spec, d)
+    except UnprovedError:
+        return False
+    return True
 
 
 def check_residue_arithmetic(max_l: int = 30) -> list[CheckResult]:

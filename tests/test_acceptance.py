@@ -6,7 +6,8 @@ budgets are generous and printed for reference.
 
 Criterion 4 checks that non-integer points are needed exactly where the
 discrete value exceeds the continuous one: for k=2 and l in {3,4,5} the unit
-grid closes iff S(2,l) equals 2l+1, and the half grid closes every time.  Its
+grid closes iff S(2,l) equals 2l+1, and the half grid closes every time; a
+grid closes when ``certify_upper`` refutes and checks both branches on it.  Its
 l=3 case once expected the unit grid to fail, which criterion 1 itself rules
 out: S(2,3) = 3*3-2 = 7 equals the continuous value 2*3+1, so the integers
 {1..7} are uncolorable and a denominator-1 refutation exists.  1 red forces 2
@@ -20,15 +21,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from offrado.certificates import (
-    auto_prove,
+    UnprovedError,
     certificate_from_json,
     certify_upper,
     points_used,
     residue_params,
-    verify_branch,
     verify_certificate,
 )
-from offrado.equations import Color, ProblemSpec, check_witness, formula_continuous, formula_discrete
+from offrado.equations import ProblemSpec, check_witness, formula_continuous, formula_discrete
 from offrado.intervals import (
     decompose_sum,
     lower_bound_coloring,
@@ -39,8 +39,6 @@ from offrado.intervals import (
 )
 from offrado.search import brute_force_colorable, compute_rado, search_valid
 from offrado.suite import KNOWN_TABLE, random_interval_set, _interval_samples
-
-RED = Color.RED
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -91,14 +89,14 @@ def test_criterion_3_upper_bound_certificates():
     started = time.perf_counter()
     bad = []
     for l in range(2, 11):
-        cert = certify_upper(ProblemSpec(2, l))
+        cert, _ = certify_upper(ProblemSpec(2, l))
         _, end, nodes = certificate_from_json(cert)
         halves = l < 3 or {"3/2", "5/2"} <= set(points_used(nodes))
         if not (verify_certificate(cert).ok and end == 2 * l + 1 and halves):
             bad.append((2, l))
     for k in range(3, 6):
         for l in range(k, 6):
-            cert = certify_upper(ProblemSpec(k, l))
+            cert, _ = certify_upper(ProblemSpec(k, l))
             if not (verify_certificate(cert).ok and cert["domain_end"] == str(k * l + k - 1)):
                 bad.append((k, l))
     elapsed = time.perf_counter() - started
@@ -114,19 +112,22 @@ def test_criterion_4_non_integer_necessity():
     bad = []
     for l in (3, 4, 5):
         spec = ProblemSpec(2, l)
-        end = Fraction(2 * l + 1)
         if expected[l] != (formula_discrete(2, l) == formula_continuous(2, l)):
             bad.append((l, "expectation vs formula comparison"))
         if expected[l] != (search_valid(2 * l + 1, spec) is None):
             bad.append((l, "expectation vs discrete search"))
-        d1 = auto_prove(spec, 1, RED)
-        d2 = auto_prove(spec, 2, RED)
-        outcomes[l] = (d1 is not None, d2 is not None)
+        certs = {}
+        for d in (1, 2):
+            try:
+                certs[d] = certify_upper(spec, grid_denominator=d)[0]
+            except UnprovedError:
+                pass
+        outcomes[l] = (1 in certs, 2 in certs)
         if outcomes[l] != (expected[l], True):
             bad.append((l, "prover outcome"))
-        for d, node in ((1, d1), (2, d2)):
-            if node is not None and not verify_branch(spec, end, node).ok:
-                bad.append((l, f"d={d} node does not verify"))
+        for d, cert in certs.items():
+            if not verify_certificate(cert).ok:
+                bad.append((l, f"d={d} certificate does not verify"))
     elapsed = time.perf_counter() - started
 
     def show(closes: bool) -> str:

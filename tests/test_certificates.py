@@ -27,19 +27,19 @@ from offrado.certificates import (
     check_certificate,
     points_used,
     residue_params,
-    verify_branch,
     verify_certificate,
     _ChainBuilder,
     _branch_label,
     _branch_node,
-    _check_own,
     _fail,
     _grid_system,
+    _read_nodes,
+    _replay,
     _w,
 )
 from offrado import certificates, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
-from offrado.propagation import Refutation, dpll
+from offrado.propagation import Refutation, Satisfiable, dpll
 from offrado.search import search_valid
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
@@ -56,6 +56,29 @@ def branch_points(node):
         points += [parse_rational(step["point"]) for step in node["steps"]]
         stack += node.get("children", [])
     return points
+
+
+def replay_branch(spec, end, node):
+    """Read one branch node and replay it from no colored point; a node that
+    breaks the schema raises ValueError."""
+    return _replay(spec, end, _read_nodes(spec, [node]))
+
+
+def closes(spec, d, color):
+    """Whether ``auto_prove`` refutes the branch "1 is ``color``" on the 1/d
+    grid and that refutation replays."""
+    try:
+        node = auto_prove(spec, d, color)
+    except Satisfiable:
+        return False
+    return node is not None and replay_branch(spec, spec.k * spec.l + spec.k - 1, node).ok
+
+
+# certify-upper's assembly paths: k = 2 built whole, a built blue-start
+# branch beside an auto-proved red one, the diagonal auto-proved, and every
+# branch auto-proved on the 1/d grid
+PATHS = (("2", "5"), ("4", "6"), ("5", "5"), ("3", "4", "--grid-denominator", "3"))
+PATH_IDS = ("k2-built", "blue-built", "diagonal", "grid-3")
 
 
 def rejected(doc) -> bool:
@@ -207,7 +230,7 @@ class TestBlueStartBranch:
         spec = ProblemSpec(k, l)
         node = build_blue1_certificate(spec)
         assert node["assume"] == {"point": "1", "color": "blue"}
-        assert verify_branch(spec, Fraction(k * l + k - 1), node).ok
+        assert replay_branch(spec, Fraction(k * l + k - 1), node).ok
 
     def test_vanishing_residue_closes_early(self):
         node = build_blue1_certificate(ProblemSpec(3, 4))
@@ -222,7 +245,7 @@ class TestBlueStartBranch:
     def test_collision_with_doubled_small_arity(self):
         # 2k = l here; the planned step turns into an immediate contradiction
         node = build_blue1_certificate(ProblemSpec(3, 6))
-        assert verify_branch(ProblemSpec(3, 6), Fraction(20), node).ok
+        assert replay_branch(ProblemSpec(3, 6), Fraction(20), node).ok
         assert node["contradiction"]["color"] == "red"
 
     def test_every_pair_through_15_verifies(self):
@@ -231,7 +254,7 @@ class TestBlueStartBranch:
                 spec = ProblemSpec(k, l)
                 node = build_blue1_certificate(spec)
                 assert node["assume"] == {"point": "1", "color": "blue"}
-                assert verify_branch(spec, Fraction(k * l + k - 1), node).ok
+                assert replay_branch(spec, Fraction(k * l + k - 1), node).ok
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -247,7 +270,7 @@ class TestChainBuilder:
     spec = ProblemSpec(2, 3)
 
     def replay(self, chain):
-        return verify_branch(self.spec, 7, chain.node())
+        return replay_branch(self.spec, 7, chain.node())
 
     def test_force_with_uncolored_entry_fails(self):
         chain = _ChainBuilder(1, RED)
@@ -271,11 +294,14 @@ class TestChainBuilder:
         check = self.replay(chain)
         assert check.failure == CheckFailure(("1=red",), None, "contradiction entry 2 is not colored red")
 
-    def test_builder_check_turns_a_bad_plan_into_an_internal_fault(self):
+    def test_builder_check_turns_a_bad_plan_into_an_internal_fault(self, monkeypatch):
         chain = _ChainBuilder(1, RED)
         chain.close(_w(RED, [(1, 1), (2, 1)], 3))
+        good = build_k2_certificate(3)
+        bad = {**good, "root": [chain.node(), good["root"][1]]}
+        monkeypatch.setattr(certificates, "build_k2_certificate", lambda l: bad)
         with pytest.raises(RuntimeError, match="failed its own check"):
-            _check_own("built branch", verify_branch, self.spec, 7, chain.node())
+            certify_upper(self.spec)
 
 
 class TestAutoProve:
@@ -283,7 +309,7 @@ class TestAutoProve:
         node = auto_prove(ProblemSpec(3, 4), 1, RED)
         assert node is not None
         assert node["assume"] == {"point": "1", "color": "red"}
-        assert verify_branch(ProblemSpec(3, 4), Fraction(14), node).ok
+        assert replay_branch(ProblemSpec(3, 4), Fraction(14), node).ok
 
     def test_unit_grid_at_23_closes_because_values_coincide(self):
         # S(2,3) = 7 both discretely and continuously, so integers alone
@@ -293,20 +319,22 @@ class TestAutoProve:
     def test_half_grid_at_23_closes_too(self):
         node = auto_prove(ProblemSpec(2, 3), 2, RED)
         assert node is not None
-        assert verify_branch(ProblemSpec(2, 3), Fraction(7), node).ok
+        assert replay_branch(ProblemSpec(2, 3), Fraction(7), node).ok
 
     @pytest.mark.parametrize("l", [4, 5])
     def test_unit_grid_fails_then_half_grid_closes(self, l):
         spec = ProblemSpec(2, l)
-        assert auto_prove(spec, 1, RED) is None
+        with pytest.raises(Satisfiable):
+            auto_prove(spec, 1, RED)
         node = auto_prove(spec, 2, RED)
         assert node is not None
-        assert verify_branch(spec, Fraction(2 * l + 1), node).ok
+        assert replay_branch(spec, Fraction(2 * l + 1), node).ok
 
     def test_depth_exhaustion_is_none(self, monkeypatch):
         # 1 = red leaves the unit grid of (2,5) partly free after forcing, so
         # depth 0 runs out before any split; with splits the search finds a
-        # valid coloring, also None.  TestDpll has a tree that needs splits.
+        # valid coloring and raises Satisfiable.  TestDpll has a tree that
+        # needs splits.
         returned = []
         monkeypatch.setattr(certificates, "dpll", lambda *args: returned.append(dpll(*args)))
         assert auto_prove(ProblemSpec(2, 5), 1, RED, max_branch_depth=0) is None
@@ -325,7 +353,7 @@ class TestAutoProve:
         for k in range(3, 6):
             for l in range(k, 6):
                 spec = ProblemSpec(k, l)
-                closed = all(auto_prove(spec, 1, color) is not None for color in (RED, BLUE))
+                closed = all(closes(spec, 1, color) for color in (RED, BLUE))
                 uncolorable = search_valid(k * l + k - 1, spec) is None
                 assert closed == uncolorable
 
@@ -340,8 +368,9 @@ class TestAutoProve:
 class TestCertifyUpper:
     @pytest.mark.parametrize("k,l", [(2, 3), (3, 4), (3, 3)])
     def test_verified_certificates(self, k, l):
-        cert = certify_upper(ProblemSpec(k, l))
+        cert, nodes = certify_upper(ProblemSpec(k, l))
         assert verify_certificate(cert).ok
+        assert nodes == certificate_from_json(cert)[2]
         assert cert["domain_end"] == str(k * l + k - 1)
 
     def test_unproved_surfaces_explicitly(self):
@@ -350,7 +379,7 @@ class TestCertifyUpper:
         assert info.value.branch == "red"
 
     def test_force_auto_half_grid(self):
-        cert = certify_upper(ProblemSpec(2, 4), grid_denominator=2)
+        cert, _ = certify_upper(ProblemSpec(2, 4), grid_denominator=2)
         assert verify_certificate(cert).ok
 
     def test_rejects_scaled_domain(self):
@@ -358,9 +387,11 @@ class TestCertifyUpper:
             certify_upper(ProblemSpec(2, 3, 2))
 
     @pytest.mark.parametrize("damage", ["schema", "replay"])
-    def test_emission_fault_is_an_internal_error(self, monkeypatch, damage):
-        # every builder checks the document it returns, so a fault in what it
-        # emits is a RuntimeError, never the ValueError of invalid input
+    def test_emission_fault_is_an_internal_error(self, capsys, monkeypatch, damage):
+        # certify_upper checks the document it assembled on every assembly
+        # path, so a fault in what the builders emit is an internal fault
+        # (exit 70), never the invalid input of a schema error (64) nor a
+        # failed verification (1)
         as_json = SolutionWitness.as_json
 
         def broken(self):
@@ -372,14 +403,36 @@ class TestCertifyUpper:
             return out
 
         monkeypatch.setattr(SolutionWitness, "as_json", broken)
-        builds = (
-            lambda: build_k2_certificate(3),
-            lambda: build_blue1_certificate(ProblemSpec(3, 5)),
-            lambda: auto_prove(ProblemSpec(3, 4), 1, RED),
-        )
-        for build in builds:
-            with pytest.raises(RuntimeError, match="failed its own check"):
-                build()
+        for argv in PATHS:
+            code = cli.main(["certify-upper", *argv])
+            doc = json.loads(capsys.readouterr().out)
+            assert (code, doc["status"]) == (70, "InternalError"), argv
+            assert doc["payload"]["error"].startswith("certificate failed its own check: ")
+
+    @pytest.mark.parametrize("argv", PATHS, ids=PATH_IDS)
+    def test_one_schema_pass_and_one_replay(self, capsys, monkeypatch, argv):
+        # certify_upper reads and replays the assembled document once, and
+        # cmd_certify_upper counts from the tuples it returns
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("certificate_from_json", "_read_nodes", "_replay", "check_certificate"):
+            counted(certificates, name)
+        counted(cli, "certificate_from_json")
+        counted(cli, "check_certificate")
+        assert cli.main(["certify-upper", *argv]) == 0
+        capsys.readouterr()
+        assert calls == {
+            "certificate_from_json": 1, "_read_nodes": 1, "_replay": 1, "check_certificate": 1,
+        }
 
 
 class TestSerialization:
@@ -387,12 +440,12 @@ class TestSerialization:
         # a builder's document is plain JSON data: it reads back equal, and
         # the schema pass reads the same tuples from both
         for spec in (ProblemSpec(2, 3), ProblemSpec(3, 4)):
-            cert = certify_upper(spec)
+            cert, nodes = certify_upper(spec)
             text = canonical_json(cert)
             again = json.loads(text)
             assert again == cert
             assert canonical_json(again) == text
-            assert certificate_from_json(again) == certificate_from_json(cert)
+            assert certificate_from_json(again)[2] == nodes
 
     def test_verification_after_round_trip(self):
         cert = build_k2_certificate(5)
@@ -462,7 +515,7 @@ class TestCertificateSemantics:
     def test_point_set_is_uncolorable(self, k, l):
         from itertools import product
 
-        cert = reference_certificate_from_json(certify_upper(ProblemSpec(k, l)))
+        cert = reference_certificate_from_json(certify_upper(ProblemSpec(k, l))[0])
         witnesses, points = [], set()
         for node in cert.root:
             self.collect(node, witnesses, points)
@@ -500,7 +553,7 @@ class TestVerifierStructure:
             "assume": {"point": "1", "color": "red"}, "steps": [],
             "children": [leaf("2", "red"), leaf("3", "blue")],
         }
-        check = verify_branch(ProblemSpec(2, 2), Fraction(5), split)
+        check = replay_branch(ProblemSpec(2, 2), Fraction(5), split)
         assert not check.ok and "same point" in check.failure.reason
 
     def test_branch_path_labels_nested_assumptions(self):
@@ -510,7 +563,7 @@ class TestVerifierStructure:
         # break the deepest reachable step and confirm the path points there
         step = node["children"][0]["steps"][0]
         step["forced"] = Color(step["forced"]).opposite.value
-        check = verify_branch(spec, Fraction(11), node)
+        check = replay_branch(spec, Fraction(11), node)
         assert not check.ok
         assert len(check.failure.path) == 2 and check.failure.step_index == 0
 
@@ -817,11 +870,11 @@ def _property_bases():
     bases = [
         read(build_k2_certificate(3)),
         read(build_k2_certificate(6)),
-        read(certify_upper(ProblemSpec(3, 5))),  # a built blue-1 branch beside an auto-proved one
-        read(certify_upper(ProblemSpec(4, 6))),
-        read(certify_upper(ProblemSpec(4, 5), grid_denominator=1)),
-        read(certify_upper(ProblemSpec(2, 4), grid_denominator=2)),
-        read(certify_upper(ProblemSpec(3, 4), grid_denominator=3)),
+        read(certify_upper(ProblemSpec(3, 5))[0]),  # a built blue-1 branch beside an auto-proved one
+        read(certify_upper(ProblemSpec(4, 6))[0]),
+        read(certify_upper(ProblemSpec(4, 5), grid_denominator=1)[0]),
+        read(certify_upper(ProblemSpec(2, 4), grid_denominator=2)[0]),
+        read(certify_upper(ProblemSpec(3, 4), grid_denominator=3)[0]),
     ]
     bases.append(spine(bases[0], 0, [Fraction(1) + Fraction(i, 11) for i in (3, 7, 5)]))
     bases.append(spine(bases[2], 1, [Fraction(1) + Fraction(i, 13) for i in (9, 2)]))
@@ -829,7 +882,7 @@ def _property_bases():
         bases.append(read(json.loads(path.read_text(encoding="ascii"))))
     # The prover's branches split only below an inner point.  Each pair
     # holds both colors of one inner point, so it fails the root check, but
-    # verify_branch accepts each of its nodes.
+    # replay_branch accepts each of its nodes.
     for k, l, p in ((3, 3, 5), (3, 4, 2)):
         spec = ProblemSpec(k, l)
         pair = tuple(reference_node_from_json(inner_branch(spec, p, color), spec) for color in (RED, BLUE))
@@ -962,14 +1015,14 @@ def test_replay_matches_the_recursive_reference(doc, data):
     # schema pass and replay against the reference's parse and replay; a
     # wrong arity, say, is a schema error in both
     assert _outcome(verify_certificate, doc) == _outcome(reference_check, doc)
-    # one branch on its own, as a builder checks it
+    # one branch on its own
     spec, end = ProblemSpec.from_json(doc["spec"]), parse_rational(doc["domain_end"])
     node = data.draw(st.sampled_from(doc["root"]))
 
     def reference_branch(node):
         return reference_verify_node(spec, end, reference_node_from_json(node, spec), {}, ())
 
-    assert _outcome(verify_branch, spec, end, node) == _outcome(reference_branch, node)
+    assert _outcome(replay_branch, spec, end, node) == _outcome(reference_branch, node)
 
 
 def test_property_bases_verify_and_some_split():
@@ -977,7 +1030,7 @@ def test_property_bases_verify_and_some_split():
         if cert.root[0].point == cert.spec.gamma:
             assert verify_certificate(emit(cert)).ok
         else:
-            assert all(verify_branch(cert.spec, cert.domain_end, emit_node(node)).ok for node in cert.root)
+            assert all(replay_branch(cert.spec, cert.domain_end, emit_node(node)).ok for node in cert.root)
     # splits are where the undo trail is unwound
     assert sum(any(node.children for _, node in _nodes(cert)) for cert in BASES) >= 4
 

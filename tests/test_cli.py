@@ -289,10 +289,31 @@ class TestCertificatePipeline:
         assert (canonical_json(doc) + "\n").encode() == first
 
     def test_unit_grid_unproved_once_values_split(self, capsys):
-        # discrete 11 > continuous 9 at (2,4): integers cannot refute
+        # discrete 11 > continuous 9 at (2,4): the integers [1, 9] have a
+        # valid coloring with 1 red, so no depth could refute that branch
         code, doc = run_cli(capsys, "certify-upper", "2", "4", "--grid-denominator", "1")
         assert code == 2 and doc["status"] == "Unproved"
-        assert doc["payload"]["branch"] == "red"
+        assert doc["payload"] == {
+            "error": "no closing chain for the red branch of (k=2, l=4): "
+            "the 1/1 grid has a valid coloring with 1 = red",
+            "branch": "red",
+            "grid_denominator": 1,
+            "max_depth": 64,
+        }
+
+    def test_depth_exhaustion_unproved(self, capsys):
+        # 1 = red leaves the unit grid of (2,5) partly free, and depth 0
+        # allows no split
+        argv = ("certify-upper", "2", "5", "--grid-denominator", "1", "--max-depth", "0")
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2 and doc["status"] == "Unproved"
+        assert doc["payload"] == {
+            "error": "no closing chain for the red branch of (k=2, l=5) "
+            "on the 1/1 grid within depth 0",
+            "branch": "red",
+            "grid_denominator": 1,
+            "max_depth": 0,
+        }
 
     def test_zero_grid_denominator_is_invalid_input(self, capsys):
         code, doc = run_cli(capsys, "certify-upper", "2", "3", "--grid-denominator", "0")

@@ -234,7 +234,7 @@ def test_no_command_builds_the_reference_kernel(monkeypatch):
 
     monkeypatch.setattr(ClauseSystem, "__init__", refuse)
     for spec, d in (((6, 7), 1), ((12, 12), 1), ((2, 5), 4), ((3, 4), 3)):
-        cert = certify_upper(ProblemSpec(*spec), grid_denominator=d if d > 1 else None)
+        cert, _ = certify_upper(ProblemSpec(*spec), grid_denominator=d if d > 1 else None)
         assert verify_certificate(cert).ok
     assert compute_rado(ProblemSpec(4, 5)).value == 23
     assert propagate_masks(_system(2, 3, 7), 1 << 1, 0, [1])[3] is not None

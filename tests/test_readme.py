@@ -21,4 +21,4 @@ def test_library_block_runs_and_prints_what_its_comments_say():
             continue
         assert eval(code, namespace) == expected, line
         checked += 1
-    assert checked == 3
+    assert checked == 4

@@ -107,8 +107,7 @@ class TestK2Builder:
         assert cert["domain_end"] == "5"
         # cross-check with the automatic prover on the half grid
         for color in (RED, BLUE):
-            node = auto_prove(ProblemSpec(2, 2), 2, color)
-            assert node is not None
+            assert closes(ProblemSpec(2, 2), 2, color)
 
     def test_l10(self):
         cert = build_k2_certificate(10)
@@ -314,7 +313,7 @@ class TestAutoProve:
     def test_unit_grid_at_23_closes_because_values_coincide(self):
         # S(2,3) = 7 both discretely and continuously, so integers alone
         # refute; half-steps only become necessary from l = 4 on.
-        assert auto_prove(ProblemSpec(2, 3), 1, RED) is not None
+        assert closes(ProblemSpec(2, 3), 1, RED)
 
     def test_half_grid_at_23_closes_too(self):
         node = auto_prove(ProblemSpec(2, 3), 2, RED)
@@ -348,6 +347,7 @@ class TestAutoProve:
         # the half-grid refutation of (2,5) from 1=Red is pure forcing
         node = auto_prove(ProblemSpec(2, 5), 2, RED, max_branch_depth=0)
         assert node is not None and "children" not in node
+        assert replay_branch(ProblemSpec(2, 5), Fraction(11), node).ok
 
     def test_agrees_with_discrete_search(self):
         for k in range(3, 6):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.certificates import auto_prove, certify_upper, verify_certificate
+from offrado.certificates import certify_upper, verify_certificate
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.propagation import (
@@ -389,7 +389,7 @@ def test_no_clause_data_left_in_reference_cycles():
     try:
         compute_rado(ProblemSpec(4, 5))
         assert propagate_masks(_system(2, 3, 7), 1 << 1, 0, [1])[3] is not None
-        auto_prove(ProblemSpec(3, 4), 1, Color.RED)
+        certify_upper(ProblemSpec(3, 4))
         gc.collect()
         kinds = (Clause, ClauseSystem, SumsetSystem, SumsetHandle)
         leaked = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, kinds))
@@ -409,7 +409,7 @@ def test_clause_generation_leaves_no_cyclic_garbage():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         compute_rado(ProblemSpec(4, 5))
-        auto_prove(ProblemSpec(3, 4), 1, Color.RED)
+        certify_upper(ProblemSpec(3, 4))
         gc.collect()
         assert gc.garbage == []
     finally:

@@ -249,7 +249,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--full", action="store_true",
         help="wider ranges: formula table to (5,5), lower bounds to kl=10, certificates "
-        "to (2,10) and (5,5), search oracle to n=18, 500 sumset-oracle instances",
+        "to (2,10) and (5,5), search oracle to n=18, 500 sumset-oracle instances, each "
+        "judging every sum of m member samples",
     )
     p.set_defaults(handler=cmd_reproduce)
 

@@ -9,15 +9,22 @@ turns merging and intersection into plain key comparisons.
 
 The sum of two intervals is closed at an endpoint only when both contributing
 endpoints are closed; that rule is forced by set arithmetic, not a convention.
+
+The hot loops run on plain ints: m_fold_sumset and decompose_sum scale the
+set once over one common denominator and work on int key pairs, the same
+(value, epsilon) keys with epsilon folded into the low bit (see _int_keys).
+Fractions appear only at the boundary: in the Intervals and values they
+return.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .equations import Color, ProblemSpec, SolutionWitness, Verdict
 from .serialize import exact_fraction, format_rational, parse_rational
@@ -67,11 +74,6 @@ class Interval:
             self.lo_closed and other.lo_closed,
             self.hi_closed and other.hi_closed,
         )
-
-    def subtracted_from(self, t) -> "Interval":
-        """The reflected interval {t - x : x in self}."""
-        t = exact_fraction(t)
-        return Interval(t - self.hi, t - self.lo, self.hi_closed, self.lo_closed)
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         lower = max(self, other, key=Interval._lo_key)
@@ -133,13 +135,21 @@ class IntervalSet:
     __contains__ = contains
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """One sweep over both sets.  Each piece met is dropped once its upper
+        end is passed; pieces of the result are separated by a gap of one set
+        or the other, so they come out canonical."""
         pieces = []
-        for a in self.intervals:
-            for b in other.intervals:
-                both = a.intersect(b)
-                if both is not None:
-                    pieces.append(both)
-        return normalize(pieces)
+        i = j = 0
+        while i < len(self.intervals) and j < len(other.intervals):
+            a, b = self.intervals[i], other.intervals[j]
+            both = a.intersect(b)
+            if both is not None:
+                pieces.append(both)
+            if a._hi_key() < b._hi_key():
+                i += 1
+            else:
+                j += 1
+        return IntervalSet(tuple(pieces))
 
     def scale(self, factor) -> "IntervalSet":
         return IntervalSet(tuple(iv.scale(factor) for iv in self.intervals))
@@ -162,20 +172,57 @@ def normalize(raw: Iterable[Interval]) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
-def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """{x + y : x in a, y in b}, exact on endpoints and closure flags."""
-    return normalize([ia.add(ib) for ia in a.intervals for ib in b.intervals])
+def _scale_of(a: IntervalSet, *extra: Fraction) -> int:
+    """The lcm of the denominators of a's endpoints and of ``extra``."""
+    ends = [x for iv in a.intervals for x in (iv.lo, iv.hi)]
+    return math.lcm(*(x.denominator for x in ends + list(extra)))
+
+
+def _int_keys(a: IntervalSet, scale: int) -> list[tuple[int, int]]:
+    """Each interval of ``a`` as its int key pair (L, H) over ``scale``.
+
+    With lo and hi scaled to ints, L = 2*lo + 1 if the lower end is open else
+    2*lo, and H = 2*hi + 1 if the upper end is closed else 2*hi.  Comparing L's
+    (or H's) orders the ends as the (value, epsilon) keys do; a scaled x is a
+    member iff L <= 2x < H; and a later-starting interval merges with this one
+    iff its L <= this H.
+    """
+    return [
+        (2 * (iv.lo.numerator * (scale // iv.lo.denominator)) + (not iv.lo_closed),
+         2 * (iv.hi.numerator * (scale // iv.hi.denominator)) + iv.hi_closed)
+        for iv in a.intervals
+    ]
+
+
+def _add_keys(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """The key pair of the sum of two intervals: the scaled ends add, a lower
+    end is open if either is, an upper end is closed only if both are."""
+    return p[0] + q[0] - (p[0] & q[0] & 1), p[1] + q[1] - ((p[1] | q[1]) & 1)
 
 
 def m_fold_sumset(a: IntervalSet, m: int) -> IntervalSet:
     """Range of x1 + ... + xm over the set: iterated pairwise sums, merged
-    after every round so the iterate stays small."""
+    after every round so the iterate stays small.  The rounds run on int key
+    pairs over the lcm of a's denominators; Intervals are built once, at the
+    end."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need m >= 1, got {m!r}")
-    acc = a
+    scale = _scale_of(a)
+    keys = _int_keys(a, scale)
+    acc = keys
     for _ in range(m - 1):
-        acc = minkowski_sum(acc, a)
-    return acc
+        merged: list[tuple[int, int]] = []
+        for lo, hi in sorted([_add_keys(p, q) for p in acc for q in keys]):
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        acc = merged
+    return IntervalSet(tuple(
+        Interval(Fraction(lo >> 1, scale), Fraction(hi >> 1, scale), not lo & 1, bool(hi & 1))
+        for lo, hi in acc
+    ))
 
 
 def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
@@ -185,35 +232,40 @@ def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
     range contains t, then fixes values left to right: each value is the
     representative of the member interval intersected with what the remaining
     intervals can still absorb.  Deterministic, so witnesses are reproducible.
+    Runs on int key pairs over the lcm of the denominators times 2^(m-1), at
+    which every midpoint taken is an int; only the returned values are
+    Fractions.
     """
     t = exact_fraction(t)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need m >= 1, got {m!r}")
-    chosen: Optional[Sequence[Interval]] = None
-    for combo in combinations_with_replacement(a.intervals, m):
+    scale = _scale_of(a, t) << (m - 1)
+    keys = _int_keys(a, scale)
+    twice_t = 2 * t.numerator * (scale // t.denominator)
+    for combo in combinations_with_replacement(keys, m):
         total = combo[0]
-        for iv in combo[1:]:
-            total = total.add(iv)
-        if total.contains(t):
-            chosen = list(combo)
+        for key in combo[1:]:
+            total = _add_keys(total, key)
+        if total[0] <= twice_t < total[1]:
             break
-    if chosen is None:
+    else:
         raise ValueError(f"{format_rational(t)} is not in the {m}-fold sumset")
-    values: list[Fraction] = []
-    target = t
-    while len(chosen) > 1:
-        iv = chosen.pop(0)
-        rest = chosen[0]
-        for more in chosen[1:]:
-            rest = rest.add(more)
-        feasible = iv.intersect(rest.subtracted_from(target))
-        assert feasible is not None, "sum range contained t, so a slot must be feasible"
-        v = feasible.representative()
+    rests = list(combo[1:])  # rests[i]: the key pair of the sum of combo[i+1:]
+    for i in range(m - 3, -1, -1):
+        rests[i] = _add_keys(rests[i], rests[i + 1])
+    values: list[int] = []
+    for (lo, hi), (rest_lo, rest_hi) in zip(combo, rests):
+        # the member interval meets {t - x : x in rest}, whose key pair is
+        # (2t + 1 - rest_hi, 2t + 1 - rest_lo)
+        lo, hi = max(lo, twice_t + 1 - rest_hi), min(hi, twice_t + 1 - rest_lo)
+        assert lo < hi, "sum range contained t, so a slot must be feasible"
+        v = lo >> 1 if not lo & 1 else hi >> 1 if hi & 1 else ((lo >> 1) + (hi >> 1)) // 2
         values.append(v)
-        target -= v
-    assert chosen[0].contains(target)
-    values.append(target)
-    return tuple(values)
+        twice_t -= 2 * v
+    lo, hi = combo[-1]
+    assert lo <= twice_t < hi
+    values.append(twice_t >> 1)
+    return tuple(Fraction(v, scale) for v in values)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ selects the heavyweight ranges (the complete formula table through (5,5), all
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,12 +221,14 @@ def _interval_samples(iv: Interval) -> list[Fraction]:
 
 
 def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[CheckResult]:
-    """Randomized cross-check of the iterated Minkowski sums.
+    """Cross-check of the m-fold sumsets on seeded random interval sets.
 
     Three independent routes per instance: direct enumeration of interval
-    multisets must give the same set; every sum of member samples must be a
-    member of the sumset; the representative of every reported interval must
-    decompose back into m exact members.
+    multisets, folded with Fraction arithmetic, must give the same set; every
+    sum of m member samples, all multisets of them judged exhaustively by a
+    shift-OR on ints, must be a member of the sumset; the representative of
+    every reported interval must decompose back into m exact members.  The rng
+    draws only the instances.
     """
     rng = random.Random(seed)
     failures = 0
@@ -239,7 +242,7 @@ def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[Chec
         )
         ok = sums == direct
         if ok:
-            ok = _sample_sums_in(sums, a, m, rng)
+            ok = _sample_sums_in(sums, a, m)
         if ok:
             for iv in sums.intervals:
                 t = iv.representative()
@@ -260,61 +263,32 @@ def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[Chec
     ]
 
 
-def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int, rng: random.Random) -> bool:
+def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int) -> bool:
     """Is every sum of m member samples of ``a`` a member of ``sums``?
 
-    All multisets of samples when there are at most 2000, else 2000 random
-    m-tuples.  Stops at the first miss.  Verdicts and draws are those of
-    ``all(sums.contains(sum(c)) for c in combos)`` with each random tuple
-    ``tuple(rng.choice(samples) for _ in range(m))``, on plain ints:
-
-    - A random index is drawn by CPython's ``Random._randbelow_with_getrandbits``
-      rejection loop, inlined on a bound ``rng.getrandbits`` in
-      ``_random_totals``, so ``rng`` advances exactly as ``rng.choice`` would.
-      The loop is the same in CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0,
-      where this was checked.  Each tuple's total is added up as it is drawn.
-    - Samples and the endpoints of ``sums`` are scaled to ints over one common
-      denominator, so each distinct total is judged once by ``bisect`` and
-      int comparisons, with the closure flags as they are.
+    Every multiset of samples is judged, on plain ints.  Samples and the
+    endpoints of ``sums`` are scaled over one common denominator, and the
+    samples s_i are offset by their minimum, so the shift-OR
+    L_0 = 1, L_j = OR_i (L_{j-1} << s_i) has bit p set iff some m samples sum
+    to p + m * min, in at most m * (max - min) * scale bits.  L_m must lie
+    inside the mask of totals that ``sums`` allows, built from each piece's
+    closure flags.
     """
-    samples = sorted({x for iv in a.intervals for x in _interval_samples(iv)})
+    samples = [x for iv in a.intervals for x in _interval_samples(iv)]
     ends = [x for iv in sums.intervals for x in (iv.lo, iv.hi)]
     scale = math.lcm(*(x.denominator for x in samples + ends))
-    scaled = [int(x * scale) for x in samples]  # exact: scale is a multiple of each denominator
-    pieces = [(int(iv.lo * scale), int(iv.hi * scale), iv.lo_closed, iv.hi_closed) for iv in sums.intervals]
-    los = [lo for lo, _, _, _ in pieces]
-    if len(scaled) ** m <= 2000:
-        totals = map(sum, combinations_with_replacement(scaled, m))
-    else:
-        totals = _random_totals(scaled, m, rng)
-    seen = set()
-    for total in totals:
-        if total not in seen:
-            i = bisect.bisect_right(los, total) - 1
-            if i < 0:
-                return False
-            lo, hi, lo_closed, hi_closed = pieces[i]
-            if total > hi or (total == hi and not hi_closed) or (total == lo and not lo_closed):
-                return False
-            seen.add(total)
-    return True
-
-
-def _random_totals(scaled: list[int], m: int, rng: random.Random):
-    """The totals of 2000 m-tuples ``tuple(rng.choice(scaled) for _ in
-    range(m))``, drawn lazily and exactly as those ``choice`` calls draw them
-    (see ``_sample_sums_in``)."""
-    n = len(scaled)
-    bits = n.bit_length()
-    getrandbits = rng.getrandbits
-    for _ in range(2000):
-        total = 0
-        for _ in range(m):
-            r = getrandbits(bits)
-            while r >= n:
-                r = getrandbits(bits)
-            total += scaled[r]
-        yield total
+    low = int(min(samples) * scale)  # exact: scale is a multiple of each denominator
+    shifts = [int(x * scale) - low for x in samples]
+    reach = 1
+    for _ in range(m):
+        reach = functools.reduce(operator.or_, [reach << s for s in shifts])
+    allowed = 0
+    for iv in sums.intervals:
+        first = max(int(iv.lo * scale) - m * low + (not iv.lo_closed), 0)
+        last = min(int(iv.hi * scale) - m * low - (not iv.hi_closed), reach.bit_length() - 1)
+        if first <= last:
+            allowed |= ((1 << (last - first + 1)) - 1) << first
+    return not reach & ~allowed
 
 
 def _fold(combo) -> Interval:

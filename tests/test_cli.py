@@ -513,8 +513,9 @@ class TestReproduce:
     def test_full_profile_output_is_pinned(self, capsys):
         # Every check's name and detail, the search node counts and the
         # oracle verdicts.  The sumset oracle's line reads "all instances
-        # agree" whatever it draws, so a changed draw stream keeps this hash;
-        # tests/test_suite.py replays that stream against its reference.
+        # agree" whatever instances it draws, so a changed draw stream keeps
+        # this hash; tests/test_suite.py replays the stream the oracle drew
+        # while its member-sample route still took random tuples.
         code = main(["reproduce", "--full"])
         out = capsys.readouterr().out
         assert code == 0

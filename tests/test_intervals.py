@@ -17,15 +17,117 @@ from offrado.intervals import (
     decompose_sum,
     lower_bound_coloring,
     m_fold_sumset,
-    minkowski_sum,
     normalize,
     scale_coloring,
     verify_coloring,
 )
+from offrado.serialize import format_rational
 
 
 def iv(lo, hi, code="[)"):
     return Interval(Fraction(lo), Fraction(hi), code[0] == "[", code[1] == "]")
+
+
+def minkowski_sum(a, b):
+    """{x + y : x in a, y in b}, with Fraction endpoints: the reference the
+    int-keyed m_fold_sumset is compared against."""
+    return normalize([ia.add(ib) for ia in a.intervals for ib in b.intervals])
+
+
+def reference_m_fold(a, m):
+    acc = a
+    for _ in range(m - 1):
+        acc = minkowski_sum(acc, a)
+    return acc
+
+
+def reference_decompose(a, m, t):
+    """decompose_sum as it ran on Fractions: the first m-multiset of intervals
+    whose summed range holds t, then each value the representative of what
+    its slot can still take."""
+    chosen = None
+    for combo in combinations_with_replacement(a.intervals, m):
+        total = combo[0]
+        for piece in combo[1:]:
+            total = total.add(piece)
+        if total.contains(t):
+            chosen = list(combo)
+            break
+    if chosen is None:
+        raise ValueError(f"{format_rational(t)} is not in the {m}-fold sumset")
+    values = []
+    target = t
+    while len(chosen) > 1:
+        piece = chosen.pop(0)
+        rest = chosen[0]
+        for more in chosen[1:]:
+            rest = rest.add(more)
+        reflected = Interval(target - rest.hi, target - rest.lo, rest.hi_closed, rest.lo_closed)
+        v = piece.intersect(reflected).representative()
+        values.append(v)
+        target -= v
+    assert chosen[0].contains(target)
+    values.append(target)
+    return tuple(values)
+
+
+def reference_intersect(a, b):
+    """Every pair of pieces intersected, then merged."""
+    pieces = [both for x in a.intervals for y in b.intervals if (both := x.intersect(y)) is not None]
+    return normalize(pieces)
+
+
+def outcome(f, *args):
+    """f's result, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def interval_sets(draw):
+    """1 to 4 pieces: points, and intervals with each end open or closed,
+    their ends over denominators 1 to 12 in [-3, 10]."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 12))
+        lo = Fraction(draw(st.integers(-3 * q, 10 * q)), q)
+        if draw(st.booleans()):
+            pieces.append(Interval.point(lo))
+        else:
+            q = draw(st.integers(1, 12))
+            hi = lo + Fraction(draw(st.integers(1, 4 * q)), q)
+            pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return normalize(pieces)
+
+
+interval_properties = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+@interval_properties
+@given(interval_sets(), st.integers(1, 5))
+def test_m_fold_matches_fraction_reference(a, m):
+    assert m_fold_sumset(a, m) == reference_m_fold(a, m)
+
+
+@interval_properties
+@given(interval_sets(), st.integers(1, 5))
+def test_decompose_matches_fraction_reference(a, m):
+    # every representative and closed end of the sumset holds a decomposition;
+    # an open end lies outside it, so both raise the same message there
+    ts = set()
+    for piece in reference_m_fold(a, m).intervals:
+        ts |= {piece.representative(), piece.lo, piece.hi}
+    for t in sorted(ts):
+        assert outcome(decompose_sum, a, m, t) == outcome(reference_decompose, a, m, t), t
+
+
+@interval_properties
+@given(interval_sets(), interval_sets())
+def test_intersect_matches_the_pairwise_reference(a, b):
+    assert a.intersect(b) == reference_intersect(a, b)
+    assert b.intersect(a) == reference_intersect(a, b)
 
 
 class TestInterval:
@@ -330,7 +432,7 @@ def reference_partition_error(domain, red, blue):
     """The partition rule as ``ContinuousColoring`` first checked it: the
     classes intersected pair by pair, then their union compared with the
     domain.  The message it raises, or None."""
-    if not red.intersect(blue).is_empty:
+    if not reference_intersect(red, blue).is_empty:
         return "red and blue classes overlap"
     if normalize(red.intervals + blue.intervals) != IntervalSet((domain,)):
         return "red and blue classes do not partition the domain"

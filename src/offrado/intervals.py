@@ -10,11 +10,13 @@ turns merging and intersection into plain key comparisons.
 The sum of two intervals is closed at an endpoint only when both contributing
 endpoints are closed; that rule is forced by set arithmetic, not a convention.
 
-The hot loops run on plain ints: m_fold_sumset and decompose_sum scale the
-set once over one common denominator and work on int key pairs, the same
-(value, epsilon) keys with epsilon folded into the low bit (see _int_keys).
-Fractions appear only at the boundary: in the Intervals and values they
-return.
+The hot loops run on plain ints: m_fold_sumset, decompose_sum and
+verify_coloring scale the set once over one common denominator and work on
+int key pairs, the same (value, epsilon) keys with epsilon folded into the low
+bit (see _int_keys).  verify_coloring meets a class's sumset keys with the
+class's own keys and never builds the sumset's Intervals.  Fractions appear
+only at the boundary: in the Intervals and values returned, and in a
+witness's x0.
 """
 
 from __future__ import annotations
@@ -200,15 +202,10 @@ def _add_keys(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
     return p[0] + q[0] - (p[0] & q[0] & 1), p[1] + q[1] - ((p[1] | q[1]) & 1)
 
 
-def m_fold_sumset(a: IntervalSet, m: int) -> IntervalSet:
-    """Range of x1 + ... + xm over the set: iterated pairwise sums, merged
-    after every round so the iterate stays small.  The rounds run on int key
-    pairs over the lcm of a's denominators; Intervals are built once, at the
-    end."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"need m >= 1, got {m!r}")
-    scale = _scale_of(a)
-    keys = _int_keys(a, scale)
+def _m_fold_keys(keys: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """The key pairs of the m-fold sumset of the set whose canonical key pairs
+    are ``keys``: m - 1 rounds of pairwise sums, merged after every round so
+    the iterate stays small."""
     acc = keys
     for _ in range(m - 1):
         merged: list[tuple[int, int]] = []
@@ -219,10 +216,52 @@ def m_fold_sumset(a: IntervalSet, m: int) -> IntervalSet:
             else:
                 merged.append((lo, hi))
         acc = merged
+    return acc
+
+
+def _twice_representative(lo: int, hi: int) -> int:
+    """Twice the scaled representative of the interval with key pair (lo, hi),
+    as Interval.representative picks it: the lower end if closed, else the
+    upper end if closed, else the midpoint, whose double is the sum of the
+    scaled ends."""
+    return lo if not lo & 1 else hi - 1 if hi & 1 else (lo >> 1) + (hi >> 1)
+
+
+def m_fold_sumset(a: IntervalSet, m: int) -> IntervalSet:
+    """Range of x1 + ... + xm over the set.  The rounds run on int key pairs
+    over the lcm of a's denominators (_m_fold_keys); Intervals are built once,
+    at the end."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"need m >= 1, got {m!r}")
+    scale = _scale_of(a)
     return IntervalSet(tuple(
         Interval(Fraction(lo >> 1, scale), Fraction(hi >> 1, scale), not lo & 1, bool(hi & 1))
-        for lo, hi in acc
+        for lo, hi in _m_fold_keys(_int_keys(a, scale), m)
     ))
+
+
+def _first_sum_member(a: IntervalSet, m: int) -> Optional[Fraction]:
+    """The representative of the first piece of m_fold_sumset(a, m)
+    intersected with a, or None if they are disjoint.
+
+    The fold's key pairs meet a's in one sweep, as IntervalSet.intersect
+    does: two pieces overlap iff the larger L is below the smaller H, and the
+    piece whose H is smaller is passed.  Only the returned value is a Fraction.
+    """
+    scale = _scale_of(a)
+    keys = _int_keys(a, scale)
+    sums = _m_fold_keys(keys, m)
+    i = j = 0
+    while i < len(sums) and j < len(keys):
+        (s_lo, s_hi), (a_lo, a_hi) = sums[i], keys[j]
+        lo, hi = max(s_lo, a_lo), min(s_hi, a_hi)
+        if lo < hi:
+            return Fraction(_twice_representative(lo, hi), 2 * scale)
+        if s_hi < a_hi:
+            i += 1
+        else:
+            j += 1
+    return None
 
 
 def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
@@ -259,7 +298,7 @@ def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
         # (2t + 1 - rest_hi, 2t + 1 - rest_lo)
         lo, hi = max(lo, twice_t + 1 - rest_hi), min(hi, twice_t + 1 - rest_lo)
         assert lo < hi, "sum range contained t, so a slot must be feasible"
-        v = lo >> 1 if not lo & 1 else hi >> 1 if hi & 1 else ((lo >> 1) + (hi >> 1)) // 2
+        v = _twice_representative(lo, hi) >> 1
         values.append(v)
         twice_t -= 2 * v
     lo, hi = combo[-1]
@@ -300,9 +339,10 @@ class ContinuousColoring:
 def verify_coloring(coloring: ContinuousColoring, spec: ProblemSpec) -> Verdict:
     """Valid iff neither class's m-fold sumset meets the class itself.
 
-    A nonempty overlap yields a concrete witness through decompose_sum.  The
-    partition invariant is enforced by the ContinuousColoring constructor, so
-    only the domain precondition is checked here.
+    The sumset and the class meet on int keys (_first_sum_member); a nonempty
+    overlap yields a concrete witness through decompose_sum.  The partition
+    invariant is enforced by the ContinuousColoring constructor, so only the
+    domain precondition is checked here.
     """
     if coloring.domain.lo < spec.gamma:
         raise ValueError("coloring domain starts below gamma")
@@ -310,10 +350,8 @@ def verify_coloring(coloring: ContinuousColoring, spec: ProblemSpec) -> Verdict:
         cls = coloring.class_of(color)
         if cls.is_empty:
             continue
-        sums = m_fold_sumset(cls, spec.arity(color))
-        bad = sums.intersect(cls)
-        if not bad.is_empty:
-            x0 = bad.intervals[0].representative()
+        x0 = _first_sum_member(cls, spec.arity(color))
+        if x0 is not None:
             values = decompose_sum(cls, spec.arity(color), x0)
             return Verdict(SolutionWitness.from_values(color, values, x0))
     return Verdict()

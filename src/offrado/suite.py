@@ -212,23 +212,16 @@ def random_interval_set(rng: random.Random, max_intervals: int = 4, max_denomina
     return normalize(pieces)
 
 
-def _interval_samples(iv: Interval) -> list[Fraction]:
-    candidates = {
-        iv.lo, iv.hi, (iv.lo + iv.hi) / 2,
-        iv.lo + (iv.hi - iv.lo) / 3, iv.lo + 2 * (iv.hi - iv.lo) / 3,
-    }
-    return sorted(x for x in candidates if iv.contains(x))
-
-
 def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[CheckResult]:
     """Cross-check of the m-fold sumsets on seeded random interval sets.
 
     Three independent routes per instance: direct enumeration of interval
     multisets, folded with Fraction arithmetic, must give the same set; every
-    sum of m member samples, all multisets of them judged exhaustively by a
-    shift-OR on ints, must be a member of the sumset; the representative of
-    every reported interval must decompose back into m exact members.  The rng
-    draws only the instances.
+    sum of m member samples must be a member of the sumset, with the samples
+    taken on ints at scale 6 D over their gcd and all multisets of them judged
+    at once by a shift-OR (_sample_sums_in); the representative of every
+    reported interval must decompose back into m exact members.  The rng draws
+    only the instances.
     """
     rng = random.Random(seed)
     failures = 0
@@ -266,26 +259,38 @@ def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[Chec
 def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int) -> bool:
     """Is every sum of m member samples of ``a`` a member of ``sums``?
 
-    Every multiset of samples is judged, on plain ints.  Samples and the
-    endpoints of ``sums`` are scaled over one common denominator, and the
-    samples s_i are offset by their minimum, so the shift-OR
-    L_0 = 1, L_j = OR_i (L_{j-1} << s_i) has bit p set iff some m samples sum
-    to p + m * min, in at most m * (max - min) * scale bits.  L_m must lie
-    inside the mask of totals that ``sums`` allows, built from each piece's
-    closure flags.
+    A piece's samples are those of lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3
+    and lo + 2 (hi - lo) / 3 that it holds.  They are taken on plain ints: at
+    scale 6 D, D the lcm of a's denominators, every one is an int.  Offset by
+    their minimum and divided by the gcd g of the offsets, samples s_i make the
+    shift-OR L_0 = 1, L_j = OR_i (L_{j-1} << s_i) have bit p set iff some m
+    samples sum to m * min + p * g, in at most m * (max - min) / g bits, and
+    every multiset of samples is judged at once.  L_m must lie inside the mask
+    of totals that ``sums`` allows, built from each piece's closure flags; an
+    end of ``sums`` off that grid is rounded inward.
     """
-    samples = [x for iv in a.intervals for x in _interval_samples(iv)]
-    ends = [x for iv in sums.intervals for x in (iv.lo, iv.hi)]
-    scale = math.lcm(*(x.denominator for x in samples + ends))
-    low = int(min(samples) * scale)  # exact: scale is a multiple of each denominator
-    shifts = [int(x * scale) - low for x in samples]
+    scale = 6 * math.lcm(*(x.denominator for iv in a.intervals for x in (iv.lo, iv.hi)))
+    samples = set()
+    for iv in a.intervals:
+        lo = iv.lo.numerator * (scale // iv.lo.denominator)
+        hi = iv.hi.numerator * (scale // iv.hi.denominator)
+        third = (hi - lo) // 3
+        for x in (lo, hi, (lo + hi) // 2, lo + third, hi - third):
+            if lo < x < hi or (x == lo and iv.lo_closed) or (x == hi and iv.hi_closed):
+                samples.add(x)
+    low = min(samples)
+    step = math.gcd(*(x - low for x in samples)) or 1
+    shifts = [(x - low) // step for x in samples]
     reach = 1
     for _ in range(m):
         reach = functools.reduce(operator.or_, [reach << s for s in shifts])
     allowed = 0
     for iv in sums.intervals:
-        first = max(int(iv.lo * scale) - m * low + (not iv.lo_closed), 0)
-        last = min(int(iv.hi * scale) - m * low - (not iv.hi_closed), reach.bit_length() - 1)
+        # an end x stands for the total (x * scale - m * low) / step, n / d here
+        n, d = iv.lo.numerator * scale - m * low * iv.lo.denominator, iv.lo.denominator * step
+        first = max((n - iv.lo_closed) // d + 1, 0)
+        n, d = iv.hi.numerator * scale - m * low * iv.hi.denominator, iv.hi.denominator * step
+        last = min((n - (not iv.hi_closed)) // d, reach.bit_length() - 1)
         if first <= last:
             allowed |= ((1 << (last - first + 1)) - 1) << first
     return not reach & ~allowed

@@ -38,12 +38,22 @@ from offrado.intervals import (
     verify_coloring,
 )
 from offrado.search import brute_force_colorable, compute_rado, search_valid
-from offrado.suite import KNOWN_TABLE, random_interval_set, _interval_samples
+from offrado.suite import KNOWN_TABLE, random_interval_set
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
+
+
+def _interval_samples(iv):
+    """The grid samples of one piece, as Fractions: those of lo, hi, the
+    midpoint and the two third points that the piece holds."""
+    candidates = {
+        iv.lo, iv.hi, (iv.lo + iv.hi) / 2,
+        iv.lo + (iv.hi - iv.lo) / 3, iv.lo + 2 * (iv.hi - iv.lo) / 3,
+    }
+    return sorted(x for x in candidates if iv.contains(x))
 
 
 def test_criterion_1_formula_table():

@@ -6,9 +6,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.equations import Color, ProblemSpec, check_witness
+from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, check_witness
 from offrado.intervals import (
     ContinuousColoring,
+    _first_sum_member,
     Interval,
     IntervalSet,
     boundary_witnesses,
@@ -128,6 +129,63 @@ def test_decompose_matches_fraction_reference(a, m):
 def test_intersect_matches_the_pairwise_reference(a, b):
     assert a.intersect(b) == reference_intersect(a, b)
     assert b.intersect(a) == reference_intersect(a, b)
+
+
+@interval_properties
+@given(interval_sets(), st.integers(1, 5))
+def test_first_sum_member_matches_the_interval_intersection(a, m):
+    bad = m_fold_sumset(a, m).intersect(a)
+    expected = bad.intervals[0].representative() if not bad.is_empty else None
+    assert _first_sum_member(a, m) == expected
+
+
+def reference_verify(coloring, spec):
+    """verify_coloring as it ran on Intervals: each class's m-fold sumset
+    built and intersected with the class, the first piece's representative
+    decomposed."""
+    for color in (Color.RED, Color.BLUE):
+        cls = coloring.class_of(color)
+        if cls.is_empty:
+            continue
+        bad = m_fold_sumset(cls, spec.arity(color)).intersect(cls)
+        if not bad.is_empty:
+            x0 = bad.intervals[0].representative()
+            values = decompose_sum(cls, spec.arity(color), x0)
+            return Verdict(SolutionWitness.from_values(color, values, x0))
+    return Verdict()
+
+
+@st.composite
+def colorings(draw):
+    """A coloring of a domain in [1, 13] cut on a 1/q grid, q in 1..6, into
+    1 to 7 red or blue pieces, some cut points split off as points of their
+    own color, and a spec with 2 <= k <= l <= 4 and gamma the domain's start."""
+    q = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.sets(st.integers(q, 13 * q), min_size=2, max_size=8)))
+    closed = [draw(st.booleans()) for _ in cuts]  # an inner cut closes its left piece or its right
+    split = [False] + [draw(st.booleans()) for _ in cuts[2:]] + [False]  # or is a piece itself
+    pieces = []
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if split[i]:
+            pieces.append(Interval.point(Fraction(a, q)))
+        lo_closed = closed[0] if i == 0 else not (closed[i] or split[i])
+        pieces.append(Interval(Fraction(a, q), Fraction(b, q), lo_closed, closed[i + 1] and not split[i + 1]))
+    red = [draw(st.booleans()) for _ in pieces]
+    domain = Interval(pieces[0].lo, pieces[-1].hi, pieces[0].lo_closed, pieces[-1].hi_closed)
+    coloring = ContinuousColoring(
+        domain,
+        normalize([p for p, r in zip(pieces, red) if r]),
+        normalize([p for p, r in zip(pieces, red) if not r]),
+    )
+    k = draw(st.integers(2, 4))
+    return coloring, ProblemSpec(k, draw(st.integers(k, 4)), domain.lo)
+
+
+@interval_properties
+@given(colorings())
+def test_verify_coloring_matches_the_interval_reference(case):
+    coloring, spec = case
+    assert verify_coloring(coloring, spec) == reference_verify(coloring, spec)
 
 
 class TestInterval:

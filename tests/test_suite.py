@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado.intervals import Interval, IntervalSet, m_fold_sumset, normalize
-from offrado.suite import _interval_samples, _sample_sums_in, random_interval_set
+from offrado.suite import _sample_sums_in, random_interval_set
 
 property_settings = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+def _interval_samples(iv):
+    """The samples the sumset oracle takes from one piece, as Fractions: those
+    of lo, hi, the midpoint and the two third points that the piece holds."""
+    candidates = {
+        iv.lo, iv.hi, (iv.lo + iv.hi) / 2,
+        iv.lo + (iv.hi - iv.lo) / 3, iv.lo + 2 * (iv.hi - iv.lo) / 3,
+    }
+    return sorted(x for x in candidates if iv.contains(x))
 
 
 def fraction_verdict(sums, a, m):
@@ -141,6 +151,61 @@ def unrelated_sumsets(draw):
     return a, m, normalize(pieces)
 
 
+@st.composite
+def sampled_sets(draw):
+    """1 to 4 pieces (points, and intervals with each end open or closed,
+    their ends over denominators 1 to 12 in [-3, 10]), m in 1..5, every total
+    of m samples as a Fraction, and wrong sumsets: the true one with one end
+    opened, one piece dropped, or one total cut out, and an unrelated set, a
+    random interval set plus up to 3 intervals whose ends lie on totals."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 12))
+        lo = Fraction(draw(st.integers(-3 * q, 10 * q)), q)
+        if draw(st.booleans()):
+            pieces.append(Interval.point(lo))
+        else:
+            q = draw(st.integers(1, 12))
+            hi = lo + Fraction(draw(st.integers(1, 4 * q)), q)
+            pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    a = normalize(pieces)
+    m = draw(st.integers(1, 5))
+    samples = {x for iv in a.intervals for x in _interval_samples(iv)}
+    totals = {0}
+    for _ in range(m):
+        totals = {t + x for t in totals for x in samples}
+    totals = sorted(totals)
+    sums = m_fold_sumset(a, m)
+    wrong = []
+    for i, piece in enumerate(sums.intervals):
+        rest = list(sums.intervals[:i] + sums.intervals[i + 1:])
+        wrong.append(normalize(rest))
+        if piece.lo < piece.hi:
+            wrong.append(normalize(rest + [Interval(piece.lo, piece.hi, False, piece.hi_closed)]))
+            wrong.append(normalize(rest + [Interval(piece.lo, piece.hi, piece.lo_closed, False)]))
+    cut = draw(st.sampled_from(totals))  # the true sumset holds it
+    holed = []
+    for piece in sums.intervals:
+        if not piece.contains(cut):
+            holed.append(piece)
+            continue
+        if piece.lo < cut:
+            holed.append(Interval(piece.lo, cut, piece.lo_closed, False))
+        if cut < piece.hi:
+            holed.append(Interval(cut, piece.hi, False, piece.hi_closed))
+    wrong.append(normalize(holed))
+    gen = random.Random(draw(st.integers(0, 2**32 - 1)))
+    unrelated = list(random_interval_set(gen, max_denominator=draw(st.integers(1, 12))).intervals)
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.sampled_from(totals)) for _ in range(2))
+        if lo == hi:
+            unrelated.append(Interval.point(lo))
+        else:
+            unrelated.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    wrong.append(normalize(unrelated))
+    return a, m, totals, [sums] + wrong
+
+
 class TestSampleSumsDraws:
     @property_settings
     @given(point_sets())
@@ -172,3 +237,11 @@ class TestSampleSumsDraws:
             sums = m_fold_sumset(a, m)
             assert member_sample_verdict(sums, a, m, rng), trial
             assert _sample_sums_in(sums, a, m), trial
+
+    @property_settings
+    @given(sampled_sets())
+    def test_int_samples_match_the_fraction_loop(self, case):
+        a, m, totals, candidates = case
+        assert _sample_sums_in(candidates[0], a, m)
+        for sums in candidates:
+            assert _sample_sums_in(sums, a, m) == all(sums.contains(t) for t in totals), sums

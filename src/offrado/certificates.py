@@ -40,7 +40,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
-from .propagation import Refutation, Satisfiable, SumsetSystem, dpll
+from .propagation import Satisfiable, SumsetSystem, dpll
 from .serialize import exact_fraction, format_rational, parse_rational
 
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
@@ -439,22 +439,21 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
     return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
-def _branch_node(tree: Refutation, d: int) -> dict:
-    """The file form of a DPLL tree on the 1/d grid, with exact witnesses,
-    emitted in pre-order with an explicit stack."""
-    root: list[dict] = []
-    stack = [(tree, root)]
-    while stack:
-        tree, siblings = stack.pop()
-        steps = [(Fraction(v, d), h.color.opposite, h.witness(d)) for v, h in tree.forcings]
-        point = Fraction(tree.var, d)
-        if tree.conflict is not None:
-            siblings.append(_node(point, tree.color, steps, tree.conflict.witness(d)))
+def _branch_node(nodes: list[tuple], d: int) -> dict:
+    """The file form of a DPLL refutation on the 1/d grid, with exact
+    witnesses, from its nodes in pre-order: ``open_lists[level]`` is the
+    list that the next node at that level goes into, so one loop nests them."""
+    open_lists: list[list[dict]] = [[]]
+    for level, var, color, forcings, conflict in nodes:
+        steps = [(Fraction(v, d), h.color.opposite, h.witness(d)) for v, h in forcings]
+        point = Fraction(var, d)
+        if conflict is not None:
+            open_lists[level].append(_node(point, color, steps, conflict.witness(d)))
         else:
             children: list[dict] = []
-            siblings.append(_node(point, tree.color, steps, None, children))
-            stack.extend((child, children) for child in reversed(tree.children))
-    return root[0]
+            open_lists[level].append(_node(point, color, steps, None, children))
+            open_lists[level + 1:] = [children]
+    return open_lists[0][0]
 
 
 def auto_prove(
@@ -466,9 +465,10 @@ def auto_prove(
     The search is ``propagation.dpll`` over grid ids, with unit forcing
     read from sumsets by ``propagate_masks`` as in the discrete search, at
     most ``max_branch_depth`` splits deep.  Returns the branch's node, in its
-    file form and unchecked, or None on depth exhaustion; raises
-    ``Satisfiable`` as soon as some branch completes a valid total grid
-    coloring, since then no refutation can exist.
+    file form and unchecked, nested from the search's flat pre-order nodes,
+    or None on depth exhaustion; raises ``Satisfiable`` as soon as some
+    branch completes a valid total grid coloring, since then no refutation
+    can exist.
     """
     if spec.gamma != 1:
         raise ValueError("the grid prover runs on the unit domain")
@@ -477,8 +477,8 @@ def auto_prove(
     if not isinstance(max_branch_depth, int) or max_branch_depth < 0:
         raise ValueError(f"need a non-negative integer depth, got {max_branch_depth!r}")
     d = grid_denominator  # id d stands for the left endpoint d/d = 1
-    tree = dpll(_grid_system(spec, d), d, color, 0, 0, [d], max_branch_depth, Counter())
-    return None if tree is None else _branch_node(tree, d)
+    nodes = dpll(_grid_system(spec, d), d, color, max_branch_depth, Counter())
+    return None if nodes is None else _branch_node(nodes, d)
 
 
 def certify_upper(

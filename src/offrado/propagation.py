@@ -11,7 +11,8 @@ A clause of color c states "not every entry is colored c": once all entries
 but one are c and that one is free, the free entry is forced to the opposite
 color; once every entry is c the clause is a monochromatic solution and the
 state is in conflict.  Assignments are a pair of bitmasks (red, blue), and
-backtracking is free because masks are passed by value.
+backtracking is free because masks are passed by value, so ``dpll`` keeps its
+open branches on an explicit stack, not the interpreter's.
 
 ``propagate_masks`` lists no clause: the clauses of color c are exactly the
 solutions, so unit forcing is read from the m-fold sumsets of c's own mask
@@ -270,53 +271,43 @@ def propagate_masks(
     return red, blue, forcings, None
 
 
-class Refutation(NamedTuple):
-    """A closed DPLL branch: ``var`` took ``color`` and ``forcings`` followed,
-    as (id, handle) pairs; it ends in the monochromatic handle ``conflict`` or
-    in ``children``, the red and the blue split of the lowest free id.  Ids are
-    not values yet: callers build the witnesses on their own denominator."""
-
-    var: int
-    color: Color
-    forcings: list[tuple[int, SumsetHandle]]
-    conflict: Optional[SumsetHandle]
-    children: Optional[tuple["Refutation", "Refutation"]]
-
-
 class Satisfiable(Exception):
     """A branch reached a total conflict-free assignment, so no refutation
     exists; ``args`` are its (red, blue) masks."""
 
 
 def dpll(
-    system: SumsetSystem, var: int, color: Color, red: int, blue: int,
-    pending: list[int], depth: int, effort: Counter,
-) -> Optional[Refutation]:
-    """Assume ``var`` is ``color``, propagate the ``pending`` ids with
+    system: SumsetSystem, var: int, color: Color, depth: int, effort: Counter
+) -> Optional[list[tuple]]:
+    """Assume ``var`` is ``color`` on an empty assignment, propagate with
     ``propagate_masks``, then split on the lowest free id of
     ``system.domain``, red first, at most ``depth`` splits deep.  ``effort``
     counts "nodes" (one per assumption) and "forcings".
 
-    Returns the refutation tree, or None when ``depth`` splits are not enough.
-    Raises Satisfiable at the first total assignment of the domain.
+    Returns the refutation as its nodes in pre-order, red child first, each
+    (level, var, color, forcings, conflict) with forcings as (id, handle)
+    pairs; a node whose ``conflict`` is None is followed by its two children.
+    Returns None when ``depth`` splits are not enough.  Raises Satisfiable at
+    the first total assignment of the domain.
     """
-    bit = 1 << var
-    red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
-    red, blue, forcings, conflict = propagate_masks(system, red, blue, pending)
-    effort["nodes"] += 1
-    effort["forcings"] += len(forcings)
-    if conflict is not None:
-        return Refutation(var, color, forcings, conflict, None)
-    free = system.domain & ~(red | blue)
-    if free == 0:
-        raise Satisfiable(red, blue)
-    if depth <= 0:
-        return None
-    split = (free & -free).bit_length() - 1
-    first = dpll(system, split, Color.RED, red, blue, [split], depth - 1, effort)
-    if first is None:
-        return None
-    second = dpll(system, split, Color.BLUE, red, blue, [split], depth - 1, effort)
-    if second is None:
-        return None
-    return Refutation(var, color, forcings, None, (first, second))
+    nodes: list[tuple] = []
+    stack = [(0, var, color, 0, 0)]
+    while stack:
+        level, var, color, red, blue = stack.pop()
+        bit = 1 << var
+        red, blue = (red | bit, blue) if color is Color.RED else (red, blue | bit)
+        red, blue, forcings, conflict = propagate_masks(system, red, blue, [var])
+        effort["nodes"] += 1
+        effort["forcings"] += len(forcings)
+        nodes.append((level, var, color, forcings, conflict))
+        if conflict is not None:
+            continue
+        free = system.domain & ~(red | blue)
+        if free == 0:
+            raise Satisfiable(red, blue)
+        if level >= depth:
+            return None
+        split = (free & -free).bit_length() - 1
+        stack.append((level + 1, split, Color.BLUE, red, blue))  # below red: red closes first
+        stack.append((level + 1, split, Color.RED, red, blue))
+    return nodes

@@ -255,9 +255,10 @@ def search_valid(
     """A valid total coloring of {1..n}, or None.
 
     Runs ``propagation.dpll`` from 1 = red, then from 1 = blue, and returns
-    the first model; its node and forcing counts go to ``stats``.  With
-    propagation disabled this delegates to the brute-force sweep, which
-    shares no inference code and serves as the independent oracle.
+    the first model; its node and forcing counts go to ``stats``, and its
+    refutations, flat node lists, are dropped.  With propagation disabled
+    this delegates to the brute-force sweep, which shares no inference code
+    and serves as the independent oracle.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -271,7 +272,7 @@ def search_valid(
     effort: Counter = Counter()
     try:
         for color in (Color.RED, Color.BLUE):
-            dpll(system, 1, color, 0, 0, [1], n, effort)
+            dpll(system, 1, color, n, effort)
     except Satisfiable as model:
         return DiscreteColoring(n, *model.args)
     finally:

@@ -6,12 +6,13 @@ import json
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or p/q literal; decimals are deliberately rejected."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse an integer or p/q literal in ASCII digits and nothing else;
+    decimals, a trailing newline and other digit scripts are rejected."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
     num, _, den = text.partition("/")
     if den:

@@ -39,7 +39,7 @@ from offrado.certificates import (
 )
 from offrado import certificates, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
-from offrado.propagation import Refutation, Satisfiable, dpll
+from offrado.propagation import Satisfiable, dpll
 from offrado.search import search_valid
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
@@ -569,18 +569,24 @@ class TestVerifierStructure:
 
 
 def test_branch_node_emits_past_the_recursion_limit():
-    # the prover's trees are shallow, but the emitter walks them with an
-    # explicit stack: a 4000-split spine emits in pre-order, first child first
-    leaf = dpll(_grid_system(ProblemSpec(2, 2), 1), 1, RED, 0, 0, [1], 0, Counter())
-    assert leaf is not None and leaf.conflict is not None
-    tree = leaf
-    for _ in range(4000):
-        tree = Refutation(1, RED, [], None, (leaf, tree))
+    # the emitter nests flat pre-order nodes in one loop: a 4000-split spine,
+    # each split's first child a fork of two leaves, emits in pre-order, first
+    # child first, and each spine split follows a closed subtree one level deeper
+    leaf = dpll(_grid_system(ProblemSpec(2, 2), 1), 1, RED, 0, Counter())
+    assert leaf is not None and len(leaf) == 1 and leaf[0][4] is not None
+    _, var, color, forcings, conflict = leaf[0]
+    nodes = []
+    for level in range(4000):
+        nodes += [(level, 1, RED, [], None), (level + 1, 1, BLUE, [], None)]
+        nodes += [(level + 2, var, color, forcings, conflict)] * 2
+    nodes.append((4000, var, color, forcings, conflict))
     closing = _branch_node(leaf, 1)
-    node, depth = _branch_node(tree, 1), 0
+    fork = _branch_node([(0, 1, BLUE, [], None), *[(1, var, color, forcings, conflict)] * 2], 1)
+    assert fork["children"] == [closing, closing]
+    node, depth = _branch_node(nodes, 1), 0
     while "children" in node:
         first, node = node["children"]
-        assert first == closing
+        assert first == fork
         depth += 1
     assert depth == 4000 and node == closing
 
@@ -689,8 +695,8 @@ def support(w):
 def inner_branch(spec, point, color):
     """The prover's branch below ``point`` = ``color`` on the integer grid,
     with nothing colored before it: ``auto_prove`` roots only at 1."""
-    tree = dpll(_grid_system(spec, 1), point, color, 0, 0, [point], 64, Counter())
-    return _branch_node(tree, 1)
+    nodes = dpll(_grid_system(spec, 1), point, color, 64, Counter())
+    return _branch_node(nodes, 1)
 
 
 def reference_verify_node(spec, domain_end, node, state, path):

@@ -504,6 +504,49 @@ def test_verify_coloring_reads_2000_alternating_intervals_per_class(capsys, tmp_
     assert (code, result["payload"]["error"]) == (64, "red and blue classes do not partition the domain")
 
 
+def replace_literal(obj, old, new):
+    """A copy of a decoded JSON value with every string equal to ``old`` replaced."""
+    if isinstance(obj, list):
+        return [replace_literal(item, old, new) for item in obj]
+    if isinstance(obj, dict):
+        return {key: replace_literal(item, old, new) for key, item in obj.items()}
+    return new if obj == old else obj
+
+
+# A literal with a trailing newline or in another digit script: a "$" anchor
+# matches before a final newline, "\d" matches any Unicode digit, and int()
+# reads both, so a pattern with either reads each as the value it maps to.
+NONCANONICAL_LITERALS = {"3\n": "3", "3/4\n": "3/4", "\u0663/\u0662": "3/2"}
+
+
+@pytest.mark.parametrize(
+    "text", list(NONCANONICAL_LITERALS), ids=["newline", "fraction-newline", "arabic-indic"]
+)
+def test_noncanonical_literals_are_invalid_input(capsys, tmp_path, text):
+    value = NONCANONICAL_LITERALS[text]
+    with pytest.raises(ValueError, match="not an exact rational literal"):
+        parse_rational(text)
+    code, doc = run_cli(capsys, "lower-bound", "2", "3", "--gamma", text)
+    assert code == 64 and doc["status"] == "InvalidInput"
+    # the valid coloring at gamma = value, its literals equal to value swapped
+    path = tmp_path / "coloring.json"
+    run_cli(capsys, "lower-bound", "2", "3", "--gamma", value, "--out", str(path))
+    path.write_text(json.dumps(replace_literal(json.loads(path.read_text()), value, text)))
+    code, doc = run_cli(capsys, "verify-coloring", "2", "3", "--file", str(path))
+    assert code == 64 and doc["status"] == "InvalidInput"
+    # the valid (2,3) certificate, its points equal to value swapped; it has
+    # no point 3/4, so that one goes in as the domain end
+    path = tmp_path / "certificate.json"
+    run_cli(capsys, "certify-upper", "2", "3", "--out", str(path))
+    cert = json.loads(path.read_text())
+    swapped = replace_literal(cert, value, text)
+    if swapped == cert:
+        swapped["domain_end"] = text
+    path.write_text(json.dumps(swapped))
+    code, doc = run_cli(capsys, "verify-certificate", "--file", str(path))
+    assert code == 64 and doc["status"] == "InvalidInput"
+
+
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
         code, doc = run_cli(capsys, "reproduce")

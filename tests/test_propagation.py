@@ -6,6 +6,7 @@ outputs pinned to the values the Fraction-based clause builders produced
 import gc
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.certificates import certify_upper, verify_certificate
+from offrado.certificates import UnprovedError, certify_upper, verify_certificate
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness
 from offrado.propagation import (
@@ -349,15 +350,11 @@ def test_sumset_propagation_matches_the_clause_kernel(state):
         assert witness == clause.witness(lo)
 
 
-def tree_nodes(tree):
-    return 1 + sum(tree_nodes(child) for child in tree.children or ())
-
-
 class TestDpll:
     def test_model_masks_match_the_search(self):
         system = integer_system(2, 2, 4)
         with pytest.raises(Satisfiable) as model:
-            dpll(system, 1, Color.RED, 0, 0, [1], 4, Counter())
+            dpll(system, 1, Color.RED, 4, Counter())
         found = search_valid(4, ProblemSpec(2, 2))
         masks = tuple(sum(1 << i for i in found.values_of(c)) for c in (Color.RED, Color.BLUE))
         assert model.value.args == masks
@@ -365,18 +362,42 @@ class TestDpll:
     def test_root_trees_have_the_search_node_count(self):
         system = integer_system(2, 2, 5)
         effort = Counter()
-        trees = [dpll(system, 1, c, 0, 0, [1], 5, effort) for c in (Color.RED, Color.BLUE)]
+        refutations = [dpll(system, 1, c, 5, effort) for c in (Color.RED, Color.BLUE)]
         stats = SearchStats()
         assert search_valid(5, ProblemSpec(2, 2), stats=stats) is None
-        assert sum(map(tree_nodes, trees)) == effort["nodes"] == stats.nodes_explored
+        assert sum(map(len, refutations)) == effort["nodes"] == stats.nodes_explored
         assert effort["forcings"] == stats.propagations
 
     def test_depth_exhaustion_is_none(self):
         # 5 = red leaves propagation stuck, so closing needs splits
         system = integer_system(3, 3, 11)
-        assert dpll(system, 5, Color.RED, 0, 0, [5], 0, Counter()) is None
-        tree = dpll(system, 5, Color.RED, 0, 0, [5], 64, Counter())
-        assert tree is not None and tree.children is not None
+        assert dpll(system, 5, Color.RED, 0, Counter()) is None
+        nodes = dpll(system, 5, Color.RED, 64, Counter())
+        assert nodes is not None and nodes[0][4] is None and len(nodes) > 1
+
+    def test_deep_searches_run_under_a_low_recursion_limit(self):
+        # dpll keeps its open branches on an explicit stack: (3, 100) splits
+        # 65 deep and the colorable 1/1 grid of (2, 100) 48 deep, yet both
+        # give their pinned results with 40 frames to spare above this test
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            report = compute_rado(ProblemSpec(3, 100))
+            with pytest.raises(UnprovedError) as info:
+                certify_upper(ProblemSpec(2, 100), 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        red = [*(x for i in range(17) for x in (6 * i + 1, 6 * i + 2)), *range(103, 296, 6), 300, 301]
+        assert (report.value, report.stats.nodes_explored, report.stats.propagations) == (302, 68, 256)
+        assert [i for i in range(1, 302) if report.extremal.red >> i & 1] == red
+        assert report.extremal.blue == (1 << 302) - 2 - report.extremal.red
+        assert str(info.value) == (
+            "no closing chain for the red branch of (k=2, l=100): "
+            "the 1/1 grid has a valid coloring with 1 = red"
+        )
 
 
 def test_no_clause_data_left_in_reference_cycles():

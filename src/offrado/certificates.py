@@ -34,10 +34,9 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Satisfiable, SumsetSystem, dpll
@@ -46,15 +45,13 @@ from .serialize import exact_fraction, format_rational, parse_rational
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     path: tuple[str, ...]
     step_index: Optional[int]
     reason: str
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     """A certificate verifies iff no step failed."""
 
     failure: Optional[CheckFailure] = None
@@ -66,8 +63,8 @@ class CertificateCheck:
 
 class UnprovedError(Exception):
     """The automatic prover found no closing chain for a branch: the 1/d grid
-    has a valid coloring with that branch's assumption (``colorable``), or
-    the search ran out of depth.  Explicitly not a bug."""
+    has a valid coloring with that branch's assumption (``colorable`` is
+    True), or the search ran out of depth (False).  Explicitly not a bug."""
 
     def __init__(
         self, spec: ProblemSpec, branch: str, denominator: int, depth: int, colorable: bool
@@ -76,6 +73,7 @@ class UnprovedError(Exception):
         self.branch = branch
         self.denominator = denominator
         self.depth = depth
+        self.colorable = colorable
         what = f"no closing chain for the {branch} branch of (k={spec.k}, l={spec.l})"
         if colorable:
             why = f": the 1/{denominator} grid has a valid coloring with 1 = {branch}"
@@ -346,8 +344,7 @@ def build_k2_certificate(l: int) -> dict:
     return _document(spec, 2 * l + 1, [red.node(), blue.node()])
 
 
-@dataclass(frozen=True)
-class ResidueParams:
+class ResidueParams(NamedTuple):
     """Arithmetic behind the mixed solution that drives the blue-start chain.
 
     With gap = l - k, residue is the least nonnegative value congruent to

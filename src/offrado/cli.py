@@ -176,11 +176,7 @@ def cmd_verify_certificate(args) -> dict:
         return _result("verify-certificate", spec_json, payload, "Ok")
     payload = {
         "verified": False,
-        "failure": {
-            "path": list(check.failure.path),
-            "step_index": check.failure.step_index,
-            "reason": check.failure.reason,
-        },
+        "failure": {**check.failure._asdict(), "path": list(check.failure.path)},
     }
     return _result("verify-certificate", spec_json, payload, "WitnessFound")
 
@@ -269,6 +265,7 @@ def main(argv=None) -> int:
             "branch": exc.branch,
             "grid_denominator": exc.denominator,
             "max_depth": exc.depth,
+            "colorable": exc.colorable,
         }
         result = _result("certify-upper", spec, payload, "Unproved")
     except ValueError as exc:

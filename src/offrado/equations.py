@@ -13,10 +13,10 @@ verification path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .serialize import exact_fraction, format_rational, parse_rational
 
@@ -32,22 +32,20 @@ class Color(enum.Enum):
         return Color.BLUE if self is Color.RED else Color.RED
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "k l gamma")):
     """Arities of the two guarded equations plus the domain's left endpoint."""
 
-    k: int
-    l: int
-    gamma: Fraction = ONE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or not isinstance(self.l, int):
+    def __new__(cls, k: int, l: int, gamma=ONE) -> "ProblemSpec":
+        if not isinstance(k, int) or not isinstance(l, int):
             raise ValueError("arities k and l must be integers")
-        if not 2 <= self.k <= self.l:
-            raise ValueError(f"need 2 <= k <= l, got k={self.k}, l={self.l}")
-        object.__setattr__(self, "gamma", exact_fraction(self.gamma))
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 2 <= k <= l:
+            raise ValueError(f"need 2 <= k <= l, got k={k}, l={l}")
+        gamma = exact_fraction(gamma)
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        return tuple.__new__(cls, (k, l, gamma))
 
     def arity(self, color: Color) -> int:
         return self.k if color is Color.RED else self.l
@@ -65,7 +63,6 @@ class ProblemSpec:
         return cls(k, l, parse_rational(obj["gamma"]))
 
 
-@dataclass(frozen=True)
 class SolutionWitness:
     """One instance of a guarded equation: a left-hand multiset plus x0.
 
@@ -73,16 +70,15 @@ class SolutionWitness:
     positive multiplicities, so equality and hashing are multiset semantics.
     Arithmetic correctness is *not* enforced here; ``check_witness`` and the
     certificate verifier do that, which is what makes tampered witnesses
-    representable (and detectable).
+    representable (and detectable).  Immutable: the fields are set once, by
+    ``__init__``.
     """
 
-    color: Color
-    left: tuple[tuple[Fraction, int], ...]
-    x0: Fraction
+    __slots__ = ("color", "left", "x0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, color: Color, left, x0) -> None:
         pairs = []
-        for value, mult in self.left:
+        for value, mult in left:
             value = exact_fraction(value)
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
@@ -95,8 +91,25 @@ class SolutionWitness:
                 merged[-1] = (value, merged[-1][1] + mult)
             else:
                 merged.append((value, mult))
+        object.__setattr__(self, "color", color)
         object.__setattr__(self, "left", tuple(merged))
-        object.__setattr__(self, "x0", exact_fraction(self.x0))
+        object.__setattr__(self, "x0", exact_fraction(x0))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.color, self.left, self.x0) == (other.color, other.left, other.x0)
+
+    def __hash__(self) -> int:
+        return hash((self.color, self.left, self.x0))
+
+    def __repr__(self) -> str:
+        return f"SolutionWitness(color={self.color!r}, left={self.left!r}, x0={self.x0!r})"
 
     @classmethod
     def from_values(cls, color: Color, values: Iterable, x0) -> "SolutionWitness":
@@ -160,8 +173,7 @@ def check_witness(spec: ProblemSpec, witness: SolutionWitness) -> bool:
     return all(v >= spec.gamma for v, _ in witness.left)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking a coloring: Valid iff no monochromatic witness."""
 
     witness: Optional[SolutionWitness] = None

@@ -23,29 +23,27 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .equations import Color, ProblemSpec, SolutionWitness, Verdict
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = False
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", exact_fraction(self.lo))
-        object.__setattr__(self, "hi", exact_fraction(self.hi))
-        if not (isinstance(self.lo_closed, bool) and isinstance(self.hi_closed, bool)):
+    def __new__(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> "Interval":
+        lo, hi = exact_fraction(lo), exact_fraction(hi)
+        if not (isinstance(lo_closed, bool) and isinstance(hi_closed, bool)):
             raise ValueError("closure flags must be booleans")
+        self = tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
         if self._lo_key() > self._hi_key():
             raise ValueError(f"empty interval: {self}")
+        return self
 
     @classmethod
     def point(cls, value) -> "Interval":
@@ -112,18 +110,20 @@ class Interval:
         )
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+_lo = itemgetter(0)  # an Interval's lo, as a bisect key
+
+
+class IntervalSet(namedtuple("IntervalSet", "intervals")):
     """Canonical finite union: sorted, pairwise disjoint, gaps genuine."""
 
-    intervals: tuple[Interval, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        for a, b in zip(self.intervals, self.intervals[1:]):
+    def __new__(cls, intervals: Iterable[Interval] = ()) -> "IntervalSet":
+        intervals = tuple(intervals)
+        for a, b in zip(intervals, intervals[1:]):
             if a._lo_key() > b._lo_key() or a._mergeable_with(b):
                 raise ValueError("interval set not canonical; use normalize()")
-        object.__setattr__(self, "_los", tuple(iv.lo for iv in self.intervals))
+        return tuple.__new__(cls, (intervals,))
 
     @property
     def is_empty(self) -> bool:
@@ -131,7 +131,7 @@ class IntervalSet:
 
     def contains(self, x) -> bool:
         x = exact_fraction(x)
-        idx = bisect.bisect_right(self._los, x)  # type: ignore[attr-defined]
+        idx = bisect.bisect_right(self.intervals, x, key=_lo)
         return idx > 0 and self.intervals[idx - 1].contains(x)
 
     __contains__ = contains
@@ -307,23 +307,20 @@ def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, scale) for v in values)
 
 
-@dataclass(frozen=True)
-class ContinuousColoring:
+class ContinuousColoring(namedtuple("ContinuousColoring", "domain red blue")):
     """A true 2-partition of an interval domain into red and blue classes."""
 
-    domain: Interval
-    red: IntervalSet
-    blue: IntervalSet
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, domain: Interval, red: IntervalSet, blue: IntervalSet) -> "ContinuousColoring":
         # Each class is canonical, so sorting both is one merge of two runs.
         # In that order two pieces meet iff some piece meets its successor,
         # and the pieces cover the domain iff each one abuts the next and the
         # ends match.  An overlap is reported ahead of a gap.
-        pieces = sorted(self.red.intervals + self.blue.intervals, key=Interval._lo_key)
+        pieces = sorted(red.intervals + blue.intervals, key=Interval._lo_key)
         covered = bool(pieces) and (
-            pieces[0]._lo_key() == self.domain._lo_key()
-            and pieces[-1]._hi_key() == self.domain._hi_key()
+            pieces[0]._lo_key() == domain._lo_key()
+            and pieces[-1]._hi_key() == domain._hi_key()
         )
         for a, b in zip(pieces, pieces[1:]):
             if b._lo_key() <= a._hi_key():
@@ -331,6 +328,7 @@ class ContinuousColoring:
             covered = covered and a._mergeable_with(b)
         if not covered:
             raise ValueError("red and blue classes do not partition the domain")
+        return tuple.__new__(cls, (domain, red, blue))
 
     def class_of(self, color: Color) -> IntervalSet:
         return self.red if color is Color.RED else self.blue

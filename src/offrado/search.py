@@ -15,11 +15,10 @@ on plain ints, serves as the independent oracle (and as the
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import and_, or_
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .equations import (
     Color,
@@ -41,23 +40,21 @@ def _points(n: int) -> int:
     return (1 << (n + 1)) - 2
 
 
-@dataclass(frozen=True)
-class DiscreteColoring:
+class DiscreteColoring(namedtuple("DiscreteColoring", "n red blue")):
     """Assignment on {1..n} as the kernel's bitmasks: bit i of ``red`` (of
     ``blue``) means the integer i is red (blue).  A point in neither mask is
     uncolored, as while searching."""
 
-    n: int
-    red: int
-    blue: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
-        if self.red & self.blue:
+    def __new__(cls, n: int, red: int, blue: int) -> "DiscreteColoring":
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        if red & blue:
             raise ValueError("red and blue sets overlap")
-        if (self.red | self.blue) & ~_points(self.n):
+        if (red | blue) & ~_points(n):
             raise ValueError("sets must lie in {1..n}")
+        return tuple.__new__(cls, (n, red, blue))
 
     @classmethod
     def from_sets(cls, n: int, red, blue) -> "DiscreteColoring":
@@ -84,8 +81,8 @@ class DiscreteColoring:
 
     @classmethod
     def from_json(cls, obj) -> "DiscreteColoring":
-        if not isinstance(obj, dict) or not {"n", "red", "blue"} <= set(obj):
-            raise ValueError("coloring object must carry n, red, blue")
+        if not isinstance(obj, dict) or obj.keys() != {"n", "red", "blue"}:
+            raise ValueError("coloring object must carry exactly n, red, blue")
         n, red, blue = obj["n"], obj["red"], obj["blue"]
         # a JSON true or 5.0 would pass isinstance(x, int) or the range check
         if not (isinstance(red, list) and isinstance(blue, list)) or any(
@@ -95,22 +92,16 @@ class DiscreteColoring:
         return cls.from_sets(n, red, blue)
 
 
-@dataclass
-class SearchStats:
-    nodes_explored: int = 0
-    propagations: int = 0
-    elapsed_seconds: float = 0.0
+class SearchStats(NamedTuple):
+    nodes_explored: int
+    propagations: int
+    elapsed_seconds: float
 
     def as_json(self) -> dict:
-        return {
-            "nodes_explored": self.nodes_explored,
-            "propagations": self.propagations,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     spec: ProblemSpec
     value: Optional[int]
     extremal: Optional[DiscreteColoring]
@@ -250,34 +241,31 @@ def search_valid(
     n: int,
     spec: ProblemSpec,
     propagation: bool = True,
-    stats: Optional[SearchStats] = None,
+    effort: Optional[Counter] = None,
 ) -> Optional[DiscreteColoring]:
     """A valid total coloring of {1..n}, or None.
 
     Runs ``propagation.dpll`` from 1 = red, then from 1 = blue, and returns
-    the first model; its node and forcing counts go to ``stats``, and its
-    refutations, flat node lists, are dropped.  With propagation disabled
-    this delegates to the brute-force sweep, which shares no inference code
-    and serves as the independent oracle.
+    the first model; ``dpll`` adds its node and forcing counts into
+    ``effort``, and its refutations, flat node lists, are dropped.  With
+    propagation disabled this delegates to the brute-force sweep, which
+    shares no inference code and serves as the independent oracle, and
+    counts its 2^n candidates as nodes.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if stats is None:
-        stats = SearchStats()
+    if effort is None:
+        effort = Counter()
     if not propagation:
-        stats.nodes_explored += 1 << n
+        effort["nodes"] += 1 << n
         return brute_force_colorable(n, spec)
 
     system = _system(spec.k, spec.l, n)
-    effort: Counter = Counter()
     try:
         for color in (Color.RED, Color.BLUE):
             dpll(system, 1, color, n, effort)
     except Satisfiable as model:
         return DiscreteColoring(n, *model.args)
-    finally:
-        stats.nodes_explored += effort["nodes"]
-        stats.propagations += effort["forcings"]
     return None
 
 
@@ -314,7 +302,7 @@ def compute_rado(
     cap = max_n if max_n is not None else formula + 5
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    stats = SearchStats()
+    effort: Counter = Counter()
     started = time.perf_counter()
     records: list[tuple[int, bool]] = []
     # colorable at lo (0: no points), uncolorable at hi (cap + 1: none seen);
@@ -322,7 +310,7 @@ def compute_rado(
     lo, hi, below = 0, cap + 1, None
     if scan:
         for n in range(1, cap + 1):
-            found = search_valid(n, spec, propagation=propagation, stats=stats)
+            found = search_valid(n, spec, propagation=propagation, effort=effort)
             records.append((n, found is not None))
             if found is None:
                 hi = min(hi, n)
@@ -331,7 +319,7 @@ def compute_rado(
     else:
         n, step, up, galloping = min(formula, cap), 1, None, True
         while hi - lo > 1:
-            found = search_valid(n, spec, propagation=propagation, stats=stats)
+            found = search_valid(n, spec, propagation=propagation, effort=effort)
             if found is None:
                 hi = n
             else:
@@ -344,7 +332,7 @@ def compute_rado(
                 step *= 2
             else:
                 n = (lo + hi) // 2
-    stats.elapsed_seconds = time.perf_counter() - started
+    stats = SearchStats(effort["nodes"], effort["forcings"], time.perf_counter() - started)
     value = hi if hi <= cap else None
     extremal = below if value is not None else None
 

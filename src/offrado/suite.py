@@ -12,9 +12,9 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .certificates import (
     UnprovedError,
@@ -49,14 +49,13 @@ KNOWN_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
     def as_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return self._asdict()
 
 
 def _specs(max_kl: int, min_k: int = 2):

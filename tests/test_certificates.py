@@ -376,7 +376,10 @@ class TestCertifyUpper:
     def test_unproved_surfaces_explicitly(self):
         with pytest.raises(UnprovedError) as info:
             certify_upper(ProblemSpec(2, 4), grid_denominator=1)
-        assert info.value.branch == "red"
+        assert info.value.branch == "red" and info.value.colorable is True
+        with pytest.raises(UnprovedError) as info:
+            certify_upper(ProblemSpec(2, 5), grid_denominator=1, max_depth=0)
+        assert info.value.depth == 0 and info.value.colorable is False
 
     def test_force_auto_half_grid(self):
         cert, _ = certify_upper(ProblemSpec(2, 4), grid_denominator=2)
@@ -1128,7 +1131,7 @@ def test_command_matches_the_recursive_reference_on_damaged_files(doc):
             stats = certificate_stats(reference_tuples(cert))
             expected = (0, {"verified": True, "domain_end": end, **stats})
         else:
-            failure = dataclasses.asdict(check.failure)
+            failure = check.failure._asdict()
             expected = (1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))})
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
@@ -1164,8 +1167,9 @@ def test_hostile_denominators_stay_cheap():
         inserted.append(Step(x, RED, SolutionWitness(BLUE, ((Fraction(1), l - q), (x, q)), 2 * l)))
     assert blue.steps[1].point == 2 * l and blue.steps[1].forced is BLUE
     steps = blue.steps[:2] + tuple(inserted) + blue.steps[2:]
+    last = inserted[-1].witness
     broken_step = dataclasses.replace(
-        inserted[-1], witness=dataclasses.replace(inserted[-1].witness, x0=Fraction(2 * l + 1))
+        inserted[-1], witness=SolutionWitness(last.color, last.left, Fraction(2 * l + 1))
     )
     broken_steps = steps[:2001] + (broken_step,) + steps[2002:]
     for tree, ok in ((steps, True), (broken_steps, False)):

@@ -299,6 +299,7 @@ class TestCertificatePipeline:
             "branch": "red",
             "grid_denominator": 1,
             "max_depth": 64,
+            "colorable": True,
         }
 
     def test_depth_exhaustion_unproved(self, capsys):
@@ -313,6 +314,7 @@ class TestCertificatePipeline:
             "branch": "red",
             "grid_denominator": 1,
             "max_depth": 0,
+            "colorable": False,
         }
 
     def test_zero_grid_denominator_is_invalid_input(self, capsys):
@@ -599,20 +601,36 @@ class TestProcessLevel:
             text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
 
-    def test_cli_never_imports_numpy(self):
-        # not on import, and not in the 2^n oracle that once used it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("discrete", "2", "3", "--no-propagation"),
+            ("certify-upper", "3", "4"),
+            ("verify-certificate", "--file", str(DATA / "certificate-4-6.json")),
+            ("verify-coloring", "2", "3", "--file", "lower-bound.json"),
+            ("reproduce",),
+        ],
+        ids=["discrete-oracle", "certify-upper", "verify-certificate", "verify-coloring", "reproduce"],
+    )
+    def test_cli_imports_no_numpy_dataclasses_or_inspect(self, tmp_path, argv):
+        # numpy not even in the 2^n oracle that once used it; the records are
+        # NamedTuples and one slotted class, so dataclasses and the inspect
+        # it pulls in stay out too
+        coloring = coloring_as_json(lower_bound_coloring(ProblemSpec(2, 3)))
+        (tmp_path / "lower-bound.json").write_text(canonical_json(coloring))
         script = (
             "import contextlib, io, sys, offrado.cli\n"
-            "print('numpy' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    offrado.cli.main(['discrete', '2', '3', '--no-propagation'])\n"
-            "print('numpy' in sys.modules)\n"
+            "heavy = ('numpy', 'dataclasses', 'inspect')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = offrado.cli.main(sys.argv[1:])\n"
+            "print(code, [m for m in heavy if m in sys.modules])\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, *argv], cwd=tmp_path,
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
-        assert proc.returncode == 0 and proc.stdout == "False\nFalse\n"
+        assert proc.returncode == 0 and proc.stdout == "[]\n0 []\n", proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     def test_full_stdout_is_invalid_input(self):

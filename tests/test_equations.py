@@ -13,7 +13,16 @@ from offrado.equations import (
     formula_degenerate_k1,
     formula_discrete,
 )
-from offrado.certificates import build_k2_certificate, certificate_from_json
+from offrado.certificates import (
+    CertificateCheck,
+    CheckFailure,
+    build_k2_certificate,
+    certificate_from_json,
+    residue_params,
+)
+from offrado.intervals import Interval, IntervalSet, lower_bound_coloring
+from offrado.search import DiscreteColoring, SearchReport, SearchStats
+from offrado.suite import CheckResult
 from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational
 
 
@@ -190,6 +199,44 @@ class TestVerdict:
         w = SolutionWitness.from_values(Color.RED, [1, 1], 2)
         assert not Verdict(w).is_valid
         assert Verdict(w).as_json() == {"status": "WitnessFound", "witness": w.as_json()}
+
+
+def _witness():
+    return SolutionWitness(Color.RED, ((Fraction(1), 1), (1, 1)), 2)
+
+
+# a factory per public record type, each called twice, and one field name
+RECORDS = {
+    "ProblemSpec": (lambda: ProblemSpec(2, 3, "1/2"), "gamma"),
+    "SolutionWitness": (_witness, "x0"),
+    "Verdict": (lambda: Verdict(_witness()), "witness"),
+    "Interval": (lambda: Interval(1, 2), "hi"),
+    "IntervalSet": (lambda: IntervalSet([Interval(1, 2), Interval.point(3)]), "intervals"),
+    "ContinuousColoring": (lambda: lower_bound_coloring(ProblemSpec(2, 3)), "red"),
+    "DiscreteColoring": (lambda: DiscreteColoring.from_sets(4, {1, 4}, {2, 3}), "n"),
+    "SearchStats": (lambda: SearchStats(3, 4, 0.5), "nodes_explored"),
+    "SearchReport": (
+        lambda: SearchReport(ProblemSpec(2, 2), 5, None, SearchStats(3, 4, 0.5), 5, 10), "value"
+    ),
+    "CheckFailure": (lambda: CheckFailure(("1=red",), 0, "why"), "reason"),
+    "CertificateCheck": (lambda: CertificateCheck(CheckFailure((), None, "why")), "failure"),
+    "ResidueParams": (lambda: residue_params(3, 5), "residue"),
+    "CheckResult": (lambda: CheckResult("name", True, "detail"), "ok"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_hash_by_value(name):
+    make, field = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
 
 
 class TestRationalStrings:

@@ -22,7 +22,7 @@ from offrado.propagation import (
     rado_clauses, solution_clauses,
 )
 from offrado.search import (
-    SearchStats, _system, compute_rado, enumerate_solutions,
+    _system, compute_rado, enumerate_solutions,
     is_valid_discrete, search_valid,
 )
 
@@ -363,10 +363,10 @@ class TestDpll:
         system = integer_system(2, 2, 5)
         effort = Counter()
         refutations = [dpll(system, 1, c, 5, effort) for c in (Color.RED, Color.BLUE)]
-        stats = SearchStats()
-        assert search_valid(5, ProblemSpec(2, 2), stats=stats) is None
-        assert sum(map(len, refutations)) == effort["nodes"] == stats.nodes_explored
-        assert effort["forcings"] == stats.propagations
+        searched = Counter()
+        assert search_valid(5, ProblemSpec(2, 2), effort=searched) is None
+        assert sum(map(len, refutations)) == effort["nodes"] == searched["nodes"]
+        assert effort["forcings"] == searched["forcings"]
 
     def test_depth_exhaustion_is_none(self):
         # 5 = red leaves propagation stuck, so closing needs splits

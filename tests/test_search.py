@@ -433,6 +433,11 @@ class TestDiscreteColoring:
         with pytest.raises(ValueError):
             DiscreteColoring.from_json(doc)
 
+    def test_from_json_rejects_extra_keys(self):
+        # as the spec, coloring and certificate readers do
+        with pytest.raises(ValueError, match="exactly n, red, blue"):
+            DiscreteColoring.from_json({"n": 2, "red": [1], "blue": [2], "green": []})
+
     @property_settings
     @given(partial_colorings())
     def test_from_sets_agrees_with_its_sets(self, drawn):

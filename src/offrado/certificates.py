@@ -1,64 +1,26 @@
-"""Machine-checkable forcing-chain certificates for upper bounds.
+"""Forcing-chain certificates for upper bounds: the hand-built chains and the
+automatic prover, assembled by ``certify_upper``.
 
-A certificate branches on the color of the left endpoint and closes every
-branch with a monochromatic contradiction.  Each forcing step carries the
-exact solution that justifies it.  The soundness rule is: every entry of the
-step's witness OTHER than the forced point must already carry the witness's
-color; the point itself may occur in the witness several times (a solution is
-allowed to use the forced value twice), so the rule is deliberately not
-"exactly one entry is unassigned".
-
-Verification replays a certificate from nothing but its serialized content,
-in exact arithmetic, and reports the branch path, step index, and violated
-condition on failure.  ``certify_upper`` never returns unchecked output; the
-branch builders are its parts and check nothing themselves.
-
-A certificate has two forms.  Its document is the decoded JSON that
-``certify-upper --out`` writes: a dict of ``spec``, ``domain_end`` and
-``root``, the pair of branch nodes, where a node is a dict of ``assume``,
-``steps`` and either ``contradiction`` or ``children``.  The builders write
-that form and no other.  ``certificate_from_json`` is the one schema pass over
-a document: it parses each distinct literal once, into the point's reduced
-(numerator, denominator) key, and returns the checker's form, plain tuples.
-``check_certificate`` runs the one replay over those tuples, which checks each
-witness on integers over the lcm of its own denominators, never over a scale
-common to the file, which an untrusted file could inflate, and puts every
-colored point on an undo trail, unwound at each split instead of copying the
-state.  ``certify_upper`` runs that schema pass and that replay once, on the
-document it assembled, and returns the tuples it read with the document, so
-what users get is what was checked.  Every walk over a branch tree uses
-an explicit stack, so certificate depth is bounded by memory, not by the
-interpreter's recursion limit.
+A certificate's document is the decoded JSON that ``certify-upper --out``
+writes: a dict of ``spec``, ``domain_end`` and ``root``, the pair of branch
+nodes, where a node is a dict of ``assume``, ``steps`` and either
+``contradiction`` or ``children``.  The builders write that form and no
+other, and check nothing themselves.  ``certify_upper`` never returns
+unchecked output: it runs the schema pass and the replay of
+``offrado.checker`` once, on the document it assembled, and returns the
+tuples it read with the document, so what users get is what was checked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
+from .checker import CertificateCheck, certificate_from_json, check_certificate
 from .equations import Color, ProblemSpec, SolutionWitness
 from .propagation import Satisfiable, SumsetSystem, dpll
-from .serialize import exact_fraction, format_rational, parse_rational
-
-Key = tuple[int, int]  # a point's reduced (numerator, denominator)
-
-
-class CheckFailure(NamedTuple):
-    path: tuple[str, ...]
-    step_index: Optional[int]
-    reason: str
-
-
-class CertificateCheck(NamedTuple):
-    """A certificate verifies iff no step failed."""
-
-    failure: Optional[CheckFailure] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
+from .serialize import exact_fraction, format_rational
 
 
 class UnprovedError(Exception):
@@ -80,147 +42,6 @@ class UnprovedError(Exception):
         else:
             why = f" on the 1/{denominator} grid within depth {depth}"
         super().__init__(what + why)
-
-
-def _fail(path: tuple[str, ...], step: Optional[int], reason: str) -> CertificateCheck:
-    return CertificateCheck(CheckFailure(path, step, reason))
-
-
-def _branch_label(point: Fraction, color: Color) -> str:
-    return f"{format_rational(point)}={color.value}"
-
-
-def _key(point: Fraction) -> Key:
-    return point.numerator, point.denominator
-
-
-def _witness_failure(
-    w: tuple, arity: tuple[int, int], bounds: tuple, state: dict, point: Optional[Key] = None
-) -> Optional[str]:
-    """Why a witness tuple fails, or None; a step's witness names the point
-    it forces, a contradiction names none.
-
-    Everything is checked on integers: what ``check_witness`` decides (the
-    arity, the sum over the lcm of this witness's own denominators, and
-    every value >= gamma), then every value <= the domain end, then that each
-    entry but the forced point already has the witness's color.
-    """
-    gn, gd, en, ed = bounds
-    color, left, (xn, xd) = w
-    scale = lcm(xd, *[d for (_, d), _ in left])
-    total = count = 0
-    sound = gn * xd <= xn * gd
-    inside = xn * ed <= en * xd
-    for (n, d), m in left:
-        total += m * n * (scale // d)
-        count += m
-        sound = sound and gn * d <= n * gd
-        inside = inside and n * ed <= en * d
-    what = "contradiction" if point is None else "witness"
-    if not (sound and count == arity[color is Color.BLUE] and total == xn * (scale // xd)):
-        return f"{what} fails arithmetic, arity, or domain-start check"
-    if not inside:
-        return f"{what} uses a value beyond the domain end"
-    support = {(xn, xd), *[p for p, _ in left]}
-    if point is not None and point not in support:
-        return "forced point does not occur in its witness"
-    bad = {p for p in support if p != point and state.get(p) is not color}
-    if not bad:
-        return None
-    # the entry named is the first in ascending order, x0 last
-    in_left = [Fraction(*p) for p, _ in left if p in bad]
-    entry = format_rational(min(in_left) if in_left else Fraction(*bad.pop()))
-    if point is not None:
-        return f"entry {entry} is not already colored {color.value}"
-    return f"contradiction entry {entry} is not colored {color.value}"
-
-
-def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
-    """Replay node tuples in their pre-order, every root from no colored
-    point.  Every point the replay colors goes on an undo trail, and entering
-    a node unwinds the trail to the length it had at its parent's split."""
-    bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
-    arity = spec.k, spec.l
-    state: dict[Key, Color] = {}
-    trail: list[Key] = []
-    marks = [0]  # marks[t]: the trail length that a node at depth t starts from
-    chain: list[tuple] = []  # the nodes from a root down to the current one
-
-    def fail(step: Optional[int], reason: str) -> CertificateCheck:
-        return _fail(tuple(_branch_label(Fraction(*n[1]), n[2]) for n in chain), step, reason)
-
-    for node in nodes:
-        depth, key, color, steps, contradiction, kids = node
-        while len(trail) > marks[depth]:
-            del state[trail.pop()]
-        del chain[depth:]
-        chain.append(node)
-        n, d = key
-        if not (gn * d <= n * gd and n * ed <= en * d):
-            return fail(None, "assumption point outside the domain")
-        if key in state:
-            return fail(None, "assumption point already colored")
-        state[key] = color
-        trail.append(key)
-
-        for index, (point, forced, w) in enumerate(steps):
-            if w[0] is not forced.opposite:
-                return fail(index, "witness color must oppose the forced color")
-            reason = _witness_failure(w, arity, bounds, state, point)
-            if reason:
-                return fail(index, reason)
-            if point in state:
-                return fail(index, "forced point already colored")
-            state[point] = forced
-            trail.append(point)
-
-        if contradiction is not None:
-            reason = _witness_failure(contradiction, arity, bounds, state)
-            if reason:
-                return fail(None, reason)
-            continue
-
-        first, second = nodes[kids[0]], nodes[kids[1]]
-        if first[1] != second[1]:
-            return fail(None, "children must split the same point")
-        if first[2] is second[2]:
-            return fail(None, "children must assume opposite colors")
-        if first[1] in state:
-            return fail(None, "split point already colored")
-        del marks[depth + 1:]
-        marks.append(len(trail))
-    return CertificateCheck()
-
-
-def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
-    """Check a whole certificate's node tuples: both roots assume the left
-    endpoint, in opposite colors, and every branch replays."""
-    first, second = (node for node in nodes if node[0] == 0)
-    if {first[1], second[1]} != {_key(spec.gamma)}:
-        return _fail((), None, "root must branch on the left endpoint")
-    if first[2] is second[2]:
-        return _fail((), None, "root branches must assume opposite colors")
-    return _replay(spec, domain_end, nodes)
-
-
-def verify_certificate(doc) -> CertificateCheck:
-    """Read a certificate document and replay every branch in exact
-    arithmetic; a document that breaks the schema raises ValueError."""
-    return check_certificate(*certificate_from_json(doc))
-
-
-def certificate_stats(nodes: list) -> dict:
-    """Branch count and step count of the schema pass's node tuples."""
-    return {"branches": len(nodes), "steps": sum(len(node[3]) for node in nodes)}
-
-
-def points_used(nodes: list) -> list[str]:
-    """Every point the node tuples color, ascending, as rational strings."""
-    points: set[Key] = set()
-    for _, point, _, steps, _, _ in nodes:
-        points.add(point)
-        points.update(step[0] for step in steps)
-    return [format_rational(p) for p in sorted(Fraction(*p) for p in points)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +304,7 @@ def certify_upper(
 ) -> tuple[dict, list[tuple]]:
     """Assemble the full branch-on-the-endpoint certificate, check it once,
     and return its document, which ``certify-upper --out`` writes, with the
-    node tuples that check read (see ``_read_nodes``).
+    node tuples that check read (see ``checker._read_nodes``).
 
     With ``grid_denominator`` None, the default assembly: k=2 uses the
     hand-built half-step chains; k < l pairs the built blue-start branch with
@@ -526,119 +347,7 @@ def certify_upper(
     return certificate, nodes
 
 
-# ---------------------------------------------------------------------------
-# The schema pass
-
-
-_COLORS = {color.value: color for color in Color}
-_ASSUME_KEYS, _STEP_KEYS = {"point", "color"}, {"point", "forced", "witness"}
-_WITNESS_KEYS = {"color", "left", "x0"}
-
-
-def _color(value) -> Color:
-    try:
-        return _COLORS[value]
-    except (KeyError, TypeError):  # TypeError: an unhashable list or dict
-        raise ValueError(f"unknown color {value!r}") from None
-
-
-def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
-    """The schema pass over sibling branch nodes in their file form: the
-    checker's node tuples, or a ValueError that names the first rule a node
-    breaks.
-
-    The tuples come in pre-order, first child first, one per node: (depth,
-    point, color, steps, contradiction, child indices).  A point is its key,
-    a step is (point, forced color, witness), a witness is (color, ((point,
-    multiplicity), ...), x0), and a node ends in a contradiction witness or
-    in two children, never both.  A witness's left entries are checked in
-    file order, then its x0, its multiplicities and its arity.  Each distinct
-    literal is parsed once.
-    """
-    keys: dict[str, Key] = {}
-
-    def key(text) -> Key:
-        try:
-            return keys[text]
-        except (KeyError, TypeError):
-            keys[text] = pair = _key(parse_rational(text))  # ValueError on a non-literal
-            return pair
-
-    def witness(obj) -> tuple:
-        if not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
-            raise ValueError("witness object must carry exactly color, left, x0")
-        color = _color(obj["color"])
-        left = obj["left"]
-        if not isinstance(left, list):
-            raise ValueError("witness left side must be a list of [value, multiplicity]")
-        pairs = []
-        for item in left:
-            # a JSON true is an int to isinstance, so the type is compared
-            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
-                raise ValueError(f"malformed left entry {item!r}")
-            pairs.append((key(item[0]), item[1]))
-        x0 = key(obj["x0"])
-        low = [m for _, m in pairs if m < 1]
-        if low:
-            raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
-        total = sum(m for _, m in pairs)
-        if total != (spec.k if color is Color.RED else spec.l):
-            raise ValueError(f"witness arity {total} does not match the {color.value} "
-                             f"equation of (k={spec.k}, l={spec.l})")
-        return color, tuple(pairs), x0
-
-    nodes: list[tuple] = []
-    stack = [(root, 0, None) for root in reversed(roots)]
-    while stack:
-        obj, depth, siblings = stack.pop()
-        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
-            raise ValueError("branch node must carry assume and steps")
-        assume = obj["assume"]
-        if not isinstance(assume, dict) or assume.keys() != _ASSUME_KEYS:
-            raise ValueError("assume must carry exactly point and color")
-        color = _color(assume["color"])
-        point = key(assume["point"])
-        if not isinstance(obj["steps"], list):
-            raise ValueError("steps must be a list")
-        steps = []
-        for item in obj["steps"]:
-            if not isinstance(item, dict) or item.keys() != _STEP_KEYS:
-                raise ValueError("step must carry exactly point, forced, witness")
-            forced = _color(item["forced"])
-            steps.append((key(item["point"]), forced, witness(item["witness"])))
-        has_contradiction = "contradiction" in obj
-        if has_contradiction == ("children" in obj):
-            raise ValueError("branch node must end in exactly one of contradiction or children")
-        if len(obj) != 3:
-            raise ValueError("branch node must carry nothing but assume, steps, and its ending")
-        if siblings is not None:
-            siblings.append(len(nodes))
-        if has_contradiction:
-            nodes.append((depth, point, color, tuple(steps), witness(obj["contradiction"]), None))
-            continue
-        children = obj["children"]
-        if not (isinstance(children, list) and len(children) == 2):
-            raise ValueError("children must be a pair")
-        kids: list[int] = []
-        nodes.append((depth, point, color, tuple(steps), None, kids))
-        stack.extend((child, depth + 1, kids) for child in reversed(children))
-    return nodes
-
-
-def certificate_from_json(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
-    """The schema pass over a certificate document: its spec, its domain end
-    and its node tuples (see ``_read_nodes``), or a ValueError that names the
-    first rule the document breaks.
-
-    Rules are checked in this order: the certificate's keys, the spec, the
-    root pair, the domain end, then the nodes in pre-order, first child first.
-    Nothing is built but the spec.
-    """
-    if not isinstance(obj, dict) or obj.keys() != {"spec", "domain_end", "root"}:
-        raise ValueError("certificate must carry exactly spec, domain_end, root")
-    spec = ProblemSpec.from_json(obj["spec"])
-    root = obj["root"]
-    if not (isinstance(root, list) and len(root) == 2):
-        raise ValueError("root must be a pair of branch nodes")
-    domain_end = parse_rational(obj["domain_end"])
-    return spec, domain_end, _read_nodes(spec, root)
+def verify_certificate(doc) -> CertificateCheck:
+    """Read a certificate document and replay every branch in exact
+    arithmetic; a document that breaks the schema raises ValueError."""
+    return check_certificate(*certificate_from_json(doc))

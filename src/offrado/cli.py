@@ -17,14 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .certificates import (
-    UnprovedError,
-    certificate_from_json,
-    certificate_stats,
-    certify_upper,
-    check_certificate,
-    points_used,
-)
+from .certificates import UnprovedError, certify_upper
+from .checker import certificate_from_json, certificate_stats, check_certificate, points_used
 from .equations import (
     ProblemSpec,
     formula_continuous,

@@ -16,13 +16,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .certificates import (
-    UnprovedError,
-    certificate_stats,
-    certify_upper,
-    points_used,
-    residue_params,
-)
+from .certificates import UnprovedError, certify_upper, residue_params
+from .checker import certificate_stats, points_used
 from .equations import (
     ProblemSpec,
     check_witness,

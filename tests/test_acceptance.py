@@ -20,14 +20,8 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from offrado.certificates import (
-    UnprovedError,
-    certificate_from_json,
-    certify_upper,
-    points_used,
-    residue_params,
-    verify_certificate,
-)
+from offrado.certificates import UnprovedError, certify_upper, residue_params, verify_certificate
+from offrado.checker import certificate_from_json, points_used
 from offrado.equations import ProblemSpec, check_witness, formula_continuous, formula_discrete
 from offrado.intervals import (
     decompose_sum,

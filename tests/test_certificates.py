@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -15,29 +16,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import (
-    CertificateCheck,
-    CheckFailure,
     UnprovedError,
     auto_prove,
     build_blue1_certificate,
     build_k2_certificate,
-    certificate_from_json,
-    certificate_stats,
     certify_upper,
-    check_certificate,
-    points_used,
     residue_params,
     verify_certificate,
     _ChainBuilder,
-    _branch_label,
     _branch_node,
-    _fail,
     _grid_system,
-    _read_nodes,
-    _replay,
     _w,
 )
-from offrado import certificates, cli
+from offrado.checker import (
+    CertificateCheck,
+    CheckFailure,
+    certificate_from_json,
+    certificate_stats,
+    check_certificate,
+    points_used,
+    _branch_label,
+    _fail,
+    _read_nodes,
+    _replay,
+)
+from offrado import certificates, checker, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
 from offrado.propagation import Satisfiable, dpll
 from offrado.search import search_valid
@@ -427,10 +430,12 @@ class TestCertifyUpper:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("certificate_from_json", "_read_nodes", "_replay", "check_certificate"):
-            counted(certificates, name)
-        counted(cli, "certificate_from_json")
-        counted(cli, "check_certificate")
+        # each name is counted where its callers look it up
+        for module in (certificates, cli):
+            counted(module, "certificate_from_json")
+            counted(module, "check_certificate")
+        counted(checker, "_read_nodes")
+        counted(checker, "_replay")
         assert cli.main(["certify-upper", *argv]) == 0
         capsys.readouterr()
         assert calls == {
@@ -569,6 +574,67 @@ class TestVerifierStructure:
         check = replay_branch(spec, Fraction(11), node)
         assert not check.ok
         assert len(check.failure.path) == 2 and check.failure.step_index == 0
+
+
+class TestCheckerModule:
+    """``offrado.checker`` decides every printed upper bound, so whatever it
+    imports from the package is part of what must be trusted."""
+
+    PACKAGE = Path(checker.__file__).resolve().parent
+    MOVED = (
+        "Key", "CheckFailure", "CertificateCheck", "_fail", "_branch_label", "_key",
+        "_witness_failure", "_replay", "check_certificate", "certificate_stats", "points_used",
+        "_COLORS", "_ASSUME_KEYS", "_STEP_KEYS", "_WITNESS_KEYS", "_color", "_read_nodes",
+        "certificate_from_json",
+    )
+
+    def imports(self, name):
+        """The package modules and the other top-level modules that one
+        module of the package imports, found in its source."""
+        tree = ast.parse((self.PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        own, other = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            elif isinstance(node, ast.ImportFrom):  # relative: inside the package
+                own.update([node.module] if node.module else [a.name for a in node.names])
+                continue
+            else:
+                continue
+            for module in modules:
+                top, _, rest = module.partition(".")
+                if top != "offrado":
+                    other.add(top)
+                elif rest:
+                    own.add(rest)
+                else:
+                    own.update(alias.name for alias in node.names)
+        return {m.partition(".")[0] for m in own}, other
+
+    def test_import_closure_stays_within_equations_and_serialize(self):
+        # no search, prover, interval algebra or command module, however deep
+        reached, todo = set(), ["checker"]
+        while todo:
+            for module in self.imports(todo.pop())[0] - reached:
+                reached.add(module)
+                todo.append(module)
+        assert reached <= {"equations", "serialize"}, reached
+        assert self.imports("checker")[1] <= {"__future__", "fractions", "math", "typing"}
+
+    def test_every_checker_name_is_defined_once_in_the_checker(self):
+        defined = Counter()
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                defined.update((name, path.stem) for name in names if name in self.MOVED)
+        assert defined == Counter({(name, "checker"): 1 for name in self.MOVED})
 
 
 def test_branch_node_emits_past_the_recursion_limit():

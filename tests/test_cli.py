@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import hashlib
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.certificates import build_k2_certificate, certificate_from_json, certificate_stats
+from offrado.certificates import build_k2_certificate
+from offrado.checker import certificate_from_json, certificate_stats
 from offrado import cli, search
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, check_witness
@@ -21,7 +23,8 @@ from offrado.intervals import coloring_as_json, coloring_from_json, lower_bound_
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -653,6 +656,30 @@ class TestProcessLevel:
             os.close(write)
         assert proc.returncode == 64
         assert proc.stderr == "offrado: cannot write stdout: Broken pipe\n"
+
+    def test_every_name_the_tracer_wraps_resolves_after_importing_the_cli(self):
+        # perfbench/layers.py wraps (module, attribute) pairs in the modules
+        # that `import offrado.cli` loads; a name that moves away or a module
+        # that is no longer loaded would make its metrics read as missing
+        tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+        tables = {
+            target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if getattr(target, "id", None) in ("FUNCTIONS", "CLASSES")
+        }
+        assert set(tables) == {"FUNCTIONS", "CLASSES"}
+        names = [[module, attr] for table in tables.values() for module, attr, _ in table]
+        assert len(names) > 20
+        script = (
+            "import json, sys, offrado.cli\n"
+            "names = json.loads(sys.argv[1])\n"
+            "print([f'{m}.{a}' for m, a in names if not hasattr(sys.modules.get('offrado.' + m), a)])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(names)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr + proc.stdout
 
     def test_module_entry_point(self):
         proc = self.run_offrado(subprocess.PIPE, "formula", "2", "2", "--mode", "discrete")

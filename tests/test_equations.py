@@ -13,13 +13,8 @@ from offrado.equations import (
     formula_degenerate_k1,
     formula_discrete,
 )
-from offrado.certificates import (
-    CertificateCheck,
-    CheckFailure,
-    build_k2_certificate,
-    certificate_from_json,
-    residue_params,
-)
+from offrado.certificates import build_k2_certificate, residue_params
+from offrado.checker import CertificateCheck, CheckFailure, certificate_from_json
 from offrado.intervals import Interval, IntervalSet, lower_bound_coloring
 from offrado.search import DiscreteColoring, SearchReport, SearchStats
 from offrado.suite import CheckResult

@@ -13,21 +13,24 @@ Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  ``certificate_from_json`` is the one schema pass over
 a document: it parses each distinct literal once, into the point's reduced
-(numerator, denominator) key, and returns the checker's form, plain tuples.
-``check_certificate`` runs the one replay over those tuples, which checks each
-witness on integers over the lcm of its own denominators, never over a scale
-common to the file, which an untrusted file could inflate, and puts every
-colored point on an undo trail, unwound at each split instead of copying the
-state.  Both walk the branch tree with an explicit stack, so certificate depth
-is bounded by memory, not by the interpreter's recursion limit.  Of the
-package, only ``equations`` and ``serialize`` are imported: no search.
+(numerator, denominator) key, validates each distinct witness once, and
+returns the checker's form, plain tuples, in which equal witnesses are one
+object.  ``check_certificate`` runs the one replay over those tuples.  It
+checks each witness object's arithmetic once, on integers over the lcm of its
+own denominators, never over a scale common to the file, which an untrusted
+file could inflate, and at each use only what the colored points decide.  It
+puts every colored point on an undo trail, unwound at each split instead of
+copying the state.  Both walk the branch tree with an explicit stack, so
+certificate depth is bounded by memory, not by the interpreter's recursion
+limit.  Of the package, only ``equations`` and ``serialize`` are imported:
+no search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .equations import Color, ProblemSpec
 from .serialize import format_rational, parse_rational
@@ -63,16 +66,13 @@ def _key(point: Fraction) -> Key:
     return point.numerator, point.denominator
 
 
-def _witness_failure(
-    w: tuple, bounds: tuple, state: dict, point: Optional[Key] = None
-) -> Optional[str]:
-    """Why a witness tuple fails, or None; a step's witness names the point
-    it forces, a contradiction names none.
+def _witness_verdict(w: tuple, bounds: tuple) -> tuple[Optional[str], set]:
+    """The half of a witness's check that reads no colored point: why its
+    values fail, or None, and its support, the set of its values.
 
     Everything is checked on integers: the sum over the lcm of this witness's
     own denominators and every value >= gamma (``check_witness`` less the
-    arity, which ``_read_nodes`` checked), then every value <= the domain end,
-    then that each entry but the forced point already has the witness's color.
+    arity, which ``_read_nodes`` checked), then every value <= the domain end.
     """
     gn, gd, en, ed = bounds
     color, left, (xn, xd) = w
@@ -84,19 +84,39 @@ def _witness_failure(
         total += m * n * (scale // d)
         sound = sound and gn * d <= n * gd
         inside = inside and n * ed <= en * d
-    what = "contradiction" if point is None else "witness"
-    if not (sound and total == xn * (scale // xd)):
-        return f"{what} fails arithmetic, arity, or domain-start check"
-    if not inside:
-        return f"{what} uses a value beyond the domain end"
     support = {(xn, xd), *[p for p, _ in left]}
+    if not (sound and total == xn * (scale // xd)):
+        return "fails arithmetic, arity, or domain-start check", support
+    if not inside:
+        return "uses a value beyond the domain end", support
+    return None, support
+
+
+def _witness_failure(
+    w: tuple, verdicts: dict, bounds: tuple, state: dict, point: Optional[Key] = None
+) -> Optional[str]:
+    """Why a witness tuple fails, or None; a step's witness names the point
+    it forces, a contradiction names none.
+
+    ``verdicts`` holds ``_witness_verdict`` per witness object, so a witness
+    that the schema pass shared between steps is checked for arithmetic once;
+    then, at each use, the forced point must occur in the witness and each
+    other entry must already have the witness's color.
+    """
+    verdict = verdicts.get(id(w))
+    if verdict is None:
+        verdict = verdicts[id(w)] = _witness_verdict(w, bounds)
+    wrong, support = verdict
+    if wrong:
+        return f"{'contradiction' if point is None else 'witness'} {wrong}"
     if point is not None and point not in support:
         return "forced point does not occur in its witness"
+    color = w[0]
     bad = {p for p in support if p != point and state.get(p) is not color}
     if not bad:
         return None
     # the entry named is the first in ascending order, x0 last
-    in_left = [Fraction(*p) for p, _ in left if p in bad]
+    in_left = [Fraction(*p) for p, _ in w[1] if p in bad]
     entry = format_rational(min(in_left) if in_left else Fraction(*bad.pop()))
     if point is not None:
         return f"entry {entry} is not already colored {color.value}"
@@ -109,6 +129,9 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> Certificate
     a node unwinds the trail to the length it had at its parent's split."""
     bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
     state: dict[Key, Color] = {}
+    # a witness tuple's id -> its _witness_verdict: equal witnesses are one
+    # tuple, and hashing one would call Color.__hash__ for every lookup
+    verdicts: dict[int, tuple] = {}
     trail: list[Key] = []
     marks = [0]  # marks[t]: the trail length that a node at depth t starts from
     chain: list[tuple] = []  # the nodes from a root down to the current one
@@ -133,7 +156,7 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> Certificate
         for index, (point, forced, w) in enumerate(steps):
             if w[0] is not forced.opposite:
                 return fail(index, "witness color must oppose the forced color")
-            reason = _witness_failure(w, bounds, state, point)
+            reason = _witness_failure(w, verdicts, bounds, state, point)
             if reason:
                 return fail(index, reason)
             if point in state:
@@ -142,7 +165,7 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> Certificate
             trail.append(point)
 
         if contradiction is not None:
-            reason = _witness_failure(contradiction, bounds, state)
+            reason = _witness_failure(contradiction, verdicts, bounds, state)
             if reason:
                 return fail(None, reason)
             continue
@@ -200,6 +223,32 @@ def _color(value) -> Color:
         raise ValueError(f"unknown color {value!r}") from None
 
 
+def _read_witness(spec: ProblemSpec, key: Callable, obj: dict) -> tuple:
+    """The tuple (color, ((point, multiplicity), ...), x0) of a witness
+    object that carries exactly color, left and x0, or a ValueError that names
+    the first rule it breaks: its left entries in file order, then its x0, its
+    multiplicities and its arity.  ``key`` reads a literal."""
+    color = _color(obj["color"])
+    left = obj["left"]
+    if not isinstance(left, list):
+        raise ValueError("witness left side must be a list of [value, multiplicity]")
+    pairs = []
+    for item in left:
+        # a JSON true is an int to isinstance, so the type is compared
+        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
+            raise ValueError(f"malformed left entry {item!r}")
+        pairs.append((key(item[0]), item[1]))
+    x0 = key(obj["x0"])
+    low = [m for _, m in pairs if m < 1]
+    if low:
+        raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
+    total = sum(m for _, m in pairs)
+    if total != (spec.k if color is Color.RED else spec.l):
+        raise ValueError(f"witness arity {total} does not match the {color.value} "
+                         f"equation of (k={spec.k}, l={spec.l})")
+    return color, tuple(pairs), x0
+
+
 def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
     """The schema pass over sibling branch nodes in their file form: the
     checker's node tuples, or a ValueError that names the first rule a node
@@ -209,9 +258,9 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
     point, color, steps, contradiction, child indices).  A point is its key,
     a step is (point, forced color, witness), a witness is (color, ((point,
     multiplicity), ...), x0), and a node ends in a contradiction witness or
-    in two children, never both.  A witness's left entries are checked in
-    file order, then its x0, its multiplicities and its arity.  Each distinct
-    literal is parsed once.
+    in two children, never both.  A witness is checked as ``_read_witness``
+    says.  Each distinct literal is parsed once, and each distinct valid
+    witness is read once: every copy of it gets the same tuple.
     """
     keys: dict[str, Key] = {}
 
@@ -222,28 +271,24 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
             keys[text] = pair = _key(parse_rational(text))  # ValueError on a non-literal
             return pair
 
+    witnesses: dict[tuple, tuple] = {}  # a valid witness's content -> its one tuple
+
     def witness(obj) -> tuple:
         if not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
             raise ValueError("witness object must carry exactly color, left, x0")
-        color = _color(obj["color"])
-        left = obj["left"]
-        if not isinstance(left, list):
-            raise ValueError("witness left side must be a list of [value, multiplicity]")
-        pairs = []
-        for item in left:
-            # a JSON true is an int to isinstance, so the type is compared
-            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
-                raise ValueError(f"malformed left entry {item!r}")
-            pairs.append((key(item[0]), item[1]))
-        x0 = key(obj["x0"])
-        low = [m for _, m in pairs if m < 1]
-        if low:
-            raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
-        total = sum(m for _, m in pairs)
-        if total != (spec.k if color is Color.RED else spec.l):
-            raise ValueError(f"witness arity {total} does not match the {color.value} "
-                             f"equation of (k={spec.k}, l={spec.l})")
-        return color, tuple(pairs), x0
+        # The key is exact in type: a multiplicity that is not an int, as a
+        # true or a 1.0 equal to 1, is None in it, which no valid witness has.
+        # Any other value equal to a valid witness's is a string.
+        try:
+            content = obj["color"], obj["x0"], tuple(
+                [(value, m if type(m) is int else None) for value, m in obj["left"]]
+            )
+            w = witnesses.get(content)
+        except (TypeError, ValueError):  # not pairs, or unhashable: no memo
+            return _read_witness(spec, key, obj)
+        if w is None:
+            w = witnesses[content] = _read_witness(spec, key, obj)  # cached only if valid
+        return w
 
     nodes: list[tuple] = []
     stack = [(root, 0, None) for root in reversed(roots)]

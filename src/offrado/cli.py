@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         result = _result("certify-upper", spec, payload, "Unproved")
     except ValueError as exc:
         result = _result("invalid", None, {"error": str(exc)}, "InvalidInput")
+    except (OverflowError, MemoryError) as exc:  # 10^20 points; exit 1 means WitnessFound
+        error = f"an argument is too large: {str(exc) or 'out of memory'}"
+        result = _result("invalid", None, {"error": error}, "InvalidInput")
     except RuntimeError as exc:  # uncaught it would exit 1, which means WitnessFound
         import traceback  # only on this path, so no command pays for the import
 
@@ -272,7 +275,10 @@ def main(argv=None) -> int:
     try:
         print(canonical_json(result), flush=True)
     except OSError as exc:  # a closed pipe, a full disk; uncaught it would exit 1
-        print(f"offrado: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        try:
+            print(f"offrado: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        except OSError:  # stderr is gone too; the exit code still says why
+            pass
         # the interpreter flushes stdout again at exit; let that write go nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)

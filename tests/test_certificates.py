@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1113,16 +1114,14 @@ def test_property_bases_verify_and_some_split():
 JUNK = (None, True, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")
 
 
-@st.composite
-def damaged_documents(draw):
-    """Certificate JSON with one to three values replaced, deleted or junked.
+def _damage(draw, doc, base):
+    """Replace, delete or junk one to three values inside ``doc``, a document
+    of ``base`` or one of its nodes, in place.
 
     Junk, deletions and swaps mostly break the schema (exit 64); recoloring a
     forced step, replacing a literal by another rational inside the domain and
     dropping a step keep it, so those files reach the replay (exit 0 or 1).
     """
-    base = draw(st.sampled_from(BASES))
-    doc = emit(base)
     for _ in range(draw(st.integers(1, 3))):
         places, steps, literals, stack = [], [], [], [doc]
         while stack:
@@ -1163,6 +1162,14 @@ def damaged_documents(draw):
             parent[0], parent[-1] = parent[-1], parent[0]
         else:
             parent[key] = draw(st.sampled_from(JUNK))
+
+
+@st.composite
+def damaged_documents(draw):
+    """Certificate JSON with one to three values replaced, deleted or junked."""
+    base = draw(st.sampled_from(BASES))
+    doc = emit(base)
+    _damage(draw, doc, base)
     return doc
 
 
@@ -1181,29 +1188,35 @@ def test_parse_matches_the_recursive_reference_on_damaged_files(doc):
     assert check_certificate(spec, end, nodes) == reference_verify_certificate(expected)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(damaged_documents())
-def test_command_matches_the_recursive_reference_on_damaged_files(doc):
-    # verify-certificate exits as the reference parse and replay imply: a
-    # schema error is InvalidInput (64), never WitnessFound (1)
+def reference_command(doc):
+    """The exit code and payload that verify-certificate owes ``doc``, by the
+    reference parse and replay: a schema error is InvalidInput (64), never
+    WitnessFound (1)."""
     try:
         cert = reference_certificate_from_json(doc)
     except ValueError as exc:
-        expected = (64, {"error": str(exc)})
-    else:
-        check = reference_verify_certificate(cert)
-        if check.ok:
-            end = format_rational(cert.domain_end)
-            stats = certificate_stats(reference_tuples(cert))
-            expected = (0, {"verified": True, "domain_end": end, **stats})
-        else:
-            failure = check.failure._asdict()
-            expected = (1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))})
+        return 64, {"error": str(exc)}
+    check = reference_verify_certificate(cert)
+    if check.ok:
+        end = format_rational(cert.domain_end)
+        return 0, {"verified": True, "domain_end": end, **certificate_stats(reference_tuples(cert))}
+    failure = check.failure._asdict()
+    return 1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))}
+
+
+def command(doc):
+    """The exit code and payload of verify-certificate on ``doc``."""
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(cli, "_read_json", lambda path: doc)
         code = cli.main(["verify-certificate", "--file", "damaged.json"])
-    assert (code, json.loads(out.getvalue())["payload"]) == expected
+    return code, json.loads(out.getvalue())["payload"]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(damaged_documents())
+def test_command_matches_the_recursive_reference_on_damaged_files(doc):
+    assert command(doc) == reference_command(doc)
 
 
 def _first_primes(count):
@@ -1249,3 +1262,126 @@ def test_hostile_denominators_stay_cheap():
     assert check.failure == CheckFailure(
         ("1=blue",), 2001, "witness fails arithmetic, arity, or domain-start check"
     )
+
+
+# The schema pass reads each distinct witness once and shares its tuple; the
+# replay checks each shared tuple's arithmetic once.  A copy that is equal to
+# a valid witness in Python but not the same JSON must still fail as before.
+
+
+def spine_points(cert, depth):
+    """``depth`` split points that no chain uses: denominator 10007."""
+    return [cert.spec.gamma + Fraction(i, 10007) for i in range(1, depth + 1)]
+
+
+def witness_objects(doc):
+    """Every witness object of a document, in pre-order."""
+    out, stack = [], list(reversed(doc["root"]))
+    while stack:
+        node = stack.pop()
+        out += [step["witness"] for step in node["steps"]]
+        if "contradiction" in node:
+            out.append(node["contradiction"])
+        stack += reversed(node.get("children", []))
+    return out
+
+
+CERT_5_5 = reference_certificate_from_json(json.loads((DATA / "certificate-5-5.json").read_text()))
+# What a copy changes, and the exit code it owes: "m" is the multiplicity of
+# a left entry equal to 1; any other field is replaced by its function.  A
+# recolored witness keeps the arity of its equation, since k = l, so it
+# reaches the replay, which finds that it no longer opposes the forced color.
+UNEQUAL_COPIES = {
+    "multiplicity-true": ("m", True, 64),
+    "multiplicity-1.0": ("m", 1.0, 64),
+    "multiplicity-2.5": ("m", 2.5, 64),
+    "left-dict": ("left", dict, 64),
+    "left-string": ("left", canonical_json, 64),
+    "x0-number": ("x0", lambda x0: int(Fraction(x0)), 64),
+    "x0-list": ("x0", lambda x0: [x0], 64),
+    "other-color": ("color", {"red": "blue", "blue": "red"}.get, 1),
+}
+
+
+@pytest.mark.parametrize("change", list(UNEQUAL_COPIES))
+def test_a_copy_unequal_as_json_to_a_read_witness_fails_as_before(change):
+    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 3)))
+    assert command(doc)[0] == 0
+    # the last witness that repeats an earlier one and has a multiplicity 1
+    witnesses = witness_objects(doc)
+    w = next(
+        w for j, w in reversed(list(enumerate(witnesses)))
+        if w in witnesses[:j] and any(m == 1 for _, m in w["left"])
+    )
+    field, value, code = UNEQUAL_COPIES[change]
+    if field == "m":
+        next(entry for entry in w["left"] if entry[1] == 1)[1] = value
+    else:
+        w[field] = value(w[field])
+    expected = reference_command(doc)
+    assert expected[0] == code
+    assert command(doc) == expected
+
+
+SPINE_BASES = [cert for cert in BASES if cert.root[0].point == cert.spec.gamma]
+
+
+@st.composite
+def damaged_spines(draw):
+    """A split spine of one root branch of a base, whose branch body is
+    replayed at every level, with one level's copy damaged as
+    ``damaged_documents`` damages a file."""
+    base = draw(st.sampled_from(SPINE_BASES))
+    branch = draw(st.integers(0, 1))
+    depth = draw(st.integers(1, 4))
+    doc = emit(spine(base, branch, spine_points(base, depth)))
+    level = draw(st.integers(1, depth))
+    node = doc["root"][branch]
+    for _ in range(level - 1):
+        node = node["children"][1]
+    # every level's red child is a copy; the last level's blue child too
+    _damage(draw, node["children"][draw(st.integers(0, 1)) if level == depth else 0], base)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(damaged_spines())
+def test_command_matches_the_recursive_reference_on_damaged_spines(doc):
+    # exit code, failure path, step index and reason
+    assert command(doc) == reference_command(doc)
+
+
+def test_each_distinct_witness_is_read_and_checked_once(monkeypatch):
+    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50)))
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(checker, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(checker, name, wrapper)
+
+    counted("_read_witness")
+    counted("_witness_verdict")
+    assert verify_certificate(doc).ok
+    witnesses = witness_objects(doc)
+    distinct = len({canonical_json(w) for w in witnesses})
+    assert len(witnesses) > 20 * distinct
+    assert calls == {"_read_witness": distinct, "_witness_verdict": distinct}
+
+
+def test_a_left_side_given_as_a_long_string_is_refused_without_a_copy():
+    # the memo's key must not take a string apart, a tuple per character
+    doc = emit(CERT_5_5)
+    doc["root"][0]["steps"][0]["witness"]["left"] = "7" * 4_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="witness left side must be a list"):
+            certificate_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

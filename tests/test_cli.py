@@ -552,6 +552,25 @@ def test_noncanonical_literals_are_invalid_input(capsys, tmp_path, text):
     assert code == 64 and doc["status"] == "InvalidInput"
 
 
+# Each fails at its first bitmask, which is too large to allocate at all:
+# 2^(3*10^20) bits overflows the int size, 2^(7*10^15) bits is out of memory.
+GRID = ("certify-upper", "2", "3", "--grid-denominator")
+HUGE_ARGUMENTS = {
+    "discrete-overflow": (("discrete", "2", "1" + "0" * 20), "too many digits in integer"),
+    "grid-overflow": ((*GRID, "1" + "0" * 20), "too many digits in integer"),
+    "grid-memory": ((*GRID, "1" + "0" * 15), "out of memory"),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_ARGUMENTS))
+def test_huge_arguments_are_invalid_input(capsys, case):
+    # an uncaught OverflowError or MemoryError would exit 1, WitnessFound
+    argv, detail = HUGE_ARGUMENTS[case]
+    code, doc = run_cli(capsys, *argv)
+    assert (code, doc["status"]) == (64, "InvalidInput")
+    assert doc["payload"]["error"] == f"an argument is too large: {detail}"
+
+
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
         code, doc = run_cli(capsys, "reproduce")
@@ -656,6 +675,21 @@ class TestProcessLevel:
             os.close(write)
         assert proc.returncode == 64
         assert proc.stderr == "offrado: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_closed_pipe_with_full_stderr_is_invalid_input(self):
+        # the note on stderr fails too, and must not turn 64 into 1
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "offrado", "discrete", "2", "2"], stdout=write,
+                    stderr=full, env={**os.environ, "PYTHONPATH": SRC},
+                )
+        finally:
+            os.close(write)
+        assert proc.returncode == 64
 
     def test_every_name_the_tracer_wraps_resolves_after_importing_the_cli(self):
         # perfbench/layers.py wraps (module, attribute) pairs in the modules

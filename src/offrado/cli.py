@@ -1,10 +1,11 @@
 """Command-line surface: every capability behind stable canonical-JSON I/O.
 
-stdout carries exactly one JSON document per invocation; anything meant for
-humans goes to stderr.  Exit codes: Ok 0, WitnessFound 1, Unproved 2,
-InvalidInput 64, InternalError 70 (a self-check failed: a bug, not a
-verdict).  Rational arguments accept integer or "p/q" strings only; decimals
-are refused because they are not exactly what they look like.
+stdout carries exactly one JSON document per invocation, except for -h, which
+prints help there instead; anything else meant for humans goes to stderr.
+Exit codes: Ok 0, WitnessFound 1, Unproved 2, InvalidInput 64, InternalError
+70 (a self-check failed: a bug, not a verdict).  Rational arguments accept
+integer or "p/q" strings only; decimals are refused because they are not
+exactly what they look like.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ class _CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2), which Unproved owns
         raise _CliError(message)
+
+    def print_help(self, file=None):
+        # argparse drops a failed write (3.11+) or lets it escape as exit 1
+        # (3.10); a closed stdout keeps argparse's fallback to stderr
+        if file is not None or sys.stdout is None:
+            return super().print_help(file)
+        try:
+            sys.stdout.write(self.format_help())
+            sys.stdout.flush()
+        except OSError as exc:
+            raise SystemExit(_stdout_lost(exc)) from None
 
 
 def _result(command: str, spec, payload, status: str) -> dict:
@@ -188,69 +200,103 @@ def cmd_reproduce(args) -> dict:
     return _result("reproduce", None, payload, "Ok" if all_ok else "WitnessFound")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="offrado", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
 
-    p = sub.add_parser("formula", help="closed-form values")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--gamma", help="domain left endpoint (continuous mode only)")
-    p.add_argument("--mode", choices=("discrete", "continuous", "k1"), default="continuous")
-    p.set_defaults(handler=cmd_formula)
 
-    p = sub.add_parser("discrete", help="exact search over {1..n}")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--max-n", type=int, default=None, help="hard search cap (default formula+5)")
-    p.add_argument("--no-propagation", action="store_true", help="2^n brute-force oracle mode")
-    p.add_argument("--scan", action="store_true", help="record colorability for every n up to the cap")
-    p.set_defaults(handler=cmd_discrete)
+_K_L = (_arg("k", type=int), _arg("l", type=int))
 
-    p = sub.add_parser("lower-bound", help="emit and self-verify the extremal coloring")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--gamma", help="domain left endpoint (default 1)")
-    p.add_argument("--out", help="write the coloring file here")
-    p.set_defaults(handler=cmd_lower_bound)
+# name -> (help line, handler, add_argument specs): the one place a command
+# and its flags are declared.  Both routes in parse_args build from it.
+COMMANDS = {
+    "formula": ("closed-form values", cmd_formula, (
+        *_K_L,
+        _arg("--gamma", help="domain left endpoint (continuous mode only)"),
+        _arg("--mode", choices=("discrete", "continuous", "k1"), default="continuous"),
+    )),
+    "discrete": ("exact search over {1..n}", cmd_discrete, (
+        *_K_L,
+        _arg("--max-n", type=int, default=None, help="hard search cap (default formula+5)"),
+        _arg("--no-propagation", action="store_true", help="2^n brute-force oracle mode"),
+        _arg("--scan", action="store_true", help="record colorability for every n up to the cap"),
+    )),
+    "lower-bound": ("emit and self-verify the extremal coloring", cmd_lower_bound, (
+        *_K_L,
+        _arg("--gamma", help="domain left endpoint (default 1)"),
+        _arg("--out", help="write the coloring file here"),
+    )),
+    "verify-coloring": ("check a coloring file", cmd_verify_coloring, (
+        *_K_L,
+        _arg("--file", required=True),
+    )),
+    "certify-upper": ("build and verify an upper-bound certificate", cmd_certify_upper, (
+        *_K_L,
+        _arg("--out", help="write the certificate file here"),
+        _arg(
+            "--grid-denominator", type=int, default=None,
+            help="search every branch automatically on the 1/d grid instead of using built chains",
+        ),
+        _arg("--max-depth", type=int, default=64, help="branch depth cap for the prover"),
+    )),
+    "verify-certificate": ("re-verify a certificate file", cmd_verify_certificate, (
+        _arg("--file", required=True),
+    )),
+    "reproduce": ("run the whole verification suite", cmd_reproduce, (
+        _arg(
+            "--full", action="store_true",
+            help="wider ranges: formula table to (5,5), lower bounds to kl=10, certificates "
+            "to (2,10) and (5,5), search oracle to n=18, 500 sumset-oracle instances, each "
+            "judging every sum of m member samples",
+        ),
+    )),
+}
 
-    p = sub.add_parser("verify-coloring", help="check a coloring file")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--file", required=True)
-    p.set_defaults(handler=cmd_verify_coloring)
 
-    p = sub.add_parser("certify-upper", help="build and verify an upper-bound certificate")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--out", help="write the certificate file here")
-    p.add_argument(
-        "--grid-denominator", type=int, default=None,
-        help="search every branch automatically on the 1/d grid instead of using built chains",
-    )
-    p.add_argument("--max-depth", type=int, default=64, help="branch depth cap for the prover")
-    p.set_defaults(handler=cmd_certify_upper)
-
-    p = sub.add_parser("verify-certificate", help="re-verify a certificate file")
-    p.add_argument("--file", required=True)
-    p.set_defaults(handler=cmd_verify_certificate)
-
-    p = sub.add_parser("reproduce", help="run the whole verification suite")
-    p.add_argument(
-        "--full", action="store_true",
-        help="wider ranges: formula table to (5,5), lower bounds to kl=10, certificates "
-        "to (2,10) and (5,5), search oracle to n=18, 500 sumset-oracle instances, each "
-        "judging every sum of m member samples",
-    )
-    p.set_defaults(handler=cmd_reproduce)
-
+def _declare(parser: _Parser, name: str) -> _Parser:
+    _, handler, arguments = COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def build_parser() -> _Parser:
+    parser = _Parser(prog="offrado", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv as build_parser() would.  When argv[0] names a command, only
+    that command's parser is built: the subparser build_parser() would hand
+    argv[1:] to, with the same prog.  Anything else (no argv, -h, an unknown
+    name, an option first) goes through the full parser and its messages."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _declare(_Parser(prog=f"offrado {name}"), name)
+        return parser.parse_args(argv[1:], argparse.Namespace(command=name))
+    return build_parser().parse_args(argv)
+
+
+def _stdout_lost(exc: OSError) -> int:
+    """A closed pipe, a full disk: say so on stderr and exit InvalidInput, not
+    the 1 of WitnessFound an uncaught error would give."""
     try:
-        args = parser.parse_args(argv)
+        print(f"offrado: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:  # stderr is gone too; the exit code still says why
+        pass
+    # the interpreter flushes stdout again at exit; let that write go nowhere
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    return EXIT_CODES["InvalidInput"]
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         result = args.handler(args)
     except UnprovedError as exc:
         spec = exc.spec.as_json()
@@ -274,14 +320,6 @@ def main(argv=None) -> int:
         result = _result("internal", None, {"error": str(exc)}, "InternalError")
     try:
         print(canonical_json(result), flush=True)
-    except OSError as exc:  # a closed pipe, a full disk; uncaught it would exit 1
-        try:
-            print(f"offrado: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        except OSError:  # stderr is gone too; the exit code still says why
-            pass
-        # the interpreter flushes stdout again at exit; let that write go nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
-        return EXIT_CODES["InvalidInput"]
+    except OSError as exc:
+        return _stdout_lost(exc)
     return EXIT_CODES[result["status"]]

@@ -571,6 +571,88 @@ def test_huge_arguments_are_invalid_input(capsys, case):
     assert doc["payload"]["error"] == f"an argument is too large: {detail}"
 
 
+# argv -> what parsing it gives: parsed args, an InvalidInput message, or help
+ROUTE_ARGVS = {
+    ("formula", "3", "4", "--mode", "discrete"): "args",
+    ("discrete", "4", "6", "--max-n", "30", "--scan"): "args",
+    ("lower-bound", "2", "3", "--gamma", "1/2", "--out", "c.json"): "args",
+    ("verify-coloring", "2", "3", "--file", "c.json"): "args",
+    ("certify-upper", "2", "5", "--grid-denominator", "4", "--max-depth", "8"): "args",
+    ("verify-certificate", "--file", "cert.json"): "args",
+    ("reproduce", "--full"): "args",
+    **{(name, "-h"): "help" for name in cli.COMMANDS},
+    ("--", "discrete", "4", "6"): "error",
+    ("discrete", "--", "4", "6"): "args",
+    ("discrete", "4"): "error",
+    ("discrete", "4", "6", "7"): "error",
+    ("discrete", "four", "6"): "error",
+    ("formula", "3", "4", "--mode", "bad"): "error",
+    ("certify-upper", "2", "5", "--grid-d", "4"): "args",
+    ("discrete", "4", "6", "--nosuch"): "error",
+    ("verify-certificate",): "error",
+    ("formula", "3", "4", "--gamma"): "error",
+    ("discrete", "4", "6", "--he"): "help",
+    ("--mode", "discrete", "formula", "3", "4"): "error",
+    (): "error",
+    ("nosuch",): "error",
+    ("-h",): "help",
+    ("--help",): "help",
+}
+
+
+def parse_outcome(parse, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", parse(list(argv))
+    except cli._CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "help", exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", list(ROUTE_ARGVS), ids=" ".join)
+def test_one_command_route_parses_as_the_full_parser(argv):
+    # equal namespaces, equal messages or equal help text, under whatever
+    # argparse this interpreter ships
+    one = parse_outcome(cli.parse_args, argv)
+    full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert one == full
+    assert one[0] == ROUTE_ARGVS[argv]
+    if one[0] == "help":
+        assert one[1] == 0 and one[2].startswith("usage: offrado")
+
+
+class TestParserBuilds:
+    """A command builds its own parser only; the other six stay unbuilt."""
+
+    def parsers_built(self, capsys, monkeypatch, *argv):
+        progs = []
+        init = cli._Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        code = main(list(argv))
+        capsys.readouterr()
+        return code, progs
+
+    def test_formula_builds_one(self, capsys, monkeypatch):
+        assert self.parsers_built(capsys, monkeypatch, "formula", "3", "4") == (0, ["offrado formula"])
+
+    def test_verify_certificate_builds_one(self, capsys, monkeypatch):
+        code, progs = self.parsers_built(
+            capsys, monkeypatch, "verify-certificate", "--file", str(DATA / "certificate-4-6.json")
+        )
+        assert (code, progs) == (0, ["offrado verify-certificate"])
+
+    def test_unknown_command_builds_them_all(self, capsys, monkeypatch):
+        code, progs = self.parsers_built(capsys, monkeypatch, "nosuch")
+        assert code == 64 and len(progs) == 1 + len(cli.COMMANDS)
+
+
 class TestReproduce:
     def test_quick_profile_passes(self, capsys):
         code, doc = run_cli(capsys, "reproduce")
@@ -690,6 +772,25 @@ class TestProcessLevel:
         finally:
             os.close(write)
         assert proc.returncode == 64
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("argv", [("-h",), ("discrete", "-h")], ids=["top-level", "command"])
+    def test_help_to_full_stdout_is_invalid_input(self, argv):
+        # argparse drops the failed write, which would exit 0 with no help shown
+        with open("/dev/full", "w") as full:
+            proc = self.run_offrado(full, *argv)
+        assert proc.returncode == 64
+        assert proc.stderr == "offrado: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", [("-h",), ("discrete", "-h")], ids=["top-level", "command"])
+    def test_help_with_stdout_closed_goes_to_stderr(self, argv):
+        # no stdout at all: argparse's own fallback, exit 0
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m offrado "$@" >&-', sys.executable, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert proc.stderr.startswith(f"usage: {' '.join(['offrado', *argv[:-1]])} [-h]")
 
     def test_every_name_the_tracer_wraps_resolves_after_importing_the_cli(self):
         # perfbench/layers.py wraps (module, attribute) pairs in the modules

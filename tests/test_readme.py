@@ -1,4 +1,5 @@
-"""The README's Library section, run as written."""
+"""The README against the code: its Library section run as written, its CLI
+table against the commands the CLI declares."""
 
 import ast
 import re
@@ -22,3 +23,17 @@ def test_library_block_runs_and_prints_what_its_comments_say():
         assert eval(code, namespace) == expected, line
         checked += 1
     assert checked == 4
+
+
+def test_cli_table_lists_each_command_with_its_flags():
+    from offrado.cli import COMMANDS
+
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `offrado (\S+)([^`]*)` \|", section, re.M)
+    table = {name: sorted(re.findall(r"--[a-z][a-z-]*", usage)) for name, usage in rows}
+    assert len(table) == len(rows), "a command listed twice"
+    declared = {
+        name: sorted(flag for flags, _ in arguments for flag in flags if flag.startswith("--"))
+        for name, (_, _, arguments) in COMMANDS.items()
+    }
+    assert table == declared

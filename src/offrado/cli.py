@@ -10,13 +10,14 @@ exactly what they look like.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import gc
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .certificates import UnprovedError, certify_upper
 from .checker import certificate_from_json, certificate_stats, check_certificate, points_used
@@ -42,22 +43,6 @@ EXIT_CODES = {"Ok": 0, "WitnessFound": 1, "Unproved": 2, "InvalidInput": 64, "In
 
 class _CliError(ValueError):
     """Bad flags or bad input files; maps to InvalidInput."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2), which Unproved owns
-        raise _CliError(message)
-
-    def print_help(self, file=None):
-        # argparse drops a failed write (3.11+) or lets it escape as exit 1
-        # (3.10); a closed stdout keeps argparse's fallback to stderr
-        if file is not None or sys.stdout is None:
-            return super().print_help(file)
-        try:
-            sys.stdout.write(self.format_help())
-            sys.stdout.flush()
-        except OSError as exc:
-            raise SystemExit(_stdout_lost(exc)) from None
 
 
 def _result(command: str, spec, payload, status: str) -> dict:
@@ -252,6 +237,38 @@ COMMANDS = {
 }
 
 
+def __getattr__(name: str):
+    """Module attribute fallback (PEP 562): `_Parser` subclasses argparse's
+    parser, so it is defined, and argparse imported, on first use only."""
+    if name != "_Parser":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import argparse
+
+    global _Parser
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2), which Unproved owns
+            raise _CliError(message)
+
+        def print_help(self, file=None):
+            # argparse drops a failed write (3.11+) or lets it escape as exit 1
+            # (3.10); a closed stdout keeps argparse's fallback to stderr
+            if file is not None or sys.stdout is None:
+                return super().print_help(file)
+            try:
+                sys.stdout.write(self.format_help())
+                sys.stdout.flush()
+            except OSError as exc:
+                raise SystemExit(_stdout_lost(exc)) from None
+
+    return _Parser
+
+
+def _parser(**options):
+    """A new `_Parser`: read off the module, so __getattr__ defines it once."""
+    return sys.modules[__name__]._Parser(**options)
+
+
 def _declare(parser: _Parser, name: str) -> _Parser:
     _, handler, arguments = COMMANDS[name]
     for flags, options in arguments:
@@ -261,22 +278,79 @@ def _declare(parser: _Parser, name: str) -> _Parser:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="offrado", description=__doc__)
+    parser = _parser(prog="offrado", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, _) in COMMANDS.items():
         _declare(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse argv as build_parser() would.  When argv[0] names a command, only
-    that command's parser is built: the subparser build_parser() would hand
-    argv[1:] to, with the same prog.  Anything else (no argv, -h, an unknown
-    name, an option first) goes through the full parser and its messages."""
+def _value(options: dict, token):
+    """token as argparse would store it, when it is plainly valid; else None."""
+    if options.get("type") is int:
+        if token is None or not (token.isascii() and token.isdigit()):
+            return None
+        try:
+            token = int(token)
+        except ValueError:  # more digits than int() converts
+            return None
+    elif token is None or "type" in options or token[:1] in ("", "-"):
+        return None
+    return token if token in options.get("choices", (token,)) else None
+
+
+def _plain(argv):
+    """The namespace build_parser().parse_args(argv) gives, read straight from
+    COMMANDS, when argv is canonical: a command name, exactly its positionals,
+    then exact long flags, each at most once, every required one present.
+    Anything else is None, for argparse to parse, refuse or answer with help."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, arguments = COMMANDS[argv[0]]
+    found = {"command": argv[0], "handler": handler}
+    flags = {}
+    tokens = iter(argv[1:])
+    for (name,), options in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name.startswith("-"):
+            flags[name] = dest, options
+            found[dest] = options.get("default", False if options.get("action") == "store_true" else None)
+            continue
+        found[dest] = _value(options, next(tokens, None))
+        if found[dest] is None:
+            return None
+    seen = set()
+    for flag in tokens:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, options = flags[flag]
+        if options.get("action") == "store_true":
+            found[dest] = True
+            continue
+        found[dest] = _value(options, next(tokens, None))
+        if found[dest] is None:
+            return None
+    if any(options.get("required") and flag not in seen for flag, (_, options) in flags.items()):
+        return None
+    return SimpleNamespace(**found)
+
+
+def parse_args(argv):
+    """Parse argv as build_parser() would."""
+    # Canonical argv is read from COMMANDS alone, so a well-formed command
+    # never imports argparse, whose first parser costs more than a small
+    # command (gettext, locale, regexes).  Help, every error and every other
+    # spelling argparse accepts go through argparse, with its own messages.
+    # When argv[0] names a command, only that command's parser is built: the
+    # subparser build_parser() would hand argv[1:] to, with the same prog.
+    plain = _plain(argv)
+    if plain is not None:
+        return plain
     if argv and argv[0] in COMMANDS:
         name = argv[0]
-        parser = _declare(_Parser(prog=f"offrado {name}"), name)
-        return parser.parse_args(argv[1:], argparse.Namespace(command=name))
+        parser = _declare(_parser(prog=f"offrado {name}"), name)
+        return parser.parse_args(argv[1:], SimpleNamespace(command=name))
     return build_parser().parse_args(argv)
 
 
@@ -319,6 +393,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         result = _result("internal", None, {"error": str(exc)}, "InternalError")
     try:
+        if sys.stdout is None:  # started with stdout closed; print would drop the document
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(canonical_json(result), flush=True)
     except OSError as exc:
         return _stdout_lost(exc)

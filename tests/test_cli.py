@@ -604,11 +604,15 @@ def parse_outcome(parse, argv):
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return "args", parse(list(argv))
+            return "args", vars(parse(list(argv)))
     except cli._CliError as exc:
         return "error", str(exc)
     except SystemExit as exc:
         return "help", exc.code, out.getvalue()
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", list(ROUTE_ARGVS), ids=" ".join)
@@ -616,15 +620,86 @@ def test_one_command_route_parses_as_the_full_parser(argv):
     # equal namespaces, equal messages or equal help text, under whatever
     # argparse this interpreter ships
     one = parse_outcome(cli.parse_args, argv)
-    full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    full = parse_outcome(full_parse, argv)
     assert one == full
     assert one[0] == ROUTE_ARGVS[argv]
     if one[0] == "help":
         assert one[1] == 0 and one[2].startswith("usage: offrado")
 
 
+# Every argv shape perfbench's workloads run and README's CLI table shows:
+# each must be read from the command table, without argparse.
+PLAIN_ARGVS = [
+    ("discrete", "2", "10"),
+    ("certify-upper", "4", "6", "--out", "w/cert_4_6.json"),
+    ("certify-upper", "2", "5", "--grid-denominator", "4", "--out", "w/cert_2_5.json"),
+    ("verify-certificate", "--file", "w/cert_4_6.json"),
+    ("reproduce", "--full"),
+    ("reproduce",),
+    ("formula", "3", "4", "--mode", "discrete"),
+    ("formula", "3", "4", "--mode", "continuous", "--gamma", "1/2"),
+    ("formula", "1", "4", "--mode", "k1"),
+    ("discrete", "4", "6", "--max-n", "30", "--no-propagation", "--scan"),
+    ("lower-bound", "2", "5", "--gamma", "1/2", "--out", "coloring.json"),
+    ("verify-coloring", "2", "3", "--file", "coloring.json"),
+    ("certify-upper", "2", "4", "--out", "cert.json", "--grid-denominator", "1", "--max-depth", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_common_argv_takes_the_table_route(argv):
+    plain = cli._plain(list(argv))
+    assert plain is not None and vars(plain) == vars(full_parse(list(argv)))
+
+
+FLAGS = sorted({f for _, _, arguments in cli.COMMANDS.values() for (f, *_), _ in arguments if f[0] == "-"})
+FLAG_TOKENS = [
+    *FLAGS, *(f[:4] for f in FLAGS), *(f[:-1] for f in FLAGS), *(f + "=4" for f in FLAGS),
+    "-h", "--help", "--",
+]
+PLAIN_DIGITS = ["0", "2", "3", "4", "6", "007"]
+VALUES = [
+    *PLAIN_DIGITS, "+4", "\u0664", " 4", "4_0", "1" * 4301, "1/2", "-3", "", "c.json", "d/x y.json",
+    "discrete", "continuous", "k1",
+]
+
+
+@st.composite
+def argvs(draw):
+    """A canonical argv for some command, built from its table entry, then
+    up to three tokens from the pools inserted, replaced or deleted."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    positionals, flags = [], []
+    for (f, *_), options in cli.COMMANDS[name][2]:
+        if f[0] != "-":
+            positionals.append(draw(st.sampled_from(PLAIN_DIGITS)))
+        elif options.get("action"):
+            flags += [[f]] if draw(st.booleans()) else []
+        elif options.get("required") or draw(st.booleans()):
+            kinds = PLAIN_DIGITS if options.get("type") else options.get("choices", ["1/2", "c.json"])
+            flags.append([f, draw(st.sampled_from(kinds) | st.sampled_from(VALUES))])
+    flags = draw(st.permutations(flags))
+    argv = [name, *positionals, *(t for flag in flags for t in flag)]
+    token = st.sampled_from([*cli.COMMANDS, *FLAG_TOKENS, *VALUES])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        argv[at:at + (edit != "insert")] = [] if edit == "delete" else [draw(token)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(argvs())
+def test_table_route_never_disagrees_with_argparse(argv):
+    # None sends argv on to argparse; anything else must be exactly what
+    # argparse makes of it, and argparse refusing or printing help means None
+    plain = cli._plain(argv)
+    assert plain is None or parse_outcome(full_parse, argv) == ("args", vars(plain))
+
+
 class TestParserBuilds:
-    """A command builds its own parser only; the other six stay unbuilt."""
+    """Canonical argv builds no parser; other argv naming a command builds
+    that command's parser only, and the other six stay unbuilt."""
 
     def parsers_built(self, capsys, monkeypatch, *argv):
         progs = []
@@ -639,14 +714,18 @@ class TestParserBuilds:
         capsys.readouterr()
         return code, progs
 
-    def test_formula_builds_one(self, capsys, monkeypatch):
-        assert self.parsers_built(capsys, monkeypatch, "formula", "3", "4") == (0, ["offrado formula"])
+    def test_formula_builds_none(self, capsys, monkeypatch):
+        assert self.parsers_built(capsys, monkeypatch, "formula", "3", "4") == (0, [])
 
-    def test_verify_certificate_builds_one(self, capsys, monkeypatch):
+    def test_verify_certificate_builds_none(self, capsys, monkeypatch):
         code, progs = self.parsers_built(
             capsys, monkeypatch, "verify-certificate", "--file", str(DATA / "certificate-4-6.json")
         )
-        assert (code, progs) == (0, ["offrado verify-certificate"])
+        assert (code, progs) == (0, [])
+
+    def test_abbreviated_flag_builds_one(self, capsys, monkeypatch):
+        code, progs = self.parsers_built(capsys, monkeypatch, "certify-upper", "2", "5", "--grid-d", "4")
+        assert (code, progs) == (0, ["offrado certify-upper"])
 
     def test_unknown_command_builds_them_all(self, capsys, monkeypatch):
         code, progs = self.parsers_built(capsys, monkeypatch, "nosuch")
@@ -719,12 +798,13 @@ class TestProcessLevel:
     def test_cli_imports_no_numpy_dataclasses_or_inspect(self, tmp_path, argv):
         # numpy not even in the 2^n oracle that once used it; the records are
         # NamedTuples and one slotted class, so dataclasses and the inspect
-        # it pulls in stay out too
+        # it pulls in stay out too; well-formed argv is read from the command
+        # table, so argparse and the gettext and locale it loads stay out
         coloring = coloring_as_json(lower_bound_coloring(ProblemSpec(2, 3)))
         (tmp_path / "lower-bound.json").write_text(canonical_json(coloring))
         script = (
             "import contextlib, io, sys, offrado.cli\n"
-            "heavy = ('numpy', 'dataclasses', 'inspect')\n"
+            "heavy = ('numpy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n"
             "print([m for m in heavy if m in sys.modules])\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "    code = offrado.cli.main(sys.argv[1:])\n"
@@ -757,6 +837,18 @@ class TestProcessLevel:
             os.close(write)
         assert proc.returncode == 64
         assert proc.stderr == "offrado: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("discrete", "2", "3"), ("discrete", "2")], ids=["canonical", "invalid"]
+    )
+    def test_closed_stdout_is_invalid_input(self, argv):
+        # no stdout at all: print would drop the document and exit 0
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m offrado "$@" >&-', sys.executable, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 64
+        assert proc.stderr == "offrado: cannot write stdout: Bad file descriptor\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     def test_closed_pipe_with_full_stderr_is_invalid_input(self):

@@ -237,16 +237,12 @@ COMMANDS = {
 }
 
 
-def __getattr__(name: str):
-    """Module attribute fallback (PEP 562): `_Parser` subclasses argparse's
-    parser, so it is defined, and argparse imported, on first use only."""
-    if name != "_Parser":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def build_parser():
+    """Every command's parser: help, errors and every spelling _plain leaves
+    to argparse.  The one place argparse is imported."""
     import argparse
 
-    global _Parser
-
-    class _Parser(argparse.ArgumentParser):
+    class Parser(argparse.ArgumentParser):  # add_subparsers gives subparsers this class too
         def error(self, message):  # argparse would exit(2), which Unproved owns
             raise _CliError(message)
 
@@ -261,27 +257,13 @@ def __getattr__(name: str):
             except OSError as exc:
                 raise SystemExit(_stdout_lost(exc)) from None
 
-    return _Parser
-
-
-def _parser(**options):
-    """A new `_Parser`: read off the module, so __getattr__ defines it once."""
-    return sys.modules[__name__]._Parser(**options)
-
-
-def _declare(parser: _Parser, name: str) -> _Parser:
-    _, handler, arguments = COMMANDS[name]
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
-def build_parser() -> _Parser:
-    parser = _parser(prog="offrado", description=__doc__)
+    parser = Parser(prog="offrado", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in COMMANDS.items():
-        _declare(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -342,16 +324,8 @@ def parse_args(argv):
     # never imports argparse, whose first parser costs more than a small
     # command (gettext, locale, regexes).  Help, every error and every other
     # spelling argparse accepts go through argparse, with its own messages.
-    # When argv[0] names a command, only that command's parser is built: the
-    # subparser build_parser() would hand argv[1:] to, with the same prog.
     plain = _plain(argv)
-    if plain is not None:
-        return plain
-    if argv and argv[0] in COMMANDS:
-        name = argv[0]
-        parser = _declare(_parser(prog=f"offrado {name}"), name)
-        return parser.parse_args(argv[1:], SimpleNamespace(command=name))
-    return build_parser().parse_args(argv)
+    return plain if plain is not None else build_parser().parse_args(argv)
 
 
 def _stdout_lost(exc: OSError) -> int:

@@ -59,7 +59,7 @@ def _specs(max_kl: int, min_k: int = 2):
             yield k, l
 
 
-def check_formula_table(max_kl: int = 5) -> list[CheckResult]:
+def check_formula_table(max_kl: int) -> list[CheckResult]:
     """Search value vs closed formula (and the known table where it applies)."""
     out = []
     for k, l in _specs(max_kl):
@@ -77,7 +77,7 @@ def check_formula_table(max_kl: int = 5) -> list[CheckResult]:
     return out
 
 
-def check_lower_bounds(max_kl: int = 10) -> list[CheckResult]:
+def check_lower_bounds(max_kl: int) -> list[CheckResult]:
     """Two-block colorings verify Valid; both boundary witnesses are real and
     monochromatic once the closed endpoint takes either color."""
     out = []
@@ -99,7 +99,7 @@ def check_lower_bounds(max_kl: int = 10) -> list[CheckResult]:
     return out
 
 
-def check_certificates(k2_max_l: int = 10, max_kl: int = 5) -> list[CheckResult]:
+def check_certificates(k2_max_l: int, max_kl: int) -> list[CheckResult]:
     """Upper-bound certificates assemble and verify across the covered range."""
     out = []
     for k, l in [(2, l) for l in range(2, k2_max_l + 1)] + list(_specs(max_kl, min_k=3)):
@@ -117,7 +117,7 @@ def check_certificates(k2_max_l: int = 10, max_kl: int = 5) -> list[CheckResult]
     return out
 
 
-def check_grid_necessity(ls: tuple[int, ...] = (3, 4, 5)) -> list[CheckResult]:
+def check_grid_necessity(ls: tuple[int, ...]) -> list[CheckResult]:
     """Where the integer grid refutes and where half-steps become necessary.
 
     For k=2 the integer grid closes exactly when the discrete value already
@@ -153,7 +153,7 @@ def _closes(spec: ProblemSpec, d: int) -> bool:
     return True
 
 
-def check_residue_arithmetic(max_l: int = 30) -> list[CheckResult]:
+def check_residue_arithmetic(max_l: int) -> list[CheckResult]:
     """Mixed-solution arithmetic for every 3 <= k < l <= max_l, including the
     interval bound on mix_count as a corollary (never assumed by the code)."""
     bad = []
@@ -175,12 +175,12 @@ def check_residue_arithmetic(max_l: int = 30) -> list[CheckResult]:
     ]
 
 
-def check_scaling(gammas=(Fraction(1, 2), Fraction(2), Fraction(3, 7))) -> list[CheckResult]:
+def check_scaling() -> list[CheckResult]:
     """Homogeneity: scaled colorings stay valid and the formula scales linearly."""
     out = []
     for k, l in ((2, 3), (3, 4)):
         base = lower_bound_coloring(ProblemSpec(k, l))
-        for g in gammas:
+        for g in (Fraction(1, 2), Fraction(2), Fraction(3, 7)):
             spec = ProblemSpec(k, l, g)
             scaled = scale_coloring(base, g)
             ok = (
@@ -206,7 +206,7 @@ def random_interval_set(rng: random.Random, max_intervals: int = 4, max_denomina
     return normalize(pieces)
 
 
-def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[CheckResult]:
+def check_sumset_oracle(instances: int) -> list[CheckResult]:
     """Cross-check of the m-fold sumsets on seeded random interval sets.
 
     Three independent routes per instance: direct enumeration of interval
@@ -217,7 +217,7 @@ def check_sumset_oracle(instances: int = 500, seed: int = 20250810) -> list[Chec
     reported interval must decompose back into m exact members.  The rng draws
     only the instances.
     """
-    rng = random.Random(seed)
+    rng = random.Random(20250810)
     failures = 0
     first = ""
     for trial in range(instances):
@@ -297,10 +297,10 @@ def _fold(combo) -> Interval:
     return total
 
 
-def check_search_oracle(max_n: int = 18, specs=((2, 2), (2, 3), (3, 3))) -> list[CheckResult]:
+def check_search_oracle(max_n: int) -> list[CheckResult]:
     """Propagating search vs the 2^n sweep, existence only, every n <= max_n."""
     out = []
-    for k, l in specs:
+    for k, l in ((2, 2), (2, 3), (3, 3)):
         spec = ProblemSpec(k, l)
         mismatches = []
         for n in range(1, max_n + 1):

@@ -228,7 +228,7 @@ class TestSampleSumsDraws:
         same_verdict(sums, a, m)
 
     def test_old_oracle_draw_stream_is_accepted(self):
-        # The instances check_sumset_oracle(500, seed=20250810) drew while its
+        # The instances check_sumset_oracle(500) drew while its
         # member-sample route still took random tuples from the same rng.
         rng = random.Random(20250810)
         for trial in range(500):

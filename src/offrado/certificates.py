@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .checker import CertificateCheck, certificate_from_json, check_certificate
 from .equations import Color, ProblemSpec, SolutionWitness
-from .propagation import Satisfiable, SumsetSystem, dpll
+from .propagation import Satisfiable, SumsetSystem, _least_parts, dpll
 from .serialize import exact_fraction, format_rational
 
 
@@ -49,24 +51,22 @@ class UnprovedError(Exception):
 
 
 def _node(
-    point: Fraction,
+    point: str,
     color: Color,
     steps: Iterable[tuple],
-    contradiction: Optional[SolutionWitness],
+    contradiction: Optional[dict],
     children: Optional[list] = None,
 ) -> dict:
     """A branch node in its file form, from its assumption, its steps as
     (point, forced color, witness), and how it ends: a contradiction witness,
-    or else ``children``, the list its two children go into."""
+    or else ``children``, the list its two children go into.  Points are
+    rational strings and witnesses are in their file form already."""
     node = {
-        "assume": {"point": format_rational(point), "color": color.value},
-        "steps": [
-            {"point": format_rational(p), "forced": forced.value, "witness": w.as_json()}
-            for p, forced, w in steps
-        ],
+        "assume": {"point": point, "color": color.value},
+        "steps": [{"point": p, "forced": forced.value, "witness": w} for p, forced, w in steps],
     }
     if contradiction is not None:
-        node["contradiction"] = contradiction.as_json()
+        node["contradiction"] = contradiction
     else:
         node["children"] = children
     return node
@@ -123,7 +123,8 @@ class _ChainBuilder:
     def node(self) -> dict:
         if not self.closed:
             raise RuntimeError("chain did not reach a contradiction")
-        return _node(self.point, self.color, self.steps, self.contradiction)
+        steps = [(format_rational(p), forced, w.as_json()) for p, forced, w in self.steps]
+        return _node(format_rational(self.point), self.color, steps, self.contradiction.as_json())
 
 
 def _w(color: Color, pairs: Iterable[tuple], x0) -> SolutionWitness:
@@ -257,16 +258,41 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
     return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
+def _rational(p: int, d: int) -> str:
+    """The value p/d as ``format_rational`` writes it: "p/q" in lowest terms,
+    or the bare integer."""
+    g = gcd(p, d)
+    return str(p // g) if g == d else f"{p // g}/{d // g}"
+
+
+def _witness_json(color: Color, own: int, arity: int, d: int) -> dict:
+    """``SolutionWitness.as_json`` of the least solution of ``color``'s
+    ``arity``-variable equation inside the id mask ``own`` on the 1/d grid:
+    its sorted parts come from ``_least_parts``, and each run of equal ids is
+    one [value, count] pair."""
+    parts = _least_parts(own, arity)
+    return {
+        "color": color.value,
+        "left": [[_rational(p, d), len(list(run))] for p, run in groupby(parts)],
+        "x0": _rational(sum(parts), d),
+    }
+
+
 def _branch_node(nodes: list[tuple], d: int) -> dict:
-    """The file form of a DPLL refutation on the 1/d grid, with exact
-    witnesses, from its nodes in pre-order: ``open_lists[level]`` is the
-    list that the next node at that level goes into, so one loop nests them."""
+    """The file form of a DPLL refutation on the 1/d grid, from its nodes in
+    pre-order: ``open_lists[level]`` is the list that the next node at that
+    level goes into, so one loop nests them.  It is written from ids alone,
+    each witness from the handle's mask, so no ``Fraction`` is built."""
     open_lists: list[list[dict]] = [[]]
     for level, var, color, forcings, conflict in nodes:
-        steps = [(Fraction(v, d), h.color.opposite, h.witness(d)) for v, h in forcings]
-        point = Fraction(var, d)
+        steps = [
+            (_rational(v, d), h.color.opposite, _witness_json(h.color, h.own | 1 << v, h.arity, d))
+            for v, h in forcings
+        ]
+        point = _rational(var, d)
         if conflict is not None:
-            open_lists[level].append(_node(point, color, steps, conflict.witness(d)))
+            witness = _witness_json(conflict.color, conflict.own, conflict.arity, d)
+            open_lists[level].append(_node(point, color, steps, witness))
         else:
             children: list[dict] = []
             open_lists[level].append(_node(point, color, steps, None, children))

@@ -55,7 +55,9 @@ def _spec_json(k: int, l: int, gamma: Fraction = Fraction(1)) -> dict:
 
 def _write_out(path: str, payload: dict) -> str:
     try:
-        Path(path).write_text(canonical_json(payload) + "\n", encoding="ascii")
+        # str.encode("ascii") imports no codec module, where write_text's
+        # encoding="ascii" would import encodings.ascii on every --out
+        Path(path).write_bytes((canonical_json(payload) + "\n").encode("ascii"))
     except OSError as exc:  # uncaught it would exit 1, which means WitnessFound
         raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
@@ -68,6 +70,8 @@ def _read_json(path: str) -> dict:
         raise _CliError(f"no such file: {path}") from None
     except OSError as exc:  # a directory, no permission, ...
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not JSON: {exc}") from None
     except RecursionError:  # uncaught it would exit 1, which means WitnessFound

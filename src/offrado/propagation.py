@@ -17,9 +17,10 @@ open branches on an explicit stack, not the interpreter's.
 ``propagate_masks`` lists no clause: the clauses of color c are exactly the
 solutions, so unit forcing is read from the m-fold sumsets of c's own mask
 on a ``SumsetSystem``.  Every command runs on it.  It hands back handles for
-its forcings and conflicts, and a handle's exact ``SolutionWitness`` is built
-on demand, only for a step a caller emits or a hit it reports, so the hot
-loops never touch a Fraction.  ``ClauseSystem`` indexes a listed clause set
+its forcings and conflicts, and a handle is decoded only on demand, into the
+sorted ids of its least solution (``_least_parts``): the certificate writer
+formats those ids as "p/d" strings itself, so neither the hot loops nor the
+emitted steps touch a Fraction.  ``ClauseSystem`` indexes a listed clause set
 and propagates over it; it is the reference the kernel-equivalence test
 compares against, and no command runs it.
 """
@@ -206,10 +207,6 @@ class SumsetHandle(NamedTuple):
         for p in left:
             mask |= 1 << p
         return Clause(self.color, left, x0, mask)
-
-    def witness(self, denominator: int = 1) -> SolutionWitness:
-        """The exact solution, reading id p as the value p/denominator."""
-        return self.clause().witness(denominator)
 
 
 class SumsetSystem:

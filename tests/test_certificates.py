@@ -398,18 +398,22 @@ class TestCertifyUpper:
         # certify_upper checks the document it assembled on every assembly
         # path, so a fault in what the builders emit is an internal fault
         # (exit 70), never the invalid input of a schema error (64) nor a
-        # failed verification (1)
-        as_json = SolutionWitness.as_json
+        # failed verification (1).  The built chains write their witnesses
+        # through SolutionWitness.as_json, the auto-proved branches through
+        # _witness_json; both are damaged
+        def damaged(write):
+            def broken(*args):
+                out = write(*args)
+                if damage == "schema":
+                    out["note"] = "x"
+                else:
+                    out["x0"] = format_rational(parse_rational(out["x0"]) + 1)
+                return out
 
-        def broken(self):
-            out = as_json(self)
-            if damage == "schema":
-                out["note"] = "x"
-            else:
-                out["x0"] = format_rational(parse_rational(out["x0"]) + 1)
-            return out
+            return broken
 
-        monkeypatch.setattr(SolutionWitness, "as_json", broken)
+        monkeypatch.setattr(SolutionWitness, "as_json", damaged(SolutionWitness.as_json))
+        monkeypatch.setattr(certificates, "_witness_json", damaged(certificates._witness_json))
         for argv in PATHS:
             code = cli.main(["certify-upper", *argv])
             doc = json.loads(capsys.readouterr().out)
@@ -659,6 +663,91 @@ def test_branch_node_emits_past_the_recursion_limit():
         assert first == fork
         depth += 1
     assert depth == 4000 and node == closing
+
+
+def reference_branch_node(nodes, d):
+    """The emitter as it was on Fractions, the reference of the int one: each
+    handle decoded into its clause's exact SolutionWitness, written by
+    ``SolutionWitness.as_json``, and each point by ``format_rational``."""
+    open_lists = [[]]
+    for level, var, color, forcings, conflict in nodes:
+        node = {
+            "assume": {"point": format_rational(Fraction(var, d)), "color": color.value},
+            "steps": [
+                {
+                    "point": format_rational(Fraction(v, d)),
+                    "forced": h.color.opposite.value,
+                    "witness": h.clause().witness(d).as_json(),
+                }
+                for v, h in forcings
+            ],
+        }
+        if conflict is not None:
+            node["contradiction"] = conflict.clause().witness(d).as_json()
+        else:
+            node["children"] = children = []
+            open_lists[level + 1:] = [children]
+        open_lists[level].append(node)
+    return open_lists[0][0]
+
+
+def refutation(spec, d, color):
+    return dpll(_grid_system(spec, d), d, color, 64, Counter())
+
+
+INTEGER_SPECS = [(k, l) for k in range(3, 11) for l in range(k, 11)]
+# grids whose ids reduce: at d = 4, id 6 is 3/2 and id 8 is 2
+REDUCING_GRIDS = [(2, l, d) for l in range(3, 7) for d in (2, 3, 4)] + [(3, 4, 3), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("k,l", INTEGER_SPECS)
+def test_int_emitter_matches_the_fraction_reference_on_integers(k, l):
+    for color in (RED, BLUE):
+        nodes = refutation(ProblemSpec(k, l), 1, color)
+        assert _branch_node(nodes, 1) == reference_branch_node(nodes, 1), color
+
+
+@pytest.mark.parametrize("k,l,d", REDUCING_GRIDS)
+def test_int_emitter_matches_the_fraction_reference_on_grids(k, l, d):
+    for color in (RED, BLUE):
+        nodes = refutation(ProblemSpec(k, l), d, color)
+        assert _branch_node(nodes, d) == reference_branch_node(nodes, d), color
+
+
+def test_reducing_grids_write_reduced_and_whole_values():
+    # the table reaches both shapes of a reduced id: p/q with 1 < q < d, and
+    # a whole number written bare
+    written = set()
+    for k, l, d in REDUCING_GRIDS:
+        for color in (RED, BLUE):
+            text = canonical_json(_branch_node(refutation(ProblemSpec(k, l), d, color), d))
+            written.update((d, value) for value in ('"3/2"', '"2"') if value in text)
+    assert {(4, '"3/2"'), (4, '"2"'), (3, '"2"')} <= written
+
+
+def test_auto_prove_builds_no_fraction_or_solution_witness(monkeypatch):
+    # an auto-proved branch is written from its ids alone
+    calls = Counter()
+    new, init = Fraction.__new__, SolutionWitness.__init__
+
+    def counted_new(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args):
+        calls["SolutionWitness"] += 1
+        init(self, *args)
+
+    spec = ProblemSpec(3, 4)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(SolutionWitness, "__init__", counted_init)
+    Fraction(1, 2)
+    assert calls == {"Fraction": 1}, "the counter is in place"
+    calls.clear()
+    node = auto_prove(spec, 2, RED)
+    monkeypatch.undo()
+    assert node is not None and not calls
+    assert replay_branch(spec, 15, node).ok
 
 
 # ---------------------------------------------------------------------------

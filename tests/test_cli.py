@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import build_k2_certificate
 from offrado.checker import certificate_from_json, certificate_stats
-from offrado import cli, search
+from offrado import certificates, cli, search
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, check_witness
 from offrado.intervals import coloring_as_json, coloring_from_json, lower_bound_coloring
@@ -487,6 +487,16 @@ class TestFileSystemErrors:
         assert code == 64 and doc["status"] == "InvalidInput"
         assert str(tmp_path) in doc["payload"]["error"]
 
+    @pytest.mark.parametrize(
+        "argv", [("verify-certificate",), ("verify-coloring", "2", "3")]
+    )
+    def test_reading_bytes_that_are_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, doc = run_cli(capsys, *argv, "--file", str(path))
+        assert code == 64 and doc["status"] == "InvalidInput"
+        assert doc["payload"]["error"].startswith(f"{path} is not UTF-8 text: 'utf-8' codec")
+
     @pytest.mark.parametrize("command", ["certify-upper", "lower-bound"])
     def test_writing_into_a_missing_directory(self, capsys, tmp_path, command):
         out = tmp_path / "missing" / "x.json"
@@ -772,6 +782,18 @@ class TestInternalError:
         monkeypatch.setattr(SolutionWitness, "as_json", lambda w: {**as_json(w), "note": "x"})
         assert "failed its own check" in self.run_internal(capsys, "certify-upper", "3", "4")
 
+    def test_auto_proved_emission_fault(self, capsys, monkeypatch):
+        # both branches of (3, 3) are auto-proved, so their witnesses are
+        # written from ids by _witness_json, not by SolutionWitness.as_json
+        write = certificates._witness_json
+
+        def broken(*args):
+            out = write(*args)
+            return {**out, "x0": format_rational(parse_rational(out["x0"]) + 1)}
+
+        monkeypatch.setattr(certificates, "_witness_json", broken)
+        assert "failed its own check" in self.run_internal(capsys, "certify-upper", "3", "3")
+
     def test_discrete_recheck_fault(self, capsys, monkeypatch):
         witness = SolutionWitness.from_values(Color.RED, [1, 1, 1], 3)
         monkeypatch.setattr(search, "is_valid_discrete", lambda coloring, spec: Verdict(witness))
@@ -816,6 +838,30 @@ class TestProcessLevel:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0 and proc.stdout == "[]\n0 []\n", proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [("certify-upper", "4", "6"), ("lower-bound", "3", "4")],
+        ids=["certify-upper", "lower-bound"],
+    )
+    def test_out_file_is_canonical_ascii_and_loads_no_codec(self, tmp_path, argv):
+        # str.encode("ascii") needs no codec module, where a text write with
+        # encoding="ascii" imports encodings.ascii inside main
+        script = (
+            "import contextlib, io, sys, offrado.cli\n"
+            "before = 'encodings.ascii' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = offrado.cli.main(sys.argv[1:])\n"
+            "print(code, before, 'encodings.ascii' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", "f"], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0 and proc.stdout == "0 False False\n", proc.stderr
+        data = (tmp_path / "f").read_bytes()
+        text = data.decode("ascii")
+        # canonical JSON has no newline of its own: exactly one, at the end
+        assert data == (canonical_json(json.loads(text)) + "\n").encode("ascii")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     def test_full_stdout_is_invalid_input(self):

@@ -335,7 +335,7 @@ def test_sumset_propagation_matches_the_clause_kernel(state):
         if var is not None:
             assert (blue if handle.color is Color.RED else red) >> var & 1  # the opposite color
             assert first_clause(handle._replace(var=None), lo, top) is None  # own holds no solution
-        witness = handle.witness(lo)
+        witness = handle.clause().witness(lo)
         # a real solution: arity parts summing to x0, on ids lo..top
         parts = [v * lo for v, mult in witness.left for _ in range(mult)]
         assert witness.color is handle.color and len(parts) == handle.arity

@@ -177,7 +177,7 @@ class TestPropagate:
         result = propagate(ProblemSpec(2, 3), DiscreteColoring.from_sets(7, {1}, ()))
         assert not isinstance(result, DiscreteColoring)
         assert result.color is Color.BLUE
-        witness = result.witness()
+        witness = result.clause().witness()
         assert witness.color is Color.BLUE and check_witness(ProblemSpec(2, 3), witness)
         assert all(result.own >> int(v) & 1 for v in {witness.x0, *dict(witness.left)})
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
-from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .checker import CertificateCheck, certificate_from_json, check_certificate
-from .equations import Color, ProblemSpec, SolutionWitness
-from .propagation import Satisfiable, SumsetSystem, _least_parts, dpll
-from .serialize import exact_fraction, format_rational
+from .equations import Color, ProblemSpec, SolutionWitness, formula_continuous
+from .propagation import Satisfiable, SumsetHandle, SumsetSystem, dpll
+from .serialize import exact_fraction, format_ratio, format_rational
 
 
 class UnprovedError(Exception):
@@ -163,7 +162,7 @@ def build_k2_certificate(l: int) -> dict:
     blue.force(l + 3, Color.RED, _w(Color.BLUE, [(1, l - 1), (4, 1)], l + 3))
     blue.close(_w(Color.RED, [(3, 1), (l, 1)], l + 3))
 
-    return _document(spec, 2 * l + 1, [red.node(), blue.node()])
+    return _document(spec, formula_continuous(2, l), [red.node(), blue.node()])
 
 
 class ResidueParams(NamedTuple):
@@ -252,29 +251,21 @@ def build_blue1_certificate(spec: ProblemSpec) -> dict:
 
 
 def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
-    """The propagation geometry of the 1/d grid of [1, kl+k-1], ids
-    d..(kl+k-1)*d, where id p stands for the value p/d."""
-    top = (spec.k * spec.l + spec.k - 1) * denominator
+    """The propagation geometry of the 1/d grid of [1, S], S from
+    ``formula_continuous``: ids d..S*d, where id p stands for the value p/d."""
+    top = int(formula_continuous(spec.k, spec.l) * denominator)
     return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
-def _rational(p: int, d: int) -> str:
-    """The value p/d as ``format_rational`` writes it: "p/q" in lowest terms,
-    or the bare integer."""
-    g = gcd(p, d)
-    return str(p // g) if g == d else f"{p // g}/{d // g}"
-
-
-def _witness_json(color: Color, own: int, arity: int, d: int) -> dict:
-    """``SolutionWitness.as_json`` of the least solution of ``color``'s
-    ``arity``-variable equation inside the id mask ``own`` on the 1/d grid:
-    its sorted parts come from ``_least_parts``, and each run of equal ids is
-    one [value, count] pair."""
-    parts = _least_parts(own, arity)
+def _witness_json(handle: SumsetHandle, d: int) -> dict:
+    """``SolutionWitness.as_json`` of the handle's solution on the 1/d grid:
+    its sorted ids come from ``SumsetHandle.parts``, and each run of equal
+    ids is one [value, count] pair."""
+    parts = handle.parts()
     return {
-        "color": color.value,
-        "left": [[_rational(p, d), len(list(run))] for p, run in groupby(parts)],
-        "x0": _rational(sum(parts), d),
+        "color": handle.color.value,
+        "left": [[format_ratio(p, d), len(list(run))] for p, run in groupby(parts)],
+        "x0": format_ratio(sum(parts), d),
     }
 
 
@@ -285,14 +276,10 @@ def _branch_node(nodes: list[tuple], d: int) -> dict:
     each witness from the handle's mask, so no ``Fraction`` is built."""
     open_lists: list[list[dict]] = [[]]
     for level, var, color, forcings, conflict in nodes:
-        steps = [
-            (_rational(v, d), h.color.opposite, _witness_json(h.color, h.own | 1 << v, h.arity, d))
-            for v, h in forcings
-        ]
-        point = _rational(var, d)
+        steps = [(format_ratio(v, d), h.color.opposite, _witness_json(h, d)) for v, h in forcings]
+        point = format_ratio(var, d)
         if conflict is not None:
-            witness = _witness_json(conflict.color, conflict.own, conflict.arity, d)
-            open_lists[level].append(_node(point, color, steps, witness))
+            open_lists[level].append(_node(point, color, steps, _witness_json(conflict, d)))
         else:
             children: list[dict] = []
             open_lists[level].append(_node(point, color, steps, None, children))
@@ -362,7 +349,7 @@ def certify_upper(
     else:
         red = auto(Color.RED)
         blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
-        certificate = _document(spec, spec.k * spec.l + spec.k - 1, [red, blue])
+        certificate = _document(spec, formula_continuous(spec.k, spec.l), [red, blue])
     try:
         read_spec, end, nodes = certificate_from_json(certificate)
     except ValueError as exc:

@@ -243,7 +243,7 @@ def _read_witness(spec: ProblemSpec, key: Callable, obj: dict) -> tuple:
     if low:
         raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
     total = sum(m for _, m in pairs)
-    if total != (spec.k if color is Color.RED else spec.l):
+    if total != spec.arity(color):
         raise ValueError(f"witness arity {total} does not match the {color.value} "
                          f"equation of (k={spec.k}, l={spec.l})")
     return color, tuple(pairs), x0

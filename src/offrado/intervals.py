@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .equations import Color, ProblemSpec, SolutionWitness, Verdict
+from .equations import Color, ProblemSpec, SolutionWitness, Verdict, formula_continuous
 from .serialize import exact_fraction, format_rational, parse_rational
 
 
@@ -356,15 +356,15 @@ def verify_coloring(coloring: ContinuousColoring, spec: ProblemSpec) -> Verdict:
 
 
 def lower_bound_coloring(spec: ProblemSpec) -> ContinuousColoring:
-    """The extremal two-block coloring of [gamma, gamma*S), S = kl + k - 1:
-    red on [gamma, gamma*k) and [gamma*kl, gamma*S), blue between them.
+    """The extremal two-block coloring of [gamma, S), S = ``formula_continuous``:
+    red on [gamma, gamma*k) and [gamma*kl, S), blue between them.
 
     Red sums of k small reds land in the blue block; any red sum using the
     high block overshoots the domain; blue sums of l mid values land at or
     beyond gamma*kl where red has taken over.
     """
     g, k, l = spec.gamma, spec.k, spec.l
-    s = g * (k * l + k - 1)
+    s = formula_continuous(k, l, g)
     red = normalize([Interval(g, g * k), Interval(g * k * l, s)])
     blue = normalize([Interval(g * k, g * k * l)])
     return ContinuousColoring(Interval(g, s), red, blue)
@@ -389,7 +389,7 @@ def boundary_witnesses(spec: ProblemSpec) -> tuple[SolutionWitness, SolutionWitn
     extension.  Scales homogeneously with gamma.
     """
     g, k, l = spec.gamma, spec.k, spec.l
-    s = g * (k * l + k - 1)
+    s = formula_continuous(k, l, g)
     red = SolutionWitness(Color.RED, ((g, k - 1), (g * k * l, 1)), s)
     blue = SolutionWitness(Color.BLUE, ((g * k, l - 1), (g * (2 * k - 1), 1)), s)
     return red, blue

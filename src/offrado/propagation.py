@@ -17,12 +17,14 @@ open branches on an explicit stack, not the interpreter's.
 ``propagate_masks`` lists no clause: the clauses of color c are exactly the
 solutions, so unit forcing is read from the m-fold sumsets of c's own mask
 on a ``SumsetSystem``.  Every command runs on it.  It hands back handles for
-its forcings and conflicts, and a handle is decoded only on demand, into the
-sorted ids of its least solution (``_least_parts``): the certificate writer
-formats those ids as "p/d" strings itself, so neither the hot loops nor the
-emitted steps touch a Fraction.  ``ClauseSystem`` indexes a listed clause set
-and propagates over it; it is the reference the kernel-equivalence test
-compares against, and no command runs it.
+its forcings and conflicts, and a handle is decoded only on demand, by
+``SumsetHandle.parts``, into the sorted ids of its least solution: the
+certificate writer formats those ids as "p/d" strings, so neither the hot
+loops nor the emitted steps touch a Fraction.  ``least_parts`` decodes the
+least solution inside a mask; the discrete re-check's own sumsets give its
+verdict, and it only names the witness with it.  ``ClauseSystem`` indexes a
+listed clause set and propagates over it; it is the reference the
+kernel-equivalence test compares against, and no command runs it.
 """
 
 from __future__ import annotations
@@ -165,10 +167,11 @@ def _forced(layers: list[int], own: int, free: int, m: int) -> int:
     return forced
 
 
-def _least_parts(own: int, r: int) -> Optional[tuple[int, ...]]:
+def least_parts(own: int, r: int) -> Optional[tuple[int, ...]]:
     """The least sorted r-tuple of ids of ``own`` whose sum is also in
     ``own``, or None, found by walking back down the sumset layers: each part
-    is the least id of ``own`` from which the rest can still hit ``own``."""
+    is the least id of ``own`` from which the rest can still hit ``own``, so
+    it is the first solution inside ``own`` in ``solution_clauses`` order."""
     layers = _sumset_layers(own, r, (1 << own.bit_length()) - 1)
     if not layers[r] & own:
         return None
@@ -199,14 +202,10 @@ class SumsetHandle(NamedTuple):
     own: int
     var: Optional[int]
 
-    def clause(self) -> Clause:
+    def parts(self) -> tuple[int, ...]:
+        """The sorted left-hand ids of the solution; x0 is their sum."""
         own = self.own if self.var is None else self.own | 1 << self.var
-        left = _least_parts(own, self.arity)
-        x0 = sum(left)
-        mask = 1 << x0
-        for p in left:
-            mask |= 1 << p
-        return Clause(self.color, left, x0, mask)
+        return least_parts(own, self.arity)
 
 
 class SumsetSystem:

@@ -6,8 +6,9 @@ reproducible.  Unit forcing is read from the m-fold sumsets of each color
 class, so no searched n lists its clauses.  A ``DiscreteColoring`` holds the
 kernel's own (red, blue) bitmasks, bit i for the integer i, so models,
 re-checks and propagation pass masks without converting.  Two checks share no
-inference code with the search: ``is_valid_discrete`` re-checks a coloring
-with its own shift-OR sumsets, and a bit-sliced sweep over all 2^n colorings,
+inference code with the search: ``is_valid_discrete`` decides a coloring with
+its own shift-OR sumsets, ``_sums_hit``, and only names the witness of a hit
+with ``propagation.least_parts``; a bit-sliced sweep over all 2^n colorings,
 on plain ints, serves as the independent oracle (and as the
 ``--no-propagation`` mode).
 """
@@ -27,7 +28,7 @@ from .equations import (
     Verdict,
     formula_discrete,
 )
-from .propagation import Satisfiable, SumsetSystem, dpll, solution_clauses
+from .propagation import Satisfiable, SumsetSystem, dpll, least_parts, solution_clauses
 
 BRUTE_FORCE_LIMIT = 26  # 2^n sweep; past this the oracle mode refuses rather than hangs
 # Candidates per sweep int, a power of two: wider ints cost more per AND,
@@ -161,19 +162,20 @@ def is_valid_discrete(coloring: DiscreteColoring, spec: ProblemSpec) -> Verdict:
     """WitnessFound on the first all-red k-solution or all-blue l-solution,
     in enumeration order (red stream first); Valid otherwise.
 
-    The verdict comes from m-fold sums of each color mask on plain ints; only
-    the first color with a hit has its solutions walked, lazily, to name the
-    first witness.
+    The verdict is ``_sums_hit``'s, m-fold sums of each color mask on plain
+    ints.  Only the name of the witness, for the first color with a hit,
+    comes from ``least_parts``: the least solution inside that color's mask,
+    the first in enumeration order.
     """
     if not coloring.is_total:
         raise ValueError("coloring must be total")
     for color, own in ((Color.RED, coloring.red), (Color.BLUE, coloring.blue)):
         m = spec.arity(color)
         if _sums_hit(own, m, coloring.n):
-            for clause in solution_clauses(color, m, 1, coloring.n):
-                if clause.mask & ~own == 0:
-                    return Verdict(clause.witness())
-            raise RuntimeError("sumsets and solution enumeration disagree")
+            parts = least_parts(own, m)
+            if parts is None:
+                raise RuntimeError("sumsets and least_parts disagree")
+            return Verdict(SolutionWitness.from_values(color, parts, sum(parts)))
     return Verdict()
 
 

@@ -1,10 +1,13 @@
-"""Rational string forms and canonical JSON shared by every file format."""
+"""Rational string forms and canonical JSON shared by every file format.
+Every rational is written by ``format_ratio``, from a numerator and a
+denominator: grid ids p over d, or a ``Fraction`` via ``format_rational``."""
 
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -22,9 +25,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+def format_ratio(p: int, q: int) -> str:
+    """The value p/q, for q > 0, as "p/q" in lowest terms, or the bare
+    integer when q divides p."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms "p/q", or the bare integer when q = 1."""
-    return str(Fraction(value))
+    """``format_ratio`` of the value's numerator and denominator."""
+    value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
 
 
 def exact_fraction(value) -> Fraction:

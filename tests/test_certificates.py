@@ -43,7 +43,7 @@ from offrado.checker import (
 )
 from offrado import certificates, checker, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
-from offrado.propagation import Satisfiable, dpll
+from offrado.propagation import Satisfiable, SumsetHandle, dpll
 from offrado.search import search_valid
 from offrado.serialize import canonical_json, format_rational, parse_rational
 
@@ -642,6 +642,79 @@ class TestCheckerModule:
         assert defined == Counter({(name, "checker"): 1 for name in self.MOVED})
 
 
+class TestOneStatementPerDecision:
+    """Each decision that several modules need is stated in one module of the
+    package, found in the sources: the others call it."""
+
+    PACKAGE = Path(checker.__file__).resolve().parent
+
+    def modules_where(self, found):
+        """The modules of the package with some syntax node that ``found``
+        accepts."""
+        return {
+            path.stem
+            for path in sorted(self.PACKAGE.glob("*.py"))
+            if any(map(found, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        }
+
+    def test_certificates_imports_no_private_name_from_propagation(self):
+        tree = ast.parse((self.PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+        names = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("propagation")
+            for alias in node.names
+        ]
+        assert names and not [name for name in names if name.startswith("_")], names
+
+    def test_the_continuous_value_is_computed_in_equations(self):
+        # x * y + x - 1, whatever x and y are called: the suite restates it as
+        # the independent check of formula_continuous
+        def s_r(node):
+            return (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.right, ast.Constant) and node.right.value == 1
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                and isinstance(node.left.left, ast.BinOp)
+                and isinstance(node.left.left.op, ast.Mult)
+                and ast.dump(node.left.left.left) == ast.dump(node.left.right)
+            )
+
+        assert self.modules_where(s_r) == {"equations", "suite"}
+
+    def test_the_arity_of_a_color_is_read_in_equations(self):
+        # x.k if ... else x.l
+        def arity(node):
+            return (
+                isinstance(node, ast.IfExp)
+                and isinstance(node.body, ast.Attribute) and node.body.attr == "k"
+                and isinstance(node.orelse, ast.Attribute) and node.orelse.attr == "l"
+            )
+
+        assert self.modules_where(arity) == {"equations"}
+
+    def test_a_rational_is_written_in_serialize(self):
+        # f"{p}/{q}"
+        def ratio(node):
+            return isinstance(node, ast.JoinedStr) and any(
+                isinstance(a, ast.FormattedValue) and isinstance(b, ast.Constant)
+                and b.value == "/" and isinstance(c, ast.FormattedValue)
+                for a, b, c in zip(node.values, node.values[1:], node.values[2:])
+            )
+
+        assert self.modules_where(ratio) == {"serialize"}
+
+    def test_a_solution_inside_a_mask_is_decoded_in_propagation(self):
+        # a handle's mask is read, and the decoder defined, only there
+        def decoder(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "own") or (
+                isinstance(node, ast.FunctionDef) and node.name.endswith("least_parts")
+            )
+
+        assert self.modules_where(decoder) == {"propagation"}
+        assert not hasattr(SumsetHandle, "clause")
+
+
 def test_branch_node_emits_past_the_recursion_limit():
     # the emitter nests flat pre-order nodes in one loop: a 4000-split spine,
     # each split's first child a fork of two leaves, emits in pre-order, first
@@ -665,9 +738,18 @@ def test_branch_node_emits_past_the_recursion_limit():
     assert depth == 4000 and node == closing
 
 
+def handle_witness(handle, d):
+    """The exact SolutionWitness of the handle's solution on the 1/d grid,
+    built from ``handle.parts()`` in Fractions."""
+    parts = handle.parts()
+    return SolutionWitness.from_values(
+        handle.color, [Fraction(p, d) for p in parts], Fraction(sum(parts), d)
+    )
+
+
 def reference_branch_node(nodes, d):
     """The emitter as it was on Fractions, the reference of the int one: each
-    handle decoded into its clause's exact SolutionWitness, written by
+    handle decoded into its exact SolutionWitness, written by
     ``SolutionWitness.as_json``, and each point by ``format_rational``."""
     open_lists = [[]]
     for level, var, color, forcings, conflict in nodes:
@@ -677,13 +759,13 @@ def reference_branch_node(nodes, d):
                 {
                     "point": format_rational(Fraction(v, d)),
                     "forced": h.color.opposite.value,
-                    "witness": h.clause().witness(d).as_json(),
+                    "witness": handle_witness(h, d).as_json(),
                 }
                 for v, h in forcings
             ],
         }
         if conflict is not None:
-            node["contradiction"] = conflict.clause().witness(d).as_json()
+            node["contradiction"] = handle_witness(conflict, d).as_json()
         else:
             node["children"] = children = []
             open_lists[level + 1:] = [children]
@@ -739,6 +821,11 @@ def test_auto_prove_builds_no_fraction_or_solution_witness(monkeypatch):
         init(self, *args)
 
     spec = ProblemSpec(3, 4)
+    # the grid's top id is read from formula_continuous, a Fraction, once per
+    # grid: the grid is built first, so what is counted is the search and the
+    # writer of its nodes
+    system = _grid_system(spec, 2)
+    monkeypatch.setattr(certificates, "_grid_system", lambda spec, d: system)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(SolutionWitness, "__init__", counted_init)
     Fraction(1, 2)

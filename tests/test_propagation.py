@@ -305,6 +305,16 @@ def sumset_states(draw):
     return k, l, lo, top, red, blue
 
 
+def handle_clause(handle):
+    """The handle's solution as a ``Clause``, built from ``handle.parts()``."""
+    parts = handle.parts()
+    x0 = sum(parts)
+    mask = 1 << x0
+    for p in parts:
+        mask |= 1 << p
+    return Clause(handle.color, parts, x0, mask)
+
+
 def first_clause(handle, lo, top):
     """The first clause in generator order whose entries other than the
     handle's var all lie in its mask, and that contains the var."""
@@ -335,7 +345,7 @@ def test_sumset_propagation_matches_the_clause_kernel(state):
         if var is not None:
             assert (blue if handle.color is Color.RED else red) >> var & 1  # the opposite color
             assert first_clause(handle._replace(var=None), lo, top) is None  # own holds no solution
-        witness = handle.clause().witness(lo)
+        witness = handle_clause(handle).witness(lo)
         # a real solution: arity parts summing to x0, on ids lo..top
         parts = [v * lo for v, mult in witness.left for _ in range(mult)]
         assert witness.color is handle.color and len(parts) == handle.arity
@@ -346,7 +356,7 @@ def test_sumset_propagation_matches_the_clause_kernel(state):
         assert all(handle.own >> i & 1 for i in ids - {var})
         assert var is None or var in ids
         clause = first_clause(handle, lo, top)
-        assert handle.clause() == clause
+        assert handle_clause(handle) == clause
         assert witness == clause.witness(lo)
 
 

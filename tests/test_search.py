@@ -72,6 +72,18 @@ class TestIsValid:
         with pytest.raises(ValueError):
             is_valid_discrete(DiscreteColoring(3, 0, 0), ProblemSpec(2, 2))
 
+    def test_names_the_witness_without_walking_the_solutions(self, monkeypatch):
+        # red {1..4} holds no 5-solution; blue {5..200} holds 5 * 30 = 150, the
+        # least one, and a walk in enumeration order reaches it only after
+        # every sorted 30-tuple that starts lower
+        def walk(*args):
+            raise AssertionError("the re-check walked the solutions")
+
+        monkeypatch.setattr(search, "solution_clauses", walk)
+        c = DiscreteColoring.from_sets(200, range(1, 5), range(5, 201))
+        verdict = is_valid_discrete(c, ProblemSpec(5, 30))
+        assert verdict.witness.as_json() == {"color": "blue", "left": [["5", 30]], "x0": "150"}
+
 
 def first_monochromatic(coloring, spec):
     """The first all-red k-solution, else the first all-blue l-solution, in
@@ -177,7 +189,8 @@ class TestPropagate:
         result = propagate(ProblemSpec(2, 3), DiscreteColoring.from_sets(7, {1}, ()))
         assert not isinstance(result, DiscreteColoring)
         assert result.color is Color.BLUE
-        witness = result.clause().witness()
+        parts = result.parts()
+        witness = SolutionWitness.from_values(Color.BLUE, parts, sum(parts))
         assert witness.color is Color.BLUE and check_witness(ProblemSpec(2, 3), witness)
         assert all(result.own >> int(v) & 1 for v in {witness.x0, *dict(witness.left)})
 

@@ -4,9 +4,13 @@ automatic prover, assembled by ``certify_upper``.
 A certificate's document is the decoded JSON that ``certify-upper --out``
 writes: a dict of ``spec``, ``domain_end`` and ``root``, the pair of branch
 nodes, where a node is a dict of ``assume``, ``steps`` and either
-``contradiction`` or ``children``.  The builders write that form and no
-other, and check nothing themselves.  ``certify_upper`` never returns
-unchecked output: it runs the schema pass and the replay of
+``contradiction`` or ``children``.  Every branch is planned on the integer
+ids of its own 1/d grid (id p is p/d) and handed, in ``dpll``'s flat
+pre-order node form, to ``_branch_node``, the one writer of that form: the
+prover's refutations and the hand-built chains alike, whose witnesses are
+planned as (id, count) runs, so no ``Fraction`` is built for a node or a
+witness.  The builders check nothing themselves.  ``certify_upper`` never
+returns unchecked output: it runs the schema pass and the replay of
 ``offrado.checker`` once, on the document it assembled, and returns the
 tuples it read with the document, so what users get is what was checked.
 """
@@ -14,14 +18,13 @@ tuples it read with the document, so what users get is what was checked.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .checker import CertificateCheck, certificate_from_json, check_certificate
-from .equations import Color, ProblemSpec, SolutionWitness, formula_continuous
-from .propagation import Satisfiable, SumsetHandle, SumsetSystem, dpll
-from .serialize import exact_fraction, format_ratio, format_rational
+from .equations import Color, ProblemSpec, formula_continuous
+from .propagation import Satisfiable, SumsetSystem, dpll
+from .serialize import format_ratio, format_rational
 
 
 class UnprovedError(Exception):
@@ -49,86 +52,111 @@ class UnprovedError(Exception):
 # The file form
 
 
-def _node(
-    point: str,
-    color: Color,
-    steps: Iterable[tuple],
-    contradiction: Optional[dict],
-    children: Optional[list] = None,
-) -> dict:
-    """A branch node in its file form, from its assumption, its steps as
-    (point, forced color, witness), and how it ends: a contradiction witness,
-    or else ``children``, the list its two children go into.  Points are
-    rational strings and witnesses are in their file form already."""
-    node = {
-        "assume": {"point": point, "color": color.value},
-        "steps": [{"point": p, "forced": forced.value, "witness": w} for p, forced, w in steps],
-    }
-    if contradiction is not None:
-        node["contradiction"] = contradiction
-    else:
-        node["children"] = children
-    return node
-
-
 def _document(spec: ProblemSpec, domain_end, root: list[dict]) -> dict:
     return {"spec": spec.as_json(), "domain_end": format_rational(domain_end), "root": root}
+
+
+def _witness_json(color: Color, runs: list, d: int) -> dict:
+    """A witness's file form, from its color and its left side as sorted
+    (id, count) runs of distinct ids: one [value, count] pair per run and x0
+    their sum, each id p written as p/d in lowest terms."""
+    return {
+        "color": color.value,
+        "left": [[format_ratio(p, d), m] for p, m in runs],
+        "x0": format_ratio(sum(p * m for p, m in runs), d),
+    }
+
+
+def _witness(w, d: int) -> dict:
+    """``_witness_json`` of a node's witness: a built chain's ``_Plan``
+    carries its runs; an auto-proved handle's are its sorted parts, grouped."""
+    if type(w) is _Plan:
+        return _witness_json(w.color, w.runs, d)
+    return _witness_json(w.color, [(p, len(list(run))) for p, run in groupby(w.parts())], d)
+
+
+def _branch_node(nodes: list[tuple], d: int) -> dict:
+    """The file form of a refutation on the 1/d grid, and the only writer of
+    a node, from nodes in ``dpll``'s pre-order form (level, var, color,
+    forcings, conflict): ``open_lists[level]`` is the list that the next node
+    at that level goes into, so one loop nests them.  A forced point takes
+    the opposite of its witness's color.  Everything is written from ids, so
+    no ``Fraction`` is built."""
+    open_lists: list[list[dict]] = [[]]
+    for level, var, color, forcings, conflict in nodes:
+        steps = [
+            {"point": format_ratio(v, d), "forced": h.color.opposite.value, "witness": _witness(h, d)}
+            for v, h in forcings
+        ]
+        node = {"assume": {"point": format_ratio(var, d), "color": color.value}, "steps": steps}
+        if conflict is not None:
+            node["contradiction"] = _witness(conflict, d)
+        else:
+            node["children"] = children = []
+            open_lists[level + 1:] = [children]
+        open_lists[level].append(node)
+    return open_lists[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Hand-built chains
 
 
+class _Plan:
+    """A planned witness: its color and its left side as (id, count) runs,
+    merged by id, sorted, and without zero counts; a count is never
+    expanded into ids."""
+
+    __slots__ = ("color", "runs")
+
+    def __init__(self, color: Color, runs) -> None:
+        counts: Counter = Counter()
+        for p, m in runs:
+            counts[p] += m
+        self.color, self.runs = color, sorted((p, m) for p, m in counts.items() if m)
+
+
 class _ChainBuilder:
-    """Executes a planned forcing chain against its own accumulated state.
+    """Executes a forcing chain planned on the ids of its own grid against
+    its own accumulated state.  A witness is planned as (id, count) runs of
+    its left side; x0 is their sum, and a forcing's witness has the color
+    opposite to the forced one.
 
     Plans are written for the generic parameter values; for small parameters
-    the planned points can collide (the same value forced twice, or a point
-    that is already the other color).  A step whose point already has the
-    target color is skipped; a step whose point already carries the witness's
-    color short-circuits the branch, because that witness is then fully
+    the planned ids can collide (the same id forced twice, or an id that is
+    already the other color).  A step whose id already has the target color
+    is skipped; a step whose id already carries the witness's color
+    short-circuits the branch, because that witness is then fully
     monochromatic.  Nothing here checks a witness: a short-circuit is sound
     because ``certify_upper``'s check of the assembled document confirms it.
     """
 
-    def __init__(self, point, color: Color):
-        self.point = exact_fraction(point)
-        self.color = color
-        self.state: dict[Fraction, Color] = {self.point: color}
-        self.steps: list[tuple] = []  # (point, forced color, witness)
-        self.contradiction: Optional[SolutionWitness] = None
+    def __init__(self, var: int, color: Color):
+        self.var, self.color = var, color
+        self.state: dict[int, Color] = {var: color}
+        self.forcings: list[tuple[int, _Plan]] = []
+        self.conflict: Optional[_Plan] = None
 
-    @property
-    def closed(self) -> bool:
-        return self.contradiction is not None
-
-    def force(self, point, forced: Color, witness: SolutionWitness) -> None:
-        if self.closed:
+    def force(self, var: int, forced: Color, *runs: tuple) -> None:
+        current = self.state.get(var)
+        if self.conflict is not None or current is forced:
             return
-        point = exact_fraction(point)
-        current = self.state.get(point)
-        if current is forced:
-            return
+        witness = _Plan(forced.opposite, runs)
         if current is not None:  # already the witness color: monochromatic now
-            self.contradiction = witness
+            self.conflict = witness
             return
-        self.steps.append((point, forced, witness))
-        self.state[point] = forced
+        self.forcings.append((var, witness))
+        self.state[var] = forced
 
-    def close(self, witness: SolutionWitness) -> None:
-        if not self.closed:
-            self.contradiction = witness
+    def close(self, color: Color, *runs: tuple) -> None:
+        if self.conflict is None:
+            self.conflict = _Plan(color, runs)
 
-    def node(self) -> dict:
-        if not self.closed:
+    def node(self, d: int) -> dict:
+        """The chain as one leaf on the 1/d grid, written by ``_branch_node``."""
+        if self.conflict is None:
             raise RuntimeError("chain did not reach a contradiction")
-        steps = [(format_rational(p), forced, w.as_json()) for p, forced, w in self.steps]
-        return _node(format_rational(self.point), self.color, steps, self.contradiction.as_json())
-
-
-def _w(color: Color, pairs: Iterable[tuple], x0) -> SolutionWitness:
-    kept = tuple((exact_fraction(v), m) for v, m in pairs if m != 0)
-    return SolutionWitness(color, kept, exact_fraction(x0))
+        return _branch_node([(0, self.var, self.color, self.forcings, self.conflict)], d)
 
 
 def build_k2_certificate(l: int) -> dict:
@@ -136,33 +164,33 @@ def build_k2_certificate(l: int) -> dict:
 
     The red-start branch walks 2, 2l, 2l+1, 2l-1 and then pins 3/2 and 5/2
     red through solutions that use each of them twice, ending in the red
-    solution 1 + 3/2 = 5/2; the blue-start branch stays on integers.
+    solution 1 + 3/2 = 5/2; it is planned on halves, id p for p/2.  The
+    blue-start branch stays on integers.
     """
     if not isinstance(l, int) or l < 2:
         raise ValueError(f"need an integer l >= 2, got {l!r}")
     spec = ProblemSpec(2, l)
-    half3, half5 = Fraction(3, 2), Fraction(5, 2)
 
-    red = _ChainBuilder(1, Color.RED)
-    red.force(2, Color.BLUE, _w(Color.RED, [(1, 2)], 2))
-    red.force(2 * l, Color.RED, _w(Color.BLUE, [(2, l)], 2 * l))
-    red.force(2 * l + 1, Color.BLUE, _w(Color.RED, [(1, 1), (2 * l, 1)], 2 * l + 1))
-    red.force(2 * l - 1, Color.BLUE, _w(Color.RED, [(1, 1), (2 * l - 1, 1)], 2 * l))
-    red.force(half3, Color.RED, _w(Color.BLUE, [(2, l - 2), (half3, 2)], 2 * l - 1))
-    red.force(half5, Color.RED, _w(Color.BLUE, [(2, l - 2), (half5, 2)], 2 * l + 1))
-    red.close(_w(Color.RED, [(1, 1), (half3, 1)], half5))
+    red = _ChainBuilder(2, Color.RED)
+    red.force(4, Color.BLUE, (2, 2))
+    red.force(4 * l, Color.RED, (4, l))
+    red.force(4 * l + 2, Color.BLUE, (2, 1), (4 * l, 1))
+    red.force(4 * l - 2, Color.BLUE, (2, 1), (4 * l - 2, 1))
+    red.force(3, Color.RED, (4, l - 2), (3, 2))
+    red.force(5, Color.RED, (4, l - 2), (5, 2))
+    red.close(Color.RED, (2, 1), (3, 1))
 
     blue = _ChainBuilder(1, Color.BLUE)
-    blue.force(l, Color.RED, _w(Color.BLUE, [(1, l)], l))
-    blue.force(2 * l, Color.BLUE, _w(Color.RED, [(l, 2)], 2 * l))
-    blue.force(2, Color.RED, _w(Color.BLUE, [(2, l)], 2 * l))
-    blue.force(4, Color.BLUE, _w(Color.RED, [(2, 2)], 4))
-    blue.force(l + 2, Color.BLUE, _w(Color.RED, [(2, 1), (l, 1)], l + 2))
-    blue.force(3, Color.RED, _w(Color.BLUE, [(1, l - 1), (3, 1)], l + 2))
-    blue.force(l + 3, Color.RED, _w(Color.BLUE, [(1, l - 1), (4, 1)], l + 3))
-    blue.close(_w(Color.RED, [(3, 1), (l, 1)], l + 3))
+    blue.force(l, Color.RED, (1, l))
+    blue.force(2 * l, Color.BLUE, (l, 2))
+    blue.force(2, Color.RED, (2, l))
+    blue.force(4, Color.BLUE, (2, 2))
+    blue.force(l + 2, Color.BLUE, (2, 1), (l, 1))
+    blue.force(3, Color.RED, (1, l - 1), (3, 1))
+    blue.force(l + 3, Color.RED, (1, l - 1), (4, 1))
+    blue.close(Color.RED, (3, 1), (l, 1))
 
-    return _document(spec, formula_continuous(2, l), [red.node(), blue.node()])
+    return _document(spec, formula_continuous(2, l), [red.node(2), blue.node(1)])
 
 
 class ResidueParams(NamedTuple):
@@ -214,36 +242,22 @@ def build_blue1_certificate(spec: ProblemSpec) -> dict:
     params = residue_params(k, l)
 
     chain = _ChainBuilder(1, Color.BLUE)
-    chain.force(l, Color.RED, _w(Color.BLUE, [(1, l)], l))
-    chain.force(k * l, Color.BLUE, _w(Color.RED, [(l, k)], k * l))
-    chain.force(k, Color.RED, _w(Color.BLUE, [(k, l)], k * l))
-    chain.force(
-        l + 1, Color.RED, _w(Color.BLUE, [(1, l - k + 1), (l + 1, k - 1)], k * l)
-    )
-    chain.force(
-        params.mixed_sum,
-        Color.BLUE,
-        _w(Color.RED, [(k, k - params.mix_count), (l, params.mix_count)], params.mixed_sum),
-    )
+    chain.force(l, Color.RED, (1, l))
+    chain.force(k * l, Color.BLUE, (l, k))
+    chain.force(k, Color.RED, (k, l))
+    chain.force(l + 1, Color.RED, (1, l - k + 1), (l + 1, k - 1))
+    chain.force(params.mixed_sum, Color.BLUE, (k, k - params.mix_count), (l, params.mix_count))
     if params.residue == 0:
-        chain.close(_w(Color.BLUE, [(1, l - 1), (params.mixed_sum, 1)], k * l))
+        chain.close(Color.BLUE, (1, l - 1), (params.mixed_sum, 1))
     else:
         chain.force(
-            2,
-            Color.RED,
-            _w(
-                Color.BLUE,
-                [(1, l - params.residue - 1), (2, params.residue), (params.mixed_sum, 1)],
-                k * l,
-            ),
+            2, Color.RED, (1, l - params.residue - 1), (2, params.residue), (params.mixed_sum, 1)
         )
-        chain.force(2 * k, Color.BLUE, _w(Color.RED, [(2, k)], 2 * k))
-        chain.force(
-            2 * k + l - 1, Color.BLUE, _w(Color.RED, [(2, k - 1), (l + 1, 1)], 2 * k + l - 1)
-        )
-        chain.close(_w(Color.BLUE, [(1, l - 1), (2 * k, 1)], 2 * k + l - 1))
+        chain.force(2 * k, Color.BLUE, (2, k))
+        chain.force(2 * k + l - 1, Color.BLUE, (2, k - 1), (l + 1, 1))
+        chain.close(Color.BLUE, (1, l - 1), (2 * k, 1))
 
-    return chain.node()
+    return chain.node(1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,36 +269,6 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
     ``formula_continuous``: ids d..S*d, where id p stands for the value p/d."""
     top = int(formula_continuous(spec.k, spec.l) * denominator)
     return SumsetSystem(spec.k, spec.l, denominator, top)
-
-
-def _witness_json(handle: SumsetHandle, d: int) -> dict:
-    """``SolutionWitness.as_json`` of the handle's solution on the 1/d grid:
-    its sorted ids come from ``SumsetHandle.parts``, and each run of equal
-    ids is one [value, count] pair."""
-    parts = handle.parts()
-    return {
-        "color": handle.color.value,
-        "left": [[format_ratio(p, d), len(list(run))] for p, run in groupby(parts)],
-        "x0": format_ratio(sum(parts), d),
-    }
-
-
-def _branch_node(nodes: list[tuple], d: int) -> dict:
-    """The file form of a DPLL refutation on the 1/d grid, from its nodes in
-    pre-order: ``open_lists[level]`` is the list that the next node at that
-    level goes into, so one loop nests them.  It is written from ids alone,
-    each witness from the handle's mask, so no ``Fraction`` is built."""
-    open_lists: list[list[dict]] = [[]]
-    for level, var, color, forcings, conflict in nodes:
-        steps = [(format_ratio(v, d), h.color.opposite, _witness_json(h, d)) for v, h in forcings]
-        point = format_ratio(var, d)
-        if conflict is not None:
-            open_lists[level].append(_node(point, color, steps, _witness_json(conflict, d)))
-        else:
-            children: list[dict] = []
-            open_lists[level].append(_node(point, color, steps, None, children))
-            open_lists[level + 1:] = [children]
-    return open_lists[0][0]
 
 
 def auto_prove(

@@ -41,6 +41,23 @@ def _points(n: int) -> int:
     return (1 << (n + 1)) - 2
 
 
+def _point(value, n: int) -> Optional[int]:
+    """The integer of {1..n} that ``value`` equals, an int or an equal
+    non-int such as 2.0, else None.  One ``int()`` per value: no set of the
+    range is built, and no ``range`` is scanned, as it is for a non-int."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == value and 1 <= i <= n else None
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a non-negative ``mask``, ascending, read from one
+    ``bin`` string: linear in its length, where a shift per bit is not."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class DiscreteColoring(namedtuple("DiscreteColoring", "n red blue")):
     """Assignment on {1..n} as the kernel's bitmasks: bit i of ``red`` (of
     ``blue``) means the integer i is red (blue).  A point in neither mask is
@@ -60,18 +77,17 @@ class DiscreteColoring(namedtuple("DiscreteColoring", "n red blue")):
     @classmethod
     def from_sets(cls, n: int, red, blue) -> "DiscreteColoring":
         red, blue = set(red), set(blue)
-        if not red | blue <= set(range(1, n + 1)):
+        bits = {x: _point(x, n) for x in red | blue}
+        if None in bits.values():
             raise ValueError("sets must lie in {1..n}")
-        # the range check admits equal non-ints such as 2.0; int() gives their bit
-        return cls(n, sum(1 << int(i) for i in red), sum(1 << int(i) for i in blue))
+        return cls(n, sum(1 << bits[x] for x in red), sum(1 << bits[x] for x in blue))
 
     @property
     def is_total(self) -> bool:
         return self.red | self.blue == _points(self.n)
 
     def values_of(self, color: Color) -> tuple[int, ...]:
-        mask = self.red if color is Color.RED else self.blue
-        return tuple(i for i in range(1, self.n + 1) if mask >> i & 1)
+        return tuple(_members(self.red if color is Color.RED else self.blue))
 
     def as_json(self) -> dict:
         return {
@@ -148,7 +164,7 @@ def _sums_hit(own: int, m: int, n: int) -> bool:
     member.  Bit s of ``sums`` is set when j members sum to s; each round
     shift-ORs it by every member and cuts it at n.  Written apart from
     ``propagation``'s layers, so the re-check shares no code with the kernel."""
-    members = [x for x in range(1, n + 1) if own >> x & 1]
+    members = _members(own)
     cut = (1 << (n + 1)) - 1
     sums = 1
     for _ in range(m):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -27,7 +28,6 @@ from offrado.certificates import (
     _ChainBuilder,
     _branch_node,
     _grid_system,
-    _w,
 )
 from offrado.checker import (
     CertificateCheck,
@@ -268,23 +268,24 @@ class TestBlueStartBranch:
 
 class TestChainBuilder:
     """The builder checks no witness: the replay of its document is what
-    refuses a plan whose witness has an entry not yet colored."""
+    refuses a plan whose witness has an entry not yet colored.  The plans
+    are on integer ids, d = 1."""
 
     spec = ProblemSpec(2, 3)
 
     def replay(self, chain):
-        return replay_branch(self.spec, 7, chain.node())
+        return replay_branch(self.spec, 7, chain.node(1))
 
     def test_force_with_uncolored_entry_fails(self):
         chain = _ChainBuilder(1, RED)
-        chain.force(4, BLUE, _w(RED, [(2, 2)], 4))  # 2 is not colored
-        chain.close(_w(RED, [(1, 2)], 2))
+        chain.force(4, BLUE, (2, 2))  # 2 is not colored
+        chain.close(RED, (1, 2))
         check = self.replay(chain)
         assert check.failure == CheckFailure(("1=red",), 0, "entry 2 is not already colored red")
 
     def test_close_with_uncolored_entry_fails(self):
         chain = _ChainBuilder(1, RED)
-        chain.close(_w(RED, [(1, 1), (2, 1)], 3))
+        chain.close(RED, (1, 1), (2, 1))
         check = self.replay(chain)
         assert check.failure == CheckFailure(("1=red",), None, "contradiction entry 2 is not colored red")
 
@@ -292,16 +293,17 @@ class TestChainBuilder:
         # 1 is already red, the witness color, so force short-circuits to a
         # contradiction whose entries 2 and 3 are not colored
         chain = _ChainBuilder(1, RED)
-        chain.force(1, BLUE, _w(RED, [(1, 1), (2, 1)], 3))
-        assert chain.steps == [] and chain.closed
+        chain.force(1, BLUE, (1, 1), (2, 1))
+        assert chain.forcings == []
+        assert (chain.conflict.color, chain.conflict.runs) == (RED, [(1, 1), (2, 1)])
         check = self.replay(chain)
         assert check.failure == CheckFailure(("1=red",), None, "contradiction entry 2 is not colored red")
 
     def test_builder_check_turns_a_bad_plan_into_an_internal_fault(self, monkeypatch):
         chain = _ChainBuilder(1, RED)
-        chain.close(_w(RED, [(1, 1), (2, 1)], 3))
+        chain.close(RED, (1, 1), (2, 1))
         good = build_k2_certificate(3)
-        bad = {**good, "root": [chain.node(), good["root"][1]]}
+        bad = {**good, "root": [chain.node(1), good["root"][1]]}
         monkeypatch.setattr(certificates, "build_k2_certificate", lambda l: bad)
         with pytest.raises(RuntimeError, match="failed its own check"):
             certify_upper(self.spec)
@@ -398,9 +400,8 @@ class TestCertifyUpper:
         # certify_upper checks the document it assembled on every assembly
         # path, so a fault in what the builders emit is an internal fault
         # (exit 70), never the invalid input of a schema error (64) nor a
-        # failed verification (1).  The built chains write their witnesses
-        # through SolutionWitness.as_json, the auto-proved branches through
-        # _witness_json; both are damaged
+        # failed verification (1).  The built chains and the auto-proved
+        # branches write every witness through _witness_json, which is damaged
         def damaged(write):
             def broken(*args):
                 out = write(*args)
@@ -412,7 +413,6 @@ class TestCertifyUpper:
 
             return broken
 
-        monkeypatch.setattr(SolutionWitness, "as_json", damaged(SolutionWitness.as_json))
         monkeypatch.setattr(certificates, "_witness_json", damaged(certificates._witness_json))
         for argv in PATHS:
             code = cli.main(["certify-upper", *argv])
@@ -714,6 +714,29 @@ class TestOneStatementPerDecision:
         assert self.modules_where(decoder) == {"propagation"}
         assert not hasattr(SumsetHandle, "clause")
 
+    def test_certificates_plan_on_ids_and_write_nodes_in_one_place(self):
+        # no exact rational reaches the builders or the prover, and only
+        # _branch_node builds a node's file form, a dict with an "assume" key
+        tree = ast.parse((self.PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+        imported = {
+            (node.module or "", alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not [pair for pair in imported if "fractions" in pair], imported
+        assert not {name for _, name in imported} & {"SolutionWitness", "exact_fraction"}
+        writers = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Dict)
+            and any(isinstance(key, ast.Constant) and key.value == "assume" for key in node.keys)
+        }
+        assert writers == {"_branch_node"}
+        assert not hasattr(certificates, "_w") and not hasattr(certificates, "_node")
+
 
 def test_branch_node_emits_past_the_recursion_limit():
     # the emitter nests flat pre-order nodes in one loop: a 4000-split spine,
@@ -835,6 +858,41 @@ def test_auto_prove_builds_no_fraction_or_solution_witness(monkeypatch):
     monkeypatch.undo()
     assert node is not None and not calls
     assert replay_branch(spec, 15, node).ok
+
+
+def test_default_assembly_builds_no_solution_witness(monkeypatch):
+    # the built chains are planned on ids and written by _branch_node, as the
+    # auto-proved branches are: the k = 2 chains, a built blue-start branch
+    # with an auto-proved red one, and the checker that reads them back
+    calls = Counter()
+    init = SolutionWitness.__init__
+
+    def counted_init(self, *args):
+        calls["SolutionWitness"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SolutionWitness, "__init__", counted_init)
+    SolutionWitness(RED, ((1, 2),), 2)
+    assert calls == {"SolutionWitness": 1}, "the counter is in place"
+    calls.clear()
+    for k, l in ((2, 5), (4, 6), (5, 6)):
+        certify_upper(ProblemSpec(k, l))
+    monkeypatch.undo()
+    assert not calls
+
+
+def test_built_chain_bytes_are_pinned():
+    # the canonical bytes of every k = 2 document for 2 <= l <= 60, then of
+    # every blue-start node for 3 <= k < l <= 30, as the Fraction-planned
+    # chains wrote them
+    digest = hashlib.sha256()
+    for l in range(2, 61):
+        digest.update((canonical_json(build_k2_certificate(l)) + "\n").encode("ascii"))
+    for k in range(3, 31):
+        for l in range(k + 1, 31):
+            node = build_blue1_certificate(ProblemSpec(k, l))
+            digest.update((canonical_json(node) + "\n").encode("ascii"))
+    assert digest.hexdigest() == "0775f1a02b7338d2693cf3fd929d215a34c4b372cb4cfc939580678d57e306cc"
 
 
 # ---------------------------------------------------------------------------
@@ -1438,6 +1496,20 @@ def test_hostile_denominators_stay_cheap():
     assert check.failure == CheckFailure(
         ("1=blue",), 2001, "witness fails arithmetic, arity, or domain-start check"
     )
+
+
+def test_a_huge_multiplicity_stays_one_run():
+    # the blue-start chain's first witness is 1 + ... + 1 = l, l ones: a plan
+    # keeps that count as a number and writes it as one [value, count] pair
+    l = 2**521 - 1
+    start = time.perf_counter()
+    node = build_blue1_certificate(ProblemSpec(3, l))
+    assert time.perf_counter() - start < 1.0
+    assert node["steps"][0] == {
+        "point": str(l),
+        "forced": "red",
+        "witness": {"color": "blue", "left": [["1", l]], "x0": str(l)},
+    }
 
 
 # The schema pass reads each distinct witness once and shares its tuple; the

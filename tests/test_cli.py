@@ -424,8 +424,8 @@ class TestCertificatePipeline:
         assert failure["reason"] == "contradiction fails arithmetic, arity, or domain-start check"
 
     def test_verify_certificate_builds_no_certificate_objects(self, capsys, monkeypatch):
-        # the command checks the decoded file's tuples; witness objects are
-        # for the builders
+        # the command checks the decoded file's tuples and builds no witness
+        # object
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"a {type(self).__name__} was built")
 
@@ -778,13 +778,15 @@ class TestInternalError:
         return doc["payload"]["error"]
 
     def test_certificate_emission_fault(self, capsys, monkeypatch):
-        as_json = SolutionWitness.as_json
-        monkeypatch.setattr(SolutionWitness, "as_json", lambda w: {**as_json(w), "note": "x"})
+        # (3, 4) pairs the built blue-start chain with an auto-proved red
+        # branch; both write their witnesses through _witness_json
+        write = certificates._witness_json
+        monkeypatch.setattr(certificates, "_witness_json", lambda *args: {**write(*args), "note": "x"})
         assert "failed its own check" in self.run_internal(capsys, "certify-upper", "3", "4")
 
     def test_auto_proved_emission_fault(self, capsys, monkeypatch):
         # both branches of (3, 3) are auto-proved, so their witnesses are
-        # written from ids by _witness_json, not by SolutionWitness.as_json
+        # written from ids by _witness_json
         write = certificates._witness_json
 
         def broken(*args):

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -421,7 +423,7 @@ class TestDiscreteColoring:
         with pytest.raises(ValueError, match="overlap"):
             DiscreteColoring.from_sets(3, red={2.0}, blue={2})
         # int() would truncate 2.5 to 2, so the range check must refuse it
-        for bad in ({4}, {2.5}):
+        for bad in ({4}, {0}, {2.5}, {"2"}, {None}, {float("nan")}):
             with pytest.raises(ValueError, match="must lie in"):
                 DiscreteColoring.from_sets(3, red=bad, blue=set())
         # the range is checked before the constructor sees any overlap
@@ -459,6 +461,29 @@ class TestDiscreteColoring:
         assert c.values_of(Color.RED) == tuple(sorted(red))
         assert c.values_of(Color.BLUE) == tuple(sorted(blue))
         assert c.is_total == (len(red) + len(blue) == n)
+
+    @property_settings
+    @given(st.integers(0, 2**300) | st.sets(st.integers(0, 3000)).map(lambda s: sum(1 << i for i in s)))
+    def test_members_reads_every_set_bit(self, mask):
+        # the one bit reader of values_of and _sums_hit, against a shift per bit
+        assert search._members(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def test_from_sets_tests_the_range_without_listing_it(self):
+        # a set of {1..10^7} took about 600 MB; the masks take about 2.5 MB
+        tracemalloc.start()
+        try:
+            c = DiscreteColoring.from_sets(10**7, [1], [2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c.n, c.red, c.blue) == (10**7, 2, 4)
+        assert peak < 16 * 2**20, peak
+        # nor scanned: `x in range(...)` walks the range for a float x, about
+        # 0.7 s per member near 10^7
+        start = time.perf_counter()
+        c = DiscreteColoring.from_sets(10**7, [float(10**7 - i) for i in range(5)], [1])
+        assert time.perf_counter() - start < 1.0
+        assert c.values_of(Color.RED) == tuple(range(10**7 - 4, 10**7 + 1))
 
     @property_settings
     @given(partial_colorings())

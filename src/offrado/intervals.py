@@ -2,21 +2,24 @@
 
 Endpoints carry closure flags because both kinds of domain occur: valid
 colorings live on the half-open [gamma, S) while every upper-bound claim is
-made over the closed [gamma, S].  Endpoint comparisons use (value, epsilon)
-keys, epsilon +1 for an open lower endpoint and -1 for an open upper endpoint,
-which makes "just after x" / "exactly x" / "just before x" totally ordered and
-turns merging and intersection into plain key comparisons.
+made over the closed [gamma, S].  Each end is ordered by a (value, flag) key
+that names a cut of the line: (v, False) just below v, (v, True) just above
+it.  An interval runs from its lower cut (lo, not lo_closed) to its upper cut
+(hi, hi_closed), so each rule is one key comparison: x is a member iff
+lo_key <= (x, False) < hi_key; an interval is empty iff lo_key >= hi_key; a
+later-starting interval touches one iff its lo_key <= that one's hi_key; and
+pieces tile a domain iff each starts at the cut where the one before it ends.
 
 The sum of two intervals is closed at an endpoint only when both contributing
 endpoints are closed; that rule is forced by set arithmetic, not a convention.
 
 The hot loops run on plain ints: m_fold_sumset, decompose_sum and
-verify_coloring scale the set once over one common denominator and work on
-int key pairs, the same (value, epsilon) keys with epsilon folded into the low
-bit (see _int_keys).  verify_coloring meets a class's sumset keys with the
-class's own keys and never builds the sumset's Intervals.  Fractions appear
-only at the boundary: in the Intervals and values returned, and in a
-witness's x0.
+verify_coloring scale the set once over one common denominator and fold each
+key into the int 2 * value + flag (_int_keys).  Folded ints compare as the
+key tuples do, so one merge (_merge) and one sweep (_meet) serve both.
+verify_coloring meets a class's sumset keys with the class's own keys and
+never builds the sumset's Intervals.  Fractions appear only at the boundary:
+in the Intervals and values returned, and in a witness's x0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .equations import Color, ProblemSpec, SolutionWitness, Verdict, formula_continuous
 from .serialize import exact_fraction, format_rational, parse_rational
@@ -41,7 +44,7 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         if not (isinstance(lo_closed, bool) and isinstance(hi_closed, bool)):
             raise ValueError("closure flags must be booleans")
         self = tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
-        if self._lo_key() > self._hi_key():
+        if self._lo_key() >= self._hi_key():
             raise ValueError(f"empty interval: {self}")
         return self
 
@@ -49,21 +52,16 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     def point(cls, value) -> "Interval":
         return cls(value, value, True, True)
 
-    def _lo_key(self) -> tuple[Fraction, int]:
-        return (self.lo, 0 if self.lo_closed else 1)
+    def _lo_key(self) -> tuple[Fraction, bool]:
+        """The lower cut: just below lo if the end is closed, else just above."""
+        return (self.lo, not self.lo_closed)
 
-    def _hi_key(self) -> tuple[Fraction, int]:
-        return (self.hi, 0 if self.hi_closed else -1)
+    def _hi_key(self) -> tuple[Fraction, bool]:
+        """The upper cut: just above hi if the end is closed, else just below."""
+        return (self.hi, self.hi_closed)
 
     def contains(self, x) -> bool:
-        x = exact_fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self._lo_key() <= (exact_fraction(x), False) < self._hi_key()
 
     __contains__ = contains
 
@@ -76,11 +74,8 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         )
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lower = max(self, other, key=Interval._lo_key)
-        upper = min(self, other, key=Interval._hi_key)
-        if lower._lo_key() > upper._hi_key():
-            return None
-        return Interval(lower.lo, upper.hi, lower.lo_closed, upper.hi_closed)
+        both = next(_meet([_keys(self)], [_keys(other)]), None)
+        return None if both is None else _from_keys(*both)
 
     def scale(self, factor) -> "Interval":
         factor = exact_fraction(factor)
@@ -96,18 +91,51 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
             return self.hi
         return (self.lo + self.hi) / 2
 
-    def _mergeable_with(self, other: "Interval") -> bool:
-        """Union with a later-starting interval is itself an interval."""
-        return other.lo < self.hi or (
-            other.lo == self.hi and (self.hi_closed or other.lo_closed)
-        )
-
     def __repr__(self) -> str:
-        return (
-            ("[" if self.lo_closed else "(")
-            + f"{format_rational(self.lo)},{format_rational(self.hi)}"
-            + ("]" if self.hi_closed else ")")
-        )
+        lo_bracket, hi_bracket = _CLOSURE_CODES[(self.lo_closed, self.hi_closed)]
+        return f"{lo_bracket}{format_rational(self.lo)},{format_rational(self.hi)}{hi_bracket}"
+
+
+def _keys(iv: Interval) -> tuple[tuple[Fraction, bool], tuple[Fraction, bool]]:
+    return iv._lo_key(), iv._hi_key()
+
+
+def _from_keys(lo_key: tuple, hi_key: tuple) -> Interval:
+    """The Interval between two cuts, each a (value, flag) key.  Every caller
+    passes the cuts of a nonempty piece, with Fraction values, merged or met
+    from checked Intervals or from their folded keys, so Interval's checks
+    are not run again."""
+    return tuple.__new__(Interval, (lo_key[0], hi_key[0], not lo_key[1], bool(hi_key[1])))
+
+
+def _merge(pairs: Iterable[tuple]) -> list[tuple]:
+    """Sorted key pairs (L, H), as tuples or folded ints, merged into canonical
+    ones: a pair whose L is at most the H before it touches that piece."""
+    merged: list[tuple] = []
+    for lo, hi in pairs:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _meet(ps: list[tuple], qs: list[tuple]) -> Iterator[tuple]:
+    """The overlaps of two canonical lists of key pairs, in order, in one
+    sweep: two pieces overlap iff the larger L is below the smaller H, and the
+    piece whose H is smaller is passed.  The overlaps are separated by a gap
+    of one list or the other, so they come out canonical."""
+    i = j = 0
+    while i < len(ps) and j < len(qs):
+        (p_lo, p_hi), (q_lo, q_hi) = ps[i], qs[j]
+        lo, hi = max(p_lo, q_lo), min(p_hi, q_hi)
+        if lo < hi:
+            yield lo, hi
+        if p_hi < q_hi:
+            i += 1
+        else:
+            j += 1
 
 
 _lo = itemgetter(0)  # an Interval's lo, as a bisect key
@@ -121,7 +149,7 @@ class IntervalSet(namedtuple("IntervalSet", "intervals")):
     def __new__(cls, intervals: Iterable[Interval] = ()) -> "IntervalSet":
         intervals = tuple(intervals)
         for a, b in zip(intervals, intervals[1:]):
-            if a._lo_key() > b._lo_key() or a._mergeable_with(b):
+            if a._hi_key() >= b._lo_key():
                 raise ValueError("interval set not canonical; use normalize()")
         return tuple.__new__(cls, (intervals,))
 
@@ -137,21 +165,9 @@ class IntervalSet(namedtuple("IntervalSet", "intervals")):
     __contains__ = contains
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """One sweep over both sets.  Each piece met is dropped once its upper
-        end is passed; pieces of the result are separated by a gap of one set
-        or the other, so they come out canonical."""
-        pieces = []
-        i = j = 0
-        while i < len(self.intervals) and j < len(other.intervals):
-            a, b = self.intervals[i], other.intervals[j]
-            both = a.intersect(b)
-            if both is not None:
-                pieces.append(both)
-            if a._hi_key() < b._hi_key():
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(pieces))
+        """One sweep over both sets (_meet)."""
+        meets = _meet(list(map(_keys, self.intervals)), list(map(_keys, other.intervals)))
+        return IntervalSet(tuple(_from_keys(lo, hi) for lo, hi in meets))
 
     def scale(self, factor) -> "IntervalSet":
         return IntervalSet(tuple(iv.scale(factor) for iv in self.intervals))
@@ -162,16 +178,7 @@ class IntervalSet(namedtuple("IntervalSet", "intervals")):
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Canonical form with the same membership predicate; idempotent."""
-    items = sorted(raw, key=Interval._lo_key)
-    merged: list[Interval] = []
-    for iv in items:
-        if merged and merged[-1]._mergeable_with(iv):
-            last = merged[-1]
-            upper = max(last, iv, key=Interval._hi_key)
-            merged[-1] = Interval(last.lo, upper.hi, last.lo_closed, upper.hi_closed)
-        else:
-            merged.append(iv)
-    return IntervalSet(tuple(merged))
+    return IntervalSet(tuple(_from_keys(lo, hi) for lo, hi in _merge(sorted(map(_keys, raw)))))
 
 
 def _scale_of(a: IntervalSet, *extra: Fraction) -> int:
@@ -180,20 +187,22 @@ def _scale_of(a: IntervalSet, *extra: Fraction) -> int:
     return math.lcm(*(x.denominator for x in ends + list(extra)))
 
 
-def _int_keys(a: IntervalSet, scale: int) -> list[tuple[int, int]]:
-    """Each interval of ``a`` as its int key pair (L, H) over ``scale``.
+def _fold(key: tuple[Fraction, bool], scale: int) -> int:
+    """A (value, flag) key as one int over ``scale``: 2 * value * scale + flag."""
+    value, flag = key
+    return 2 * (value.numerator * (scale // value.denominator)) + flag
 
-    With lo and hi scaled to ints, L = 2*lo + 1 if the lower end is open else
-    2*lo, and H = 2*hi + 1 if the upper end is closed else 2*hi.  Comparing L's
-    (or H's) orders the ends as the (value, epsilon) keys do; a scaled x is a
-    member iff L <= 2x < H; and a later-starting interval merges with this one
-    iff its L <= this H.
-    """
-    return [
-        (2 * (iv.lo.numerator * (scale // iv.lo.denominator)) + (not iv.lo_closed),
-         2 * (iv.hi.numerator * (scale // iv.hi.denominator)) + iv.hi_closed)
-        for iv in a.intervals
-    ]
+
+def _unfold(end: int, scale: int) -> tuple[Fraction, int]:
+    """The (value, flag) key that _fold folded into ``end``."""
+    return Fraction(end >> 1, scale), end & 1
+
+
+def _int_keys(a: IntervalSet, scale: int) -> list[tuple[int, int]]:
+    """Each interval of ``a`` as its int key pair (L, H) over ``scale``: its
+    two (value, flag) keys folded.  The ints order the ends as the keys do,
+    and a scaled x is a member iff L <= 2x < H."""
+    return [(_fold(iv._lo_key(), scale), _fold(iv._hi_key(), scale)) for iv in a.intervals]
 
 
 def _add_keys(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
@@ -208,14 +217,7 @@ def _m_fold_keys(keys: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
     the iterate stays small."""
     acc = keys
     for _ in range(m - 1):
-        merged: list[tuple[int, int]] = []
-        for lo, hi in sorted([_add_keys(p, q) for p in acc for q in keys]):
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        acc = merged
+        acc = _merge(sorted([_add_keys(p, q) for p in acc for q in keys]))
     return acc
 
 
@@ -235,33 +237,19 @@ def m_fold_sumset(a: IntervalSet, m: int) -> IntervalSet:
         raise ValueError(f"need m >= 1, got {m!r}")
     scale = _scale_of(a)
     return IntervalSet(tuple(
-        Interval(Fraction(lo >> 1, scale), Fraction(hi >> 1, scale), not lo & 1, bool(hi & 1))
+        _from_keys(_unfold(lo, scale), _unfold(hi, scale))
         for lo, hi in _m_fold_keys(_int_keys(a, scale), m)
     ))
 
 
 def _first_sum_member(a: IntervalSet, m: int) -> Optional[Fraction]:
     """The representative of the first piece of m_fold_sumset(a, m)
-    intersected with a, or None if they are disjoint.
-
-    The fold's key pairs meet a's in one sweep, as IntervalSet.intersect
-    does: two pieces overlap iff the larger L is below the smaller H, and the
-    piece whose H is smaller is passed.  Only the returned value is a Fraction.
-    """
+    intersected with a, or None if they are disjoint: the fold's key pairs
+    meet a's in one sweep (_meet).  Only the returned value is a Fraction."""
     scale = _scale_of(a)
     keys = _int_keys(a, scale)
-    sums = _m_fold_keys(keys, m)
-    i = j = 0
-    while i < len(sums) and j < len(keys):
-        (s_lo, s_hi), (a_lo, a_hi) = sums[i], keys[j]
-        lo, hi = max(s_lo, a_lo), min(s_hi, a_hi)
-        if lo < hi:
-            return Fraction(_twice_representative(lo, hi), 2 * scale)
-        if s_hi < a_hi:
-            i += 1
-        else:
-            j += 1
-    return None
+    first = next(_meet(_m_fold_keys(keys, m), keys), None)
+    return None if first is None else Fraction(_twice_representative(*first), 2 * scale)
 
 
 def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
@@ -280,7 +268,7 @@ def decompose_sum(a: IntervalSet, m: int, t) -> tuple[Fraction, ...]:
         raise ValueError(f"need m >= 1, got {m!r}")
     scale = _scale_of(a, t) << (m - 1)
     keys = _int_keys(a, scale)
-    twice_t = 2 * t.numerator * (scale // t.denominator)
+    twice_t = _fold((t, False), scale)
     for combo in combinations_with_replacement(keys, m):
         total = combo[0]
         for key in combo[1:]:
@@ -314,19 +302,16 @@ class ContinuousColoring(namedtuple("ContinuousColoring", "domain red blue")):
 
     def __new__(cls, domain: Interval, red: IntervalSet, blue: IntervalSet) -> "ContinuousColoring":
         # Each class is canonical, so sorting both is one merge of two runs.
-        # In that order two pieces meet iff some piece meets its successor,
-        # and the pieces cover the domain iff each one abuts the next and the
-        # ends match.  An overlap is reported ahead of a gap.
+        # The pieces tile the domain iff each starts at the cut where the one
+        # before it (first, the domain's start) ends, and the domain ends where
+        # the last piece does.  A piece starting below that cut overlaps the
+        # one before it; an overlap is reported ahead of a gap.
         pieces = sorted(red.intervals + blue.intervals, key=Interval._lo_key)
-        covered = bool(pieces) and (
-            pieces[0]._lo_key() == domain._lo_key()
-            and pieces[-1]._hi_key() == domain._hi_key()
-        )
-        for a, b in zip(pieces, pieces[1:]):
-            if b._lo_key() <= a._hi_key():
-                raise ValueError("red and blue classes overlap")
-            covered = covered and a._mergeable_with(b)
-        if not covered:
+        ends = [domain._lo_key()] + [iv._hi_key() for iv in pieces]
+        starts = [iv._lo_key() for iv in pieces] + [domain._hi_key()]
+        if any(start < end for start, end in zip(starts[1:-1], ends[1:-1])):
+            raise ValueError("red and blue classes overlap")
+        if starts != ends:
             raise ValueError("red and blue classes do not partition the domain")
         return tuple.__new__(cls, (domain, red, blue))
 

@@ -737,6 +737,49 @@ class TestOneStatementPerDecision:
         assert writers == {"_branch_node"}
         assert not hasattr(certificates, "_w") and not hasattr(certificates, "_node")
 
+    def test_intervals_order_ends_in_one_place_and_merge_and_sweep_once(self):
+        # the closure flags become order keys only in Interval._lo_key and
+        # _hi_key, and one _merge and one _meet serve the exact algebra and
+        # the int fold alike
+        tree = ast.parse((self.PACKAGE / "intervals.py").read_text(encoding="utf-8"))
+        functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        assert "_mergeable_with" not in {fn.name for fn in functions}
+
+        def flag(node):
+            return isinstance(node, ast.Attribute) and node.attr in ("lo_closed", "hi_closed")
+
+        def keyed(node):
+            # a flag ordered or counted: paired with a non-flag in a tuple, in
+            # arithmetic, in a comparison, or in a condition beside one
+            has_flag = any(map(flag, ast.walk(node)))
+            if isinstance(node, ast.Tuple):
+                return has_flag and not all(map(flag, node.elts))
+            if isinstance(node, ast.BoolOp):
+                return has_flag and any(isinstance(n, ast.Compare) for n in ast.walk(node))
+            return has_flag and isinstance(node, (ast.BinOp, ast.Compare))
+
+        def merges_or_sweeps(node):
+            # a sweep steps through two lists in a while loop; a merge reads
+            # the last pair kept, [-1], inside a loop
+            if isinstance(node, ast.While):
+                return True
+            return isinstance(node, ast.For) and any(
+                isinstance(n, ast.Subscript) and ast.unparse(n.slice) == "-1" for n in ast.walk(node)
+            )
+
+        def where(found):
+            # the names of the functions with a node that ``found`` accepts,
+            # once per function: Interval and IntervalSet each have intersect
+            return sorted(fn.name for fn in functions if any(map(found, ast.walk(fn))))
+
+        def calls(name):
+            return where(lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == name)
+
+        assert where(keyed) == ["_hi_key", "_lo_key"]
+        assert where(merges_or_sweeps) == ["_meet", "_merge"]
+        assert calls("_merge") == ["_m_fold_keys", "normalize"]
+        assert calls("_meet") == ["_first_sum_member", "intersect", "intersect"]
+
 
 def test_branch_node_emits_past_the_recursion_limit():
     # the emitter nests flat pre-order nodes in one loop: a 4000-split spine,

@@ -10,6 +10,8 @@ from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, chec
 from offrado.intervals import (
     ContinuousColoring,
     _first_sum_member,
+    _int_keys,
+    _scale_of,
     Interval,
     IntervalSet,
     boundary_witnesses,
@@ -87,17 +89,17 @@ def outcome(f, *args):
 
 
 @st.composite
-def interval_sets(draw):
+def interval_sets(draw, max_denominator=12):
     """1 to 4 pieces: points, and intervals with each end open or closed,
-    their ends over denominators 1 to 12 in [-3, 10]."""
+    their ends over denominators 1 to ``max_denominator`` in [-3, 10]."""
     pieces = []
     for _ in range(draw(st.integers(1, 4))):
-        q = draw(st.integers(1, 12))
+        q = draw(st.integers(1, max_denominator))
         lo = Fraction(draw(st.integers(-3 * q, 10 * q)), q)
         if draw(st.booleans()):
             pieces.append(Interval.point(lo))
         else:
-            q = draw(st.integers(1, 12))
+            q = draw(st.integers(1, max_denominator))
             hi = lo + Fraction(draw(st.integers(1, 4 * q)), q)
             pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
     return normalize(pieces)
@@ -137,6 +139,19 @@ def test_first_sum_member_matches_the_interval_intersection(a, m):
     bad = m_fold_sumset(a, m).intersect(a)
     expected = bad.intervals[0].representative() if not bad.is_empty else None
     assert _first_sum_member(a, m) == expected
+
+
+@interval_properties
+@given(interval_sets(max_denominator=4))
+def test_int_keys_hold_the_members_of_the_set(a):
+    # every point of the 1/(2 scale) grid over the hull, and one step past
+    # each end: x is a member iff some folded key pair has L <= 2 x scale < H
+    # (denominators up to 4, so the grid has at most a few hundred points)
+    scale = _scale_of(a)
+    keys = _int_keys(a, scale)
+    first, last = 2 * scale * a.intervals[0].lo, 2 * scale * a.intervals[-1].hi
+    for n in range(int(first) - 1, int(last) + 2):
+        assert a.contains(Fraction(n, 2 * scale)) == any(lo <= n < hi for lo, hi in keys), n
 
 
 def reference_verify(coloring, spec):

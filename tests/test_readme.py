@@ -1,7 +1,9 @@
 """The README against the code: its Library section run as written, its CLI
-table against the commands the CLI declares."""
+table against the commands the CLI declares, its file-format examples read
+back."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -37,3 +39,27 @@ def test_cli_table_lists_each_command_with_its_flags():
         for name, (_, _, arguments) in COMMANDS.items()
     }
     assert table == declared
+
+
+def format_example(name):
+    """The JSON block that follows the README's **name** heading."""
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    after = section.split(f"**{name}**", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", after, re.S).group(1))
+
+
+def test_coloring_example_is_valid_and_round_trips():
+    from offrado import ProblemSpec, verify_coloring
+    from offrado.intervals import coloring_as_json, coloring_from_json
+
+    doc = format_example("Coloring")
+    assert verify_coloring(coloring_from_json(doc), ProblemSpec(2, 3)).is_valid
+    assert coloring_as_json(coloring_from_json(doc)) == doc
+
+
+def test_certificate_example_verifies_and_is_what_certify_upper_writes():
+    from offrado import ProblemSpec, certify_upper, verify_certificate
+
+    doc = format_example("Certificate")
+    assert verify_certificate(doc).ok
+    assert doc == certify_upper(ProblemSpec(2, 3), grid_denominator=1)[0]

@@ -65,14 +65,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     __contains__ = contains
 
-    def add(self, other: "Interval") -> "Interval":
-        return Interval(
-            self.lo + other.lo,
-            self.hi + other.hi,
-            self.lo_closed and other.lo_closed,
-            self.hi_closed and other.hi_closed,
-        )
-
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         both = next(_meet([_keys(self)], [_keys(other)]), None)
         return None if both is None else _from_keys(*both)

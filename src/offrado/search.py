@@ -229,9 +229,15 @@ def brute_force_colorable(n: int, spec: ProblemSpec) -> Optional[DiscreteColorin
     low = min(n, _SWEEP_CHUNK.bit_length() - 1)
     slices = _bit_slices(low)
     chunk = (1 << (1 << low)) - 1
+    low_bits = (1 << low) - 1
 
     def low_slices(clause):
-        return [slices[j] for j in range(low) if clause.mask >> (j + 1) & 1]
+        # one slice per set bit of the clause's low bits, lowest bit first
+        bits, out = clause.mask >> 1 & low_bits, []
+        while bits:
+            out.append(slices[(bits & -bits).bit_length() - 1])
+            bits &= bits - 1
+        return out
 
     cleared: dict[int, int] = {}  # high bits -> candidates a red clause makes monochromatic
     for clause in solution_clauses(Color.RED, spec.k, 1, n):

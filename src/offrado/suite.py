@@ -14,7 +14,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .certificates import UnprovedError, certify_upper, residue_params
 from .checker import certificate_stats, points_used
@@ -193,29 +193,37 @@ def check_scaling() -> list[CheckResult]:
 
 
 def random_interval_set(rng: random.Random, max_intervals: int = 4, max_denominator: int = 8) -> IntervalSet:
+    """Up to ``max_intervals`` pieces, each from lo = n1/q1 and a width n2/q2
+    drawn on ints: a point when n2 is 0, else an interval with random closure
+    flags."""
     pieces = []
     for _ in range(rng.randint(1, max_intervals)):
         q1 = rng.randint(1, max_denominator)
         q2 = rng.randint(1, max_denominator)
-        a = Fraction(rng.randint(0, 8 * q1), q1)
-        b = a + Fraction(rng.randint(0, 4 * q2), q2)
-        if a == b:
-            pieces.append(Interval.point(a))
+        n1 = rng.randint(0, 8 * q1)
+        n2 = rng.randint(0, 4 * q2)
+        if n2 == 0:
+            pieces.append(Interval.point(Fraction(n1, q1)))
         else:
-            pieces.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+            hi = Fraction(n1 * q2 + n2 * q1, q1 * q2)
+            pieces.append(Interval(Fraction(n1, q1), hi, rng.random() < 0.5, rng.random() < 0.5))
     return normalize(pieces)
 
 
 def check_sumset_oracle(instances: int) -> list[CheckResult]:
     """Cross-check of the m-fold sumsets on seeded random interval sets.
 
-    Three independent routes per instance: direct enumeration of interval
-    multisets, folded with Fraction arithmetic, must give the same set; every
-    sum of m member samples must be a member of the sumset, with the samples
-    taken on ints at scale 6 D over their gcd and all multisets of them judged
-    at once by a shift-OR (_sample_sums_in); the representative of every
-    reported interval must decompose back into m exact members.  The rng draws
-    only the instances.
+    Three routes per instance.  Routes 1 and 3 run on the instance's own int
+    scale D, the lcm of its endpoint denominators, and share no code with
+    ``intervals``: route 1 (_direct_sumset) sums every m-multiset of the
+    pieces scaled by D and merges them by its own (value, flag) rule, and the
+    result must equal m_fold_sumset's pieces scaled by D, every end of which
+    lies on the 1/D grid (_scaled_pieces); route 2 (_sample_sums_in) asks that
+    every sum of m member samples be a member of the sumset, judging all
+    multisets of samples at once by a shift-OR; route 3 (_decomposes) asks
+    decompose_sum for m values summing to the representative of every
+    reported interval, and checks the sum and each value's membership by
+    cross-multiplying.  The rng draws only the instances.
     """
     rng = random.Random(20250810)
     failures = 0
@@ -224,19 +232,13 @@ def check_sumset_oracle(instances: int) -> list[CheckResult]:
         a = random_interval_set(rng)
         m = rng.randint(1, 4)
         sums = m_fold_sumset(a, m)
-        direct = normalize(
-            [_fold(combo) for combo in combinations_with_replacement(a.intervals, m)]
+        scale = _common_denominator(a)
+        pieces = _scaled_pieces(a, scale)
+        ok = (
+            _scaled_pieces(sums, scale) == _direct_sumset(pieces, m)
+            and _sample_sums_in(sums, a, m)
+            and all(_decomposes(a, m, iv.representative(), pieces, scale) for iv in sums.intervals)
         )
-        ok = sums == direct
-        if ok:
-            ok = _sample_sums_in(sums, a, m)
-        if ok:
-            for iv in sums.intervals:
-                t = iv.representative()
-                values = decompose_sum(a, m, t)
-                if sum(values) != t or len(values) != m or not all(a.contains(v) for v in values):
-                    ok = False
-                    break
         if not ok:
             failures += 1
             if not first:
@@ -248,6 +250,67 @@ def check_sumset_oracle(instances: int) -> list[CheckResult]:
             "all instances agree" if failures == 0 else f"{failures} failures; first {first}",
         )
     ]
+
+
+def _common_denominator(a: IntervalSet) -> int:
+    """The lcm of the denominators of a's endpoints."""
+    return math.lcm(*(x.denominator for iv in a.intervals for x in (iv.lo, iv.hi)))
+
+
+def _scaled_pieces(a: IntervalSet, scale: int) -> Optional[list[tuple]]:
+    """Each piece of ``a`` as (lo * scale, hi * scale, lo_closed, hi_closed)
+    in ints, or None if some end is off the 1/scale grid."""
+    out = []
+    for lo, hi, lo_closed, hi_closed in a.intervals:
+        (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if scale % q or scale % s:
+            return None
+        out.append((p * (scale // q), r * (scale // s), lo_closed, hi_closed))
+    return out
+
+
+def _direct_sumset(pieces: list[tuple], m: int) -> list[tuple]:
+    """The m-fold sumset of scaled ``pieces`` by enumeration: every m-multiset
+    summed (ends add; an end is closed only if all its summands' are), sorted
+    by lower cut and merged.  A cut is a (value, flag) key: a lower end at
+    (lo, not lo_closed), an upper end at (hi, hi_closed); a piece touches the
+    one before it iff its lower cut is at most that one's upper cut."""
+    sums = []
+    for combo in combinations_with_replacement(pieces, m):
+        los, his, lo_flags, hi_flags = zip(*combo)
+        sums.append((sum(los), sum(his), all(lo_flags), all(hi_flags)))
+    sums.sort(key=lambda p: (p[0], not p[2]))
+    merged: list[tuple] = []
+    for lo, hi, lo_closed, hi_closed in sums:
+        if merged and (lo, not lo_closed) <= (merged[-1][1], merged[-1][3]):
+            last = merged[-1]
+            if (hi, hi_closed) > (last[1], last[3]):
+                merged[-1] = (last[0], hi, last[2], hi_closed)
+        else:
+            merged.append((lo, hi, lo_closed, hi_closed))
+    return merged
+
+
+def _decomposes(a: IntervalSet, m: int, t: Fraction, pieces: list[tuple], scale: int) -> bool:
+    """Does decompose_sum give m values of ``a`` summing exactly to t?  The
+    sum is taken over the lcm of the values' denominators; a value p/q lies
+    in the scaled piece (lo, hi, ...) iff lo * q <= p * scale <= hi * q, each
+    inequality strict at an open end."""
+    values = [v.as_integer_ratio() for v in decompose_sum(a, m, t)]
+    if len(values) != m:
+        return False
+    common = math.lcm(*(q for _, q in values))
+    total = sum(p * (common // q) for p, q in values)
+    if total * t.denominator != t.numerator * common:
+        return False
+    for p, q in values:
+        x = p * scale
+        if not any(
+            (lo * q < x or lo_closed and lo * q == x) and (x < hi * q or hi_closed and x == hi * q)
+            for lo, hi, lo_closed, hi_closed in pieces
+        ):
+            return False
+    return True
 
 
 def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int) -> bool:
@@ -263,7 +326,7 @@ def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int) -> bool:
     of totals that ``sums`` allows, built from each piece's closure flags; an
     end of ``sums`` off that grid is rounded inward.
     """
-    scale = 6 * math.lcm(*(x.denominator for iv in a.intervals for x in (iv.lo, iv.hi)))
+    scale = 6 * _common_denominator(a)
     samples = set()
     for iv in a.intervals:
         lo = iv.lo.numerator * (scale // iv.lo.denominator)
@@ -288,13 +351,6 @@ def _sample_sums_in(sums: IntervalSet, a: IntervalSet, m: int) -> bool:
         if first <= last:
             allowed |= ((1 << (last - first + 1)) - 1) << first
     return not reach & ~allowed
-
-
-def _fold(combo) -> Interval:
-    total = combo[0]
-    for iv in combo[1:]:
-        total = total.add(iv)
-    return total
 
 
 def check_search_oracle(max_n: int) -> list[CheckResult]:

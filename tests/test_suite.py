@@ -1,12 +1,15 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offrado.intervals import Interval, IntervalSet, m_fold_sumset, normalize
-from offrado.suite import _sample_sums_in, random_interval_set
+from offrado import intervals, suite
+from offrado.intervals import Interval, IntervalSet, decompose_sum, m_fold_sumset, normalize
+from offrado.suite import _sample_sums_in, check_sumset_oracle, random_interval_set
 
 property_settings = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -245,3 +248,124 @@ class TestSampleSumsDraws:
         assert _sample_sums_in(candidates[0], a, m)
         for sums in candidates:
             assert _sample_sums_in(sums, a, m) == all(sums.contains(t) for t in totals), sums
+
+
+def reference_random_interval_set(rng, max_intervals=4, max_denominator=8):
+    """random_interval_set as it was built on Fractions: hi as lo plus the
+    drawn width, and a point when the two compare equal."""
+    pieces = []
+    for _ in range(rng.randint(1, max_intervals)):
+        q1 = rng.randint(1, max_denominator)
+        q2 = rng.randint(1, max_denominator)
+        a = Fraction(rng.randint(0, 8 * q1), q1)
+        b = a + Fraction(rng.randint(0, 4 * q2), q2)
+        if a == b:
+            pieces.append(Interval.point(a))
+        else:
+            pieces.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+    return normalize(pieces)
+
+
+def same_draws(seed, instances, **kwargs):
+    """Both builders on one seed draw equal sets and leave equal rng states
+    after every instance and the oracle's draw of m."""
+    new, old = random.Random(seed), random.Random(seed)
+    for trial in range(instances):
+        assert random_interval_set(new, **kwargs) == reference_random_interval_set(old, **kwargs), trial
+        assert new.getstate() == old.getstate(), trial
+        assert new.randint(1, 4) == old.randint(1, 4)
+
+
+class TestDrawStream:
+    def test_oracle_instances_match_the_fraction_builder(self):
+        same_draws(20250810, 500)
+
+    @property_settings
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 8, 12)))
+    def test_drawn_seeds_match_the_fraction_builder(self, seed, max_denominator):
+        same_draws(seed, 5, max_denominator=max_denominator)
+
+
+def opened_top_sumset(a, m):
+    return top_opened(m_fold_sumset(a, m))
+
+
+def dropped_last_sumset(a, m):
+    sums = m_fold_sumset(a, m)
+    return IntervalSet(sums.intervals[:-1])
+
+
+def moved_thousandth(sign):
+    def decompose(a, m, t):
+        values = list(decompose_sum(a, m, t))
+        if m > 1:
+            values[0] += sign * Fraction(1, 1000)
+            values[1] -= sign * Fraction(1, 1000)
+        return tuple(values)
+    return decompose
+
+
+def one_short(a, m, t):
+    return decompose_sum(a, m, t)[:-1]
+
+
+def unextended_merge(pairs):
+    """intervals._merge with a bug: a touching pair never extends the piece
+    before it, so the part past that piece's end is lost."""
+    merged = []
+    for lo, hi in pairs:
+        if not (merged and lo <= merged[-1][1]):
+            merged.append((lo, hi))
+    return merged
+
+
+def oracle_failures():
+    (result,) = check_sumset_oracle(500)
+    return 0 if result.ok else int(result.detail.split()[0])
+
+
+class TestOracleStrength:
+    """Each mutant of the code under test must make the 500-instance oracle
+    fail.  The sumset mutants must fail route 1 alone, with route 2 forced to
+    accept."""
+
+    @pytest.mark.parametrize("mutant", [opened_top_sumset, dropped_last_sumset])
+    def test_sumset_mutants_fail_route_1(self, monkeypatch, mutant):
+        monkeypatch.setattr(suite, "m_fold_sumset", mutant)
+        assert oracle_failures() > 0
+        monkeypatch.setattr(suite, "_sample_sums_in", lambda sums, a, m: True)
+        assert oracle_failures() > 0
+
+    @pytest.mark.parametrize("mutant", [moved_thousandth(1), moved_thousandth(-1), one_short])
+    def test_decomposition_mutants_fail_route_3(self, monkeypatch, mutant):
+        monkeypatch.setattr(suite, "decompose_sum", mutant)
+        assert oracle_failures() > 0
+
+    def test_a_merge_bug_is_visible_to_route_1(self, monkeypatch):
+        # m_fold_sumset merges with intervals._merge; route 1 merges by its own rule
+        monkeypatch.setattr(intervals, "_merge", unextended_merge)
+        monkeypatch.setattr(suite, "_sample_sums_in", lambda sums, a, m: True)
+        assert oracle_failures() > 0
+
+
+class TestOracleRoutesShareNoCode:
+    """Routes 1 and 3 judge m_fold_sumset and decompose_sum without the
+    interval algebra those use, found in the suite's source."""
+
+    ROUTES = ("check_sumset_oracle", "_scaled_pieces", "_direct_sumset", "_decomposes")
+    ALGEBRA = {"normalize", "_merge", "_int_keys", "_add_keys", "_m_fold_keys", "contains"}
+
+    def test_routes_call_no_interval_algebra(self):
+        tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        called = set()
+        for name in self.ROUTES:
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        assert {"m_fold_sumset", "decompose_sum", "_direct_sumset", "_decomposes"} <= called
+        assert not called & self.ALGEBRA, called & self.ALGEBRA
+
+    def test_interval_sums_live_only_in_the_tests(self):
+        assert not hasattr(Interval, "add")

@@ -6,11 +6,14 @@ writes: a dict of ``spec``, ``domain_end`` and ``root``, the pair of branch
 nodes, where a node is a dict of ``assume``, ``steps`` and either
 ``contradiction`` or ``children``.  Every branch is planned on the integer
 ids of its own 1/d grid (id p is p/d) and handed, in ``dpll``'s flat
-pre-order node form, to ``_branch_node``, the one writer of that form: the
-prover's refutations and the hand-built chains alike, whose witnesses are
-planned as (id, count) runs, so no ``Fraction`` is built for a node or a
-witness.  The builders check nothing themselves.  ``certify_upper`` never
-returns unchecked output: it runs the schema pass and the replay of
+pre-order node form with every witness a ``_Plan`` of (id, count) runs, to
+``_branch_node``, the one writer of that form, so no ``Fraction`` is built
+for a node or a witness.  The hand-built chains are written as planned.  An
+auto-proved refutation is first cut to its dependency cone by ``_trim``, one
+backward pass that keeps a forcing only when a contradiction below it
+depends on it, and that decodes each kept witness once and no other.  The
+builders check nothing themselves.  ``certify_upper`` never returns
+unchecked output: it runs the schema pass and the replay of
 ``offrado.checker`` once, on the document it assembled, and returns the
 tuples it read with the document, so what users get is what was checked.
 """
@@ -23,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .checker import CertificateCheck, certificate_from_json, check_certificate
 from .equations import Color, ProblemSpec, formula_continuous
-from .propagation import Satisfiable, SumsetSystem, dpll
+from .propagation import Satisfiable, SumsetHandle, SumsetSystem, dpll
 from .serialize import format_ratio, format_rational
 
 
@@ -56,41 +59,32 @@ def _document(spec: ProblemSpec, domain_end, root: list[dict]) -> dict:
     return {"spec": spec.as_json(), "domain_end": format_rational(domain_end), "root": root}
 
 
-def _witness_json(color: Color, runs: list, d: int) -> dict:
-    """A witness's file form, from its color and its left side as sorted
-    (id, count) runs of distinct ids: one [value, count] pair per run and x0
-    their sum, each id p written as p/d in lowest terms."""
+def _witness_json(w: _Plan, d: int) -> dict:
+    """A planned witness's file form: one [value, count] pair per run and
+    x0 their sum, each id p written as p/d in lowest terms."""
     return {
-        "color": color.value,
-        "left": [[format_ratio(p, d), m] for p, m in runs],
-        "x0": format_ratio(sum(p * m for p, m in runs), d),
+        "color": w.color.value,
+        "left": [[format_ratio(p, d), m] for p, m in w.runs],
+        "x0": format_ratio(sum(p * m for p, m in w.runs), d),
     }
-
-
-def _witness(w, d: int) -> dict:
-    """``_witness_json`` of a node's witness: a built chain's ``_Plan``
-    carries its runs; an auto-proved handle's are its sorted parts, grouped."""
-    if type(w) is _Plan:
-        return _witness_json(w.color, w.runs, d)
-    return _witness_json(w.color, [(p, len(list(run))) for p, run in groupby(w.parts())], d)
 
 
 def _branch_node(nodes: list[tuple], d: int) -> dict:
     """The file form of a refutation on the 1/d grid, and the only writer of
     a node, from nodes in ``dpll``'s pre-order form (level, var, color,
-    forcings, conflict): ``open_lists[level]`` is the list that the next node
-    at that level goes into, so one loop nests them.  A forced point takes
-    the opposite of its witness's color.  Everything is written from ids, so
-    no ``Fraction`` is built."""
+    forcings, conflict), each witness a ``_Plan``: ``open_lists[level]`` is
+    the list that the next node at that level goes into, so one loop nests
+    them.  A forced point takes the opposite of its witness's color.
+    Everything is written from ids, so no ``Fraction`` is built."""
     open_lists: list[list[dict]] = [[]]
     for level, var, color, forcings, conflict in nodes:
         steps = [
-            {"point": format_ratio(v, d), "forced": h.color.opposite.value, "witness": _witness(h, d)}
-            for v, h in forcings
+            {"point": format_ratio(v, d), "forced": w.color.opposite.value, "witness": _witness_json(w, d)}
+            for v, w in forcings
         ]
         node = {"assume": {"point": format_ratio(var, d), "color": color.value}, "steps": steps}
         if conflict is not None:
-            node["contradiction"] = _witness(conflict, d)
+            node["contradiction"] = _witness_json(conflict, d)
         else:
             node["children"] = children = []
             open_lists[level + 1:] = [children]
@@ -271,6 +265,50 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
     return SumsetSystem(spec.k, spec.l, denominator, top)
 
 
+def _decoded(handle: SumsetHandle) -> tuple[_Plan, set[int]]:
+    """A handle's witness, decoded once: its plan, and its entries, the
+    distinct ids of its left side and its x0."""
+    parts = handle.parts()
+    plan = _Plan(handle.color, [(p, len(list(run))) for p, run in groupby(parts)])
+    return plan, {*parts, sum(parts)}
+
+
+def _trim(nodes: list[tuple]) -> list[tuple]:
+    """A refutation from ``dpll`` cut to its dependency cone, in the same
+    pre-order node form, with each kept witness a ``_Plan``.
+
+    One backward pass: a node's ``need`` starts as its contradiction's
+    entries, or as the union of what its two children passed up.  Its
+    forcings are walked from last to first, and one is kept only if its id
+    is in ``need``; a kept one's witness is decoded, and its entries less
+    the forced id join ``need``.  The node's own assumption leaves ``need``
+    and the rest goes to its parent.  The replay then sees a subset of the
+    colored points, and every entry it checks was colored by a kept step or
+    an assumption above it, so the trimmed refutation replays wherever the
+    whole one does.  A forcing that is dropped is never decoded.
+    """
+    trimmed: list[tuple] = []
+    passed: list[set[int]] = []  # the needs of the subtrees walked, first child's on top
+    for level, var, color, forcings, conflict in reversed(nodes):
+        if conflict is None:
+            plan, need = None, passed.pop() | passed.pop()
+        else:
+            plan, need = _decoded(conflict)
+        kept = []
+        for v, handle in reversed(forcings):
+            if v in need:
+                witness, entries = _decoded(handle)
+                need |= entries
+                need.discard(v)
+                kept.append((v, witness))
+        kept.reverse()
+        need.discard(var)
+        passed.append(need)
+        trimmed.append((level, var, color, kept, plan))
+    trimmed.reverse()
+    return trimmed
+
+
 def auto_prove(
     spec: ProblemSpec, grid_denominator: int, color: Color, max_branch_depth: int = 64
 ) -> Optional[dict]:
@@ -280,10 +318,11 @@ def auto_prove(
     The search is ``propagation.dpll`` over grid ids, with unit forcing
     read from sumsets by ``propagate_masks`` as in the discrete search, at
     most ``max_branch_depth`` splits deep.  Returns the branch's node, in its
-    file form and unchecked, nested from the search's flat pre-order nodes,
-    or None on depth exhaustion; raises ``Satisfiable`` as soon as some
-    branch completes a valid total grid coloring, since then no refutation
-    can exist.
+    file form and unchecked: the search's flat pre-order nodes, cut by
+    ``_trim`` to the forcings that some contradiction below them depends on,
+    then nested.  Returns None on depth exhaustion; raises ``Satisfiable`` as
+    soon as some branch completes a valid total grid coloring, since then no
+    refutation can exist.
     """
     if spec.gamma != 1:
         raise ValueError("the grid prover runs on the unit domain")
@@ -293,7 +332,7 @@ def auto_prove(
         raise ValueError(f"need a non-negative integer depth, got {max_branch_depth!r}")
     d = grid_denominator  # id d stands for the left endpoint d/d = 1
     nodes = dpll(_grid_system(spec, d), d, color, max_branch_depth, Counter())
-    return None if nodes is None else _branch_node(nodes, d)
+    return None if nodes is None else _branch_node(_trim(nodes), d)
 
 
 def certify_upper(

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .equations import Color, ProblemSpec
-from .serialize import format_rational, parse_rational
+from .serialize import format_ratio, format_rational, parse_rational
 
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
 
@@ -199,12 +199,17 @@ def certificate_stats(nodes: list) -> dict:
 
 
 def points_used(nodes: list) -> list[str]:
-    """Every point the node tuples color, ascending, as rational strings."""
+    """Every point the node tuples color, ascending, as rational strings.
+
+    The reduced keys are ordered exactly on ints, each numerator scaled to
+    the lcm of the distinct denominators: the grid's d for every document
+    ``certify_upper`` writes, the only input this is called on."""
     points: set[Key] = set()
     for _, point, _, steps, _, _ in nodes:
         points.add(point)
         points.update(step[0] for step in steps)
-    return [format_rational(p) for p in sorted(Fraction(*p) for p in points)]
+    scale = lcm(*{d for _, d in points})
+    return [format_ratio(n, d) for n, d in sorted(points, key=lambda p: p[0] * (scale // p[1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from offrado.certificates import (
     _ChainBuilder,
     _branch_node,
     _grid_system,
+    _trim,
 )
 from offrado.checker import (
     CertificateCheck,
@@ -785,7 +786,7 @@ def test_branch_node_emits_past_the_recursion_limit():
     # the emitter nests flat pre-order nodes in one loop: a 4000-split spine,
     # each split's first child a fork of two leaves, emits in pre-order, first
     # child first, and each spine split follows a closed subtree one level deeper
-    leaf = dpll(_grid_system(ProblemSpec(2, 2), 1), 1, RED, 0, Counter())
+    leaf = _trim(dpll(_grid_system(ProblemSpec(2, 2), 1), 1, RED, 0, Counter()))
     assert leaf is not None and len(leaf) == 1 and leaf[0][4] is not None
     _, var, color, forcings, conflict = leaf[0]
     nodes = []
@@ -816,7 +817,8 @@ def handle_witness(handle, d):
 def reference_branch_node(nodes, d):
     """The emitter as it was on Fractions, the reference of the int one: each
     handle decoded into its exact SolutionWitness, written by
-    ``SolutionWitness.as_json``, and each point by ``format_rational``."""
+    ``SolutionWitness.as_json``, and each point by ``format_rational``.  It
+    writes every forcing, so it is the untrimmed branch."""
     open_lists = [[]]
     for level, var, color, forcings, conflict in nodes:
         node = {
@@ -839,6 +841,30 @@ def reference_branch_node(nodes, d):
     return open_lists[0][0]
 
 
+def witness_entries(w):
+    """The values of a witness in its file form: its left values and x0."""
+    return {parse_rational(v) for v, _ in w["left"]} | {parse_rational(w["x0"])}
+
+
+def reference_cone(node):
+    """The trim as a recursion over a branch node's file form, in Fractions:
+    the node with only the steps that a contradiction below depends on, and
+    the values it needs colored before its own assumption."""
+    if "contradiction" in node:
+        need, ending = witness_entries(node["contradiction"]), {"contradiction": node["contradiction"]}
+    else:
+        cones = [reference_cone(child) for child in node["children"]]
+        need = set().union(*(below for _, below in cones))
+        ending = {"children": [child for child, _ in cones]}
+    steps = []
+    for step in reversed(node["steps"]):
+        point = parse_rational(step["point"])
+        if point in need:
+            need = (need | witness_entries(step["witness"])) - {point}
+            steps.insert(0, step)
+    return {"assume": node["assume"], "steps": steps, **ending}, need - {parse_rational(node["assume"]["point"])}
+
+
 def refutation(spec, d, color):
     return dpll(_grid_system(spec, d), d, color, 64, Counter())
 
@@ -848,18 +874,22 @@ INTEGER_SPECS = [(k, l) for k in range(3, 11) for l in range(k, 11)]
 REDUCING_GRIDS = [(2, l, d) for l in range(3, 7) for d in (2, 3, 4)] + [(3, 4, 3), (3, 3, 2)]
 
 
+def trimmed_matches_reference(spec, d):
+    for color in (RED, BLUE):
+        nodes = refutation(spec, d, color)
+        trimmed, need = reference_cone(reference_branch_node(nodes, d))
+        assert not need, color  # the root's cone ends at its own assumption
+        assert _branch_node(_trim(nodes), d) == trimmed, color
+
+
 @pytest.mark.parametrize("k,l", INTEGER_SPECS)
 def test_int_emitter_matches_the_fraction_reference_on_integers(k, l):
-    for color in (RED, BLUE):
-        nodes = refutation(ProblemSpec(k, l), 1, color)
-        assert _branch_node(nodes, 1) == reference_branch_node(nodes, 1), color
+    trimmed_matches_reference(ProblemSpec(k, l), 1)
 
 
 @pytest.mark.parametrize("k,l,d", REDUCING_GRIDS)
 def test_int_emitter_matches_the_fraction_reference_on_grids(k, l, d):
-    for color in (RED, BLUE):
-        nodes = refutation(ProblemSpec(k, l), d, color)
-        assert _branch_node(nodes, d) == reference_branch_node(nodes, d), color
+    trimmed_matches_reference(ProblemSpec(k, l), d)
 
 
 def test_reducing_grids_write_reduced_and_whole_values():
@@ -868,9 +898,170 @@ def test_reducing_grids_write_reduced_and_whole_values():
     written = set()
     for k, l, d in REDUCING_GRIDS:
         for color in (RED, BLUE):
-            text = canonical_json(_branch_node(refutation(ProblemSpec(k, l), d, color), d))
+            text = canonical_json(_branch_node(_trim(refutation(ProblemSpec(k, l), d, color)), d))
             written.update((d, value) for value in ('"3/2"', '"2"') if value in text)
     assert {(4, '"3/2"'), (4, '"2"'), (3, '"2"')} <= written
+
+
+# ---------------------------------------------------------------------------
+# The trim of auto-proved refutations
+
+TRIM_SPECS = [(k, l) for k in range(2, 13) for l in range(k, 13)]
+# No refutation of TRIM_SPECS on d <= 4 splits: these grids' red branches
+# do, once, so a trim's pass from children to parent is exercised here and
+# in the property bases' inner branches
+SPLITTING_GRIDS = ((2, 4, 5), (2, 4, 7), (2, 5, 7), (2, 6, 7))
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3, 4], ids=["default", "d1", "d2", "d3", "d4"])
+def test_trimmed_certificates_verify(d):
+    # every spec closes but (2, l >= 4) on the unit grid, whose discrete
+    # value exceeds the continuous one
+    unproved = []
+    for k, l in TRIM_SPECS:
+        try:
+            doc, _ = certify_upper(ProblemSpec(k, l), grid_denominator=d)
+        except UnprovedError:
+            unproved.append((k, l))
+            continue
+        assert verify_certificate(doc).ok, (k, l, d)
+    assert unproved == ([(2, l) for l in range(4, 13)] if d == 1 else [])
+
+
+def test_trimmed_splitting_branches_verify():
+    for k, l, d in SPLITTING_GRIDS:
+        spec = ProblemSpec(k, l)
+        red, blue = (auto_prove(spec, d, color) for color in (RED, BLUE))
+        assert "children" in red
+        for node in (red, blue):
+            assert replay_branch(spec, Fraction(k * l + k - 1), node).ok, (k, l, d, node["assume"])
+    trimmed_matches_reference(ProblemSpec(2, 4), 5)
+
+
+def same_shape_and_subsequence(trimmed, whole):
+    """Whether a trimmed branch has the tree of the whole one, its
+    contradictions, and at each node a subsequence of its steps."""
+    stack = [(trimmed, whole)]
+    while stack:
+        cut, node = stack.pop()
+        if cut["assume"] != node["assume"] or cut.get("contradiction") != node.get("contradiction"):
+            return False
+        steps = iter(node["steps"])
+        if not all(any(step == other for other in steps) for step in cut["steps"]):
+            return False
+        kids, whole_kids = cut.get("children", []), node.get("children", [])
+        if len(kids) != len(whole_kids):
+            return False
+        stack += zip(kids, whole_kids)
+    return True
+
+
+def test_trim_keeps_a_subsequence_of_each_nodes_steps():
+    cases = [(k, l, d, color) for k, l in TRIM_SPECS for d in (1, 2, 3, 4) for color in (RED, BLUE)]
+    cases += [(k, l, d, RED) for k, l, d in SPLITTING_GRIDS]
+    dropped = 0
+    for k, l, d, color in cases:
+        try:
+            nodes = refutation(ProblemSpec(k, l), d, color)
+        except Satisfiable:
+            continue
+        trimmed, whole = _branch_node(_trim(nodes), d), reference_branch_node(nodes, d)
+        assert same_shape_and_subsequence(trimmed, whole), (k, l, d, color)
+        dropped += len(branch_points(whole)) - len(branch_points(trimmed))
+    assert dropped > 0
+
+
+def test_trim_leaves_the_search_alone_and_halves_the_steps(monkeypatch):
+    # over the 406 default specs 3 <= k <= l <= 30: the branch count and the
+    # search's effort are what the untrimmed prover had; the steps fall from
+    # the 10,367 that it wrote
+    effort = Counter()
+
+    def counted(system, var, color, depth, own):
+        nodes = dpll(system, var, color, depth, own)
+        effort.update(own)
+        return nodes
+
+    monkeypatch.setattr(certificates, "dpll", counted)
+    totals = Counter()
+    for k in range(3, 31):
+        for l in range(k, 31):
+            totals.update(certificate_stats(certify_upper(ProblemSpec(k, l))[1]))
+    assert (totals["branches"], effort["nodes"], effort["forcings"]) == (812, 434, 7588)
+    assert totals["steps"] == 5506
+
+
+# Each certificate's auto-proved branches: certify-upper's default assembly
+# builds the blue-start branch when k < l
+MINIMAL = (((3, 4), None, (0,)), ((4, 6), None, (0,)), ((5, 5), None, (0, 1)), ((2, 5), 4, (0, 1)),
+           ((3, 4), 3, (0, 1)))
+
+
+def file_nodes(node):
+    """A branch node in its file form and every node below it, in a fixed order."""
+    out, stack = [], [node]
+    while stack:
+        out.append(stack.pop())
+        stack += out[-1].get("children", [])
+    return out
+
+
+def step_deletions(doc, branches):
+    """Every copy of ``doc`` with one step of the given root branches deleted."""
+    for b in branches:
+        for n, node in enumerate(file_nodes(doc["root"][b])):
+            for i in range(len(node["steps"])):
+                damaged = copy.deepcopy(doc)
+                del file_nodes(damaged["root"][b])[n]["steps"][i]
+                yield damaged
+
+
+@pytest.mark.parametrize("spec,d,branches", MINIMAL, ids=["3-4", "4-6", "5-5", "2-5-d4", "3-4-d3"])
+def test_every_kept_step_is_needed(spec, d, branches):
+    doc, _ = certify_upper(ProblemSpec(*spec), grid_denominator=d)
+    copies = list(step_deletions(doc, branches))
+    assert copies
+    assert not [c for c in copies if verify_certificate(c).ok]
+
+
+def leaky_trim(pass_children: bool, keep_witness_entries: bool):
+    """``_trim`` with one of its two sources of need cut: what the children
+    pass up, or the entries of each kept step's witness."""
+
+    def trim(nodes):
+        out, passed = [], []
+        for level, var, color, forcings, conflict in reversed(nodes):
+            if conflict is None:
+                below = passed.pop() | passed.pop()
+                plan, need = None, below if pass_children else set()
+            else:
+                plan, need = certificates._decoded(conflict)
+            kept = []
+            for v, handle in reversed(forcings):
+                if v in need:
+                    witness, entries = certificates._decoded(handle)
+                    if keep_witness_entries:
+                        need |= entries
+                    need.discard(v)
+                    kept.append((v, witness))
+            kept.reverse()
+            need.discard(var)
+            passed.append(need)
+            out.append((level, var, color, kept, plan))
+        out.reverse()
+        return out
+
+    return trim
+
+
+@pytest.mark.parametrize(
+    "mutant", [leaky_trim(False, True), leaky_trim(True, False)], ids=["no-children", "contradiction-only"]
+)
+def test_a_leaky_trim_is_caught(monkeypatch, mutant):
+    # each fails the replay of a split refutation's trimmed red branch
+    monkeypatch.setattr(certificates, "_trim", mutant)
+    with pytest.raises(AssertionError):
+        test_trimmed_splitting_branches_verify()
 
 
 def test_auto_prove_builds_no_fraction_or_solution_witness(monkeypatch):
@@ -1043,7 +1234,7 @@ def inner_branch(spec, point, color):
     """The prover's branch below ``point`` = ``color`` on the integer grid,
     with nothing colored before it: ``auto_prove`` roots only at 1."""
     nodes = dpll(_grid_system(spec, 1), point, color, 64, Counter())
-    return _branch_node(nodes, 1)
+    return _branch_node(_trim(nodes), 1)
 
 
 def reference_verify_node(spec, domain_end, node, state, path):
@@ -1386,6 +1577,18 @@ def test_property_bases_verify_and_some_split():
             assert all(replay_branch(cert.spec, cert.domain_end, emit_node(node)).ok for node in cert.root)
     # splits are where the undo trail is unwound
     assert sum(any(node.children for _, node in _nodes(cert)) for cert in BASES) >= 4
+
+
+def test_points_used_orders_on_ints_as_fractions_do():
+    # the bases mix denominators: halves and thirds from the grids, and the
+    # spines' 1/11 and 1/13 steps beside the k = 2 chains' halves
+    denominators = set()
+    for cert in BASES:
+        nodes = certificate_from_json(emit(cert))[2]
+        points = {node[1] for node in nodes} | {step[0] for node in nodes for step in node[3]}
+        denominators |= {d for _, d in points}
+        assert points_used(nodes) == [format_rational(v) for v in sorted(Fraction(*p) for p in points)]
+    assert {2, 3, 11, 13} <= denominators
 
 
 JUNK = (None, True, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")

@@ -176,23 +176,23 @@ def test_search_work_does_not_grow_with_the_scan_cap(monkeypatch):
     [
         (
             ["4", "6"],
-            "5c21c74e2216211e7fb564ff89609d3e5e00292eebfa6c98626c0c48cc14521e",
-            ("27", 2, 19, "1 2 3 4 5 6 7 8 11 13 18 21 24 26 27"),
+            "018854d8ec79aa97566cd1495551c0b35a55e171e6220c78dbe44954a0bd8956",
+            ("27", 2, 16, "1 2 4 5 6 7 8 11 13 18 21 24 27"),
         ),
         (
             ["5", "5"],
-            "b2810b44bdaaf5084b629c107bff2189686dd425f256d260637d64cd70b290d6",
-            ("29", 2, 12, "1 5 6 11 21 25 29"),
+            "3d0489310db094308ca40063e58e73eb908885492a13583e797d643e387d6073",
+            ("29", 2, 8, "1 5 6 25 29"),
         ),
         (
             ["2", "5", "--grid-denominator", "4"],
-            "fd4aea6b4efccf4eb5c9a14a67794a8fe95105186fa7756ca6117dca48674c07",
-            ("11", 2, 26, "1 5/4 3/2 7/4 2 9/4 5/2 11/4 3 7/2 9/2 5 6 13/2 8 9 19/2 10 11"),
+            "5353675a40ee7131f0f7fc8639b74403d69c56a479b54e6f7ae0939a14d13f79",
+            ("11", 2, 12, "1 5/4 3/2 2 5/2 11/4 5 10 11"),
         ),
         (
             ["3", "4", "--grid-denominator", "3"],
-            "b900e14c226163c997974baeca704d6cadef2de1bb12cd475f1aa5118c7a9fe9",
-            ("14", 2, 18, "1 4/3 3 11/3 4 13/3 14/3 5 16/3 8 25/3 26/3 9 10 12 14"),
+            "1c9708ac65fd45c0dfc9a9f21431e984a6bf390cf3addd4f67df596521cfe9c7",
+            ("14", 2, 8, "1 3 4 9 12 14"),
         ),
     ],
     ids=["4-6", "5-5", "2-5-d4", "3-4-d3"],
@@ -216,12 +216,18 @@ def test_certificate_files_pinned(capsys, tmp_path, argv, digest, payload):
         ("5-5", "dab3e051bf36746899c985eed3845cd19ffc6b5b7b1d993c61d6595ee6032d44", "29", 2, 24),
         ("2-5-d4", "883680f1bb4c22c2ce99a3b600c638333b40b92e2458bb0d882ab7414d823da7", "11", 2, 28),
         ("3-4-d3", "f4ed3b18c1c8b566f2285ecf4e6c152ba4a02311215d6353f9def883aedeafcc", "14", 2, 37),
+        ("untrimmed-4-6", "5c21c74e2216211e7fb564ff89609d3e5e00292eebfa6c98626c0c48cc14521e", "27", 2, 19),
+        ("untrimmed-5-5", "b2810b44bdaaf5084b629c107bff2189686dd425f256d260637d64cd70b290d6", "29", 2, 12),
+        ("untrimmed-2-5-d4", "fd4aea6b4efccf4eb5c9a14a67794a8fe95105186fa7756ca6117dca48674c07", "11", 2, 26),
+        ("untrimmed-3-4-d3", "b900e14c226163c997974baeca704d6cadef2de1bb12cd475f1aa5118c7a9fe9", "14", 2, 18),
     ],
-    ids=["4-6", "5-5", "2-5-d4", "3-4-d3"],
+    ids=["4-6", "5-5", "2-5-d4", "3-4-d3", "untrimmed-4-6", "untrimmed-5-5", "untrimmed-2-5-d4", "untrimmed-3-4-d3"],
 )
 def test_archived_certificate_files_still_verify(capsys, name, digest, end, branches, steps):
-    # written by the clause-kernel grid prover, before the sumset kernel
-    # changed the forcing order; a verifier must keep accepting them
+    # the first four were written by the clause-kernel grid prover, before
+    # the sumset kernel changed the forcing order; the untrimmed ones by the
+    # sumset kernel, before auto-proved branches were cut to the steps that
+    # a contradiction depends on.  A verifier must keep accepting them all
     path = DATA / f"certificate-{name}.json"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert main(["verify-certificate", "--file", str(path)]) == 0

@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import groupby
 from typing import NamedTuple, Optional
 
-from .checker import CertificateCheck, certificate_from_json, check_certificate
+from .checker import CertificateCheck, Tree, certificate_from_json, check_certificate
 from .equations import Color, ProblemSpec, formula_continuous
 from .propagation import Satisfiable, SumsetHandle, SumsetSystem, dpll
 from .serialize import format_ratio, format_rational
@@ -98,16 +98,13 @@ def _branch_node(nodes: list[tuple], d: int) -> dict:
 
 class _Plan:
     """A planned witness: its color and its left side as (id, count) runs,
-    merged by id, sorted, and without zero counts; a count is never
-    expanded into ids."""
+    one per id, sorted, and without zero counts; a count is never expanded
+    into ids."""
 
     __slots__ = ("color", "runs")
 
-    def __init__(self, color: Color, runs) -> None:
-        counts: Counter = Counter()
-        for p, m in runs:
-            counts[p] += m
-        self.color, self.runs = color, sorted((p, m) for p, m in counts.items() if m)
+    def __init__(self, color: Color, runs: list[tuple[int, int]]) -> None:
+        self.color, self.runs = color, runs
 
 
 class _ChainBuilder:
@@ -135,7 +132,7 @@ class _ChainBuilder:
         current = self.state.get(var)
         if self.conflict is not None or current is forced:
             return
-        witness = _Plan(forced.opposite, runs)
+        witness = self._plan(forced.opposite, runs)
         if current is not None:  # already the witness color: monochromatic now
             self.conflict = witness
             return
@@ -144,7 +141,16 @@ class _ChainBuilder:
 
     def close(self, color: Color, *runs: tuple) -> None:
         if self.conflict is None:
-            self.conflict = _Plan(color, runs)
+            self.conflict = self._plan(color, runs)
+
+    @staticmethod
+    def _plan(color: Color, runs: tuple) -> _Plan:
+        """A hand-planned witness: its runs can collide or carry a zero
+        count, so they are merged by id here."""
+        counts: Counter = Counter()
+        for p, m in runs:
+            counts[p] += m
+        return _Plan(color, sorted((p, m) for p, m in counts.items() if m))
 
     def node(self, d: int) -> dict:
         """The chain as one leaf on the 1/d grid, written by ``_branch_node``."""
@@ -267,7 +273,8 @@ def _grid_system(spec: ProblemSpec, denominator: int) -> SumsetSystem:
 
 def _decoded(handle: SumsetHandle) -> tuple[_Plan, set[int]]:
     """A handle's witness, decoded once: its plan, and its entries, the
-    distinct ids of its left side and its x0."""
+    distinct ids of its left side and its x0.  The parts come sorted, so
+    ``groupby`` leaves one run per id."""
     parts = handle.parts()
     plan = _Plan(handle.color, [(p, len(list(run))) for p, run in groupby(parts)])
     return plan, {*parts, sum(parts)}
@@ -337,10 +344,10 @@ def auto_prove(
 
 def certify_upper(
     spec: ProblemSpec, grid_denominator: Optional[int] = None, max_depth: int = 64
-) -> tuple[dict, list[tuple]]:
+) -> tuple[dict, Tree]:
     """Assemble the full branch-on-the-endpoint certificate, check it once,
     and return its document, which ``certify-upper --out`` writes, with the
-    node tuples that check read (see ``checker._read_nodes``).
+    ``Tree`` that check read (see ``checker._read_nodes``).
 
     With ``grid_denominator`` None, the default assembly: k=2 uses the
     hand-built half-step chains; k < l pairs the built blue-start branch with
@@ -374,13 +381,13 @@ def certify_upper(
         blue = build_blue1_certificate(spec) if built and spec.k < spec.l else auto(Color.BLUE)
         certificate = _document(spec, formula_continuous(spec.k, spec.l), [red, blue])
     try:
-        read_spec, end, nodes = certificate_from_json(certificate)
+        read_spec, end, tree = certificate_from_json(certificate)
     except ValueError as exc:
         raise RuntimeError(f"certificate failed its own check: {exc}") from exc
-    check = check_certificate(read_spec, end, nodes)
+    check = check_certificate(read_spec, end, tree)
     if not check.ok:
         raise RuntimeError(f"certificate failed its own check: {check.failure}")
-    return certificate, nodes
+    return certificate, tree
 
 
 def verify_certificate(doc) -> CertificateCheck:

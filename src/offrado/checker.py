@@ -12,18 +12,21 @@ allowed to use the forced value twice), so the rule is deliberately not
 Verification replays a certificate from nothing but its serialized content,
 in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  ``certificate_from_json`` is the one schema pass over
-a document: it parses each distinct literal once, into the point's reduced
-(numerator, denominator) key, validates each distinct witness once, and
-returns the checker's form, plain tuples, in which equal witnesses are one
-object.  ``check_certificate`` runs the one replay over those tuples.  It
-checks each witness object's arithmetic once, on integers over the lcm of its
-own denominators, never over a scale common to the file, which an untrusted
-file could inflate, and at each use only what the colored points decide.  It
-puts every colored point on an undo trail, unwound at each split instead of
-copying the state.  Both walk the branch tree with an explicit stack, so
-certificate depth is bounded by memory, not by the interpreter's recursion
-limit.  Of the package, only ``equations`` and ``serialize`` are imported:
-no search.
+a document: it parses each distinct literal once and gives each distinct
+point, its reduced (numerator, denominator) key, a small int id, so "2/4"
+and "1/2" are one point.  It reads each distinct step and each distinct
+witness once and returns the checker's form, a ``Tree`` of plain tuples on
+point ids, in which equal steps are one object and so are equal witnesses.
+``check_certificate`` runs the one replay over it, with the colored points in
+a list indexed by id.  It checks each witness object's arithmetic once, on
+integers over the lcm of its own denominators, never over a scale common to
+the file, which an untrusted file could inflate.  At each use it checks only
+what the colored points decide, in one pass over the witness's support that
+stops at the first entry not yet in the witness's color.  It puts every
+colored point on an undo trail, unwound at each split instead of copying the
+state.  Both walk the branch tree with an explicit stack, so certificate
+depth is bounded by memory, not by the interpreter's recursion limit.  Of the
+package, only ``equations`` and ``serialize`` are imported: no search.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .equations import Color, ProblemSpec
 from .serialize import format_ratio, format_rational, parse_rational
 
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
+# The schema pass's form of a certificate's branch nodes: (the node tuples in
+# pre-order, see ``_read_nodes``; the key of each point id; the root indices)
+Tree = tuple[list[tuple], list[Key], list[int]]
 
 
 class CheckFailure(NamedTuple):
@@ -66,25 +72,27 @@ def _key(point: Fraction) -> Key:
     return point.numerator, point.denominator
 
 
-def _witness_verdict(w: tuple, bounds: tuple) -> tuple[Optional[str], set]:
+def _witness_verdict(w: tuple, bounds: tuple, points: list) -> tuple[Optional[str], tuple]:
     """The half of a witness's check that reads no colored point: why its
-    values fail, or None, and its support, the set of its values.
+    values fail, or None, and its support, the distinct ids of its values.
 
     Everything is checked on integers: the sum over the lcm of this witness's
     own denominators and every value >= gamma (``check_witness`` less the
     arity, which ``_read_nodes`` checked), then every value <= the domain end.
     """
     gn, gd, en, ed = bounds
-    color, left, (xn, xd) = w
-    scale = lcm(xd, *[d for (_, d), _ in left])
+    color, left, x0 = w
+    xn, xd = points[x0]
+    pairs = [(points[p], m) for p, m in left]
+    scale = lcm(xd, *[d for (_, d), _ in pairs])
     total = 0
     sound = gn * xd <= xn * gd
     inside = xn * ed <= en * xd
-    for (n, d), m in left:
+    for (n, d), m in pairs:
         total += m * n * (scale // d)
         sound = sound and gn * d <= n * gd
         inside = inside and n * ed <= en * d
-    support = {(xn, xd), *[p for p, _ in left]}
+    support = tuple({x0, *[p for p, _ in left]})
     if not (sound and total == xn * (scale // xd)):
         return "fails arithmetic, arity, or domain-start check", support
     if not inside:
@@ -93,7 +101,7 @@ def _witness_verdict(w: tuple, bounds: tuple) -> tuple[Optional[str], set]:
 
 
 def _witness_failure(
-    w: tuple, verdicts: dict, bounds: tuple, state: dict, point: Optional[Key] = None
+    w: tuple, verdicts: dict, bounds: tuple, points: list, state: list, point: Optional[int] = None
 ) -> Optional[str]:
     """Why a witness tuple fails, or None; a step's witness names the point
     it forces, a contradiction names none.
@@ -101,71 +109,78 @@ def _witness_failure(
     ``verdicts`` holds ``_witness_verdict`` per witness object, so a witness
     that the schema pass shared between steps is checked for arithmetic once;
     then, at each use, the forced point must occur in the witness and each
-    other entry must already have the witness's color.
+    other entry must already have the witness's color.  That pass stops at
+    the first entry that has not; only then is the entry to name looked for.
     """
     verdict = verdicts.get(id(w))
     if verdict is None:
-        verdict = verdicts[id(w)] = _witness_verdict(w, bounds)
+        verdict = verdicts[id(w)] = _witness_verdict(w, bounds, points)
     wrong, support = verdict
     if wrong:
         return f"{'contradiction' if point is None else 'witness'} {wrong}"
     if point is not None and point not in support:
         return "forced point does not occur in its witness"
     color = w[0]
-    bad = {p for p in support if p != point and state.get(p) is not color}
-    if not bad:
+    for p in support:
+        if state[p] is not color and p != point:
+            break
+    else:
         return None
+    bad = {p for p in support if p != point and state[p] is not color}
     # the entry named is the first in ascending order, x0 last
-    in_left = [Fraction(*p) for p, _ in w[1] if p in bad]
-    entry = format_rational(min(in_left) if in_left else Fraction(*bad.pop()))
+    in_left = [Fraction(*points[p]) for p, _ in w[1] if p in bad]
+    entry = format_rational(min(in_left) if in_left else Fraction(*points[bad.pop()]))
     if point is not None:
         return f"entry {entry} is not already colored {color.value}"
     return f"contradiction entry {entry} is not colored {color.value}"
 
 
-def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
-    """Replay node tuples in their pre-order, every root from no colored
+def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateCheck:
+    """Replay a tree's nodes in their pre-order, every root from no colored
     point.  Every point the replay colors goes on an undo trail, and entering
     a node unwinds the trail to the length it had at its parent's split."""
+    nodes, points, _ = tree
     bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
-    state: dict[Key, Color] = {}
+    state: list[Optional[Color]] = [None] * len(points)  # by point id
     # a witness tuple's id -> its _witness_verdict: equal witnesses are one
     # tuple, and hashing one would call Color.__hash__ for every lookup
     verdicts: dict[int, tuple] = {}
-    trail: list[Key] = []
+    trail: list[int] = []
     marks = [0]  # marks[t]: the trail length that a node at depth t starts from
     chain: list[tuple] = []  # the nodes from a root down to the current one
 
     def fail(step: Optional[int], reason: str) -> CertificateCheck:
-        return _fail(tuple(_branch_label(Fraction(*n[1]), n[2]) for n in chain), step, reason)
+        return _fail(tuple(_branch_label(Fraction(*points[n[1]]), n[2]) for n in chain), step, reason)
 
     for node in nodes:
-        depth, key, color, steps, contradiction, kids = node
-        while len(trail) > marks[depth]:
-            del state[trail.pop()]
+        depth, assumed, color, steps, contradiction, kids = node
+        mark = marks[depth]
+        for p in trail[mark:]:
+            state[p] = None
+        del trail[mark:]
         del chain[depth:]
         chain.append(node)
-        n, d = key
+        n, d = points[assumed]
         if not (gn * d <= n * gd and n * ed <= en * d):
             return fail(None, "assumption point outside the domain")
-        if key in state:
+        if state[assumed] is not None:
             return fail(None, "assumption point already colored")
-        state[key] = color
-        trail.append(key)
+        state[assumed] = color
+        trail.append(assumed)
 
         for index, (point, forced, w) in enumerate(steps):
-            if w[0] is not forced.opposite:
+            if w[0] is forced:
                 return fail(index, "witness color must oppose the forced color")
-            reason = _witness_failure(w, verdicts, bounds, state, point)
+            reason = _witness_failure(w, verdicts, bounds, points, state, point)
             if reason:
                 return fail(index, reason)
-            if point in state:
+            if state[point] is not None:
                 return fail(index, "forced point already colored")
             state[point] = forced
             trail.append(point)
 
         if contradiction is not None:
-            reason = _witness_failure(contradiction, verdicts, bounds, state)
+            reason = _witness_failure(contradiction, verdicts, bounds, points, state)
             if reason:
                 return fail(None, reason)
             continue
@@ -175,41 +190,45 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> Certificate
             return fail(None, "children must split the same point")
         if first[2] is second[2]:
             return fail(None, "children must assume opposite colors")
-        if first[1] in state:
+        if state[first[1]] is not None:
             return fail(None, "split point already colored")
         del marks[depth + 1:]
         marks.append(len(trail))
     return CertificateCheck()
 
 
-def check_certificate(spec: ProblemSpec, domain_end: Fraction, nodes: list) -> CertificateCheck:
-    """Check a whole certificate's node tuples: both roots assume the left
+def check_certificate(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateCheck:
+    """Check a whole certificate's tree: both roots assume the left
     endpoint, in opposite colors, and every branch replays."""
-    first, second = (node for node in nodes if node[0] == 0)
-    if {first[1], second[1]} != {_key(spec.gamma)}:
+    nodes, points, roots = tree
+    first, second = (nodes[i] for i in roots)
+    if {points[first[1]], points[second[1]]} != {_key(spec.gamma)}:
         return _fail((), None, "root must branch on the left endpoint")
     if first[2] is second[2]:
         return _fail((), None, "root branches must assume opposite colors")
-    return _replay(spec, domain_end, nodes)
+    return _replay(spec, domain_end, tree)
 
 
-def certificate_stats(nodes: list) -> dict:
-    """Branch count and step count of the schema pass's node tuples."""
+def certificate_stats(tree: Tree) -> dict:
+    """Branch count and step count of the schema pass's tree."""
+    nodes = tree[0]
     return {"branches": len(nodes), "steps": sum(len(node[3]) for node in nodes)}
 
 
-def points_used(nodes: list) -> list[str]:
-    """Every point the node tuples color, ascending, as rational strings.
+def points_used(tree: Tree) -> list[str]:
+    """Every point the tree's nodes color, ascending, as rational strings.
 
     The reduced keys are ordered exactly on ints, each numerator scaled to
     the lcm of the distinct denominators: the grid's d for every document
     ``certify_upper`` writes, the only input this is called on."""
-    points: set[Key] = set()
+    nodes, points, _ = tree
+    used: set[int] = set()
     for _, point, _, steps, _, _ in nodes:
-        points.add(point)
-        points.update(step[0] for step in steps)
-    scale = lcm(*{d for _, d in points})
-    return [format_ratio(n, d) for n, d in sorted(points, key=lambda p: p[0] * (scale // p[1]))]
+        used.add(point)
+        used.update(step[0] for step in steps)
+    keys = [points[i] for i in used]
+    scale = lcm(*{d for _, d in keys})
+    return [format_ratio(n, d) for n, d in sorted(keys, key=lambda p: p[0] * (scale // p[1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +236,7 @@ def points_used(nodes: list) -> list[str]:
 
 
 _COLORS = {color.value: color for color in Color}
-_ASSUME_KEYS, _STEP_KEYS = {"point", "color"}, {"point", "forced", "witness"}
-_WITNESS_KEYS = {"color", "left", "x0"}
+_ASSUME_KEYS, _WITNESS_KEYS = {"point", "color"}, {"color", "left", "x0"}
 
 
 def _color(value) -> Color:
@@ -228,11 +246,22 @@ def _color(value) -> Color:
         raise ValueError(f"unknown color {value!r}") from None
 
 
-def _read_witness(spec: ProblemSpec, key: Callable, obj: dict) -> tuple:
+def _content(obj: dict) -> tuple:
+    """The memo key of a witness object: (color, x0, left pairs), or a
+    KeyError when it lacks one of them and a TypeError or ValueError when its
+    left side is not pairs.  The key is exact in type: a multiplicity that is
+    not an int, as a true or a 1.0 equal to 1, is None in it, which no valid
+    witness has.  Any other value equal to a valid witness's is a string."""
+    return obj["color"], obj["x0"], tuple(
+        [(value, m if type(m) is int else None) for value, m in obj["left"]]
+    )
+
+
+def _read_witness(spec: ProblemSpec, point_id: Callable, obj: dict) -> tuple:
     """The tuple (color, ((point, multiplicity), ...), x0) of a witness
     object that carries exactly color, left and x0, or a ValueError that names
     the first rule it breaks: its left entries in file order, then its x0, its
-    multiplicities and its arity.  ``key`` reads a literal."""
+    multiplicities and its arity.  ``point_id`` reads a literal."""
     color = _color(obj["color"])
     left = obj["left"]
     if not isinstance(left, list):
@@ -242,8 +271,8 @@ def _read_witness(spec: ProblemSpec, key: Callable, obj: dict) -> tuple:
         # a JSON true is an int to isinstance, so the type is compared
         if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
             raise ValueError(f"malformed left entry {item!r}")
-        pairs.append((key(item[0]), item[1]))
-    x0 = key(obj["x0"])
+        pairs.append((point_id(item[0]), item[1]))
+    x0 = point_id(obj["x0"])
     low = [m for _, m in pairs if m < 1]
     if low:
         raise ValueError(f"multiplicity must be a positive integer, got {low[0]!r}")
@@ -254,49 +283,55 @@ def _read_witness(spec: ProblemSpec, key: Callable, obj: dict) -> tuple:
     return color, tuple(pairs), x0
 
 
-def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
+def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
     """The schema pass over sibling branch nodes in their file form: the
-    checker's node tuples, or a ValueError that names the first rule a node
+    checker's ``Tree``, or a ValueError that names the first rule a node
     breaks.
 
-    The tuples come in pre-order, first child first, one per node: (depth,
-    point, color, steps, contradiction, child indices).  A point is its key,
-    a step is (point, forced color, witness), a witness is (color, ((point,
-    multiplicity), ...), x0), and a node ends in a contradiction witness or
-    in two children, never both.  A witness is checked as ``_read_witness``
-    says.  Each distinct literal is parsed once, and each distinct valid
+    The node tuples come in pre-order, first child first, one per node:
+    (depth, point, color, steps, contradiction, child indices).  A point is
+    its id, the index of its key in the tree's points, a step is (point, forced
+    color, witness), a witness is (color, ((point, multiplicity), ...), x0),
+    and a node ends in a contradiction witness or in two children, never
+    both.  A witness is checked as ``_read_witness`` says.  Each distinct
+    literal is parsed once.  Each distinct valid step and each distinct valid
     witness is read once: every copy of it gets the same tuple.
     """
-    keys: dict[str, Key] = {}
+    literals: dict[str, int] = {}
+    ids: dict[Key, int] = {}  # a point's key -> its id, in the order first read
 
-    def key(text) -> Key:
+    def point_id(text) -> int:
         try:
-            return keys[text]
+            return literals[text]
         except (KeyError, TypeError):
-            keys[text] = pair = _key(parse_rational(text))  # ValueError on a non-literal
-            return pair
+            pair = _key(parse_rational(text))  # ValueError on a non-literal
+            literals[text] = i = ids.setdefault(pair, len(ids))
+            return i
 
     witnesses: dict[tuple, tuple] = {}  # a valid witness's content -> its one tuple
 
-    def witness(obj) -> tuple:
-        if not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
-            raise ValueError("witness object must carry exactly color, left, x0")
-        # The key is exact in type: a multiplicity that is not an int, as a
-        # true or a 1.0 equal to 1, is None in it, which no valid witness has.
-        # Any other value equal to a valid witness's is a string.
-        try:
-            content = obj["color"], obj["x0"], tuple(
-                [(value, m if type(m) is int else None) for value, m in obj["left"]]
-            )
+    def witness(obj, content=None) -> tuple:
+        # ``content``: the memo key that a step's lookup already built
+        if content is not None:
             w = witnesses.get(content)
-        except (TypeError, ValueError):  # not pairs, or unhashable: no memo
-            return _read_witness(spec, key, obj)
+        elif not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
+            raise ValueError("witness object must carry exactly color, left, x0")
+        else:
+            try:
+                content = _content(obj)
+                w = witnesses.get(content)
+            except (TypeError, ValueError):  # not pairs, or unhashable: no memo
+                return _read_witness(spec, point_id, obj)
         if w is None:
-            w = witnesses[content] = _read_witness(spec, key, obj)  # cached only if valid
+            w = witnesses[content] = _read_witness(spec, point_id, obj)  # cached only if valid
         return w
 
+    # a valid step's (point, forced, witness content) -> its one tuple; the
+    # point and forced values of a valid step are strings too
+    memo: dict[tuple, tuple] = {}
     nodes: list[tuple] = []
-    stack = [(root, 0, None) for root in reversed(roots)]
+    root_indices: list[int] = []
+    stack = [(root, 0, root_indices) for root in reversed(roots)]
     while stack:
         obj, depth, siblings = stack.pop()
         if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
@@ -305,22 +340,40 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
         if not isinstance(assume, dict) or assume.keys() != _ASSUME_KEYS:
             raise ValueError("assume must carry exactly point and color")
         color = _color(assume["color"])
-        point = key(assume["point"])
+        point = point_id(assume["point"])
         if not isinstance(obj["steps"], list):
             raise ValueError("steps must be a list")
         steps = []
         for item in obj["steps"]:
-            if not isinstance(item, dict) or item.keys() != _STEP_KEYS:
-                raise ValueError("step must carry exactly point, forced, witness")
-            forced = _color(item["forced"])
-            steps.append((key(item["point"]), forced, witness(item["witness"])))
+            # exactly its three keys: three entries, and each of them found
+            try:
+                if not isinstance(item, dict) or len(item) != 3:
+                    raise KeyError
+                literal, forced, w = item["point"], item["forced"], item["witness"]
+            except KeyError:
+                raise ValueError("step must carry exactly point, forced, witness") from None
+            content = None
+            if isinstance(w, dict) and len(w) == 3:
+                try:
+                    content = literal, forced, _content(w)
+                    step = memo.get(content)
+                except (KeyError, TypeError, ValueError):  # no memo key
+                    content = step = None
+                if step is not None:
+                    steps.append(step)
+                    continue
+            # the rules in their order: the forced color, the point, the witness
+            forced = _color(forced)
+            step = point_id(literal), forced, witness(w, content and content[2])
+            if content is not None:
+                memo[content] = step
+            steps.append(step)
         has_contradiction = "contradiction" in obj
         if has_contradiction == ("children" in obj):
             raise ValueError("branch node must end in exactly one of contradiction or children")
         if len(obj) != 3:
             raise ValueError("branch node must carry nothing but assume, steps, and its ending")
-        if siblings is not None:
-            siblings.append(len(nodes))
+        siblings.append(len(nodes))
         if has_contradiction:
             nodes.append((depth, point, color, tuple(steps), witness(obj["contradiction"]), None))
             continue
@@ -330,12 +383,12 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> list[tuple]:
         kids: list[int] = []
         nodes.append((depth, point, color, tuple(steps), None, kids))
         stack.extend((child, depth + 1, kids) for child in reversed(children))
-    return nodes
+    return nodes, list(ids), root_indices
 
 
-def certificate_from_json(obj) -> tuple[ProblemSpec, Fraction, list[tuple]]:
+def certificate_from_json(obj) -> tuple[ProblemSpec, Fraction, Tree]:
     """The schema pass over a certificate document: its spec, its domain end
-    and its node tuples (see ``_read_nodes``), or a ValueError that names the
+    and its ``Tree`` (see ``_read_nodes``), or a ValueError that names the
     first rule the document breaks.
 
     Rules are checked in this order: the certificate's keys, the spec, the

@@ -140,12 +140,12 @@ def cmd_verify_coloring(args) -> dict:
 
 def cmd_certify_upper(args) -> dict:
     spec = ProblemSpec(args.k, args.l)
-    doc, nodes = certify_upper(spec, args.grid_denominator, args.max_depth)
+    doc, tree = certify_upper(spec, args.grid_denominator, args.max_depth)
     payload = {
         "file": _write_out(args.out, doc) if args.out else None,
         "domain_end": doc["domain_end"],
-        **certificate_stats(nodes),
-        "points_used": points_used(nodes),
+        **certificate_stats(tree),
+        "points_used": points_used(tree),
     }
     return _result("certify-upper", spec.as_json(), payload, "Ok")
 
@@ -156,8 +156,8 @@ def cmd_verify_certificate(args) -> dict:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        spec, domain_end, nodes = certificate_from_json(_read_json(args.file))
-        check = check_certificate(spec, domain_end, nodes)
+        spec, domain_end, tree = certificate_from_json(_read_json(args.file))
+        check = check_certificate(spec, domain_end, tree)
     finally:
         if collecting:
             gc.enable()
@@ -166,7 +166,7 @@ def cmd_verify_certificate(args) -> dict:
         payload = {
             "verified": True,
             "domain_end": format_rational(domain_end),
-            **certificate_stats(nodes),
+            **certificate_stats(tree),
         }
         return _result("verify-certificate", spec_json, payload, "Ok")
     payload = {

@@ -103,10 +103,10 @@ def check_certificates(k2_max_l: int, max_kl: int) -> list[CheckResult]:
     """Upper-bound certificates assemble and verify across the covered range."""
     out = []
     for k, l in [(2, l) for l in range(2, k2_max_l + 1)] + list(_specs(max_kl, min_k=3)):
-        doc, nodes = certify_upper(ProblemSpec(k, l))  # raises unless it checks
+        doc, tree = certify_upper(ProblemSpec(k, l))  # raises unless it checks
         end = doc["domain_end"]
-        stats = certificate_stats(nodes)
-        halves_ok = k > 2 or l < 3 or {"3/2", "5/2"} <= set(points_used(nodes))
+        stats = certificate_stats(tree)
+        halves_ok = k > 2 or l < 3 or {"3/2", "5/2"} <= set(points_used(tree))
         ok = end == str(k * l + k - 1) and halves_ok
         out.append(
             CheckResult(

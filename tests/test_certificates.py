@@ -590,8 +590,8 @@ class TestCheckerModule:
     MOVED = (
         "Key", "CheckFailure", "CertificateCheck", "_fail", "_branch_label", "_key",
         "_witness_failure", "_replay", "check_certificate", "certificate_stats", "points_used",
-        "_COLORS", "_ASSUME_KEYS", "_STEP_KEYS", "_WITNESS_KEYS", "_color", "_read_nodes",
-        "certificate_from_json",
+        "_COLORS", "_ASSUME_KEYS", "_WITNESS_KEYS", "_color", "_content", "_read_nodes",
+        "certificate_from_json", "Tree",
     )
 
     def imports(self, name):
@@ -1206,6 +1206,22 @@ def reference_tuples(cert):
     return nodes
 
 
+def keyed(tree):
+    """A tree's node tuples with every point id replaced by its key, the
+    layout of ``reference_tuples``."""
+    nodes, key, _ = tree
+
+    def witness(w):
+        color, left, x0 = w
+        return color, tuple((key[p], m) for p, m in left), key[x0]
+
+    return [
+        (depth, key[point], color, tuple((key[p], forced, witness(w)) for p, forced, w in steps),
+         None if end is None else witness(end), kids)
+        for depth, point, color, steps, end, kids in nodes
+    ]
+
+
 def canonical_nodes(nodes):
     """Node tuples with each witness's left side merged and sorted by value,
     as a SolutionWitness holds it; the schema pass keeps file order."""
@@ -1584,14 +1600,51 @@ def test_points_used_orders_on_ints_as_fractions_do():
     # spines' 1/11 and 1/13 steps beside the k = 2 chains' halves
     denominators = set()
     for cert in BASES:
-        nodes = certificate_from_json(emit(cert))[2]
+        tree = certificate_from_json(emit(cert))[2]
+        nodes = keyed(tree)
         points = {node[1] for node in nodes} | {step[0] for node in nodes for step in node[3]}
         denominators |= {d for _, d in points}
-        assert points_used(nodes) == [format_rational(v) for v in sorted(Fraction(*p) for p in points)]
+        assert points_used(tree) == [format_rational(v) for v in sorted(Fraction(*p) for p in points)]
     assert {2, 3, 11, 13} <= denominators
 
 
 JUNK = (None, True, 3, 0, 2.5, [], {}, ["1", 1], "x", "1/0", "1.5", "-2", "0", "7/3", "green", "red")
+
+
+FLIP = {"red": "blue", "blue": "red"}
+
+
+def _copy_step(draw, steps, base):
+    """Put a copy of one step, with one field changed, into some node's
+    steps: a copy that a memo of read steps must tell from its original.  A
+    point or x0 becomes another rational inside the domain, or its own value
+    written unreduced, which is the same point."""
+    parent, i = draw(st.sampled_from(steps))
+    step = copy.deepcopy(parent[i])
+    w = step.get("witness") if isinstance(step, dict) else None
+    field = draw(st.sampled_from(("point", "x0", "forced", "color", "multiplicity", "key")))
+    if field in ("point", "x0") and isinstance(w, dict):
+        owner = step if field == "point" else w
+        if draw(st.booleans()):
+            d = draw(st.integers(1, 3))
+            low, high = math.ceil(base.spec.gamma * d), math.floor(base.domain_end * d)
+            owner[field] = format_rational(Fraction(draw(st.integers(low, high)), d))
+        else:
+            with contextlib.suppress(ValueError):
+                v = parse_rational(owner.get(field))
+                owner[field] = f"{v.numerator * 2}/{v.denominator * 2}"
+    elif field == "forced" and isinstance(step, dict):
+        step["forced"] = FLIP.get(step.get("forced"), "red")
+    elif field == "color" and isinstance(w, dict):
+        w["color"] = FLIP.get(w.get("color"), "red")
+    elif field == "multiplicity" and isinstance(w, dict) and isinstance(w.get("left"), list):
+        entries = [entry for entry in w["left"] if isinstance(entry, list) and len(entry) == 2]
+        if entries:
+            draw(st.sampled_from(entries))[1] = draw(st.sampled_from((True, 1.0, 2)))
+    elif field == "key" and isinstance(w, dict):
+        w["note"] = "x"
+    target, _ = draw(st.sampled_from(steps))
+    target.insert(draw(st.integers(0, len(target))), step)
 
 
 def _damage(draw, doc, base):
@@ -1601,6 +1654,7 @@ def _damage(draw, doc, base):
     Junk, deletions and swaps mostly break the schema (exit 64); recoloring a
     forced step, replacing a literal by another rational inside the domain and
     dropping a step keep it, so those files reach the replay (exit 0 or 1).
+    A copied step with one field changed (``_copy_step``) may do either.
     """
     for _ in range(draw(st.integers(1, 3))):
         places, steps, literals, stack = [], [], [], [doc]
@@ -1620,7 +1674,12 @@ def _damage(draw, doc, base):
                     stack.append(value)
         if not places:  # every key was deleted
             break
-        action = draw(st.sampled_from(("junk", "delete", "swap", "recolor", "literal", "literal", "drop-step")))
+        action = draw(st.sampled_from(
+            ("junk", "delete", "swap", "recolor", "literal", "literal", "drop-step", "copy-step")
+        ))
+        if action == "copy-step" and steps:
+            _copy_step(draw, steps, base)
+            continue
         if action == "literal" and literals:
             parent, key = draw(st.sampled_from(literals))
             d = draw(st.integers(1, 3))
@@ -1661,11 +1720,11 @@ def test_parse_matches_the_recursive_reference_on_damaged_files(doc):
     if isinstance(got, str) or isinstance(expected, str):
         assert got == expected
         return
-    spec, end, nodes = got
-    assert (spec, end, canonical_nodes(nodes)) == (
+    spec, end, tree = got
+    assert (spec, end, canonical_nodes(keyed(tree))) == (
         expected.spec, expected.domain_end, reference_tuples(expected)
     )
-    assert check_certificate(spec, end, nodes) == reference_verify_certificate(expected)
+    assert check_certificate(spec, end, tree) == reference_verify_certificate(expected)
 
 
 def reference_command(doc):
@@ -1679,7 +1738,9 @@ def reference_command(doc):
     check = reference_verify_certificate(cert)
     if check.ok:
         end = format_rational(cert.domain_end)
-        return 0, {"verified": True, "domain_end": end, **certificate_stats(reference_tuples(cert))}
+        nodes = reference_tuples(cert)
+        stats = {"branches": len(nodes), "steps": sum(len(node[3]) for node in nodes)}
+        return 0, {"verified": True, "domain_end": end, **stats}
     failure = check.failure._asdict()
     return 1, {"verified": False, "failure": dict(failure, path=list(check.failure.path))}
 
@@ -1865,6 +1926,86 @@ def test_each_distinct_witness_is_read_and_checked_once(monkeypatch):
     distinct = len({canonical_json(w) for w in witnesses})
     assert len(witnesses) > 20 * distinct
     assert calls == {"_read_witness": distinct, "_witness_verdict": distinct}
+
+
+# The schema pass also reads each distinct step once and shares its tuple.  A
+# copy equal to a read step in Python but not the same JSON must still fail as
+# before, and a point written as an equal literal is the same point.
+
+
+def step_objects(doc):
+    """Every step object of a document, in pre-order."""
+    out, stack = [], list(reversed(doc["root"]))
+    while stack:
+        node = stack.pop()
+        out += node["steps"]
+        stack += reversed(node.get("children", []))
+    return out
+
+
+def test_each_distinct_step_is_read_once_and_is_one_object(monkeypatch):
+    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50)))
+    calls = Counter()
+    read = checker._read_witness
+
+    def counted(*args):
+        calls["_read_witness"] += 1
+        return read(*args)
+
+    monkeypatch.setattr(checker, "_read_witness", counted)
+    tree = certificate_from_json(doc)[2]
+    steps = step_objects(doc)
+    distinct = len({canonical_json(step) for step in steps})
+    assert len(steps) > 20 * distinct
+    assert calls["_read_witness"] == len({canonical_json(w) for w in witness_objects(doc)})
+    read_steps = [step for node in tree[0] for step in node[3]]
+    assert len(read_steps) == len(steps)
+    assert len({id(step) for step in read_steps}) == distinct
+
+
+# What a copy of a read step changes, and the exit code it owes
+UNEQUAL_STEP_COPIES = {
+    "multiplicity-true": 64,
+    "multiplicity-1.0": 64,
+    "forced-flipped": 1,
+    "witness-extra-key": 64,
+}
+
+
+@pytest.mark.parametrize("change", list(UNEQUAL_STEP_COPIES))
+def test_a_step_copy_unequal_as_json_to_a_read_step_fails_as_before(change):
+    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 3)))
+    assert command(doc)[0] == 0
+    # the last step that repeats an earlier one and has a multiplicity 1
+    steps = step_objects(doc)
+    step = next(
+        step for j, step in reversed(list(enumerate(steps)))
+        if step in steps[:j] and any(m == 1 for _, m in step["witness"]["left"])
+    )
+    if change.startswith("multiplicity"):
+        entry = next(entry for entry in step["witness"]["left"] if entry[1] == 1)
+        entry[1] = True if change == "multiplicity-true" else 1.0
+    elif change == "forced-flipped":
+        step["forced"] = FLIP[step["forced"]]
+    else:
+        step["witness"]["note"] = "x"
+    expected = reference_command(doc)
+    assert expected[0] == UNEQUAL_STEP_COPIES[change]
+    assert command(doc) == expected
+
+
+def test_an_equal_literal_is_the_same_point():
+    # "12/2" reduces to the key of "6", so both get one point id
+    doc = json.loads((DATA / "certificate-5-5.json").read_text())
+    tree = certificate_from_json(doc)[2]
+    step = next(step for step in doc["root"][0]["steps"] if step["point"] == "6")
+    step["point"] = "12/2"
+    rewritten = certificate_from_json(doc)[2]
+    assert rewritten == tree
+    nodes, points, _ = rewritten
+    read = next(step for step in nodes[0][3] if points[step[0]] == (6, 1))
+    assert read[0] in [p for p, _ in read[2][1]]  # the same id as the witness's "6"
+    assert command(doc) == (0, {"verified": True, "domain_end": "29", **certificate_stats(tree)})
 
 
 def test_a_left_side_given_as_a_long_string_is_refused_without_a_copy():

@@ -27,8 +27,10 @@ def read_back(witness_json):
     the first node of the schema pass."""
     doc = build_k2_certificate(3)
     doc["root"][0]["contradiction"] = witness_json
-    color, left, x0 = certificate_from_json(doc)[2][0][4]
-    return SolutionWitness(color, tuple((Fraction(*p), m) for p, m in left), Fraction(*x0))
+    nodes, points, _ = certificate_from_json(doc)[2]
+    color, left, x0 = nodes[0][4]
+    value = [Fraction(*key) for key in points]
+    return SolutionWitness(color, tuple((value[p], m) for p, m in left), value[x0])
 
 
 class TestFormulaDiscrete:

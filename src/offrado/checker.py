@@ -14,9 +14,11 @@ in exact arithmetic, and reports the branch path, step index, and violated
 condition on failure.  ``certificate_from_json`` is the one schema pass over
 a document: it parses each distinct literal once and gives each distinct
 point, its reduced (numerator, denominator) key, a small int id, so "2/4"
-and "1/2" are one point.  It reads each distinct step and each distinct
-witness once and returns the checker's form, a ``Tree`` of plain tuples on
-point ids, in which equal steps are one object and so are equal witnesses.
+and "1/2" are one point.  It reads each steps list and contradiction object
+once, so one that ``serialize.read_json`` hands to several nodes is checked
+once, and each distinct step and each distinct witness once, and returns the
+checker's form, a ``Tree`` of plain tuples on point ids, in which equal steps
+are one object and so are equal witnesses.
 ``check_certificate`` runs the one replay over it, with the colored points in
 a list indexed by id.  It checks each witness object's arithmetic once, on
 integers over the lcm of its own denominators, never over a scale common to
@@ -24,8 +26,9 @@ the file, which an untrusted file could inflate.  At each use it checks only
 what the colored points decide, in one pass over the witness's support that
 stops at the first entry not yet in the witness's color.  It puts every
 colored point on an undo trail, unwound at each split instead of copying the
-state.  Both walk the branch tree with an explicit stack, so certificate
-depth is bounded by memory, not by the interpreter's recursion limit.  Of the
+state.  Both walk the branch tree with an explicit stack, as ``read_json``
+reads it, so certificate depth is bounded by memory, not by the
+interpreter's recursion limit.  Of the
 package, only ``equations`` and ``serialize`` are imported: no search.
 """
 
@@ -36,7 +39,7 @@ from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .equations import Color, ProblemSpec
-from .serialize import format_ratio, format_rational, parse_rational
+from .serialize import format_ratio, format_rational, parse_ratio, parse_rational
 
 Key = tuple[int, int]  # a point's reduced (numerator, denominator)
 # The schema pass's form of a certificate's branch nodes: (the node tuples in
@@ -294,8 +297,10 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
     color, witness), a witness is (color, ((point, multiplicity), ...), x0),
     and a node ends in a contradiction witness or in two children, never
     both.  A witness is checked as ``_read_witness`` says.  Each distinct
-    literal is parsed once.  Each distinct valid step and each distinct valid
-    witness is read once: every copy of it gets the same tuple.
+    literal is parsed once, by ``parse_ratio``.  Each steps list and each
+    contradiction object is read once, so one that ``read_json`` shares
+    between nodes is checked once, and each distinct valid step and each
+    distinct valid witness is read once: every copy of it gets the same tuple.
     """
     literals: dict[str, int] = {}
     ids: dict[Key, int] = {}  # a point's key -> its id, in the order first read
@@ -304,8 +309,8 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
         try:
             return literals[text]
         except (KeyError, TypeError):
-            pair = _key(parse_rational(text))  # ValueError on a non-literal
-            literals[text] = i = ids.setdefault(pair, len(ids))
+            # ValueError on a non-literal
+            literals[text] = i = ids.setdefault(parse_ratio(text), len(ids))
             return i
 
     witnesses: dict[tuple, tuple] = {}  # a valid witness's content -> its one tuple
@@ -329,22 +334,12 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
     # a valid step's (point, forced, witness content) -> its one tuple; the
     # point and forced values of a valid step are strings too
     memo: dict[tuple, tuple] = {}
-    nodes: list[tuple] = []
-    root_indices: list[int] = []
-    stack = [(root, 0, root_indices) for root in reversed(roots)]
-    while stack:
-        obj, depth, siblings = stack.pop()
-        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
-            raise ValueError("branch node must carry assume and steps")
-        assume = obj["assume"]
-        if not isinstance(assume, dict) or assume.keys() != _ASSUME_KEYS:
-            raise ValueError("assume must carry exactly point and color")
-        color = _color(assume["color"])
-        point = point_id(assume["point"])
-        if not isinstance(obj["steps"], list):
+
+    def read_steps(items) -> tuple:
+        if not isinstance(items, list):
             raise ValueError("steps must be a list")
         steps = []
-        for item in obj["steps"]:
+        for item in items:
             # exactly its three keys: three entries, and each of them found
             try:
                 if not isinstance(item, dict) or len(item) != 3:
@@ -368,6 +363,30 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
             if content is not None:
                 memo[content] = step
             steps.append(step)
+        return tuple(steps)
+
+    # the id of a steps list, and of a contradiction, -> what was read from
+    # it, so an object that read_json shared is read once; one dict each,
+    # since one object may be both.  An id stays unique while the document,
+    # which holds every such object, outlives this pass
+    read_lists: dict[int, tuple] = {}
+    read_endings: dict[int, tuple] = {}
+    nodes: list[tuple] = []
+    root_indices: list[int] = []
+    stack = [(root, 0, root_indices) for root in reversed(roots)]
+    while stack:
+        obj, depth, siblings = stack.pop()
+        if not isinstance(obj, dict) or "assume" not in obj or "steps" not in obj:
+            raise ValueError("branch node must carry assume and steps")
+        assume = obj["assume"]
+        if not isinstance(assume, dict) or assume.keys() != _ASSUME_KEYS:
+            raise ValueError("assume must carry exactly point and color")
+        color = _color(assume["color"])
+        point = point_id(assume["point"])
+        items = obj["steps"]
+        steps = read_lists.get(id(items))
+        if steps is None:
+            steps = read_lists[id(items)] = read_steps(items)
         has_contradiction = "contradiction" in obj
         if has_contradiction == ("children" in obj):
             raise ValueError("branch node must end in exactly one of contradiction or children")
@@ -375,13 +394,17 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
             raise ValueError("branch node must carry nothing but assume, steps, and its ending")
         siblings.append(len(nodes))
         if has_contradiction:
-            nodes.append((depth, point, color, tuple(steps), witness(obj["contradiction"]), None))
+            ending = obj["contradiction"]
+            w = read_endings.get(id(ending))
+            if w is None:
+                w = read_endings[id(ending)] = witness(ending)
+            nodes.append((depth, point, color, steps, w, None))
             continue
         children = obj["children"]
         if not (isinstance(children, list) and len(children) == 2):
             raise ValueError("children must be a pair")
         kids: list[int] = []
-        nodes.append((depth, point, color, tuple(steps), None, kids))
+        nodes.append((depth, point, color, steps, None, kids))
         stack.extend((child, depth + 1, kids) for child in reversed(children))
     return nodes, list(ids), root_indices
 

@@ -35,7 +35,7 @@ from .intervals import (
     verify_coloring,
 )
 from .search import compute_rado
-from .serialize import canonical_json, format_rational, parse_rational
+from .serialize import canonical_json, format_rational, parse_rational, read_json
 from . import suite
 
 EXIT_CODES = {"Ok": 0, "WitnessFound": 1, "Unproved": 2, "InvalidInput": 64, "InternalError": 70}
@@ -64,8 +64,11 @@ def _write_out(path: str, payload: dict) -> str:
 
 
 def _read_json(path: str) -> dict:
+    """The document in a UTF-8 file, read by ``serialize.read_json``: a
+    certificate's branch nodes nest as deep as memory allows, and only a
+    value nested too deeply inside a node is InvalidInput."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return read_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise _CliError(f"no such file: {path}") from None
     except OSError as exc:  # a directory, no permission, ...
@@ -74,7 +77,7 @@ def _read_json(path: str) -> dict:
         raise _CliError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not JSON: {exc}") from None
-    except RecursionError:  # uncaught it would exit 1, which means WitnessFound
+    except RecursionError:  # a RuntimeError, which would exit 70 as a fault
         raise _CliError(f"{path} nests too deeply to read") from None
 
 

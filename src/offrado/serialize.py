@@ -1,28 +1,46 @@
-"""Rational string forms and canonical JSON shared by every file format.
+"""Rational string forms and the JSON text of every file format.
+
 Every rational is written by ``format_ratio``, from a numerator and a
-denominator: grid ids p over d, or a ``Fraction`` via ``format_rational``."""
+denominator: grid ids p over d, or a ``Fraction`` via ``format_rational``, and
+read by ``parse_ratio`` back to a reduced (numerator, denominator) pair.  A
+document is written by ``canonical_json`` and read by ``read_json``, which
+walks a certificate's branch nodes on an explicit stack, so their depth is
+bounded by memory, not by the interpreter's recursion limit, and reads each
+repeated step list and contradiction once."""
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from math import gcd
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_scan = json.JSONDecoder().scan_once  # json's own C scanner, as json.loads runs it
+_string = json.decoder.scanstring
+_space = json.decoder.WHITESPACE.match
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of an integer or p/q literal in
+    ASCII digits, [+-]?[0-9]+(/[0-9]+)?, and nothing else; decimals, a
+    trailing newline, an underscore and other digit scripts are rejected."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if _digits(num[1:] if num[:1] in ("+", "-") else num) and (not slash or _digits(den)):
+            n, d = int(num), int(den) if slash else 1
+            if d == 0:
+                raise ValueError(f"zero denominator: {text!r}")
+            g = gcd(n, d)
+            return n // g, d // g
+    raise ValueError(f"not an exact rational literal: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or p/q literal in ASCII digits and nothing else;
-    decimals, a trailing newline and other digit scripts are rejected."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not an exact rational literal: {text!r}")
-    num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    """``parse_ratio``'s value as a ``Fraction``."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_ratio(p: int, q: int) -> str:
@@ -60,3 +78,113 @@ def exact_fraction(value) -> Fraction:
 def canonical_json(payload) -> str:
     """Sorted keys, no whitespace variation; byte-stable across runs."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+# How read_json reads a value, by where it sits: the document, an array of
+# branch nodes, a branch node, a node's steps list or contradiction, or
+# anything else, which json's scanner reads whole
+_DOC, _NODES, _NODE, _SHARED = "doc", "nodes", "node", "shared"
+_INNER = {_DOC: {"root": _NODES}, _NODE: {"children": _NODES, "steps": _SHARED, "contradiction": _SHARED}}
+_HEAD = 32  # the characters of a shared value's text that find its candidate
+_WS = frozenset(" \t\n\r")  # json's whitespace
+
+
+def _member(s: str, idx: int) -> tuple[str, int]:
+    """An object's key at idx and the index of its value; StopIteration when
+    there is none."""
+    if s[idx:idx + 1] != '"':
+        raise StopIteration
+    key, idx = _string(s, idx + 1)
+    if s[idx:idx + 1] != ":":
+        idx = _space(s, idx).end()
+        if s[idx:idx + 1] != ":":
+            raise StopIteration
+    idx += 1
+    if s[idx:idx + 1] in _WS:
+        idx = _space(s, idx).end()
+    return key, idx
+
+
+def _walk(s: str):
+    """The document of ``read_json``, or StopIteration where the walk finds
+    no JSON; json's scanner raises its own errors inside a value."""
+    last: dict[str, tuple] = {}  # a shared value's first _HEAD characters -> (its text, its value)
+    stack: list[tuple] = []  # the open containers on the node path that enclose this one
+    container = kind = key = None  # the innermost open container, its mode, its pending key
+    idx, mode = _space(s, 0).end(), _DOC
+    while True:
+        c = s[idx:idx + 1]
+        if (c == "{" and (mode is _DOC or mode is _NODE)) or (c == "[" and mode is _NODES):
+            idx += 1
+            if s[idx:idx + 1] in _WS:
+                idx = _space(s, idx).end()
+            if s[idx:idx + 1] != ("]" if c == "[" else "}"):
+                stack.append((container, kind, key))
+                if c == "[":
+                    container, kind, mode = [], _NODES, _NODE
+                else:
+                    container, kind = {}, mode
+                    key, idx = _member(s, idx)
+                    mode = _INNER[kind].get(key)
+                continue
+            value, idx = ([] if c == "[" else {}), idx + 1
+        elif mode is _SHARED:
+            # an array or object ends at its own closing bracket, so text
+            # that starts with a read one's text is that value again
+            head = s[idx:idx + _HEAD]
+            seen = last.get(head)
+            if seen is not None and s.startswith(seen[0], idx):
+                value, idx = seen[1], idx + len(seen[0])
+            else:
+                value, end = _scan(s, idx)
+                if c == "[" or c == "{":
+                    last[head] = s[idx:end], value
+                idx = end
+        else:
+            value, idx = _scan(s, idx)
+        # the value is read: store it, and close each container it completes
+        while kind is not None:
+            if kind is _NODES:
+                container.append(value)
+            else:
+                container[key] = value
+            c = s[idx:idx + 1]
+            if c in _WS:
+                idx = _space(s, idx).end()
+                c = s[idx:idx + 1]
+            if c == ",":
+                idx += 1
+                if s[idx:idx + 1] in _WS:
+                    idx = _space(s, idx).end()
+                if kind is _NODES:
+                    mode = _NODE
+                else:
+                    key, idx = _member(s, idx)
+                    mode = _INNER[kind].get(key)
+                break
+            if c != ("]" if kind is _NODES else "}"):
+                raise StopIteration
+            value, idx = container, idx + 1
+            container, kind, key = stack.pop()
+        else:
+            if _space(s, idx).end() != len(s):
+                raise StopIteration
+            return value
+
+
+def read_json(text: str):
+    """The document ``json.loads(text)`` returns, or the error it raises.
+
+    Branch nodes, the elements of the document's ``root`` and of every
+    ``children`` array, are walked on an explicit stack; every other value
+    is read by json's own scanner, so only a value nested inside a node can
+    raise RecursionError.  A node's ``steps`` list or ``contradiction``
+    whose text repeats the last one read with the same first 32 characters
+    is that same object, so a caller must not mutate the document.  A text
+    the walk refuses goes to ``json.loads`` to raise json's own error.
+    """
+    try:
+        return _walk(text)
+    except StopIteration:
+        json.loads(text)
+        raise RuntimeError("read_json refused a text that json.loads reads") from None

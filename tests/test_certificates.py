@@ -46,7 +46,7 @@ from offrado import certificates, checker, cli
 from offrado.equations import Color, ProblemSpec, SolutionWitness, check_witness
 from offrado.propagation import Satisfiable, SumsetHandle, dpll
 from offrado.search import search_valid
-from offrado.serialize import canonical_json, format_rational, parse_rational
+from offrado.serialize import canonical_json, format_rational, parse_rational, read_json
 
 RED, BLUE = Color.RED, Color.BLUE
 DATA = Path(__file__).parent / "data"
@@ -1746,10 +1746,12 @@ def reference_command(doc):
 
 
 def command(doc):
-    """The exit code and payload of verify-certificate on ``doc``."""
+    """The exit code and payload of verify-certificate on ``doc``, read back
+    from its canonical text, in which a repeated step list is one object."""
+    text = canonical_json(doc)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(cli, "_read_json", lambda path: doc)
+        patch.setattr(cli, "_read_json", lambda path: read_json(text))
         code = cli.main(["verify-certificate", "--file", "damaged.json"])
     return code, json.loads(out.getvalue())["payload"]
 

@@ -1,11 +1,14 @@
 import argparse
 import ast
 import contextlib
+import functools
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,12 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offrado.certificates import build_k2_certificate
-from offrado.checker import certificate_from_json, certificate_stats
-from offrado import certificates, cli, search
+from offrado.checker import certificate_from_json, certificate_stats, check_certificate
+from offrado import certificates, cli, search, serialize
 from offrado.cli import main
 from offrado.equations import Color, ProblemSpec, SolutionWitness, Verdict, check_witness
 from offrado.intervals import coloring_as_json, coloring_from_json, lower_bound_coloring
-from offrado.serialize import canonical_json, format_rational, parse_rational
+from offrado.serialize import canonical_json, format_rational, parse_rational, read_json
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -363,60 +366,69 @@ class TestCertificatePipeline:
         code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
         assert code == 64 and out["status"] == "InvalidInput"
 
-    def test_deep_nesting_is_invalid_input_not_witness_found(self, capsys, tmp_path):
-        # 6000 split levels, each an object inside a list: about 12000 deep,
-        # past the json reader's nesting limit on CPython 3.10 through 3.13
-        assume = '"assume":{"color":"red","point":"1"},"steps":[]'
-        leaf = "{" + assume + ',"contradiction":{"color":"red","left":[["1",2]],"x0":"2"}}'
-        root = ("{" + assume + ',"children":[') * 6000 + leaf + (',' + leaf + "]}") * 6000
-        path = tmp_path / "deep.json"
-        path.write_text(
-            '{"spec":{"k":2,"l":2,"gamma":"1"},"domain_end":"5","root":[' + root + "," + leaf + "]}"
-        )
-        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
-        assert code == 64 and out["status"] == "InvalidInput"
-        assert "too deeply" in out["payload"]["error"]
-
     @staticmethod
     def spine_document(depth, tamper_level=None):
-        """The k = 2, l = 3 certificate with its red root branch deepened by
-        ``depth`` useless splits on fresh points p_i = 1 + i/8009: each red
-        child closes with the branch's contradiction, each blue child splits
-        again.  Built bottom-up, so no step recurses."""
+        """The text of the k = 2, l = 3 certificate with its red root branch
+        deepened by ``depth`` useless splits on fresh points p_i = 1 + i/8009:
+        each red child closes with the branch's contradiction, each blue child
+        splits again.  Written piece by piece, since json.dumps recurses."""
         doc = json.loads(canonical_json(build_k2_certificate(3)))
-        red = doc["root"][0]
+        red, blue = doc["root"]
         closing = red.pop("contradiction")
         points = [str(Fraction(8009 + i, 8009)) for i in range(1, depth + 1)]
 
         def leaf(point, color, level):
             witness = dict(closing, x0="3") if level == tamper_level else closing
-            return {"assume": {"color": color, "point": point}, "steps": [], "contradiction": witness}
+            return canonical_json({"assume": {"color": color, "point": point}, "steps": [], "contradiction": witness})
 
-        node = leaf(points[-1], "blue", depth)
-        for level in range(depth, 1, -1):
-            pair = [leaf(points[level - 1], "red", level), node]
-            node = {"assume": {"color": "blue", "point": points[level - 2]}, "steps": [], "children": pair}
-        red["children"] = [leaf(points[0], "red", 1), node]
-        return doc, points
+        def split(assume):
+            return '{"assume":' + canonical_json(assume) + ',"children":['
 
-    def test_nesting_too_deep_for_recursion_is_read_and_checked(self, capsys, monkeypatch):
-        # Interpreters whose json.loads recursion limit is separate from the
-        # Python one read files nested past it.  Parse and replay use explicit
-        # stacks, so such a parsed object (4000 split levels) is checked like
-        # any other: handed straight to the command, it verifies.
+        parts = [split(red["assume"]), leaf(points[0], "red", 1)]
+        for level in range(2, depth + 1):
+            parts += [",", split({"color": "blue", "point": points[level - 2]}), leaf(points[level - 1], "red", level)]
+        parts += [",", leaf(points[-1], "blue", depth), '],"steps":[]}' * (depth - 1)]
+        parts.append('],"steps":' + canonical_json(red["steps"]) + "}")
+        root = "".join(parts)
+        text = canonical_json({**doc, "root": ["RED", blue]}).replace('"RED"', root, 1)
+        return text, points
+
+    def test_deep_nesting_is_invalid_input_not_witness_found(self, capsys, tmp_path):
+        # 6000 split levels, each an object inside a list: about 12000 deep,
+        # past json.loads's nesting limit on CPython 3.10 through 3.13.  The
+        # reader walks branch nodes on an explicit stack, so the file verifies
         base = certificate_stats(certificate_from_json(build_k2_certificate(3))[2])
-        valid, points = self.spine_document(4000)
-        monkeypatch.setattr("offrado.cli._read_json", lambda path: valid)
-        code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
+        text, _ = self.spine_document(6000)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+        assert code == 0 and out["status"] == "Ok"
+        assert out["payload"]["branches"] == base["branches"] + 2 * 6000
+        # json's scanner reads each value inside a node, so a step nested
+        # 100000 deep is past its limit: InvalidInput, not WitnessFound
+        step = '{"forced":"red","point":"2","witness":' + "[" * 100_000 + "]" * 100_000 + "}"
+        path.write_text(self.spine_document(1)[0].replace('"steps":[]', '"steps":[' + step + "]", 1))
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+        assert code == 64 and out["status"] == "InvalidInput"
+        assert "nests too deeply to read" in out["payload"]["error"]
+
+    def test_nesting_too_deep_for_recursion_is_read_and_checked(self, capsys, tmp_path):
+        # 4000 split levels: parse and replay use explicit stacks, so the
+        # file verifies, and a broken contradiction at split 3999 is reported
+        # at its full path
+        base = certificate_stats(certificate_from_json(build_k2_certificate(3))[2])
+        path = tmp_path / "deep.json"
+        text, points = self.spine_document(4000)
+        path.write_text(text)
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
         assert code == 0 and out["status"] == "Ok"
         assert out["payload"] == {
             "verified": True, "domain_end": "7",
             "branches": base["branches"] + 2 * 4000, "steps": base["steps"],
         }
-        # a broken contradiction at split 3999 is reported at its full path
-        tampered, points = self.spine_document(4000, tamper_level=3999)
-        monkeypatch.setattr("offrado.cli._read_json", lambda path: tampered)
-        code, out = run_cli(capsys, "verify-certificate", "--file", "deep.json")
+        text, points = self.spine_document(4000, tamper_level=3999)
+        path.write_text(text)
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
         assert code == 1 and out["status"] == "WitnessFound"
         failure = out["payload"]["failure"]
         assert len(failure["path"]) == 4000
@@ -474,6 +486,271 @@ class TestCertificatePipeline:
         finally:
             (gc.enable if before else gc.disable)()
         assert seen == [False, False]
+
+
+def read_outcome(read, text):
+    """A reader's document, or the type and message of what it raised."""
+    try:
+        return "ok", read(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        return type(exc), str(exc)
+
+
+def same_document(a, b) -> bool:
+    """Equal values of equal types, with keys in the same order and NaN
+    equal to NaN; iterative, since certificate documents nest deeply."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if type(x) is dict:
+            if list(x) != list(y):
+                return False
+            stack += zip(x.values(), y.values())
+        elif type(x) is list:
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        elif x != y and not (x != x and y != y):
+            return False
+    return True
+
+
+def assert_reads_as_json_loads(text):
+    mine, theirs = read_outcome(read_json, text), read_outcome(json.loads, text)
+    if mine[0] == "ok" == theirs[0]:
+        assert same_document(mine[1], theirs[1]), text[:200]
+    else:
+        assert mine == theirs, text[:200]
+
+
+JSON_SPACE = st.sampled_from(["", "", " ", "\n  ", "\t", "\r\n"])
+JSON_KEYS = st.sampled_from(["root", "children", "steps", "contradiction", "assume", "x0", "é", 'a"b'])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), st.text(max_size=4)
+)
+
+
+@st.composite
+def json_value_texts(draw, depth=0):
+    """The text of a JSON value with random whitespace and escapes, whose
+    objects may repeat a key and whose arrays and objects may repeat a member
+    text, on keys that steer the reader into its node walk."""
+    kind = draw(st.sampled_from(("scalar", "array", "object") if depth < 4 else ("scalar",)))
+    if kind == "scalar":
+        return json.dumps(draw(JSON_SCALARS), ensure_ascii=draw(st.booleans()))
+    items = draw(st.lists(json_value_texts(depth + 1), max_size=3))
+    items += items[:draw(st.integers(0, 2))]
+    if kind == "array":
+        return "[" + draw(JSON_SPACE) + ",".join(draw(JSON_SPACE) + item + draw(JSON_SPACE) for item in items) + "]"
+    members = [
+        draw(JSON_SPACE) + json.dumps(draw(JSON_KEYS), ensure_ascii=draw(st.booleans()))
+        + draw(JSON_SPACE) + ":" + draw(JSON_SPACE) + item + draw(JSON_SPACE)
+        for item in items
+    ]
+    return "{" + draw(JSON_SPACE) + ",".join(members) + "}"
+
+
+@st.composite
+def json_texts(draw):
+    """A whole text: a value, maybe behind a BOM or before trailing data, and
+    maybe with one character changed."""
+    text = (
+        draw(st.sampled_from(["", " ", "\n", "﻿"])) + draw(json_value_texts())
+        + draw(st.sampled_from(["", "", " \n", " x", ",", "]", "{}"]))
+    )
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(list(MUTANT_CHARACTERS) + [""])) + text[i + 1:]
+    return text
+
+
+MUTANT_CHARACTERS = '{}[]",:0123456789-+.eEtrfalsnuNIy \t\n\r\\/\x00é﻿'
+
+
+def character_mutants(text, rng, count):
+    """Copies of ``text`` with one to three characters inserted, deleted or
+    replaced."""
+    for _ in range(count):
+        mutant = text
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            i, c = rng.randrange(len(mutant) + 1), rng.choice(MUTANT_CHARACTERS)
+            mutant = rng.choice((mutant[:i] + c + mutant[i:], mutant[:i] + mutant[i + 1:], mutant[:i] + c + mutant[i + 1:]))
+        yield mutant
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_texts(seed):
+    """The verify-corpus workload's timed files for ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(corpus)
+    return tuple(f.text for f in corpus.build_corpus(seed)[0])
+
+
+class TestReadJson:
+    """``serialize.read_json`` returns what ``json.loads`` returns, or raises
+    what it raises, on any text; it only walks branch nodes itself and reads
+    a repeated step list or contradiction once."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=600)
+    @given(json_texts())
+    def test_reads_any_text_as_json_loads(self, text):
+        assert_reads_as_json_loads(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " ", "NaN", "-Infinity", '"\\ud800"', "[1,]", '{"a":1,"a":2,"b":3}', "﻿{}", "[] []",
+         '{"root":[{"children":[],"steps":[1,2]},{"steps":[1,2]}],"root":7}', '{"root":[{"steps":[1,2]}] ,}',
+         '{"root":[{"steps":[1,2]},{"steps":[1,2]]}', '{"root" : [ { "steps" : [ ] , "children" : [ 1 ] } ] }'],
+    )
+    def test_edge_texts(self, text):
+        assert_reads_as_json_loads(text)
+
+    def test_character_mutants_of_certificate_files(self):
+        rng = random.Random(39)
+        for path in sorted(DATA.glob("certificate-*.json")):
+            text = path.read_text(encoding="utf-8")
+            assert_reads_as_json_loads(text)
+            for mutant in character_mutants(text, rng, 60):
+                assert_reads_as_json_loads(mutant)
+
+    def test_character_mutants_of_corpus_files(self):
+        # 280 splits deep, within json.loads's limit; nearly every step list
+        # repeats an earlier one's text, so most mutants break a repeat
+        rng = random.Random(3)
+        for text in corpus_texts(3):
+            assert_reads_as_json_loads(text)
+            for mutant in character_mutants(text, rng, 12):
+                assert_reads_as_json_loads(mutant)
+
+    def test_repeated_step_lists_and_contradictions_are_read_once(self):
+        # one candidate per head: a text evicted by another with the same
+        # first 32 characters is read again, so a few texts have two objects
+        doc = read_json(corpus_texts(3)[0])
+        values, objects = 0, {}
+        stack = list(doc["root"])
+        while stack:
+            node = stack.pop()
+            stack += node.get("children", [])
+            for key in ("steps", "contradiction"):
+                if key in node:
+                    values += 1
+                    objects.setdefault(json.dumps(node[key]), set()).add(id(node[key]))
+        read = sum(len(ids) for ids in objects.values())
+        assert read < 2 * len(objects) and read * 50 < values
+
+
+class TestSharedStepLists:
+    """A copy of a read step list that equals it in Python but not in its
+    text is read on its own, so it fails or verifies as it would alone."""
+
+    DEPTH = 20
+
+    def spine(self):
+        """The (5,5) archive's first root branch behind DEPTH splits, its
+        body repeated at every level; the red tails, shallowest first."""
+        doc = json.loads((DATA / "certificate-5-5.json").read_text(encoding="utf-8"))
+        branch, other = doc["root"]
+        body = {key: value for key, value in branch.items() if key != "assume"}
+        points = [str(1 + Fraction(i, 10007)) for i in range(1, self.DEPTH + 1)]
+        tails = [{"assume": {"point": p, "color": "red"}, **json.loads(json.dumps(body))} for p in points]
+        below = {"assume": {"point": points[-1], "color": "blue"}, **json.loads(json.dumps(body))}
+        for i in range(self.DEPTH - 1, -1, -1):
+            assume = branch["assume"] if i == 0 else {"point": points[i - 1], "color": "blue"}
+            below = {"assume": assume, "steps": [], "children": [tails[i], below]}
+        doc["root"] = [below, other]
+        return doc, tails
+
+    def verify(self, capsys, tmp_path, doc):
+        text = canonical_json(doc)
+        path = tmp_path / "spine.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+        # the same verdict as the schema pass and replay over json.loads's
+        # document, in which nothing is shared
+        try:
+            spec, end, tree = certificate_from_json(json.loads(text))
+        except ValueError as exc:
+            assert code == 64 and out["payload"]["error"] == str(exc)
+        else:
+            check = check_certificate(spec, end, tree)
+            assert code == (0 if check.ok else 1)
+        return code, out, read_json(text)
+
+    @staticmethod
+    def red_tails(doc):
+        node, tails = doc["root"][0], []
+        while "children" in node:
+            tail, node = node["children"]
+            tails.append(tail)
+        return tails
+
+    def test_an_untouched_spine_shares_every_repeat(self, capsys, tmp_path):
+        doc, _ = self.spine()
+        code, out, read = self.verify(capsys, tmp_path, doc)
+        assert code == 0 and out["payload"]["verified"] is True
+        tails = self.red_tails(read)
+        assert len({id(tail["steps"]) for tail in tails}) == 1
+
+    @pytest.mark.parametrize("multiplicity", [True, 1.0], ids=["true", "float"])
+    def test_a_multiplicity_equal_to_1_is_not_shared(self, capsys, tmp_path, multiplicity):
+        doc, tails = self.spine()
+        step = next(step for step in tails[10]["steps"] if any(m == 1 for _, m in step["witness"]["left"]))
+        next(entry for entry in step["witness"]["left"] if entry[1] == 1)[1] = multiplicity
+        code, out, read = self.verify(capsys, tmp_path, doc)
+        assert code == 64 and out["payload"]["error"].startswith("malformed left entry")
+        steps = [tail["steps"] for tail in self.red_tails(read)]
+        assert steps[10] is not steps[9] and steps[10] == steps[9]
+
+    def test_an_equal_literal_is_not_shared_and_verifies(self, capsys, tmp_path):
+        doc, tails = self.spine()
+        step = next(step for step in tails[10]["steps"] if step["point"] == "6")
+        step["point"] = "12/2"
+        code, out, read = self.verify(capsys, tmp_path, doc)
+        assert code == 0 and out["payload"]["verified"] is True
+        steps = [tail["steps"] for tail in self.red_tails(read)]
+        assert steps[10] is not steps[9] and steps[11] is steps[12]
+
+    @pytest.mark.parametrize(
+        "first, second, keys, error",
+        [('"contradiction":W,"steps":[]', '"steps":[],"contradiction":[]', ("steps", "contradiction"),
+          "witness object must carry exactly"),
+         ('"steps":[],"contradiction":W', '"contradiction":W,"steps":W', ("contradiction", "steps"),
+          "steps must be a list")],
+        ids=["steps-then-contradiction", "contradiction-then-steps"],
+    )
+    def test_a_steps_text_repeated_as_a_contradiction_is_read_by_its_key(
+        self, capsys, tmp_path, first, second, keys, error
+    ):
+        # two 20-split chains whose last leaves end in the same 30 characters,
+        # so the reader hands the second leaf the first one's object under
+        # the other key: each is still read by that key's rules
+        witness = '{"color":"red","left":[["1",2]],"x0":"2"}'
+
+        def chain(start, ending):
+            parts = []
+            for p in range(start, start + 20):
+                assume = '{"assume":{"color":"red","point":"%d/97"},"steps":[],' % p
+                parts += [assume + '"children":[', assume + '"contradiction":' + witness + "},"]
+            leaf = '{"assume":{"color":"red","point":"3"},' + ending.replace("W", witness) + "}"
+            return "".join(parts) + leaf + "]}" * 20
+
+        text = '{"spec":{"k":2,"l":2,"gamma":"1"},"domain_end":"5","root":[%s,%s]}' % (
+            chain(100, first), chain(200, second))
+        with pytest.raises(ValueError, match=error):
+            certificate_from_json(json.loads(text))
+        path = tmp_path / "cross.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
+        assert code == 64 and out["payload"]["error"].startswith(error)
+        leaves = []
+        for node in read_json(text)["root"]:
+            while "children" in node:
+                node = node["children"][1]
+            leaves.append(node)
+        assert leaves[0][keys[0]] is leaves[1][keys[1]]
 
 
 class TestFileSystemErrors:
@@ -796,6 +1073,15 @@ class TestInternalError:
 
         monkeypatch.setattr(certificates, "_witness_json", broken)
         assert "failed its own check" in self.run_internal(capsys, "certify-upper", "3", "3")
+
+    def test_reader_refusing_a_json_text_is_a_fault(self, capsys, monkeypatch):
+        # json.loads reads the file the walk refused: a bug in the walk
+        def refuse(text):
+            raise StopIteration
+
+        monkeypatch.setattr(serialize, "_walk", refuse)
+        error = self.run_internal(capsys, "verify-certificate", "--file", str(DATA / "certificate-5-5.json"))
+        assert "refused a text that json.loads reads" in error
 
     def test_discrete_recheck_fault(self, capsys, monkeypatch):
         witness = SolutionWitness.from_values(Color.RED, [1, 1, 1], 3)

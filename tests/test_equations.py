@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offrado.equations import (
     Color,
@@ -18,7 +20,7 @@ from offrado.checker import CertificateCheck, CheckFailure, certificate_from_jso
 from offrado.intervals import Interval, IntervalSet, lower_bound_coloring
 from offrado.search import DiscreteColoring, SearchReport, SearchStats
 from offrado.suite import CheckResult
-from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational
+from offrado.serialize import canonical_json, exact_fraction, format_rational, parse_rational, parse_ratio
 
 
 def read_back(witness_json):
@@ -245,6 +247,43 @@ class TestRationalStrings:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+    # the rule as the module once stated it, with one regex
+    RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+    @classmethod
+    def reference_ratio(cls, text):
+        if not isinstance(text, str) or not cls.RATIONAL_RE.fullmatch(text):
+            raise ValueError(f"not an exact rational literal: {text!r}")
+        num, _, den = text.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        q = Fraction(int(num), int(den or 1))
+        return q.numerator, q.denominator
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            pair = parse(text)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        assert type(pair) is tuple and all(type(v) is int for v in pair) and pair[1] > 0
+        return pair
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661", "\u00b2", "1_0", "1\n", "1/2\n", " 1", "+", "-/2", "1/", "/2", "+-1", "1/+2", "0/0",
+         "-0/5", "+12/8", "-6/4", "007", "1//2", "1/2/3", "\u0663/\u0662", "\uff11", None, 1, ["1"]],
+    )
+    def test_parse_ratio_matches_the_regex_rule_on_edge_literals(self, text):
+        assert self.outcome(parse_ratio, text) == self.outcome(self.reference_ratio, text)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=2000)
+    @given(st.text(alphabet="0123456789+-/ \n_.e\u0661\u00b2\uff10", max_size=8))
+    def test_parse_ratio_matches_the_regex_rule(self, text):
+        assert self.outcome(parse_ratio, text) == self.outcome(self.reference_ratio, text)
+        if not isinstance(self.outcome(parse_ratio, text)[0], str):
+            assert parse_rational(text) == Fraction(*parse_ratio(text))
 
     def test_format(self):
         assert format_rational(Fraction(14, 2)) == "7"

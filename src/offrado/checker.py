@@ -22,14 +22,18 @@ are one object and so are equal witnesses.
 ``check_certificate`` runs the one replay over it, with the colored points in
 a list indexed by id.  It checks each witness object's arithmetic once, on
 integers over the lcm of its own denominators, never over a scale common to
-the file, which an untrusted file could inflate.  At each use it checks only
-what the colored points decide, in one pass over the witness's support that
-stops at the first entry not yet in the witness's color.  It puts every
-colored point on an undo trail, unwound at each split instead of copying the
+the file, which an untrusted file could inflate.  It sums up each distinct
+pair of a steps tuple and a contradiction once, by ``_summary``: the colors
+they need on entry and the points they force.  At a node whose colored
+points meet that need, one check, the forced points are colored in one
+loop; elsewhere the steps are replayed one by one, which names the failure,
+each use of a witness checking only what the colored points decide and
+stopping at the first entry not yet in the witness's color.  Every colored
+point goes on an undo trail, unwound at each split instead of copying the
 state.  Both walk the branch tree with an explicit stack, as ``read_json``
 reads it, so certificate depth is bounded by memory, not by the
-interpreter's recursion limit.  Of the
-package, only ``equations`` and ``serialize`` are imported: no search.
+interpreter's recursion limit.  Of the package, only ``equations`` and
+``serialize`` are imported: no search.
 """
 
 from __future__ import annotations
@@ -103,22 +107,29 @@ def _witness_verdict(w: tuple, bounds: tuple, points: list) -> tuple[Optional[st
     return None, support
 
 
+def _verdict(w: tuple, verdicts: dict, bounds: tuple, points: list) -> tuple:
+    """``_witness_verdict`` of a witness tuple, from ``verdicts`` by its id
+    after the first use, so a witness that the schema pass shared between
+    steps is checked for arithmetic once."""
+    verdict = verdicts.get(id(w))
+    if verdict is None:
+        verdict = verdicts[id(w)] = _witness_verdict(w, bounds, points)
+    return verdict
+
+
 def _witness_failure(
     w: tuple, verdicts: dict, bounds: tuple, points: list, state: list, point: Optional[int] = None
 ) -> Optional[str]:
     """Why a witness tuple fails, or None; a step's witness names the point
-    it forces, a contradiction names none.
+    it forces, a contradiction names none.  Only the step-by-step replay of
+    a node runs it.
 
-    ``verdicts`` holds ``_witness_verdict`` per witness object, so a witness
-    that the schema pass shared between steps is checked for arithmetic once;
-    then, at each use, the forced point must occur in the witness and each
-    other entry must already have the witness's color.  That pass stops at
-    the first entry that has not; only then is the entry to name looked for.
+    Past its ``_verdict``, at each use, the forced point must occur in the
+    witness and each other entry must already have the witness's color.
+    That pass stops at the first entry that has not; only then is the entry
+    to name looked for.
     """
-    verdict = verdicts.get(id(w))
-    if verdict is None:
-        verdict = verdicts[id(w)] = _witness_verdict(w, bounds, points)
-    wrong, support = verdict
+    wrong, support = _verdict(w, verdicts, bounds, points)
     if wrong:
         return f"{'contradiction' if point is None else 'witness'} {wrong}"
     if point is not None and point not in support:
@@ -138,6 +149,38 @@ def _witness_failure(
     return f"contradiction entry {entry} is not colored {color.value}"
 
 
+def _summary(
+    steps: tuple, contradiction: Optional[tuple], verdicts: dict, bounds: tuple, points: list
+) -> Optional[tuple]:
+    """What a node's steps and contradiction ask of the colored points when
+    its steps start, (entry, forced), or None when they fail whatever is
+    colored.
+
+    ``entry`` pairs each point that a witness needs before the steps color
+    it with the witness's color, and each point the steps force with None:
+    it must be uncolored.  ``forced`` pairs the points the steps color with
+    their colors, in step order.  The steps and contradiction pass from
+    exactly the states in which every ``entry`` pair holds, and then color
+    exactly ``forced``.
+    """
+    needs: dict[int, Color] = {}
+    forced: dict[int, Color] = {}
+    uses = steps if contradiction is None else (*steps, (None, None, contradiction))
+    for point, color, w in uses:
+        wrong, support = _verdict(w, verdicts, bounds, points)
+        if wrong or w[0] is color or (point is not None and point not in support):
+            return None
+        for p in support:
+            # p's color at this step: what an earlier step forced, else its color on entry
+            if p != point and (forced.get(p) or needs.setdefault(p, w[0])) is not w[0]:
+                return None
+        if point is not None:
+            if point in forced or point in needs:
+                return None
+            forced[point] = color
+    return (*needs.items(), *[(p, None) for p in forced]), tuple(forced.items())
+
+
 def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateCheck:
     """Replay a tree's nodes in their pre-order, every root from no colored
     point.  Every point the replay colors goes on an undo trail, and entering
@@ -148,6 +191,8 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
     # a witness tuple's id -> its _witness_verdict: equal witnesses are one
     # tuple, and hashing one would call Color.__hash__ for every lookup
     verdicts: dict[int, tuple] = {}
+    # (id of a steps tuple, id of a contradiction) -> their _summary
+    summaries: dict[tuple, Optional[tuple]] = {}
     trail: list[int] = []
     marks = [0]  # marks[t]: the trail length that a node at depth t starts from
     chain: list[tuple] = []  # the nodes from a root down to the current one
@@ -171,21 +216,37 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
         state[assumed] = color
         trail.append(assumed)
 
-        for index, (point, forced, w) in enumerate(steps):
-            if w[0] is forced:
-                return fail(index, "witness color must oppose the forced color")
-            reason = _witness_failure(w, verdicts, bounds, points, state, point)
-            if reason:
-                return fail(index, reason)
-            if state[point] is not None:
-                return fail(index, "forced point already colored")
-            state[point] = forced
-            trail.append(point)
-
+        key = id(steps), id(contradiction)
+        try:
+            summary = summaries[key]
+        except KeyError:
+            summary = summaries[key] = _summary(steps, contradiction, verdicts, bounds, points)
+        held = summary is not None
+        if held:
+            for p, c in summary[0]:
+                if state[p] is not c:
+                    held = False
+                    break
+        if held:
+            for p, c in summary[1]:
+                state[p] = c
+                trail.append(p)
+        else:
+            for index, (point, forced, w) in enumerate(steps):
+                if w[0] is forced:
+                    return fail(index, "witness color must oppose the forced color")
+                reason = _witness_failure(w, verdicts, bounds, points, state, point)
+                if reason:
+                    return fail(index, reason)
+                if state[point] is not None:
+                    return fail(index, "forced point already colored")
+                state[point] = forced
+                trail.append(point)
+            if contradiction is not None:
+                reason = _witness_failure(contradiction, verdicts, bounds, points, state)
+                if reason:
+                    return fail(None, reason)
         if contradiction is not None:
-            reason = _witness_failure(contradiction, verdicts, bounds, points, state)
-            if reason:
-                return fail(None, reason)
             continue
 
         first, second = nodes[kids[0]], nodes[kids[1]]

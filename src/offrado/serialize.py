@@ -6,7 +6,7 @@ read by ``parse_ratio`` back to a reduced (numerator, denominator) pair.  A
 document is written by ``canonical_json`` and read by ``read_json``, which
 walks a certificate's branch nodes on an explicit stack, so their depth is
 bounded by memory, not by the interpreter's recursion limit, and reads each
-repeated step list and contradiction once."""
+repeated step list, contradiction and leaf tail once."""
 
 from __future__ import annotations
 
@@ -109,8 +109,12 @@ def _walk(s: str):
     """The document of ``read_json``, or StopIteration where the walk finds
     no JSON; json's scanner raises its own errors inside a value."""
     last: dict[str, tuple] = {}  # a shared value's first _HEAD characters -> (its text, its value)
+    tails: dict[str, tuple] = {}  # a leaf tail's first _HEAD characters -> (its text, its members)
     stack: list[tuple] = []  # the open containers on the node path that enclose this one
     container = kind = key = None  # the innermost open container, its mode, its pending key
+    # where the open node's tail starts, at the last separator before which
+    # it has one key, and how many members the walk has read since
+    start = after = 0
     idx, mode = _space(s, 0).end(), _DOC
     while True:
         c = s[idx:idx + 1]
@@ -153,6 +157,17 @@ def _walk(s: str):
                 idx = _space(s, idx).end()
                 c = s[idx:idx + 1]
             if c == ",":
+                after += 1
+                if kind is _NODE and len(container) == 1:
+                    # a tail ends at its node's closing brace, so text that
+                    # starts with a read leaf's tail is its members again
+                    seen = tails.get(s[idx:idx + _HEAD])
+                    if seen is not None and s.startswith(seen[0], idx):
+                        container.update(seen[1])
+                        value, idx = container, idx + len(seen[0])
+                        container, kind, key = stack.pop()
+                        continue
+                    start, after = idx, 1
                 idx += 1
                 if s[idx:idx + 1] in _WS:
                     idx = _space(s, idx).end()
@@ -164,7 +179,13 @@ def _walk(s: str):
                 break
             if c != ("]" if kind is _NODES else "}"):
                 raise StopIteration
-            value, idx = container, idx + 1
+            idx += 1
+            # a node without children nests no node, so start and after are
+            # its own; a tail that repeats a key leaves the node fewer than
+            # after + 1 keys, and is not kept
+            if kind is _NODE and len(container) == after + 1 > 1 and "children" not in container:
+                tails[s[start:start + _HEAD]] = s[start:idx], list(container.items())[1:]
+            value = container
             container, kind, key = stack.pop()
         else:
             if _space(s, idx).end() != len(s):
@@ -180,8 +201,14 @@ def read_json(text: str):
     is read by json's own scanner, so only a value nested inside a node can
     raise RecursionError.  A node's ``steps`` list or ``contradiction``
     whose text repeats the last one read with the same first 32 characters
-    is that same object, so a caller must not mutate the document.  A text
-    the walk refuses goes to ``json.loads`` to raise json's own error.
+    is that same object.  So are the member values of a leaf's tail: a
+    node's text from the separator after its first member (the last one
+    before which it has one key) up to its closing brace.  A node whose
+    text there repeats the tail of the last node without ``children``
+    whose tail has the same first 32 characters and repeats no key is a
+    dict of its own, with its first member and that node's tail values.
+    So a caller must not mutate the document.  A text the walk refuses goes
+    to ``json.loads`` to raise json's own error.
     """
     try:
         return _walk(text)

@@ -1883,11 +1883,29 @@ def test_a_copy_unequal_as_json_to_a_read_witness_fails_as_before(change):
 SPINE_BASES = [cert for cert in BASES if cert.root[0].point == cert.spec.gamma]
 
 
+def body_points(node):
+    """The literals of every point that a branch body forces or needs: each
+    step's point and each entry of each witness in the body's subtree."""
+    points, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        witnesses = [step["witness"] for step in node["steps"]]
+        if "contradiction" in node:
+            witnesses.append(node["contradiction"])
+        points.update(step["point"] for step in node["steps"])
+        for w in witnesses:
+            points.update([w["x0"], *[value for value, _ in w["left"]]])
+        stack += node.get("children", [])
+    return sorted(points)
+
+
 @st.composite
 def damaged_spines(draw):
     """A split spine of one root branch of a base, whose branch body is
     replayed at every level, with one level's copy damaged as
-    ``damaged_documents`` damages a file."""
+    ``damaged_documents`` damages a file, or with one level's split moved
+    onto a point that the body forces or needs, so that the body's one
+    steps list meets that point colored at some levels and not at others."""
     base = draw(st.sampled_from(SPINE_BASES))
     branch = draw(st.integers(0, 1))
     depth = draw(st.integers(1, 4))
@@ -1896,6 +1914,11 @@ def damaged_spines(draw):
     node = doc["root"][branch]
     for _ in range(level - 1):
         node = node["children"][1]
+    if draw(st.booleans()):
+        point = draw(st.sampled_from(body_points(node["children"][0])))
+        for child in node["children"]:
+            child["assume"]["point"] = point
+        return doc
     # every level's red child is a copy; the last level's blue child too
     _damage(draw, node["children"][draw(st.integers(0, 1)) if level == depth else 0], base)
     return doc
@@ -1928,6 +1951,57 @@ def test_each_distinct_witness_is_read_and_checked_once(monkeypatch):
     distinct = len({canonical_json(w) for w in witnesses})
     assert len(witnesses) > 20 * distinct
     assert calls == {"_read_witness": distinct, "_witness_verdict": distinct}
+
+
+def test_each_distinct_step_list_is_summed_up_once(monkeypatch):
+    # read back from its text, as verify-certificate reads a file: the body
+    # repeated at each level is one steps tuple and one contradiction
+    text = canonical_json(emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50))))
+    spec, end, tree = certificate_from_json(read_json(text))
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(checker, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(checker, name, wrapper)
+
+    counted("_summary")
+    counted("_witness_failure")
+    assert check_certificate(spec, end, tree).ok
+    pairs = {(id(node[3]), id(node[4])) for node in tree[0]}
+    assert len(tree[0]) > 20 * len(pairs)
+    # and a file that verifies replays no step one by one
+    assert calls == {"_summary": len(pairs)}
+
+
+# Points 1, 2, 3, 4 as ids 0 .. 3 on the domain [1, 10], and witnesses on them
+SUMMARY_POINTS = [(1, 1), (2, 1), (3, 1), (4, 1)]
+ONE_ONE_TWO = (RED, ((0, 2),), 1)  # 1 + 1 = 2, red
+ONE_TWO_THREE = {color: (color, ((0, 1), (1, 1)), 2) for color in (RED, BLUE)}  # 1 + 2 = 3
+SUMMARIES = {
+    "holds": (((1, BLUE, ONE_ONE_TWO),), (((0, RED), (1, None)), ((1, BLUE),))),
+    # the second step's witness 2 + 2 = 4 uses the point the first forced
+    "forced-then-used": (
+        ((1, BLUE, ONE_ONE_TWO), (3, RED, (BLUE, ((1, 2),), 3))),
+        (((0, RED), (1, None), (3, None)), ((1, BLUE), (3, RED))),
+    ),
+    "color-rule": (((1, RED, ONE_ONE_TWO),), None),
+    "arithmetic": (((1, BLUE, (RED, ((0, 1),), 1)),), None),
+    "forced-not-in-witness": (((3, BLUE, ONE_ONE_TWO),), None),
+    "opposite-needs": (((2, RED, ONE_TWO_THREE[BLUE]), (3, BLUE, (RED, ((0, 2), (1, 1)), 3))), None),
+    "forced-twice": (((1, BLUE, ONE_ONE_TWO), (1, BLUE, ONE_ONE_TWO)), None),
+    "forced-after-needed": (((2, BLUE, ONE_TWO_THREE[RED]), (1, BLUE, ONE_ONE_TWO)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(SUMMARIES))
+def test_a_steps_list_is_summed_up_or_has_no_summary(case):
+    steps, expected = SUMMARIES[case]
+    assert checker._summary(steps, None, {}, (1, 1, 10, 1), SUMMARY_POINTS) == expected
 
 
 # The schema pass also reads each distinct step once and shares its tuple.  A

@@ -642,6 +642,73 @@ class TestReadJson:
         assert read < 2 * len(objects) and read * 50 < values
 
 
+# Leaf tails, each after a root node's first member, "assume", and for each
+# node the index of the node whose tail members it holds: its own, or the
+# last node without children whose tail text it repeats, found by its first
+# 32 characters.  Every tail ends in a 30-character member, so those 32 are
+# its own.  Members under "x" are not step lists or contradictions, so only
+# a shared tail shares them.
+W = '{"color":"red","left":[["1",2]],"x0":"2"}'
+T = ',"steps":[],"x":[1]'
+LONG = ',"x":["' + "a" * 40 + '",%d]'
+LEAF_TAILS = {
+    # whitespace before the separator is not part of a tail; inside one it is
+    "whitespace": ([T, " \n" + T, T.replace(":[", ": ["), T], [0, 0, 2, 0]),
+    # a tail that repeats a key, its own or the first member's, is read each time
+    "duplicate-key": (
+        [',"x":[1],"steps":[],"x":[2]'] * 2 + [',"x":[1],"assume":{"color":"blue","point":"9"}'] * 2 + [T] * 2,
+        [0, 1, 2, 3, 4, 4],
+    ),
+    # one candidate per head: the second evicts the first, so the third is read
+    "same-head": ([LONG % 1, LONG % 2, LONG % 1, LONG % 1], [0, 1, 2, 2]),
+    # a node with children is never a leaf, wherever its children sit
+    "under-children": (
+        [',"x":[1],"children":[]'] * 2 + [',"children":[{"assume":{"color":"red","point":"1"},"x":[1]}],"x":[1]'] * 2,
+        [0, 1, 2, 3],
+    ),
+    # a steps [] and a later contradiction [] before the same 30 characters
+    # are one object; each tail is still its own and repeats as itself
+    "steps-contradiction-head": (
+        [f',"contradiction":{W},"steps":[],"x":[1]'] * 2 + [',"steps":[],"contradiction":[],"x":[1]'] * 2,
+        [0, 0, 2, 2],
+    ),
+}
+
+
+class TestLeafTails:
+    """``read_json`` hands a node whose text after its first member repeats
+    a leaf's tail that leaf's member values, in a dict of its own."""
+
+    @pytest.mark.parametrize("case", list(LEAF_TAILS))
+    def test_a_repeated_tail_is_read_once(self, case):
+        tails, owners = LEAF_TAILS[case]
+        nodes = [
+            '{"assume":{"color":"red","point":"%d"}%s,"y":"%s"}' % (i, tail, "b" * 24) for i, tail in enumerate(tails)
+        ]
+        text = '{"root":[' + ",".join(nodes) + "]}"
+        assert_reads_as_json_loads(text)
+        read = read_json(text)["root"]
+        assert len({id(node) for node in read}) == len(read)
+        for i, owner in enumerate(owners):
+            if owner != i:
+                assert all(read[i][key] is read[owner][key] for key in read[i] if key != "assume")
+            else:
+                assert all(read[i]["x"] is not read[j]["x"] for j in range(i))
+        if case == "steps-contradiction-head":
+            assert read[2]["contradiction"] is read[0]["steps"]
+
+    def test_corpus_leaves_are_dicts_of_their_own(self):
+        # verify-corpus repeats the base branch's leaves at every level
+        doc = read_json(corpus_texts(3)[0])
+        leaves, stack = [], list(doc["root"])
+        while stack:
+            node = stack.pop()
+            stack += node.get("children", [])
+            if "children" not in node:
+                leaves.append(node)
+        assert len({id(leaf) for leaf in leaves}) == len(leaves) > 200
+
+
 class TestSharedStepLists:
     """A copy of a read step list that equals it in Python but not in its
     text is read on its own, so it fails or verifies as it would alone."""

@@ -15,25 +15,24 @@ condition on failure.  ``certificate_from_json`` is the one schema pass over
 a document: it parses each distinct literal once and gives each distinct
 point, its reduced (numerator, denominator) key, a small int id, so "2/4"
 and "1/2" are one point.  It reads each steps list and contradiction object
-once, so one that ``serialize.read_json`` hands to several nodes is checked
-once, and each distinct step and each distinct witness once, and returns the
-checker's form, a ``Tree`` of plain tuples on point ids, in which equal steps
-are one object and so are equal witnesses.
+once, so the ones that ``serialize.read_json`` shares between leaves with a
+repeated tail are read once, and returns the checker's form, a ``Tree`` of
+plain tuples on point ids.
 ``check_certificate`` runs the one replay over it, with the colored points in
-a list indexed by id.  It checks each witness object's arithmetic once, on
-integers over the lcm of its own denominators, never over a scale common to
-the file, which an untrusted file could inflate.  It sums up each distinct
-pair of a steps tuple and a contradiction once, by ``_summary``: the colors
-they need on entry and the points they force.  At a node whose colored
-points meet that need, one check, the forced points are colored in one
-loop; elsewhere the steps are replayed one by one, which names the failure,
-each use of a witness checking only what the colored points decide and
-stopping at the first entry not yet in the witness's color.  Every colored
-point goes on an undo trail, unwound at each split instead of copying the
-state.  Both walk the branch tree with an explicit stack, as ``read_json``
-reads it, so certificate depth is bounded by memory, not by the
-interpreter's recursion limit.  Of the package, only ``equations`` and
-``serialize`` are imported: no search.
+a list indexed by id.  It checks each witness's arithmetic on integers over
+the lcm of its own denominators, never over a scale common to the file,
+which an untrusted file could inflate.  It sums up each distinct pair of a
+steps tuple and a contradiction once, by ``_summary``: the colors they need
+on entry and the points they force.  At a node whose colored points meet
+that need, one check, the forced points are colored in one loop; elsewhere
+the steps are replayed one by one, which names the failure, each use of a
+witness checking only what the colored points decide and stopping at the
+first entry not yet in the witness's color.  Every colored point goes on an
+undo trail, unwound at each split instead of copying the state.  Both walk
+the branch tree with an explicit stack, as ``read_json`` reads it, so
+certificate depth is bounded by memory, not by the interpreter's recursion
+limit.  Of the package, only ``equations`` and ``serialize`` are imported:
+no search.
 """
 
 from __future__ import annotations
@@ -107,29 +106,19 @@ def _witness_verdict(w: tuple, bounds: tuple, points: list) -> tuple[Optional[st
     return None, support
 
 
-def _verdict(w: tuple, verdicts: dict, bounds: tuple, points: list) -> tuple:
-    """``_witness_verdict`` of a witness tuple, from ``verdicts`` by its id
-    after the first use, so a witness that the schema pass shared between
-    steps is checked for arithmetic once."""
-    verdict = verdicts.get(id(w))
-    if verdict is None:
-        verdict = verdicts[id(w)] = _witness_verdict(w, bounds, points)
-    return verdict
-
-
 def _witness_failure(
-    w: tuple, verdicts: dict, bounds: tuple, points: list, state: list, point: Optional[int] = None
+    w: tuple, bounds: tuple, points: list, state: list, point: Optional[int] = None
 ) -> Optional[str]:
     """Why a witness tuple fails, or None; a step's witness names the point
     it forces, a contradiction names none.  Only the step-by-step replay of
     a node runs it.
 
-    Past its ``_verdict``, at each use, the forced point must occur in the
+    Past its ``_witness_verdict``, the forced point must occur in the
     witness and each other entry must already have the witness's color.
     That pass stops at the first entry that has not; only then is the entry
     to name looked for.
     """
-    wrong, support = _verdict(w, verdicts, bounds, points)
+    wrong, support = _witness_verdict(w, bounds, points)
     if wrong:
         return f"{'contradiction' if point is None else 'witness'} {wrong}"
     if point is not None and point not in support:
@@ -149,9 +138,7 @@ def _witness_failure(
     return f"contradiction entry {entry} is not colored {color.value}"
 
 
-def _summary(
-    steps: tuple, contradiction: Optional[tuple], verdicts: dict, bounds: tuple, points: list
-) -> Optional[tuple]:
+def _summary(steps: tuple, contradiction: Optional[tuple], bounds: tuple, points: list) -> Optional[tuple]:
     """What a node's steps and contradiction ask of the colored points when
     its steps start, (entry, forced), or None when they fail whatever is
     colored.
@@ -167,7 +154,7 @@ def _summary(
     forced: dict[int, Color] = {}
     uses = steps if contradiction is None else (*steps, (None, None, contradiction))
     for point, color, w in uses:
-        wrong, support = _verdict(w, verdicts, bounds, points)
+        wrong, support = _witness_verdict(w, bounds, points)
         if wrong or w[0] is color or (point is not None and point not in support):
             return None
         for p in support:
@@ -188,9 +175,6 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
     nodes, points, _ = tree
     bounds = gn, gd, en, ed = (*_key(spec.gamma), *_key(domain_end))
     state: list[Optional[Color]] = [None] * len(points)  # by point id
-    # a witness tuple's id -> its _witness_verdict: equal witnesses are one
-    # tuple, and hashing one would call Color.__hash__ for every lookup
-    verdicts: dict[int, tuple] = {}
     # (id of a steps tuple, id of a contradiction) -> their _summary
     summaries: dict[tuple, Optional[tuple]] = {}
     trail: list[int] = []
@@ -220,7 +204,7 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
         try:
             summary = summaries[key]
         except KeyError:
-            summary = summaries[key] = _summary(steps, contradiction, verdicts, bounds, points)
+            summary = summaries[key] = _summary(steps, contradiction, bounds, points)
         held = summary is not None
         if held:
             for p, c in summary[0]:
@@ -235,7 +219,7 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
             for index, (point, forced, w) in enumerate(steps):
                 if w[0] is forced:
                     return fail(index, "witness color must oppose the forced color")
-                reason = _witness_failure(w, verdicts, bounds, points, state, point)
+                reason = _witness_failure(w, bounds, points, state, point)
                 if reason:
                     return fail(index, reason)
                 if state[point] is not None:
@@ -243,7 +227,7 @@ def _replay(spec: ProblemSpec, domain_end: Fraction, tree: Tree) -> CertificateC
                 state[point] = forced
                 trail.append(point)
             if contradiction is not None:
-                reason = _witness_failure(contradiction, verdicts, bounds, points, state)
+                reason = _witness_failure(contradiction, bounds, points, state)
                 if reason:
                     return fail(None, reason)
         if contradiction is not None:
@@ -310,22 +294,13 @@ def _color(value) -> Color:
         raise ValueError(f"unknown color {value!r}") from None
 
 
-def _content(obj: dict) -> tuple:
-    """The memo key of a witness object: (color, x0, left pairs), or a
-    KeyError when it lacks one of them and a TypeError or ValueError when its
-    left side is not pairs.  The key is exact in type: a multiplicity that is
-    not an int, as a true or a 1.0 equal to 1, is None in it, which no valid
-    witness has.  Any other value equal to a valid witness's is a string."""
-    return obj["color"], obj["x0"], tuple(
-        [(value, m if type(m) is int else None) for value, m in obj["left"]]
-    )
-
-
 def _read_witness(spec: ProblemSpec, point_id: Callable, obj: dict) -> tuple:
     """The tuple (color, ((point, multiplicity), ...), x0) of a witness
-    object that carries exactly color, left and x0, or a ValueError that names
-    the first rule it breaks: its left entries in file order, then its x0, its
-    multiplicities and its arity.  ``point_id`` reads a literal."""
+    object, or a ValueError that names the first rule it breaks: its keys,
+    exactly color, left and x0, then its left entries in file order, its x0,
+    its multiplicities and its arity.  ``point_id`` reads a literal."""
+    if not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
+        raise ValueError("witness object must carry exactly color, left, x0")
     color = _color(obj["color"])
     left = obj["left"]
     if not isinstance(left, list):
@@ -359,9 +334,8 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
     and a node ends in a contradiction witness or in two children, never
     both.  A witness is checked as ``_read_witness`` says.  Each distinct
     literal is parsed once, by ``parse_ratio``.  Each steps list and each
-    contradiction object is read once, so one that ``read_json`` shares
-    between nodes is checked once, and each distinct valid step and each
-    distinct valid witness is read once: every copy of it gets the same tuple.
+    contradiction object is read once, so the ones that ``read_json`` shares
+    between leaves with a repeated tail are read once.
     """
     literals: dict[str, int] = {}
     ids: dict[Key, int] = {}  # a point's key -> its id, in the order first read
@@ -373,28 +347,6 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
             # ValueError on a non-literal
             literals[text] = i = ids.setdefault(parse_ratio(text), len(ids))
             return i
-
-    witnesses: dict[tuple, tuple] = {}  # a valid witness's content -> its one tuple
-
-    def witness(obj, content=None) -> tuple:
-        # ``content``: the memo key that a step's lookup already built
-        if content is not None:
-            w = witnesses.get(content)
-        elif not isinstance(obj, dict) or obj.keys() != _WITNESS_KEYS:
-            raise ValueError("witness object must carry exactly color, left, x0")
-        else:
-            try:
-                content = _content(obj)
-                w = witnesses.get(content)
-            except (TypeError, ValueError):  # not pairs, or unhashable: no memo
-                return _read_witness(spec, point_id, obj)
-        if w is None:
-            w = witnesses[content] = _read_witness(spec, point_id, obj)  # cached only if valid
-        return w
-
-    # a valid step's (point, forced, witness content) -> its one tuple; the
-    # point and forced values of a valid step are strings too
-    memo: dict[tuple, tuple] = {}
 
     def read_steps(items) -> tuple:
         if not isinstance(items, list):
@@ -408,28 +360,16 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
                 literal, forced, w = item["point"], item["forced"], item["witness"]
             except KeyError:
                 raise ValueError("step must carry exactly point, forced, witness") from None
-            content = None
-            if isinstance(w, dict) and len(w) == 3:
-                try:
-                    content = literal, forced, _content(w)
-                    step = memo.get(content)
-                except (KeyError, TypeError, ValueError):  # no memo key
-                    content = step = None
-                if step is not None:
-                    steps.append(step)
-                    continue
             # the rules in their order: the forced color, the point, the witness
             forced = _color(forced)
-            step = point_id(literal), forced, witness(w, content and content[2])
-            if content is not None:
-                memo[content] = step
-            steps.append(step)
+            steps.append((point_id(literal), forced, _read_witness(spec, point_id, w)))
         return tuple(steps)
 
     # the id of a steps list, and of a contradiction, -> what was read from
     # it, so an object that read_json shared is read once; one dict each,
-    # since one object may be both.  An id stays unique while the document,
-    # which holds every such object, outlives this pass
+    # since a caller's document may put one object under both keys.  An id
+    # stays unique while the document, which holds every such object,
+    # outlives this pass
     read_lists: dict[int, tuple] = {}
     read_endings: dict[int, tuple] = {}
     nodes: list[tuple] = []
@@ -458,7 +398,7 @@ def _read_nodes(spec: ProblemSpec, roots: Sequence) -> Tree:
             ending = obj["contradiction"]
             w = read_endings.get(id(ending))
             if w is None:
-                w = read_endings[id(ending)] = witness(ending)
+                w = read_endings[id(ending)] = _read_witness(spec, point_id, ending)
             nodes.append((depth, point, color, steps, w, None))
             continue
         children = obj["children"]

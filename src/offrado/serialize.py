@@ -6,7 +6,7 @@ read by ``parse_ratio`` back to a reduced (numerator, denominator) pair.  A
 document is written by ``canonical_json`` and read by ``read_json``, which
 walks a certificate's branch nodes on an explicit stack, so their depth is
 bounded by memory, not by the interpreter's recursion limit, and reads each
-repeated step list, contradiction and leaf tail once."""
+repeated leaf tail once."""
 
 from __future__ import annotations
 
@@ -81,11 +81,11 @@ def canonical_json(payload) -> str:
 
 
 # How read_json reads a value, by where it sits: the document, an array of
-# branch nodes, a branch node, a node's steps list or contradiction, or
-# anything else, which json's scanner reads whole
-_DOC, _NODES, _NODE, _SHARED = "doc", "nodes", "node", "shared"
-_INNER = {_DOC: {"root": _NODES}, _NODE: {"children": _NODES, "steps": _SHARED, "contradiction": _SHARED}}
-_HEAD = 32  # the characters of a shared value's text that find its candidate
+# branch nodes, a branch node, or anything else, which json's scanner reads
+# whole
+_DOC, _NODES, _NODE = "doc", "nodes", "node"
+_INNER = {_DOC: {"root": _NODES}, _NODE: {"children": _NODES}}
+_HEAD = 32  # the characters of a leaf tail's text that find its candidate
 _WS = frozenset(" \t\n\r")  # json's whitespace
 
 
@@ -108,7 +108,6 @@ def _member(s: str, idx: int) -> tuple[str, int]:
 def _walk(s: str):
     """The document of ``read_json``, or StopIteration where the walk finds
     no JSON; json's scanner raises its own errors inside a value."""
-    last: dict[str, tuple] = {}  # a shared value's first _HEAD characters -> (its text, its value)
     tails: dict[str, tuple] = {}  # a leaf tail's first _HEAD characters -> (its text, its members)
     stack: list[tuple] = []  # the open containers on the node path that enclose this one
     container = kind = key = None  # the innermost open container, its mode, its pending key
@@ -132,18 +131,6 @@ def _walk(s: str):
                     mode = _INNER[kind].get(key)
                 continue
             value, idx = ([] if c == "[" else {}), idx + 1
-        elif mode is _SHARED:
-            # an array or object ends at its own closing bracket, so text
-            # that starts with a read one's text is that value again
-            head = s[idx:idx + _HEAD]
-            seen = last.get(head)
-            if seen is not None and s.startswith(seen[0], idx):
-                value, idx = seen[1], idx + len(seen[0])
-            else:
-                value, end = _scan(s, idx)
-                if c == "[" or c == "{":
-                    last[head] = s[idx:end], value
-                idx = end
         else:
             value, idx = _scan(s, idx)
         # the value is read: store it, and close each container it completes
@@ -199,16 +186,14 @@ def read_json(text: str):
     Branch nodes, the elements of the document's ``root`` and of every
     ``children`` array, are walked on an explicit stack; every other value
     is read by json's own scanner, so only a value nested inside a node can
-    raise RecursionError.  A node's ``steps`` list or ``contradiction``
-    whose text repeats the last one read with the same first 32 characters
-    is that same object.  So are the member values of a leaf's tail: a
-    node's text from the separator after its first member (the last one
-    before which it has one key) up to its closing brace.  A node whose
-    text there repeats the tail of the last node without ``children``
-    whose tail has the same first 32 characters and repeats no key is a
-    dict of its own, with its first member and that node's tail values.
-    So a caller must not mutate the document.  A text the walk refuses goes
-    to ``json.loads`` to raise json's own error.
+    raise RecursionError.  Only a leaf's tail is read once: a node's text
+    from the separator after its first member (the last one before which it
+    has one key) up to its closing brace.  A node whose text there repeats
+    the tail of the last node without ``children`` whose tail has the same
+    first 32 characters and repeats no key is a dict of its own, with its
+    first member and that node's tail values, the same objects under the
+    same keys.  So a caller must not mutate the document.  A text the walk
+    refuses goes to ``json.loads`` to raise json's own error.
     """
     try:
         return _walk(text)

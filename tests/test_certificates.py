@@ -590,7 +590,7 @@ class TestCheckerModule:
     MOVED = (
         "Key", "CheckFailure", "CertificateCheck", "_fail", "_branch_label", "_key",
         "_witness_failure", "_replay", "check_certificate", "certificate_stats", "points_used",
-        "_COLORS", "_ASSUME_KEYS", "_WITNESS_KEYS", "_color", "_content", "_read_nodes",
+        "_COLORS", "_ASSUME_KEYS", "_WITNESS_KEYS", "_color", "_read_nodes",
         "certificate_from_json", "Tree",
     )
 
@@ -1747,7 +1747,8 @@ def reference_command(doc):
 
 def command(doc):
     """The exit code and payload of verify-certificate on ``doc``, read back
-    from its canonical text, in which a repeated step list is one object."""
+    from its canonical text, in which a repeated leaf tail's steps list and
+    contradiction are one object each."""
     text = canonical_json(doc)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
@@ -1821,9 +1822,10 @@ def test_a_huge_multiplicity_stays_one_run():
     }
 
 
-# The schema pass reads each distinct witness once and shares its tuple; the
-# replay checks each shared tuple's arithmetic once.  A copy that is equal to
-# a valid witness in Python but not the same JSON must still fail as before.
+# The schema pass reads each steps list and contradiction object once, and
+# the replay sums up each distinct pair of them once.  A copy of a witness
+# that is equal to it in Python but not the same JSON must fail as it would
+# alone.
 
 
 def spine_points(cert, depth):
@@ -1932,7 +1934,9 @@ def test_command_matches_the_recursive_reference_on_damaged_spines(doc):
 
 
 def test_each_distinct_witness_is_read_and_checked_once(monkeypatch):
-    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50)))
+    # read back from its text, as verify-certificate reads a file: the leaf
+    # tail repeated at each level is one steps list and one contradiction
+    doc = read_json(canonical_json(emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50)))))
     calls = Counter()
 
     def counted(name):
@@ -1946,11 +1950,21 @@ def test_each_distinct_witness_is_read_and_checked_once(monkeypatch):
 
     counted("_read_witness")
     counted("_witness_verdict")
-    assert verify_certificate(doc).ok
-    witnesses = witness_objects(doc)
-    distinct = len({canonical_json(w) for w in witnesses})
-    assert len(witnesses) > 20 * distinct
-    assert calls == {"_read_witness": distinct, "_witness_verdict": distinct}
+    spec, end, tree = certificate_from_json(doc)
+    assert check_certificate(spec, end, tree).ok
+    nodes, stack = [], list(doc["root"])
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += node.get("children", [])
+    lists = {id(node["steps"]): len(node["steps"]) for node in nodes}
+    endings = {id(node["contradiction"]) for node in nodes if "contradiction" in node}
+    read = sum(lists.values()) + len(endings)
+    assert len(witness_objects(doc)) > 20 * read
+    # each witness is checked once in each distinct pair's summary
+    pairs = {(id(node[3]), id(node[4])): node for node in tree[0]}
+    checked = sum(len(node[3]) + (node[4] is not None) for node in pairs.values())
+    assert calls == {"_read_witness": read, "_witness_verdict": checked}
 
 
 def test_each_distinct_step_list_is_summed_up_once(monkeypatch):
@@ -2001,12 +2015,11 @@ SUMMARIES = {
 @pytest.mark.parametrize("case", list(SUMMARIES))
 def test_a_steps_list_is_summed_up_or_has_no_summary(case):
     steps, expected = SUMMARIES[case]
-    assert checker._summary(steps, None, {}, (1, 1, 10, 1), SUMMARY_POINTS) == expected
+    assert checker._summary(steps, None, (1, 1, 10, 1), SUMMARY_POINTS) == expected
 
 
-# The schema pass also reads each distinct step once and shares its tuple.  A
-# copy equal to a read step in Python but not the same JSON must still fail as
-# before, and a point written as an equal literal is the same point.
+# A copy of a step equal to it in Python but not the same JSON must fail as
+# it would alone, and a point written as an equal literal is the same point.
 
 
 def step_objects(doc):
@@ -2017,26 +2030,6 @@ def step_objects(doc):
         out += node["steps"]
         stack += reversed(node.get("children", []))
     return out
-
-
-def test_each_distinct_step_is_read_once_and_is_one_object(monkeypatch):
-    doc = emit(spine(CERT_5_5, 0, spine_points(CERT_5_5, 50)))
-    calls = Counter()
-    read = checker._read_witness
-
-    def counted(*args):
-        calls["_read_witness"] += 1
-        return read(*args)
-
-    monkeypatch.setattr(checker, "_read_witness", counted)
-    tree = certificate_from_json(doc)[2]
-    steps = step_objects(doc)
-    distinct = len({canonical_json(step) for step in steps})
-    assert len(steps) > 20 * distinct
-    assert calls["_read_witness"] == len({canonical_json(w) for w in witness_objects(doc)})
-    read_steps = [step for node in tree[0] for step in node[3]]
-    assert len(read_steps) == len(steps)
-    assert len({id(step) for step in read_steps}) == distinct
 
 
 # What a copy of a read step changes, and the exit code it owes
@@ -2096,3 +2089,31 @@ def test_a_left_side_given_as_a_long_string_is_refused_without_a_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+
+RED_ONE_ONE_TWO = {"color": "red", "left": [["1", 2]], "x0": "2"}  # 1 + 1 = 2
+# The key of the first node that holds the shared object, the object, and the
+# error that the second node, holding it under the other key, owes
+SHARED_ACROSS_KEYS = {
+    "steps-then-contradiction": ("steps", [], "witness object must carry exactly color, left, x0"),
+    "contradiction-then-steps": ("contradiction", RED_ONE_ONE_TWO, "steps must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_ACROSS_KEYS))
+def test_one_object_under_both_keys_is_read_by_each_keys_rule(case):
+    # no file text puts one object under steps and under contradiction, but a
+    # caller's document can: each key reads it by its own rule, as a copy
+    key, shared, error = SHARED_ACROSS_KEYS[case]
+    other = "contradiction" if key == "steps" else "steps"
+    first = {"assume": {"point": "1", "color": "red"}, "steps": [], "contradiction": RED_ONE_ONE_TWO}
+    second = {"assume": {"point": "1", "color": "blue"}, "steps": [], "contradiction": RED_ONE_ONE_TWO}
+    first[key], second[other] = shared, shared
+    doc = {"spec": {"k": 2, "l": 2, "gamma": "1"}, "domain_end": "5", "root": [first, second]}
+    with pytest.raises(ValueError) as copied:
+        verify_certificate(copy.deepcopy(doc))
+    assert str(copied.value) == error
+    with pytest.raises(ValueError) as read:
+        verify_certificate(doc)
+    assert str(read.value) == error

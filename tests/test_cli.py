@@ -592,7 +592,7 @@ def corpus_texts(seed):
 class TestReadJson:
     """``serialize.read_json`` returns what ``json.loads`` returns, or raises
     what it raises, on any text; it only walks branch nodes itself and reads
-    a repeated step list or contradiction once."""
+    a repeated leaf tail once."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=600)
     @given(json_texts())
@@ -617,29 +617,13 @@ class TestReadJson:
                 assert_reads_as_json_loads(mutant)
 
     def test_character_mutants_of_corpus_files(self):
-        # 280 splits deep, within json.loads's limit; nearly every step list
+        # 280 splits deep, within json.loads's limit; nearly every leaf tail
         # repeats an earlier one's text, so most mutants break a repeat
         rng = random.Random(3)
         for text in corpus_texts(3):
             assert_reads_as_json_loads(text)
             for mutant in character_mutants(text, rng, 12):
                 assert_reads_as_json_loads(mutant)
-
-    def test_repeated_step_lists_and_contradictions_are_read_once(self):
-        # one candidate per head: a text evicted by another with the same
-        # first 32 characters is read again, so a few texts have two objects
-        doc = read_json(corpus_texts(3)[0])
-        values, objects = 0, {}
-        stack = list(doc["root"])
-        while stack:
-            node = stack.pop()
-            stack += node.get("children", [])
-            for key in ("steps", "contradiction"):
-                if key in node:
-                    values += 1
-                    objects.setdefault(json.dumps(node[key]), set()).add(id(node[key]))
-        read = sum(len(ids) for ids in objects.values())
-        assert read < 2 * len(objects) and read * 50 < values
 
 
 # Leaf tails, each after a root node's first member, "assume", and for each
@@ -666,8 +650,8 @@ LEAF_TAILS = {
         [',"x":[1],"children":[]'] * 2 + [',"children":[{"assume":{"color":"red","point":"1"},"x":[1]}],"x":[1]'] * 2,
         [0, 1, 2, 3],
     ),
-    # a steps [] and a later contradiction [] before the same 30 characters
-    # are one object; each tail is still its own and repeats as itself
+    # a steps [] and a later contradiction [] followed by the same 30
+    # characters are two objects; each tail is its own and repeats as itself
     "steps-contradiction-head": (
         [f',"contradiction":{W},"steps":[],"x":[1]'] * 2 + [',"steps":[],"contradiction":[],"x":[1]'] * 2,
         [0, 0, 2, 2],
@@ -695,7 +679,7 @@ class TestLeafTails:
             else:
                 assert all(read[i]["x"] is not read[j]["x"] for j in range(i))
         if case == "steps-contradiction-head":
-            assert read[2]["contradiction"] is read[0]["steps"]
+            assert read[2]["contradiction"] is not read[0]["steps"]
 
     def test_corpus_leaves_are_dicts_of_their_own(self):
         # verify-corpus repeats the base branch's leaves at every level
@@ -781,19 +765,17 @@ class TestSharedStepLists:
         assert steps[10] is not steps[9] and steps[11] is steps[12]
 
     @pytest.mark.parametrize(
-        "first, second, keys, error",
-        [('"contradiction":W,"steps":[]', '"steps":[],"contradiction":[]', ("steps", "contradiction"),
-          "witness object must carry exactly"),
-         ('"steps":[],"contradiction":W', '"contradiction":W,"steps":W', ("contradiction", "steps"),
-          "steps must be a list")],
+        "first, second, error",
+        [('"contradiction":W,"steps":[]', '"steps":[],"contradiction":[]', "witness object must carry exactly"),
+         ('"steps":[],"contradiction":W', '"contradiction":W,"steps":W', "steps must be a list")],
         ids=["steps-then-contradiction", "contradiction-then-steps"],
     )
     def test_a_steps_text_repeated_as_a_contradiction_is_read_by_its_key(
-        self, capsys, tmp_path, first, second, keys, error
+        self, capsys, tmp_path, first, second, error
     ):
         # two 20-split chains whose last leaves end in the same 30 characters,
-        # so the reader hands the second leaf the first one's object under
-        # the other key: each is still read by that key's rules
+        # once under steps and once under contradiction: each is read by that
+        # key's rules
         witness = '{"color":"red","left":[["1",2]],"x0":"2"}'
 
         def chain(start, ending):
@@ -812,12 +794,6 @@ class TestSharedStepLists:
         path.write_text(text)
         code, out = run_cli(capsys, "verify-certificate", "--file", str(path))
         assert code == 64 and out["payload"]["error"].startswith(error)
-        leaves = []
-        for node in read_json(text)["root"]:
-            while "children" in node:
-                node = node["children"][1]
-            leaves.append(node)
-        assert leaves[0][keys[0]] is leaves[1][keys[1]]
 
 
 class TestFileSystemErrors:
